@@ -18,7 +18,13 @@ import numpy as np
 from .critical import find_critical_points, sample_local_stable_set
 from .engine import GradientMap, StopPolicy, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError
-from .experiments import assign_basin, fit_linear_rate, fit_power_rate, monte_carlo
+from .experiments import (
+    MIN_CHUNK,
+    assign_basin,
+    fit_linear_rate,
+    fit_power_rate,
+    monte_carlo,
+)
 from .fileio import atomic_write_json
 from .inverse import invert
 from .zoo import Objective, parse_objective
@@ -318,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--init-box", dest="init_box",
                       help="initialization box 'lo_1,..,lo_d:hi_1,..,hi_d'")
     p_mc.add_argument("--n-jobs", dest="n_jobs", type=int,
-                      help="thread count for trial chunks (default 1)")
+                      help="threads for trial chunks, at least 1 (default 1); capped "
+                      f"by the core count and by chunks of {MIN_CHUNK} trials")
     p_mc.set_defaults(func=cmd_montecarlo)
 
     p_cl = sub.add_parser("classify", help="find and classify critical points")

@@ -211,12 +211,42 @@ class BatchResult:
     stop_reasons: list  # list[StopReason], length n
 
 
+# Stop codes of run_many, in the precedence order of the stop rule; a
+# code indexes this tuple.
+_STOP_CODE_REASONS = (
+    StopReason.GRAD_NORM_BELOW_TOL,
+    StopReason.DIVERGED,
+    StopReason.MAX_ITERS,
+    StopReason.LEFT_DOMAIN_BOX,
+)
+_STOP_CODES = [np.int8(code) for code in range(len(_STOP_CODE_REASONS))]
+_RUNNING = np.int8(-1)
+# Relative slack of the whole-batch divergence bound; the rounding of a
+# d-term row norm is about d * eps relative, far below it.
+_BOUND_SLACK = 1e-9
+# Entries below this magnitude cannot overflow the squares of a row norm.
+_NORM_SAFE = 1e150
+
+
+def _columns_within(x, lo, hi) -> bool:
+    """True when every column j of the batch x lies in [lo[j], hi[j]].
+
+    Strided per-column min/max; a NaN entry makes the test read False.
+    """
+    return all(
+        lo[j] <= x[:, j].min() and x[:, j].max() <= hi[j] for j in range(x.shape[1])
+    )
+
+
 def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> BatchResult:
     """Advance many starting points at once.
 
     Arithmetic is elementwise-identical to ``run``, so each row's final
     state matches the corresponding single run bit for bit; only the dense
-    history is skipped.
+    history is skipped.  The stop rule is the same as ``run``'s.  Per
+    iteration, the divergence and box tests are first settled for the
+    whole batch from per-column minima and maxima of the iterates, and
+    fall back to the exact per-row tests only when that cannot decide.
     """
     obj = gmap.objective
     x0s = np.array(x0s, dtype=float)
@@ -225,58 +255,66 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
     if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
         raise ContractViolationError("some starting points lie outside domain_box")
 
-    n = x0s.shape[0]
+    n, d = x0s.shape
     final_x = np.zeros_like(x0s)
     final_f = np.zeros(n)
     final_gn = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
-    reasons: list = [None] * n
+    codes = np.full(n, _RUNNING, dtype=np.int8)
 
-    x = x0s.copy()
+    # Rows whose entries all lie in [-cube, cube] have norm below the
+    # divergence radius.  A box-local certificate keeps the rows inside
+    # the box, which settles divergence too when the box fits the cube.
+    cube = min(policy.divergence_radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK))
+    lo = np.full(d, -cube)
+    hi = np.full(d, cube)
+    check_box = not obj.lipschitz_global
+    box_lo, box_hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
+    box_in_cube = bool(np.all(box_lo >= lo) and np.all(box_hi <= hi))
+
+    x = x0s
     active = np.arange(n)
     k = 0
     while active.size:
         f = obj.value(x)
         g = obj.gradient(x)
-        bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=-1))
-        if np.any(bad):
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=-1))
             trial = int(active[np.argmax(bad)])
             raise NumericalFailureError(
                 f"non-finite value or gradient at iterate {k} (trial {trial})", k
             )
         gn = _row_norms(g)
-        xn = _row_norms(x)
+        tol_hit = gn <= policy.tol
 
-        done_tol = gn <= policy.tol
-        done_div = ~done_tol & (xn >= policy.divergence_radius)
-        done_max = ~done_tol & ~done_div & (k == policy.max_iters)
-        if obj.lipschitz_global:
-            done_box = np.zeros_like(done_tol)
+        in_box = check_box and _columns_within(x, box_lo, box_hi)
+        if (in_box and box_in_cube) or _columns_within(x, lo, hi):
+            div_hit = np.False_
         else:
-            done_box = ~done_tol & ~done_div & ~done_max & ~obj.contains(x)
-        done = done_tol | done_div | done_max | done_box
+            div_hit = _row_norms(x) >= policy.divergence_radius
+        if check_box and not in_box:
+            box_exit = ~obj.contains(x)
+        else:
+            box_exit = np.False_
+        capped = np.bool_(k == policy.max_iters)
 
-        if np.any(done):
+        if capped or (tol_hit | div_hit | box_exit).any():
+            code = np.select([tol_hit, div_hit, capped, box_exit], _STOP_CODES, _RUNNING)
+            done = code != _RUNNING
             idx = active[done]
             final_x[idx] = x[done]
             final_f[idx] = f[done]
             final_gn[idx] = gn[done]
             iterations[idx] = k
-            for j, i in enumerate(np.flatnonzero(done)):
-                if done_tol[i]:
-                    reasons[idx[j]] = StopReason.GRAD_NORM_BELOW_TOL
-                elif done_div[i]:
-                    reasons[idx[j]] = StopReason.DIVERGED
-                elif done_max[i]:
-                    reasons[idx[j]] = StopReason.MAX_ITERS
-                else:
-                    reasons[idx[j]] = StopReason.LEFT_DOMAIN_BOX
-
-        keep = ~done
-        active = active[keep]
-        x = x[keep] - gmap.alpha * g[keep]
+            codes[idx] = code[done]
+            keep = ~done
+            active = active[keep]
+            x = x[keep] - gmap.alpha * g[keep]
+        else:
+            x = x - gmap.alpha * g
         k += 1
 
+    reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()
     return BatchResult(final_x, final_f, final_gn, iterations, reasons)
 
 

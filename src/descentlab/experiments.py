@@ -9,6 +9,9 @@ the (a, m) pair those rates are predicted from.
 
 from __future__ import annotations
 
+import itertools
+import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -38,6 +41,10 @@ LABEL_UNRESOLVED = "Unresolved"
 
 BASIN_TOL = 1e-6
 FIT_FLOOR = 100.0 * np.finfo(float).eps
+# Trials per Monte Carlo worker thread, at least.  Below about this many
+# rows per chunk, threads stepping the nesterov census on 2 cores ran
+# slower than one thread stepping all of them.
+MIN_CHUNK = 10_000
 
 
 def _basin_label(final_x, final_grad_norm, stop_reason, records, tol):
@@ -61,6 +68,42 @@ def _basin_label(final_x, final_grad_norm, stop_reason, records, tol):
     if not matches:
         return LABEL_UNRESOLVED
     return matches[0]
+
+
+def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
+    """Array form of ``_basin_label`` over a batch, as integer codes.
+
+    Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
+    and 2 are Diverged, LeftBox and Unresolved (see ``_label_table``).  A
+    row within ``tol`` of two records raises the same ambiguity error as
+    the single-trajectory path.
+    """
+    n_records = len(records)
+    reasons = np.asarray(result.stop_reasons, dtype=object)
+    codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
+    # a bare StopReason operand would be converted to a numpy string and
+    # compare unequal to every object; a 0-d object array compares members
+    for reason, code in ((StopReason.LEFT_DOMAIN_BOX, n_records + 1),
+                         (StopReason.DIVERGED, n_records)):
+        codes[reasons == np.array(reason, dtype=object)] = code
+    settled = (codes == n_records + 2) & ~(result.final_grad_norm > tol)
+    ambiguous = np.zeros_like(settled)
+    for i, rec in enumerate(records):
+        hit = settled & (np.abs(result.final_x - rec.location) <= tol).all(axis=-1)
+        ambiguous |= hit & (codes < n_records)
+        codes[hit] = i
+    if np.any(ambiguous):
+        # the first ambiguous row raises, with the per-trial path's message
+        t = int(np.argmax(ambiguous))
+        _basin_label(
+            result.final_x[t], result.final_grad_norm[t], result.stop_reasons[t], records, tol
+        )
+    return codes
+
+
+def _label_table(records) -> list:
+    """The label of each code of ``_basin_codes``."""
+    return [*range(len(records)), LABEL_DIVERGED, LABEL_LEFT_BOX, LABEL_UNRESOLVED]
 
 
 def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
@@ -131,11 +174,11 @@ class MonteCarloReport:
             + [f"x0_{i + 1}" for i in range(d)]
             + ["label", "iterations", "final_grad_norm"]
         )
-        rows = [
+        rows = (
             [t, *self.trial_x0[t], str(self.trial_labels[t]),
              int(self.trial_iterations[t]), self.trial_final_grad_norm[t]]
             for t in range(self.n_trials)
-        ]
+        )
         atomic_write_csv(path, header, rows)
 
     def basins_to_csv(self, path) -> None:
@@ -148,6 +191,12 @@ class MonteCarloReport:
         rows.append([LABEL_LEFT_BOX, "", self.left_box])
         rows.append([LABEL_UNRESOLVED, "", self.unresolved])
         atomic_write_csv(path, header, rows)
+
+
+def _worker_count(n_jobs: int, n_trials: int, cpu_count: int) -> int:
+    """Threads for a census: the request, capped by the cores and by
+    chunks of at least MIN_CHUNK trials."""
+    return min(n_jobs, cpu_count, math.ceil(n_trials / MIN_CHUNK))
 
 
 def _trial_starts(seed: int, n_trials: int, lo, hi) -> np.ndarray:
@@ -177,12 +226,16 @@ def monte_carlo(
     The initialization box defaults to the objective's domain box and must
     lie inside it.  Critical-point records default to a fresh multistart
     search with its own fixed seed, so basin indices do not depend on the
-    Monte Carlo seed.  ``n_jobs`` > 1 splits trials across threads; the
-    per-trial RNG streams and elementwise stepping make the report
-    identical for any split.
+    Monte Carlo seed.  ``n_jobs`` (at least 1) is the most threads to
+    use: the trials are split, in trial order, into
+    ``min(n_jobs, os.cpu_count(), ceil(n_trials / MIN_CHUNK))`` chunks,
+    one thread each.  The per-trial RNG streams and elementwise stepping
+    make the report identical for any split.
     """
     if n_trials < 1:
         raise ContractViolationError("n_trials must be at least 1")
+    if n_jobs < 1:
+        raise ContractViolationError(f"n_jobs must be at least 1, got {n_jobs}")
     gmap = GradientMap(objective, alpha)
     box = objective.domain_box if init_box is None else np.asarray(init_box, dtype=float)
     if box.shape != objective.domain_box.shape:
@@ -199,51 +252,35 @@ def monte_carlo(
 
     x0s = _trial_starts(seed, n_trials, box[:, 0], box[:, 1])
 
-    if n_jobs <= 1:
+    workers = _worker_count(n_jobs, n_trials, os.cpu_count() or 1)
+    if workers == 1:
         result = run_many(gmap, x0s, policy)
     else:
-        chunks = np.array_split(np.arange(n_trials), n_jobs)
-        chunks = [c for c in chunks if c.size]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+        chunks = np.array_split(np.arange(n_trials), workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: run_many(gmap, x0s[c], policy), chunks))
         result = BatchResult(
             final_x=np.concatenate([p.final_x for p in parts]),
             final_f=np.concatenate([p.final_f for p in parts]),
             final_grad_norm=np.concatenate([p.final_grad_norm for p in parts]),
             iterations=np.concatenate([p.iterations for p in parts]),
-            stop_reasons=[r for p in parts for r in p.stop_reasons],
+            stop_reasons=list(itertools.chain.from_iterable(p.stop_reasons for p in parts)),
         )
 
-    labels = [
-        _basin_label(
-            result.final_x[t],
-            result.final_grad_norm[t],
-            result.stop_reasons[t],
-            records,
-            basin_tol,
-        )
-        for t in range(n_trials)
-    ]
-    basin_counts = {i: 0 for i in range(len(records))}
-    diverged = left_box = unresolved = saddle_hits = 0
-    for label in labels:
-        if label == LABEL_DIVERGED:
-            diverged += 1
-        elif label == LABEL_LEFT_BOX:
-            left_box += 1
-        elif label == LABEL_UNRESOLVED:
-            unresolved += 1
-        else:
-            basin_counts[label] += 1
-            if records[label].is_strict_saddle:
-                saddle_hits += 1
+    codes = _basin_codes(result, records, basin_tol)
+    table = _label_table(records)
+    labels = np.array(table, dtype=object)[codes].tolist()
+    counts = np.bincount(codes, minlength=len(table)).tolist()
+    n_records = len(records)
+    diverged, left_box, unresolved = counts[n_records:]
+    saddle_hits = sum(counts[i] for i, rec in enumerate(records) if rec.is_strict_saddle)
 
     return MonteCarloReport(
         n_trials=n_trials,
         seed=seed,
         alpha=alpha,
         init_box=box,
-        basin_counts=basin_counts,
+        basin_counts=dict(enumerate(counts[:n_records])),
         diverged=diverged,
         left_box=left_box,
         unresolved=unresolved,

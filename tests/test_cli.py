@@ -107,6 +107,16 @@ def test_montecarlo_requires_trials():
     assert "--trials" in proc.stderr
 
 
+def test_montecarlo_rejects_n_jobs_below_one():
+    proc = cli(
+        "montecarlo", "--objective", "nesterov", "--trials", "20", "--n-jobs", "0",
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "n_jobs must be at least 1" in proc.stderr
+
+
 def test_montecarlo_accepts_init_box():
     proc = cli(
         "montecarlo", "--objective", "nesterov", "--trials", "20",

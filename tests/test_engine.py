@@ -202,6 +202,73 @@ def test_run_many_mixed_stop_reasons():
     assert batch.stop_reasons[1] is StopReason.DIVERGED
 
 
+def _assert_rows_match_single_runs(gmap, x0s, policy):
+    batch = run_many(gmap, x0s, policy)
+    for i, x0 in enumerate(x0s):
+        traj = run(gmap, x0, policy)
+        assert np.array_equal(batch.final_x[i], traj.final_x)
+        assert batch.final_f[i] == traj.f_values[-1]
+        assert batch.final_grad_norm[i] == traj.final_grad_norm
+        assert batch.iterations[i] == traj.n_steps
+        assert batch.stop_reasons[i] is traj.stop_reason
+    return batch
+
+
+def test_run_many_tol_wins_over_the_cap_on_the_same_iteration():
+    gmap = GradientMap(DiagonalQuadratic([1.0, 2.0]), 0.4)
+    x0s = np.array([[1.0, 1.0], [0.5, -0.25], [2.0, 2.0]])
+    cap = run(gmap, x0s[0]).n_steps
+    batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy(max_iters=cap))
+    # row 0 meets the tolerance exactly at the cap
+    assert batch.iterations[0] == cap
+    assert batch.final_grad_norm[0] <= 1e-10
+    assert batch.stop_reasons[0] is StopReason.GRAD_NORM_BELOW_TOL
+    assert batch.stop_reasons[1] is StopReason.GRAD_NORM_BELOW_TOL
+    assert batch.iterations[1] < cap
+    assert batch.stop_reasons[2] is StopReason.MAX_ITERS
+
+
+def test_run_many_divergence_wins_over_a_box_exit_on_the_same_iteration():
+    obj = NesterovExample(domain_box=[[-0.5, 0.5], [-0.5, 0.5]])
+    gmap = GradientMap(obj, 0.9)
+    x0s = np.array([[0.0, 0.4], [0.0, 0.3], [0.1, -0.45], [0.2, 0.0]])
+    policy = StopPolicy(divergence_radius=0.6)
+    batch = _assert_rows_match_single_runs(gmap, x0s, policy)
+    # 0.4 -> 0.7024 and -0.45 -> -0.773 leave the box beyond the radius
+    for i in (0, 2):
+        assert batch.stop_reasons[i] is StopReason.DIVERGED
+        assert not obj.contains(batch.final_x[i])
+    # 0.3 -> 0.5457 leaves the box inside the radius
+    assert batch.stop_reasons[1] is StopReason.LEFT_DOMAIN_BOX
+    assert float(np.sqrt(np.sum(batch.final_x[1] ** 2))) < 0.6
+    # on the stable axis the row settles at the saddle
+    assert batch.stop_reasons[3] is StopReason.GRAD_NORM_BELOW_TOL
+
+
+def test_run_many_matches_single_runs_bitwise_in_high_dimension():
+    # from 8 terms up np.sum adds pairwise, so a row norm summed column by
+    # column would round differently from run's in the last bits; repeated
+    # eigenvalues keep many gradient components of one size to the end
+    lambdas = np.array([1.0, 1.0, -0.5, 1.0, 1.0, -0.5, 1.0, 1.0, -0.5, 1.0, -0.5, 1.0])
+    gmap = GradientMap(DiagonalQuadratic(lambdas), 0.45)
+    x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(64, lambdas.size))
+    x0s[::2, lambdas < 0] = 0.0  # even rows have no expanding component
+    batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy(max_iters=5000))
+    reasons = set(batch.stop_reasons)
+    assert reasons == {StopReason.GRAD_NORM_BELOW_TOL, StopReason.DIVERGED}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_run_many_diverges_where_the_row_norm_overflows():
+    # from |x| ~ 1.3e154 on, x * x overflows and the norm reads inf, while
+    # f = lambda x^2 / 2 with a tiny lambda stays finite: run stops there
+    gmap = GradientMap(DiagonalQuadratic([-1e-10]), 0.5e10)
+    policy = StopPolicy(tol=0.0, divergence_radius=1e300)
+    batch = _assert_rows_match_single_runs(gmap, np.array([[1.0], [-0.5]]), policy)
+    assert batch.stop_reasons == [StopReason.DIVERGED, StopReason.DIVERGED]
+    assert np.all(np.abs(batch.final_x) < 1e300)
+
+
 def test_run_many_validates_batch_shape():
     gmap = GradientMap(NesterovExample(), 0.09)
     with pytest.raises(ContractViolationError):

@@ -1,6 +1,8 @@
 """Monte Carlo basin statistics, rate fitting, and gradient-inequality
 certificates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from descentlab import (
     BasinAmbiguityError,
+    BatchResult,
     Classification,
     ContractViolationError,
     DiagonalQuadratic,
@@ -17,6 +20,7 @@ from descentlab import (
     NesterovExample,
     QuarticCopositive,
     StopPolicy,
+    StopReason,
     StronglyConvexQuadratic,
     assign_basin,
     best_rate_fit,
@@ -29,6 +33,8 @@ from descentlab import (
     path_length_check,
     run,
 )
+from descentlab import experiments
+from descentlab.experiments import BASIN_TOL, MIN_CHUNK, _basin_label
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,101 @@ def test_monte_carlo_is_identical_for_any_thread_split(nesterov_records):
     assert serial.trial_labels == threaded.trial_labels
     assert np.array_equal(serial.trial_iterations, threaded.trial_iterations)
     assert np.array_equal(serial.trial_final_grad_norm, threaded.trial_final_grad_norm)
+
+
+def test_monte_carlo_threads_split_trials_in_order(nesterov_records, monkeypatch):
+    serial = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
+    monkeypatch.setattr(experiments, "MIN_CHUNK", 50)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    assert experiments._worker_count(3, 200, experiments.os.cpu_count()) == 3
+    threaded = monte_carlo(
+        NesterovExample(), 0.09, 200, seed=7, records=nesterov_records, n_jobs=3
+    )
+    assert serial.to_dict() == threaded.to_dict()
+    assert serial.trial_labels == threaded.trial_labels
+    assert np.array_equal(serial.trial_iterations, threaded.trial_iterations)
+    assert np.array_equal(serial.trial_final_grad_norm, threaded.trial_final_grad_norm)
+
+
+def test_worker_count_is_capped_by_cores_and_chunk_size():
+    # computed only: a pool of this size is never started
+    assert experiments._worker_count(100_000, 10_000, 2) == 1
+    assert experiments._worker_count(100_000, 10_000, 64) == math.ceil(10_000 / MIN_CHUNK)
+    assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 64) == 5
+    assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 2) == 2
+    assert experiments._worker_count(3, 100 * MIN_CHUNK, 64) == 3
+    assert experiments._worker_count(1, 100 * MIN_CHUNK, 64) == 1
+    assert experiments._worker_count(4, MIN_CHUNK + 1, 64) == 2
+
+
+def test_monte_carlo_rejects_n_jobs_below_one(nesterov_records):
+    for n_jobs in (0, -3):
+        with pytest.raises(ContractViolationError, match="n_jobs"):
+            monte_carlo(
+                NesterovExample(), 0.09, 10, seed=0, records=nesterov_records, n_jobs=n_jobs
+            )
+
+
+def _batch(rows):
+    """A hand-built BatchResult from (final_x, final_grad_norm, stop_reason) rows."""
+    return BatchResult(
+        final_x=np.array([row[0] for row in rows], dtype=float),
+        final_f=np.zeros(len(rows)),
+        final_grad_norm=np.array([row[1] for row in rows], dtype=float),
+        iterations=np.zeros(len(rows), dtype=np.int64),
+        stop_reasons=[row[2] for row in rows],
+    )
+
+
+def _oracle_labels(batch, records, tol):
+    return [
+        _basin_label(batch.final_x[t], batch.final_grad_norm[t], batch.stop_reasons[t], records, tol)
+        for t in range(len(batch.stop_reasons))
+    ]
+
+
+def test_batch_labels_match_the_scalar_oracle(nesterov_records):
+    locations = [rec.location for rec in nesterov_records]
+    near = 0.5 * BASIN_TOL
+    rows = [
+        ([5e6, 0.0], 1.0, StopReason.DIVERGED),
+        (locations[0], 0.0, StopReason.DIVERGED),
+        ([0.0, 2.5], 3.0, StopReason.LEFT_DOMAIN_BOX),
+        (locations[2], 0.0, StopReason.LEFT_DOMAIN_BOX),
+        (locations[2], 1e-3, StopReason.MAX_ITERS),
+        (locations[1], 2.0 * BASIN_TOL, StopReason.MAX_ITERS),
+        ([0.5, 0.5], 0.0, StopReason.GRAD_NORM_BELOW_TOL),
+        (locations[1] + [2.0 * BASIN_TOL, 0.0], 1e-11, StopReason.GRAD_NORM_BELOW_TOL),
+        (locations[0] + [near, -near], 1e-11, StopReason.GRAD_NORM_BELOW_TOL),
+        (locations[1] + [0.0, near], 0.0, StopReason.GRAD_NORM_BELOW_TOL),
+        (locations[2] - [near, 0.0], BASIN_TOL, StopReason.GRAD_NORM_BELOW_TOL),
+        (locations[2], 1e-12, StopReason.MAX_ITERS),
+    ]
+    batch = _batch(rows)
+    table = experiments._label_table(nesterov_records)
+    labels = [table[c] for c in experiments._basin_codes(batch, nesterov_records, BASIN_TOL)]
+    assert labels == _oracle_labels(batch, nesterov_records, BASIN_TOL)
+    assert labels == [
+        "Diverged", "Diverged", "LeftBox", "LeftBox", "Unresolved", "Unresolved",
+        "Unresolved", "Unresolved", 0, 1, 2, 2,
+    ]
+
+
+def test_batch_labels_raise_on_a_two_record_hit(nesterov_records):
+    rec = classify(NesterovExample(), np.array([0.0, 1.0]))
+    records = [nesterov_records[0], rec, rec]
+    rows = [
+        ([0.0, -1.0], 0.0, StopReason.GRAD_NORM_BELOW_TOL),
+        ([0.0, 1.0], 0.0, StopReason.DIVERGED),
+        ([0.0, 1.0], 0.0, StopReason.GRAD_NORM_BELOW_TOL),
+    ]
+    batch = _batch(rows)
+    assert _oracle_labels(_batch(rows[:2]), records, BASIN_TOL) == [0, "Diverged"]
+    with pytest.raises(BasinAmbiguityError) as vectorised:
+        experiments._basin_codes(batch, records, BASIN_TOL)
+    with pytest.raises(BasinAmbiguityError) as scalar:
+        _oracle_labels(batch, records, BASIN_TOL)
+    assert str(vectorised.value) == str(scalar.value)
 
 
 def test_monte_carlo_respects_init_box(nesterov_records):
