@@ -1,11 +1,17 @@
-"""Golden pins: byte-for-byte CLI outputs on the Nesterov example.
+"""Golden pins: byte-for-byte CLI outputs.
 
 Each case reruns one ``descentlab`` command with ``--out`` and compares
 every file it writes, plus its stdout, with the copy stored under
-``tests/golden/<case>/``.  The goldens change only when an output format
-or a seed's trial starts change on purpose; regenerate them with
+``tests/golden/<case>/``.  Six cases cover every subcommand on the
+Nesterov example; three more pin the branches of the Newton searches:
+a degenerate root where Newton converges only linearly
+(``classify-quartic``), a Hessian singular everywhere
+(``classify-singular``), and inversion of the quartic's gradient map
+(``invert-quartic``).  The goldens change only when an output format or
+a seed's trial starts change on purpose; regenerate all of them, or only
+the named cases, with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
 
 and record the reason in CHANGES.md.
 """
@@ -25,6 +31,11 @@ CASES = {
     "stable-set": ["stable-set", "--objective", "nesterov"],
     "invert": ["invert", "--objective", "nesterov", "--alpha", "0.05", "--y", "0.95,1.7"],
     "rates": ["rates", "--objective", "nesterov", "--x0", "0.5,0.3"],
+    "classify-quartic": ["classify", "--objective", "quartic:[[1,0],[0,1]]", "--seed", "2"],
+    "classify-singular": ["classify", "--objective", "diagonal_quadratic:[1,0]", "--seed", "1"],
+    "invert-quartic": [
+        "invert", "--objective", "quartic:[[1,0],[0,1]]", "--alpha", "0.05", "--y", "0.3,-0.4",
+    ],
 }
 
 
@@ -49,8 +60,8 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert (tmp_path / filename).read_bytes() == (expected / filename).read_bytes(), filename
 
 
-def regenerate() -> None:
-    for name in CASES:
+def regenerate(names) -> None:
+    for name in names:
         target = GOLDEN / name
         target.mkdir(parents=True, exist_ok=True)
         for stale in target.iterdir():
@@ -59,4 +70,4 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or CASES)
