@@ -21,9 +21,9 @@ from .errors import ContractViolationError, DescentLabError, NumericalFailureErr
 from .experiments import (
     MIN_CHUNK,
     assign_basin,
-    fit_linear_rate,
-    fit_power_rate,
+    best_rate_fit,
     monte_carlo,
+    rate_fits,
 )
 from .fileio import atomic_write_json
 from .inverse import invert
@@ -34,6 +34,12 @@ THETA_DEFAULT = 0.99
 CONFIG_KEYS = {
     "objective", "alpha", "theta", "x0", "init_box", "trials", "seed",
     "tol", "max_iters", "out", "radius", "grid", "index", "y", "n_jobs",
+}
+# Numeric options and the type each resolves to.  Flags arrive typed by
+# argparse; config values are converted once, where the two are merged.
+NUMERIC_KEYS = {
+    "trials": int, "n_jobs": int, "seed": int, "max_iters": int, "grid": int,
+    "index": int, "alpha": float, "theta": float, "tol": float, "radius": float,
 }
 
 
@@ -70,13 +76,38 @@ def _load_config(path) -> dict:
     return config
 
 
+def _as_number(key: str, value, kind):
+    """``value`` as an int or a float; anything else is a contract violation.
+
+    Numeric strings are accepted and an integral float passes for an int;
+    booleans, NaN and fractional ints are refused.
+    """
+    number = None
+    if not isinstance(value, bool):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    fractional = kind is int and isinstance(value, float) and number != value
+    if number is None or number != number or fractional:
+        expected = "an integer" if kind is int else "a number"
+        raise ContractViolationError(f"{key} must be {expected}, got {value!r}")
+    return number
+
+
 def _merged(args: argparse.Namespace) -> dict:
-    """Resolve option values: explicit flag, then config file, then default."""
+    """Resolve option values: explicit flag, then config file, then default.
+
+    Numeric values come back as int or float (see ``NUMERIC_KEYS``).
+    """
     config = _load_config(args.config) if args.config else {}
     merged = {}
     for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
-        merged[key] = flag if flag is not None else config.get(key)
+        value = flag if flag is not None else config.get(key)
+        if value is not None and key in NUMERIC_KEYS:
+            value = _as_number(key, value, NUMERIC_KEYS[key])
+        merged[key] = value
     return merged
 
 
@@ -91,15 +122,11 @@ def _resolve_alpha(opts, objective: Objective) -> float:
     if alpha is not None and theta is not None:
         raise ContractViolationError("set at most one of --alpha and --theta")
     if alpha is not None:
-        return float(alpha)
-    return alpha_from_theta(objective, THETA_DEFAULT if theta is None else float(theta))
+        return alpha
+    return alpha_from_theta(objective, THETA_DEFAULT if theta is None else theta)
 
 def _resolve_policy(opts) -> StopPolicy:
-    kwargs = {}
-    if opts["tol"] is not None:
-        kwargs["tol"] = float(opts["tol"])
-    if opts["max_iters"] is not None:
-        kwargs["max_iters"] = int(opts["max_iters"])
+    kwargs = {key: opts[key] for key in ("tol", "max_iters") if opts[key] is not None}
     return StopPolicy(**kwargs)
 
 
@@ -115,7 +142,7 @@ def _resolve_x0(opts, objective: Objective) -> np.ndarray:
 
 
 def _resolve_seed(opts) -> int:
-    return 0 if opts["seed"] is None else int(opts["seed"])
+    return 0 if opts["seed"] is None else opts["seed"]
 
 
 def _out_path(opts, name: str) -> str | None:
@@ -180,11 +207,11 @@ def cmd_montecarlo(args) -> int:
     report = monte_carlo(
         objective,
         alpha,
-        n_trials=int(opts["trials"]),
+        n_trials=opts["trials"],
         seed=_resolve_seed(opts),
         init_box=init_box,
         policy=policy,
-        n_jobs=1 if opts["n_jobs"] is None else int(opts["n_jobs"]),
+        n_jobs=1 if opts["n_jobs"] is None else opts["n_jobs"],
     )
     print(f"saddle_hits: {report.saddle_hits}")
     json_path = _out_path(opts, "report.json")
@@ -214,14 +241,14 @@ def cmd_stable_set(args) -> int:
     policy = _resolve_policy(opts)
     records = find_critical_points(objective, seed=_resolve_seed(opts))
     if opts["index"] is not None:
-        record = records[int(opts["index"])]
+        record = records[opts["index"]]
     else:
         saddles = [r for r in records if r.is_strict_saddle]
         if not saddles:
             raise ContractViolationError("objective has no strict saddle to sample")
         record = saddles[0]
-    radius = 0.5 if opts["radius"] is None else float(opts["radius"])
-    grid = 41 if opts["grid"] is None else int(opts["grid"])
+    radius = 0.5 if opts["radius"] is None else opts["radius"]
+    grid = 41 if opts["grid"] is None else opts["grid"]
     gmap = GradientMap(objective, alpha)
     sample = sample_local_stable_set(gmap, record, radius=radius, grid=grid, policy=policy)
     summary = {
@@ -247,7 +274,7 @@ def cmd_invert(args) -> int:
         raise ContractViolationError("--y is required")
     y = opts["y"]
     y = _parse_vector(y) if isinstance(y, str) else np.asarray(y, dtype=float)
-    tol = 1e-10 if opts["tol"] is None else float(opts["tol"])
+    tol = 1e-10 if opts["tol"] is None else opts["tol"]
     gmap = GradientMap(objective, alpha)
     report = invert(gmap, y, tol=tol)
     payload = {"y": [float(v) for v in y], **report.to_dict()}
@@ -274,16 +301,16 @@ def cmd_rates(args) -> int:
         )
         return 1
     x_star = records[label].location
-    linear = fit_linear_rate(traj, x_star)
-    power = fit_power_rate(traj, x_star)
-    chosen = linear if linear.r_squared >= power.r_squared else power
+    # a regime whose gate rejects the trajectory is reported as null
+    fits = {fit.regime: fit.to_dict() for fit in rate_fits(traj, x_star)}
+    chosen = best_rate_fit(traj, x_star)
     payload = {
         "objective": objective.to_dict(),
         "alpha": float(alpha),
         "x0": [float(v) for v in x0],
         "limit": [float(v) for v in x_star],
-        "linear": linear.to_dict(),
-        "power": power.to_dict(),
+        "linear": fits.get("Linear"),
+        "power": fits.get("Power"),
         "chosen_regime": chosen.regime,
         "fitted_b": None if chosen.fitted_b is None else float(chosen.fitted_b),
         "fitted_exponent": (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, StopPolicy, StopReason, run_many
+from .engine import GradientMap, StopPolicy, StopReason, _solve_rows, run_many
 from .errors import ContractViolationError
 from .fileio import atomic_write_csv
 from .jacobi import eigh_jacobi
@@ -129,50 +129,78 @@ class CriticalPointList(list):
         self.n_dropped = n_dropped
 
 
-def _newton_root(objective: Objective, x0: np.ndarray, tol: float, max_iters: int = 120):
+def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters: int = 120):
     """Newton iteration on grad f = 0 with a squared-gradient-norm merit guard.
 
-    Returns the refined root or None.  The gradient tolerance alone is a
-    weak certificate at degenerate roots (Newton contracts only linearly
-    there), so after hitting it the loop keeps polishing until the step
+    Runs from every row of ``seeds`` at once and returns, per seed, the
+    refined root or None.  The gradient tolerance alone is a weak
+    certificate at degenerate roots (Newton contracts only linearly
+    there), so after hitting it a row keeps polishing until its step
     stalls below 1e-12; that pins locations to machine scale and lets
     deduplication merge what would otherwise look like a cloud of roots.
+
+    Each row takes exactly the steps it would take alone: its own
+    backtracking line search, and a steepest-descent direction on the
+    merit wherever its Hessian is singular.  A row leaves the batch as soon
+    as its outcome is known.
     """
-    x = x0.copy()
+    roots = [None] * seeds.shape[0]
+    active = np.arange(seeds.shape[0])
+    x = seeds.copy()
     grad = objective.gradient(x)
-    merit = float(np.sum(grad * grad))
-    hit_tol = False
+    merit = np.sum(grad * grad, axis=-1)
+    hit_tol = np.zeros(active.size, dtype=bool)
     for _ in range(max_iters):
-        grad_norm = np.sqrt(merit)
-        if grad_norm <= tol:
-            hit_tol = True
-        if not np.isfinite(merit):
-            return None
-        hess = objective.hessian(x)
-        try:
-            direction = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            # Singular Hessian: fall back to steepest descent on the merit.
-            direction = hess @ grad
-            if not np.any(direction):
-                return x if hit_tol else None
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            x_new = x - step * direction
-            grad_new = objective.gradient(x_new)
-            merit_new = float(np.sum(grad_new * grad_new))
-            if np.isfinite(merit_new) and merit_new < merit:
-                accepted = True
+        hit_tol |= np.sqrt(merit) <= tol
+        finite = np.isfinite(merit)
+        if not finite.all():
+            # only a seed can get here: the line search accepts finite merits
+            active, x, grad = active[finite], x[finite], grad[finite]
+            merit, hit_tol = merit[finite], hit_tol[finite]
+            if not active.size:
                 break
-            step *= 0.5
-        if not accepted:
-            return x if hit_tol else None
-        moved = float(np.max(np.abs(x_new - x)))
+        hess = objective.hessian(x)
+        direction, singular = _solve_rows(hess, grad)
+        pending = np.arange(active.size)
+        if singular is not None:
+            for i in np.flatnonzero(singular):
+                direction[i] = hess[i] @ grad[i]
+            # a zero fallback direction ends the row where it stands
+            pending = np.flatnonzero(~singular | direction.any(axis=-1))
+
+        x_new, grad_new, merit_new = x.copy(), grad.copy(), merit.copy()
+        accepted = np.zeros(active.size, dtype=bool)
+        step = np.ones(active.size)
+        for _ in range(40):
+            if not pending.size:
+                break
+            trial = x[pending] - step[pending, None] * direction[pending]
+            trial_grad = objective.gradient(trial)
+            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
+            ok = np.isfinite(trial_merit) & (trial_merit < merit[pending])
+            taken = pending[ok]
+            x_new[taken], grad_new[taken], merit_new[taken] = (
+                trial[ok], trial_grad[ok], trial_merit[ok],
+            )
+            accepted[taken] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+
+        moved = np.max(np.abs(x_new - x), axis=-1)
         x, grad, merit = x_new, grad_new, merit_new
-        if hit_tol and moved <= 1e-12:
-            return x
-    return x if hit_tol and np.sqrt(merit) <= tol else None
+        finished = ~accepted | (hit_tol & (moved <= 1e-12))
+        if finished.any():
+            for i in np.flatnonzero(finished & hit_tol):
+                roots[active[i]] = x[i].copy()
+            keep = ~finished
+            active, x, grad, merit, hit_tol = (
+                active[keep], x[keep], grad[keep], merit[keep], hit_tol[keep],
+            )
+            if not active.size:
+                break
+    for i in np.flatnonzero(hit_tol & (np.sqrt(merit) <= tol)):
+        roots[active[i]] = x[i].copy()
+    return roots
 
 
 def find_critical_points(
@@ -185,10 +213,11 @@ def find_critical_points(
 ) -> CriticalPointList:
     """Multistart Newton search for critical points inside the domain box.
 
-    Seeds are uniform on the domain box.  Converged roots closer than
-    ``dedup_tol`` in the infinity norm are merged; starts that fail to
-    converge are dropped and counted on the returned list.  Records come
-    back sorted by location so the output is reproducible.
+    Seeds are uniform on the domain box and run through one batched
+    damped-Newton pass.  Converged roots closer than ``dedup_tol`` in the
+    infinity norm are merged; starts that fail to converge are dropped and
+    counted on the returned list.  Records come back sorted by location so
+    the output is reproducible.
     """
     if n_seeds < 1:
         raise ContractViolationError("n_seeds must be at least 1")
@@ -198,8 +227,7 @@ def find_critical_points(
 
     roots: list[np.ndarray] = []
     n_dropped = 0
-    for x0 in seeds:
-        root = _newton_root(objective, x0, tol)
+    for root in _newton_roots(objective, seeds, tol):
         if root is None:
             n_dropped += 1
             continue

@@ -146,6 +146,28 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(np.sum(x * x, axis=-1))
 
 
+def _solve_rows(mats, rhs):
+    """Solve ``mats[i] @ out[i] = rhs[i]`` for a batch of square systems.
+
+    Returns ``(out, singular)``.  One LAPACK call solves the whole batch;
+    only when it reports a singular matrix are the rows solved one by one,
+    and ``singular`` then marks the rows that failed (their ``out`` rows
+    are undefined).  Otherwise ``singular`` is None.  Used by the batched
+    Newton searches, which give each singular row its own fallback.
+    """
+    try:
+        return np.linalg.solve(mats, rhs[..., None])[..., 0], None
+    except np.linalg.LinAlgError:
+        out = np.empty_like(rhs)
+        singular = np.zeros(rhs.shape[0], dtype=bool)
+        for i in range(rhs.shape[0]):
+            try:
+                out[i] = np.linalg.solve(mats[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return out, singular
+
+
 def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajectory:
     """Iterate the gradient map from x0, recording every iterate.
 

@@ -414,24 +414,31 @@ def fit_power_rate(traj: Trajectory, x_star) -> RateFit:
     )
 
 
-def best_rate_fit(traj: Trajectory, x_star) -> RateFit:
-    """Fit both regimes and keep the one with the better r-squared.
+def rate_fits(traj: Trajectory, x_star) -> list[RateFit]:
+    """The fits of the regimes whose applicability gate accepts the trajectory.
 
-    A regime whose applicability gate rejects the trajectory (the linear
-    fit demands an actually reached limit) simply drops out of the
-    comparison; if both reject, the first error propagates.
+    Linear comes before Power.  A gate rejects with a contract violation
+    (the linear fit demands an actually reached limit, the power fit a
+    tail approaching it) or with an insufficient-data error (fewer than
+    10 usable iterates); either way that regime drops out.  If both
+    regimes reject, the first error propagates.
     """
     fits = []
     first_error = None
     for fitter in (fit_linear_rate, fit_power_rate):
         try:
             fits.append(fitter(traj, x_star))
-        except ContractViolationError as exc:
+        except (ContractViolationError, InsufficientDataError) as exc:
             if first_error is None:
                 first_error = exc
     if not fits:
         raise first_error
-    return max(fits, key=lambda fit: fit.r_squared)
+    return fits
+
+
+def best_rate_fit(traj: Trajectory, x_star) -> RateFit:
+    """Of ``rate_fits``, the fit with the better r-squared; a tie goes to Linear."""
+    return max(rate_fits(traj, x_star), key=lambda fit: fit.r_squared)
 
 
 @dataclass(frozen=True)

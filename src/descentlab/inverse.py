@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap
+from .engine import GradientMap, _solve_rows
 from .errors import ContractViolationError, NonConvergenceError
+
+MAX_INNER = 200  # default iteration budget of one inversion
 
 
 @dataclass(frozen=True)
@@ -39,11 +41,20 @@ class ProxSolveReport:
         }
 
 
+def _check_vector(v, dimension: int, name: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape != (dimension,):
+        raise ContractViolationError(f"{name} must have shape ({dimension},)")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} must be finite")
+    return v
+
+
 def invert(
     gmap: GradientMap,
     y,
     tol: float = 1e-10,
-    max_inner: int = 200,
+    max_inner: int = MAX_INNER,
     x0=None,
 ) -> ProxSolveReport:
     """Unique preimage of y under the gradient map.
@@ -55,19 +66,47 @@ def invert(
     true preimage by tol; the reported residual is the final ||g(x) - y||
     itself.  Raises a non-convergence error carrying the best residual if
     the budget runs out, which usually means y lies too far outside the
-    image of the certified region.
+    image of the certified region.  ``y`` and ``x0`` must be finite points
+    of the objective's dimension.  This is the batched solver behind
+    ``roundtrip_check`` run on one row, with the same iterates.
+    """
+    dimension = gmap.objective.dimension
+    y = _check_vector(y, dimension, "y")
+    start = y if x0 is None else _check_vector(x0, dimension, "x0")
+    solutions, residuals, iterations, modulus = _invert_batch(
+        gmap, y[None, :], start[None, :], tol, max_inner
+    )
+    return ProxSolveReport(
+        solution=solutions[0],
+        residual=float(residuals[0]),
+        inner_iterations=int(iterations[0]),
+        subproblem_modulus=modulus,
+    )
+
+
+def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
+    """Preimages of the rows of ``ys``, each solved from the same row of ``starts``.
+
+    Returns ``(solutions, residuals, inner_iterations, modulus)``.  Every
+    row runs the iteration ``invert`` describes, with its own line search
+    and its own fallback step, and leaves the batch once it converges.  If
+    any row fails, raises the non-convergence error of the lowest-indexed
+    failing row, carrying that row's best residual.
     """
     obj = gmap.objective
     alpha = gmap.alpha
-    y = np.asarray(y, dtype=float)
-    if y.shape != (obj.dimension,):
-        raise ContractViolationError(f"y must have shape ({obj.dimension},)")
-    if not np.all(np.isfinite(y)):
-        raise ContractViolationError("y must be finite")
-
-    modulus = 1.0 - alpha * obj.lipschitz_bound()
+    lipschitz = obj.lipschitz_bound()
+    modulus = 1.0 - alpha * lipschitz
     stop_at = tol * modulus
-    fallback_step = 1.0 / (1.0 + alpha * obj.lipschitz_bound())
+    fallback_step = 1.0 / (1.0 + alpha * lipschitz)
+    identity = np.eye(obj.dimension)
+
+    n = ys.shape[0]
+    solutions = np.empty_like(ys)
+    residuals = np.empty(n)
+    iterations = np.zeros(n, dtype=np.int64)
+    best_residual = np.full(n, np.inf)
+    failed = np.zeros(n, dtype=bool)
 
     # The decrease check runs on the squared residual, not the subproblem
     # value: near the solution the value's per-step decrease underflows
@@ -75,54 +114,78 @@ def invert(
     # the way down.  The Newton direction is a descent direction for this
     # merit wherever the solve succeeds (its slope is the squared gradient
     # norm identically), so damping remains meaningful too.
-    x = y.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    active = np.arange(n)
+    x = np.array(starts, dtype=float)
+    y = ys
     grad = gmap.step(x) - y
-    merit = float(np.sum(grad * grad))
-    best_residual = np.inf
+    merit = np.sum(grad * grad, axis=-1)
     for iteration in range(max_inner):
-        grad_norm = float(np.sqrt(merit))
-        best_residual = min(best_residual, grad_norm)
-        if grad_norm <= stop_at:
-            return ProxSolveReport(
-                solution=x,
-                residual=grad_norm,
-                inner_iterations=iteration,
-                subproblem_modulus=modulus,
-            )
-
-        hess = np.eye(obj.dimension) - alpha * obj.hessian(x)
-        try:
-            direction = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            direction = None
-
-        x_new = grad_new = merit_new = None
-        if direction is not None:
-            step = 1.0
-            for _ in range(30):
-                trial = x - step * direction
-                trial_grad = gmap.step(trial) - y
-                trial_merit = float(np.sum(trial_grad * trial_grad))
-                if np.isfinite(trial_merit) and trial_merit <= merit * (
-                    1.0 - 1e-4 * step
-                ):
-                    x_new, grad_new, merit_new = trial, trial_grad, trial_merit
-                    break
-                step *= 0.5
-        if x_new is None:
-            trial = x - fallback_step * grad
-            trial_grad = gmap.step(trial) - y
-            trial_merit = float(np.sum(trial_grad * trial_grad))
-            if not np.isfinite(trial_merit):
+        grad_norm = np.sqrt(merit)
+        best = best_residual[active]
+        best_residual[active] = np.where(grad_norm < best, grad_norm, best)
+        done = grad_norm <= stop_at
+        if done.any():
+            rows = active[done]
+            solutions[rows] = x[done]
+            residuals[rows] = grad_norm[done]
+            iterations[rows] = iteration
+            keep = ~done
+            active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
+            if not active.size:
                 break
-            x_new, grad_new, merit_new = trial, trial_grad, trial_merit
-        x, grad, merit = x_new, grad_new, merit_new
 
-    raise NonConvergenceError(
-        f"inversion budget of {max_inner} iterations exhausted "
-        f"(best residual {best_residual:.3e}, requested {tol:.3e})",
-        best_residual,
-    )
+        hess = identity - alpha * obj.hessian(x)
+        direction, singular = _solve_rows(hess, grad)
+        pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
+        x_new, grad_new, merit_new = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
+        accepted = np.zeros(active.size, dtype=bool)
+        step = np.ones(active.size)
+        for _ in range(30):
+            if not pending.size:
+                break
+            trial = x[pending] - step[pending, None] * direction[pending]
+            trial_grad = gmap.step(trial) - y[pending]
+            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
+            ok = np.isfinite(trial_merit) & (
+                trial_merit <= merit[pending] * (1.0 - 1e-4 * step[pending])
+            )
+            taken = pending[ok]
+            x_new[taken], grad_new[taken], merit_new[taken] = (
+                trial[ok], trial_grad[ok], trial_merit[ok],
+            )
+            accepted[taken] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+
+        rest = np.flatnonzero(~accepted)
+        stuck = np.zeros(active.size, dtype=bool)
+        if rest.size:
+            trial = x[rest] - fallback_step * grad[rest]
+            trial_grad = gmap.step(trial) - y[rest]
+            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
+            ok = np.isfinite(trial_merit)
+            taken = rest[ok]
+            x_new[taken], grad_new[taken], merit_new[taken] = (
+                trial[ok], trial_grad[ok], trial_merit[ok],
+            )
+            stuck[rest[~ok]] = True
+        x, grad, merit = x_new, grad_new, merit_new
+        if stuck.any():
+            failed[active[stuck]] = True
+            keep = ~stuck
+            active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
+            if not active.size:
+                break
+    failed[active] = True
+
+    if failed.any():
+        first = int(np.argmax(failed))
+        raise NonConvergenceError(
+            f"inversion budget of {max_inner} iterations exhausted "
+            f"(best residual {best_residual[first]:.3e}, requested {tol:.3e})",
+            float(best_residual[first]),
+        )
+    return solutions, residuals, iterations, modulus
 
 
 @dataclass(frozen=True)
@@ -203,7 +266,9 @@ def roundtrip_check(
     """Verify both compositions on points sampled from the domain box.
 
     Each sample x gives y = g(x) in the image, so invert(y) must recover x
-    and re-stepping must recover y.
+    and re-stepping must recover y.  All samples are inverted in one
+    batched solve whose rows match ``invert`` bit for bit; if any fails,
+    the error is the one ``invert`` raises for the first failing sample.
     """
     if n_samples < 1:
         raise ContractViolationError("n_samples must be at least 1")
@@ -212,18 +277,17 @@ def roundtrip_check(
     lo, hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
     xs = lo + rng.random((n_samples, obj.dimension)) * (hi - lo)
 
-    max_forward = 0.0
-    max_backward = 0.0
-    for x in xs:
-        y = gmap.step(x)
-        report = invert(gmap, y, tol=tol)
-        forward = gmap.step(report.solution) - y
-        max_forward = max(max_forward, float(np.sqrt(np.sum(forward * forward))))
-        backward = report.solution - x
-        max_backward = max(max_backward, float(np.sqrt(np.sum(backward * backward))))
+    ys = gmap.step(xs)
+    if not np.all(np.isfinite(ys)):
+        raise ContractViolationError("y must be finite")
+    solutions = _invert_batch(gmap, ys, ys, tol, MAX_INNER)[0]
     return RoundTripReport(
         n_samples=n_samples,
-        max_forward_residual=max_forward,
-        max_backward_residual=max_backward,
+        max_forward_residual=_max_row_norm(gmap.step(solutions) - ys),
+        max_backward_residual=_max_row_norm(solutions - xs),
         tol=tol,
     )
+
+
+def _max_row_norm(a) -> float:
+    return float(np.max(np.sqrt(np.sum(a * a, axis=-1))))

@@ -29,10 +29,10 @@ The shipped zoo:
     of Q and is intentionally not implemented; only values and derivatives
     are.
 
-``value`` and ``gradient`` accept a single point of shape ``(d,)`` or a
-batch of shape ``(n, d)`` and evaluate row-wise with identical arithmetic,
-so batched experiment drivers reproduce single-trajectory results bit for
-bit.  ``hessian`` takes a single point.
+``value``, ``gradient`` and ``hessian`` all accept a single point of shape
+``(d,)`` or a batch of shape ``(n, d)`` and evaluate row-wise with
+identical arithmetic, so batched drivers reproduce single-point results
+bit for bit.  A batch of Hessians has shape ``(n, d, d)``.
 """
 
 from __future__ import annotations
@@ -81,6 +81,14 @@ def _check_point(x, dimension) -> np.ndarray:
             f"point has trailing dimension {x.shape}, expected (..., {dimension})"
         )
     return x
+
+
+def _diagonal_fill(shape, diagonal) -> np.ndarray:
+    """Zero matrices of shape ``shape + (d,)`` with ``diagonal`` on each diagonal."""
+    out = np.zeros(shape + shape[-1:])
+    d = shape[-1]
+    out[..., np.arange(d), np.arange(d)] = diagonal
+    return out
 
 
 class Objective:
@@ -166,8 +174,8 @@ class DiagonalQuadratic(Objective):
         return self.lambdas * x
 
     def hessian(self, x):
-        _check_point(np.asarray(x, dtype=float), self.dimension)
-        return np.diag(self.lambdas)
+        x = _check_point(x, self.dimension)
+        return _diagonal_fill(x.shape, self.lambdas)
 
     def lipschitz_bound(self) -> float:
         # exact: L = max |lambda_i|, valid on all of R^d
@@ -232,9 +240,11 @@ class NesterovExample(Objective):
         return np.stack([u, v * v * v - v], axis=-1)
 
     def hessian(self, x):
-        x = _check_point(np.asarray(x, dtype=float), 2)
-        v = x[1]
-        return np.array([[1.0, 0.0], [0.0, 3.0 * v * v - 1.0]])
+        x = _check_point(x, 2)
+        v = x[..., 1]
+        hess = _diagonal_fill(x.shape, 1.0)
+        hess[..., 1, 1] = 3.0 * v * v - 1.0
+        return hess
 
     def lipschitz_bound(self) -> float:
         lo, hi = self.domain_box[1]
@@ -291,10 +301,12 @@ class QuarticCopositive(Objective):
         return 2.0 * x * mu
 
     def hessian(self, x):
-        x = _check_point(np.asarray(x, dtype=float), self.dimension)
+        x = _check_point(x, self.dimension)
         u = x * x
-        mu = self._m @ u
-        return 2.0 * np.diag(mu) + 4.0 * np.outer(x, x) * self._m
+        # a stack of matrix-vector products rounds like the single one
+        mu = (self._m @ u[..., None])[..., 0]
+        outer = x[..., :, None] * x[..., None, :]
+        return 2.0 * _diagonal_fill(x.shape, mu) + 4.0 * outer * self._m
 
     def lipschitz_bound(self) -> float:
         # entrywise bound on |hess f| over the box, then the row-sum norm,

@@ -223,6 +223,56 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert "stepsize" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "sub, key, value",
+    [("montecarlo", "n_jobs", "x"), ("run", "alpha", "abc"), ("stable-set", "grid", 2.5)],
+)
+def test_config_values_of_the_wrong_type_exit_2_with_one_line(tmp_path, sub, key, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": "nesterov", "trials": 20, key: value}))
+    proc = cli(sub, "--config", str(path), check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {key} must be ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("trials", "x"), ("n_jobs", 1.5), ("alpha", [0.1]), ("theta", "nan"),
+        ("tol", {}), ("max_iters", "1e3"), ("seed", True), ("grid", "9x"),
+        ("radius", "wide"), ("index", 0.5),
+    ],
+)
+def test_every_numeric_config_value_is_checked_before_any_work(tmp_path, capsys, key, value):
+    from descentlab.cli import NUMERIC_KEYS, main
+
+    assert key in NUMERIC_KEYS
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": "nesterov", key: value}))
+    assert main(["classify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {key} must be {'an integer' if NUMERIC_KEYS[key] is int else 'a number'}, got {value!r}\n"
+
+
+def test_config_numbers_may_be_numeric_strings_or_integral_floats(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "objective": "nesterov", "trials": "20", "n_jobs": 1.0, "theta": "0.5",
+    }))
+    proc = cli("montecarlo", "--config", str(path))
+    assert proc.stdout.startswith("saddle_hits: ")
+
+
+def test_rates_reports_too_few_iterates_in_one_line():
+    # a start at the minimum leaves no usable iterates for either regime
+    proc = cli("rates", "--objective", "nesterov", "--x0", "0,1", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: only 0 usable iterates in the fit window; need 10\n"
+
+
 def test_config_missing_file_is_reported(tmp_path):
     proc = cli("run", "--config", str(tmp_path / "absent.json"), check=False)
     assert proc.returncode == 2

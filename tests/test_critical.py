@@ -10,11 +10,61 @@ from descentlab import (
     GradientMap,
     NesterovExample,
     QuarticCopositive,
+    StronglyConvexQuadratic,
     classify,
     find_critical_points,
     sample_local_stable_set,
     stable_subspace,
 )
+from descentlab.critical import _newton_roots
+
+
+def scalar_newton_root(objective, x0, tol, max_iters=120):
+    """Reference: the one-seed-at-a-time Newton loop the batched search replaced."""
+    x = x0.copy()
+    grad = objective.gradient(x)
+    merit = float(np.sum(grad * grad))
+    hit_tol = False
+    for _ in range(max_iters):
+        grad_norm = np.sqrt(merit)
+        if grad_norm <= tol:
+            hit_tol = True
+        if not np.isfinite(merit):
+            return None
+        hess = objective.hessian(x)
+        try:
+            direction = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            direction = hess @ grad
+            if not np.any(direction):
+                return x if hit_tol else None
+        step = 1.0
+        accepted = False
+        for _ in range(40):
+            x_new = x - step * direction
+            grad_new = objective.gradient(x_new)
+            merit_new = float(np.sum(grad_new * grad_new))
+            if np.isfinite(merit_new) and merit_new < merit:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            return x if hit_tol else None
+        moved = float(np.max(np.abs(x_new - x)))
+        x, grad, merit = x_new, grad_new, merit_new
+        if hit_tol and moved <= 1e-12:
+            return x
+    return x if hit_tol and np.sqrt(merit) <= tol else None
+
+
+def assert_roots_match_scalar_loop(objective, seeds, tol=1e-10, max_iters=120):
+    roots = _newton_roots(objective, seeds, tol, max_iters)
+    expected = [scalar_newton_root(objective, x0, tol, max_iters) for x0 in seeds]
+    assert [r is None for r in roots] == [e is None for e in expected]
+    for root, oracle in zip(roots, expected):
+        if oracle is not None:
+            assert root.tobytes() == oracle.tobytes()
+    return roots
 
 
 def test_classify_saddle_of_nesterov_example():
@@ -123,6 +173,63 @@ def test_find_critical_points_of_degenerate_quartic():
     assert len(records) == 1
     np.testing.assert_allclose(records[0].location, [0.0, 0.0], atol=1e-8)
     assert records[0].classification is Classification.DEGENERATE
+
+
+ZOO_CLASSES = [
+    DiagonalQuadratic([1.0, -1.0]),
+    StronglyConvexQuadratic([1.0, 3.0]),
+    NesterovExample(),
+    QuarticCopositive(np.eye(2)),
+]
+
+
+@pytest.mark.parametrize("objective", ZOO_CLASSES, ids=lambda o: o.name)
+def test_batched_newton_matches_scalar_loop_bitwise(objective):
+    rng = np.random.default_rng(5)
+    lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
+    seeds = lo + rng.random((100, objective.dimension)) * (hi - lo)
+    roots = assert_roots_match_scalar_loop(objective, seeds)
+    records = find_critical_points(objective, n_seeds=100, seed=5)
+    assert records.n_dropped == sum(root is None for root in roots)
+
+
+def test_batched_newton_with_some_singular_hessians():
+    # the quartic's Hessian is diag(12 x^2): singular exactly where a
+    # coordinate is zero, so these rows take the hess @ grad fallback on
+    # every iteration while the others take Newton steps; the origin's
+    # fallback direction is zero and ends its row at once
+    objective = QuarticCopositive(np.eye(2))
+    rng = np.random.default_rng(8)
+    seeds = rng.uniform(-1.0, 1.0, size=(30, 2))
+    seeds[::3, 0] = 0.0
+    seeds[1::5, 1] = 0.0
+    seeds[7] = 0.0
+    roots = assert_roots_match_scalar_loop(objective, seeds)
+    assert roots[7] is not None
+
+
+def test_batched_newton_with_a_short_budget_and_bad_seeds():
+    # a two-iteration budget leaves the slow degenerate rows unresolved;
+    # a non-finite seed drops out before its first Hessian
+    objective = QuarticCopositive(np.eye(2))
+    seeds = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 2))
+    seeds[3] = [np.inf, 0.5]
+    with np.errstate(invalid="ignore"):
+        roots = assert_roots_match_scalar_loop(objective, seeds, max_iters=2)
+    assert roots[3] is None
+    assert all(root is None for root in roots)
+    roots = assert_roots_match_scalar_loop(NesterovExample(), seeds, max_iters=3)
+    assert any(root is None for root in roots) and any(root is not None for root in roots)
+
+
+def test_batched_newton_drops_seeds_whose_line_search_fails():
+    # on y = +-1/sqrt(3) the Nesterov Hessian is singular up to rounding,
+    # so the Newton step is about 1e15 long and no halving of it lowers the
+    # merit: those seeds are dropped, the rest of the batch converges
+    seeds = np.random.default_rng(3).uniform(-2.0, 2.0, size=(30, 2))
+    seeds[::4, 1] = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0]) / np.sqrt(3.0)
+    roots = assert_roots_match_scalar_loop(NesterovExample(), seeds)
+    assert [root is None for root in roots] == [i % 4 == 0 for i in range(30)]
 
 
 def test_find_critical_points_validates_seed_count():

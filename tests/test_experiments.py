@@ -31,6 +31,7 @@ from descentlab import (
     fit_power_rate,
     monte_carlo,
     path_length_check,
+    rate_fits,
     run,
 )
 from descentlab import experiments
@@ -338,6 +339,28 @@ def test_best_rate_fit_propagates_rejection_when_both_fail():
     diverging = run(GradientMap(DiagonalQuadratic([1.0, -1.0]), 0.5), np.array([0.0, 1.0]))
     with pytest.raises(ContractViolationError):
         best_rate_fit(diverging, np.array([0.0, 0.0]))
+
+
+def test_insufficient_data_drops_a_regime(monkeypatch):
+    # an insufficient-data rejection removes its regime from the
+    # comparison just as a contract violation does
+    traj = run(GradientMap(StronglyConvexQuadratic([1.0, 2.0]), 0.2), np.array([1.0, 1.0]))
+    x_star = np.array([0.0, 0.0])
+    assert [fit.regime for fit in rate_fits(traj, x_star)] == ["Linear", "Power"]
+
+    def too_short(traj, x_star):
+        raise InsufficientDataError("only 3 usable iterates in the fit window; need 10")
+
+    monkeypatch.setattr(experiments, "fit_linear_rate", too_short)
+    assert [fit.regime for fit in rate_fits(traj, x_star)] == ["Power"]
+    assert best_rate_fit(traj, x_star).regime == "Power"
+
+
+def test_best_rate_fit_raises_insufficient_data_when_no_regime_has_enough():
+    gmap = GradientMap(StronglyConvexQuadratic([1.0, 2.0]), 0.2)
+    at_limit = run(gmap, np.array([0.0, 0.0]))
+    with pytest.raises(InsufficientDataError):
+        best_rate_fit(at_limit, np.array([0.0, 0.0]))
 
 
 def test_rate_fit_to_dict():

@@ -15,6 +15,71 @@ from descentlab import (
     invert,
     roundtrip_check,
 )
+from descentlab.inverse import _invert_batch
+
+
+def scalar_invert(gmap, y, tol=1e-10, max_inner=200):
+    """Reference: the one-point inversion loop the batched solver replaced.
+
+    Returns (solution, residual, inner_iterations), or raises the same
+    non-convergence error as the library.
+    """
+    obj = gmap.objective
+    alpha = gmap.alpha
+    modulus = 1.0 - alpha * obj.lipschitz_bound()
+    stop_at = tol * modulus
+    fallback_step = 1.0 / (1.0 + alpha * obj.lipschitz_bound())
+    x = y.copy()
+    grad = gmap.step(x) - y
+    merit = float(np.sum(grad * grad))
+    best_residual = np.inf
+    for iteration in range(max_inner):
+        grad_norm = float(np.sqrt(merit))
+        best_residual = min(best_residual, grad_norm)
+        if grad_norm <= stop_at:
+            return x, grad_norm, iteration
+        hess = np.eye(obj.dimension) - alpha * obj.hessian(x)
+        try:
+            direction = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            direction = None
+        x_new = grad_new = merit_new = None
+        if direction is not None:
+            step = 1.0
+            for _ in range(30):
+                trial = x - step * direction
+                trial_grad = gmap.step(trial) - y
+                trial_merit = float(np.sum(trial_grad * trial_grad))
+                if np.isfinite(trial_merit) and trial_merit <= merit * (1.0 - 1e-4 * step):
+                    x_new, grad_new, merit_new = trial, trial_grad, trial_merit
+                    break
+                step *= 0.5
+        if x_new is None:
+            trial = x - fallback_step * grad
+            trial_grad = gmap.step(trial) - y
+            trial_merit = float(np.sum(trial_grad * trial_grad))
+            if not np.isfinite(trial_merit):
+                break
+            x_new, grad_new, merit_new = trial, trial_grad, trial_merit
+        x, grad, merit = x_new, grad_new, merit_new
+    raise NonConvergenceError(
+        f"inversion budget of {max_inner} iterations exhausted "
+        f"(best residual {best_residual:.3e}, requested {tol:.3e})",
+        best_residual,
+    )
+
+
+ZOO_CLASSES = [
+    DiagonalQuadratic([1.0, -1.0]),
+    StronglyConvexQuadratic([1.0, 3.0]),
+    NesterovExample(),
+    QuarticCopositive(np.eye(2)),
+]
+
+
+def box_samples(objective, n, seed):
+    lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
+    return lo + np.random.default_rng(seed).random((n, objective.dimension)) * (hi - lo)
 
 
 def test_linear_map_inverts_by_hand():
@@ -128,3 +193,140 @@ def test_roundtrip_validates_sample_count():
     gmap = GradientMap(DiagonalQuadratic([1.0, -1.0]), 0.5)
     with pytest.raises(ContractViolationError):
         roundtrip_check(gmap, n_samples=0)
+
+
+@pytest.mark.parametrize("objective", ZOO_CLASSES, ids=lambda o: o.name)
+def test_batched_inversion_matches_scalar_loop_bitwise(objective):
+    gmap = GradientMap(objective, 0.5 / objective.lipschitz_bound())
+    xs = box_samples(objective, 100, seed=6)
+    ys = gmap.step(xs)
+    solutions, residuals, iterations, modulus = _invert_batch(gmap, ys, ys, 1e-10, 200)
+    assert modulus == 1.0 - gmap.alpha * objective.lipschitz_bound()
+    for i, y in enumerate(ys):
+        solution, residual, inner = scalar_invert(gmap, y)
+        assert solutions[i].tobytes() == solution.tobytes()
+        assert residuals[i] == residual
+        assert iterations[i] == inner
+        report = invert(gmap, y)
+        assert report.solution.tobytes() == solution.tobytes()
+        assert report.residual == residual
+        assert type(report.inner_iterations) is int
+        assert report.inner_iterations == inner
+
+
+@pytest.mark.parametrize("objective", ZOO_CLASSES, ids=lambda o: o.name)
+def test_roundtrip_matches_scalar_loop_bitwise(objective):
+    gmap = GradientMap(objective, 0.5 / objective.lipschitz_bound())
+    report = roundtrip_check(gmap, n_samples=100, seed=2)
+    forward = backward = 0.0
+    for x in box_samples(objective, 100, seed=2):
+        y = gmap.step(x)
+        solution = scalar_invert(gmap, y)[0]
+        forward = max(forward, float(np.sqrt(np.sum((gmap.step(solution) - y) ** 2))))
+        backward = max(backward, float(np.sqrt(np.sum((solution - x) ** 2))))
+    assert report.max_forward_residual == forward
+    assert report.max_backward_residual == backward
+
+
+class SingularLeftHalf(DiagonalQuadratic):
+    """diag(1, 0.5) reporting a Hessian entry of 2 in place of 1 where x_1 < 0.
+
+    At alpha = 0.5 that makes I - alpha * H exactly singular on the left
+    half plane, so rows there fail the Newton solve and take gradient steps
+    while the other rows of the same batch take Newton steps.
+    """
+
+    def __init__(self):
+        super().__init__([1.0, 0.5])
+
+    def hessian(self, x):
+        hess = super().hessian(x)
+        x = np.asarray(x, dtype=float)
+        hess[..., 0, 0] = np.where(x[..., 0] < 0.0, 2.0, hess[..., 0, 0])
+        return hess
+
+
+def test_batched_inversion_with_some_singular_jacobians():
+    gmap = GradientMap(SingularLeftHalf(), 0.5)
+    ys = gmap.step(box_samples(gmap.objective, 40, seed=1))
+    assert 0 < np.count_nonzero(ys[:, 0] < 0.0) < len(ys)
+    solutions, residuals, iterations, _ = _invert_batch(gmap, ys, ys, 1e-10, 200)
+    for i, y in enumerate(ys):
+        solution, residual, inner = scalar_invert(gmap, y)
+        assert solutions[i].tobytes() == solution.tobytes()
+        assert (residuals[i], iterations[i]) == (residual, inner)
+    # gradient steps converge only linearly: the singular rows take many
+    assert iterations[ys[:, 0] < 0.0].min() > 10 >= iterations[ys[:, 0] > 0.0].max()
+
+
+def test_batched_inversion_raises_the_first_failing_samples_error():
+    gmap = GradientMap(NesterovExample(), 0.09)
+    ys = gmap.step(box_samples(gmap.objective, 100, seed=4))
+    max_inner = 3
+    outcomes = []
+    for y in ys:
+        try:
+            scalar_invert(gmap, y, max_inner=max_inner)
+            outcomes.append(None)
+        except NonConvergenceError as exc:
+            outcomes.append(exc)
+    failing = [i for i, exc in enumerate(outcomes) if exc is not None]
+    # the budget splits the batch, and the first failure is not sample 0
+    assert 0 < failing[0] and len(failing) < len(ys)
+    expected = outcomes[failing[0]]
+    with pytest.raises(NonConvergenceError) as excinfo:
+        _invert_batch(gmap, ys, ys, 1e-10, max_inner)
+    assert str(excinfo.value) == str(expected)
+    assert excinfo.value.best_residual == expected.best_residual
+    # the samples after the first failure do not change which error is raised
+    with pytest.raises(NonConvergenceError) as excinfo:
+        _invert_batch(gmap, ys[: failing[0] + 1], ys[: failing[0] + 1], 1e-10, max_inner)
+    assert excinfo.value.best_residual == expected.best_residual
+
+
+def test_inversion_of_targets_outside_the_certified_box_matches_scalar_loop():
+    # images of points three box-widths out: some inversions need many
+    # damped Newton steps, some fail after their residual has risen again
+    objective = QuarticCopositive([[1.0, 0.2], [0.0, 0.5]])
+    gmap = GradientMap(objective, 0.9 / objective.lipschitz_bound())
+    ys = gmap.step(3.0 * box_samples(objective, 100, seed=8))
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in ys:
+            try:
+                outcomes.append(scalar_invert(gmap, y))
+            except NonConvergenceError as exc:
+                outcomes.append(exc)
+        failing = [i for i, out in enumerate(outcomes) if isinstance(out, NonConvergenceError)]
+        solved = [i for i, out in enumerate(outcomes) if i not in failing]
+        assert failing and solved
+
+        solutions, residuals, iterations, _ = _invert_batch(
+            gmap, ys[solved], ys[solved], 1e-10, 200
+        )
+        for row, i in enumerate(solved):
+            solution, residual, inner = outcomes[i]
+            assert solutions[row].tobytes() == solution.tobytes()
+            assert (residuals[row], iterations[row]) == (residual, inner)
+
+        for i in failing:
+            with pytest.raises(NonConvergenceError) as excinfo:
+                invert(gmap, ys[i])
+            assert str(excinfo.value) == str(outcomes[i])
+            assert excinfo.value.best_residual == outcomes[i].best_residual
+        with pytest.raises(NonConvergenceError) as excinfo:
+            _invert_batch(gmap, ys, ys, 1e-10, 200)
+    assert excinfo.value.best_residual == outcomes[failing[0]].best_residual
+
+
+def test_invert_validates_start_before_any_work():
+    gmap = GradientMap(NesterovExample(), 0.09)
+    y = np.array([0.5, 0.5])
+    with pytest.raises(ContractViolationError, match=r"x0 must have shape \(2,\)"):
+        invert(gmap, y, x0=[1.0])
+    with pytest.raises(ContractViolationError, match="x0 must be finite"):
+        invert(gmap, y, x0=[np.inf, 0.0])
+    with pytest.raises(ContractViolationError, match="x0 must be finite"):
+        invert(gmap, y, x0=np.array([0.0, np.nan]))
+    report = invert(gmap, y, x0=[0.4, 0.6])
+    assert report.residual <= 1e-10

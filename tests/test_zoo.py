@@ -185,6 +185,36 @@ def test_batched_evaluation_matches_single_points():
         assert np.all(grads[i] == obj.gradient(x))
 
 
+@pytest.mark.parametrize(
+    "obj",
+    zoo_instances()
+    + [
+        QuarticCopositive([[0.3]]),
+        QuarticCopositive(np.arange(9.0).reshape(3, 3) - 4.0),
+        QuarticCopositive(np.random.default_rng(9).standard_normal((9, 9))),
+        DiagonalQuadratic(np.linspace(-1.0, 1.0, 9)),
+    ],
+    ids=lambda o: f"{o.name}-d{o.dimension}",
+)
+def test_batched_hessian_matches_single_points_bitwise(obj):
+    rng = np.random.default_rng(11)
+    d = obj.dimension
+    xs = rng.uniform(-1.0, 1.0, size=(40, d))
+    xs[::5] = 0.0
+    xs[1::4, 0] = -0.0
+    hessians = obj.hessian(xs)
+    assert hessians.shape == (40, d, d)
+    for x, batched in zip(xs, hessians):
+        single = obj.hessian(x)
+        assert single.shape == (d, d)
+        # byte comparison also tells +0.0 from -0.0
+        assert batched.tobytes() == single.tobytes()
+        if isinstance(obj, QuarticCopositive):
+            m = obj._m
+            expected = 2.0 * np.diag(m @ (x * x)) + 4.0 * np.outer(x, x) * m
+            assert single.tobytes() == expected.tobytes()
+
+
 def test_contains_handles_single_and_batch():
     obj = QuarticCopositive(np.eye(2))
     assert obj.contains(np.array([0.5, -0.5]))
