@@ -115,8 +115,7 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     # merit wherever the solve succeeds (its slope is the squared gradient
     # norm identically), so damping remains meaningful too.
     active = np.arange(n)
-    x = np.array(starts, dtype=float)
-    y = ys
+    x, y = starts, ys
     grad = gmap.step(x) - y
     merit = np.sum(grad * grad, axis=-1)
     for iteration in range(max_inner):
