@@ -41,26 +41,13 @@ NUMERIC_KEYS = {
     "trials": int, "n_jobs": int, "seed": int, "max_iters": int, "grid": int,
     "index": int, "alpha": float, "theta": float, "tol": float, "radius": float,
 }
-
-
-def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(part) for part in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise ContractViolationError(f"cannot parse vector {text!r}: {exc}") from None
-
-
-def _parse_box(text: str) -> np.ndarray:
-    """Parse 'lo_1,..,lo_d:hi_1,..,hi_d' into a (d, 2) box array."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise ContractViolationError(
-            f"box {text!r} must look like 'lo_1,..,lo_d:hi_1,..,hi_d'"
-        )
-    lo, hi = _parse_vector(parts[0]), _parse_vector(parts[1])
-    if lo.shape != hi.shape:
-        raise ContractViolationError("box corners must have the same dimension")
-    return np.stack([lo, hi], axis=1)
+# Vector options and the array dimension each resolves to: a point, or a
+# box of [lo, hi] rows.  Converted once, where flags and config merge.
+VECTOR_KEYS = {"x0": 1, "y": 1, "init_box": 2}
+VECTOR_FORMS = {
+    1: "a list of finite numbers or 'v_1,..,v_d'",
+    2: "a list of finite [lo, hi] pairs or 'lo_1,..,lo_d:hi_1,..,hi_d'",
+}
 
 
 def _load_config(path) -> dict:
@@ -95,10 +82,36 @@ def _as_number(key: str, value, kind):
     return number
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
+def _as_array(key: str, value, ndim: int) -> np.ndarray:
+    """``value`` as a finite float point (ndim 1) or (d, 2) box (ndim 2).
+
+    A string reads 'v_1,..,v_d' (a point) or 'lo_1,..,lo_d:hi_1,..,hi_d'
+    (a box), as on the command line; a config list may hold numbers and
+    numeric strings, not booleans.  Anything else is refused.
+    """
+    try:
+        entries = value
+        if isinstance(value, str):
+            parts = [part.split(",") for part in value.split(":")]
+            entries = parts[0] if len(parts) == 1 else list(zip(*parts, strict=True))
+        array = np.array(entries, dtype=float)
+    except (TypeError, ValueError):
+        array = np.empty(0)
+    shaped = array.ndim == ndim and array.size > 0 and (ndim == 1 or array.shape[1] == 2)
+    if _has_bool(value) or not shaped or not np.isfinite(array).all():
+        raise ContractViolationError(f"{key} must be {VECTOR_FORMS[ndim]}, got {value!r}")
+    return array
+
+
 def _merged(args: argparse.Namespace) -> dict:
     """Resolve option values: explicit flag, then config file, then default.
 
-    Numeric values come back as int or float (see ``NUMERIC_KEYS``).
+    Numeric values come back as int or float (see ``NUMERIC_KEYS``) and
+    vector values as float arrays (see ``VECTOR_KEYS``).
     """
     config = _load_config(args.config) if args.config else {}
     merged = {}
@@ -107,6 +120,8 @@ def _merged(args: argparse.Namespace) -> dict:
         value = flag if flag is not None else config.get(key)
         if value is not None and key in NUMERIC_KEYS:
             value = _as_number(key, value, NUMERIC_KEYS[key])
+        elif value is not None and key in VECTOR_KEYS:
+            value = _as_array(key, value, VECTOR_KEYS[key])
         merged[key] = value
     return merged
 
@@ -132,8 +147,7 @@ def _resolve_policy(opts) -> StopPolicy:
 
 def _resolve_x0(opts, objective: Objective) -> np.ndarray:
     if opts["x0"] is not None:
-        x0 = opts["x0"]
-        return _parse_vector(x0) if isinstance(x0, str) else np.asarray(x0, dtype=float)
+        return opts["x0"]
     # Deterministic default start: the quarter point between the box
     # center and the upper corner, which avoids the center's frequent
     # coincidence with a critical point.
@@ -151,24 +165,27 @@ def _out_path(opts, name: str) -> str | None:
     return os.path.join(os.fspath(opts["out"]), name)
 
 
-def _emit(payload: dict, opts, filename: str) -> None:
+def _emit(payload, opts, filename: str) -> None:
     print(json.dumps(payload, indent=2))
     path = _out_path(opts, filename)
     if path:
         atomic_write_json(path, payload)
 
 
-def cmd_run(args) -> int:
-    opts = _merged(args)
+def _labelled_run(opts):
+    """The trajectory from the resolved start, the critical points and its basin."""
     objective = _resolve_objective(opts)
     alpha = _resolve_alpha(opts, objective)
     policy = _resolve_policy(opts)
     x0 = _resolve_x0(opts, objective)
-    gmap = GradientMap(objective, alpha)
-    traj = run(gmap, x0, policy)
-
+    traj = run(GradientMap(objective, alpha), x0, policy)
     records = find_critical_points(objective, seed=_resolve_seed(opts))
-    label = assign_basin(traj, records)
+    return objective, alpha, x0, traj, records, assign_basin(traj, records)
+
+
+def cmd_run(args) -> int:
+    opts = _merged(args)
+    objective, alpha, x0, traj, records, label = _labelled_run(opts)
     summary = {
         "objective": objective.to_dict(),
         "alpha": float(alpha),
@@ -199,17 +216,12 @@ def cmd_montecarlo(args) -> int:
     policy = _resolve_policy(opts)
     if opts["trials"] is None:
         raise ContractViolationError("--trials is required")
-    init_box = opts["init_box"]
-    if isinstance(init_box, str):
-        init_box = _parse_box(init_box)
-    elif init_box is not None:
-        init_box = np.asarray(init_box, dtype=float)
     report = monte_carlo(
         objective,
         alpha,
         n_trials=opts["trials"],
         seed=_resolve_seed(opts),
-        init_box=init_box,
+        init_box=opts["init_box"],
         policy=policy,
         n_jobs=1 if opts["n_jobs"] is None else opts["n_jobs"],
     )
@@ -226,11 +238,7 @@ def cmd_classify(args) -> int:
     opts = _merged(args)
     objective = _resolve_objective(opts)
     records = find_critical_points(objective, seed=_resolve_seed(opts))
-    payload = [record.to_dict() for record in records]
-    print(json.dumps(payload, indent=2))
-    path = _out_path(opts, "critical_points.json")
-    if path:
-        atomic_write_json(path, payload)
+    _emit([record.to_dict() for record in records], opts, "critical_points.json")
     return 0
 
 
@@ -241,6 +249,11 @@ def cmd_stable_set(args) -> int:
     policy = _resolve_policy(opts)
     records = find_critical_points(objective, seed=_resolve_seed(opts))
     if opts["index"] is not None:
+        # a negative index is refused, not counted from the end
+        if not 0 <= opts["index"] < len(records):
+            raise ContractViolationError(
+                f"index {opts['index']} is out of range for {len(records)} critical point records"
+            )
         record = records[opts["index"]]
     else:
         saddles = [r for r in records if r.is_strict_saddle]
@@ -273,7 +286,6 @@ def cmd_invert(args) -> int:
     if opts["y"] is None:
         raise ContractViolationError("--y is required")
     y = opts["y"]
-    y = _parse_vector(y) if isinstance(y, str) else np.asarray(y, dtype=float)
     tol = 1e-10 if opts["tol"] is None else opts["tol"]
     gmap = GradientMap(objective, alpha)
     report = invert(gmap, y, tol=tol)
@@ -284,15 +296,7 @@ def cmd_invert(args) -> int:
 
 def cmd_rates(args) -> int:
     opts = _merged(args)
-    objective = _resolve_objective(opts)
-    alpha = _resolve_alpha(opts, objective)
-    policy = _resolve_policy(opts)
-    x0 = _resolve_x0(opts, objective)
-    gmap = GradientMap(objective, alpha)
-    traj = run(gmap, x0, policy)
-
-    records = find_critical_points(objective, seed=_resolve_seed(opts))
-    label = assign_basin(traj, records)
+    objective, alpha, x0, traj, records, label = _labelled_run(opts)
     if not isinstance(label, int):
         print(
             f"trajectory did not settle in any basin (label {label}); "

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import GradientMap, StopPolicy, StopReason, _solve_rows, run_many
 from .errors import ContractViolationError
-from .fileio import atomic_write_csv
+from .fileio import atomic_write_columns
 from .jacobi import eigh_jacobi
 from .zoo import Classification, Objective
 
@@ -58,15 +58,11 @@ class CriticalPointRecord:
             "location": [float(v) for v in self.location],
             "grad_norm": float(self.grad_norm),
             "hessian_eigenvalues": [float(v) for v in self.hessian_eigenvalues],
-            "hessian_eigenvectors": [
-                [float(v) for v in row] for row in self.hessian_eigenvectors
-            ],
+            "hessian_eigenvectors": self.hessian_eigenvectors.tolist(),
             "classification": self.classification.value,
             "is_strict_saddle": self.is_strict_saddle,
             "is_degenerate": self.is_degenerate,
-            "stable_subspace_basis": [
-                [float(v) for v in row] for row in self.stable_subspace_basis
-            ],
+            "stable_subspace_basis": self.stable_subspace_basis.tolist(),
             "stable_dimension": int(self.stable_dimension),
             "degeneracy_tol": float(self.degeneracy_tol),
         }
@@ -280,11 +276,7 @@ class StableSetSample:
     def to_csv(self, path) -> None:
         d = self.points.shape[1]
         header = [f"x_{i + 1}" for i in range(d)] + ["converged_to_saddle"]
-        rows = [
-            list(point) + [int(flag)]
-            for point, flag in zip(self.points, self.converged)
-        ]
-        atomic_write_csv(path, header, rows)
+        atomic_write_columns(path, header, [*self.points.T, self.converged])
 
 
 def sample_local_stable_set(
@@ -311,10 +303,10 @@ def sample_local_stable_set(
     if grid < 1:
         raise ContractViolationError("grid must be at least 1")
     center = record.location
+    spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     if radius == 0.0:
         points = center[None, :].copy()
     else:
-        spacing = 2.0 * radius / max(grid - 1, 1)
         offsets = spacing * (np.arange(grid) - (grid - 1) / 2.0)
         ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
         candidates = center + np.stack([ox.ravel(), oy.ravel()], axis=1)
@@ -335,7 +327,6 @@ def sample_local_stable_set(
         residual = rel - (rel @ basis) @ basis.T
         max_distance = float(np.max(np.sqrt(np.sum(residual * residual, axis=1))))
 
-    spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     return StableSetSample(
         center=center.copy(),
         points=points,

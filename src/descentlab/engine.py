@@ -9,9 +9,11 @@ Dg(x) = I - alpha * hess f(x).  Construction enforces alpha * L < 1
 strictly, the regime in which g is a diffeomorphism and the analysis
 modules downstream are valid.
 
-``run`` iterates g from a starting point and records the full trajectory;
-``run_many`` advances a batch of starting points with identical arithmetic
-(used by the Monte Carlo driver, where only final states matter).
+One private stepping loop, ``_descend``, applies g and the stop rule to a
+batch of starting points.  ``run_many`` is that loop on a batch (used by
+the Monte Carlo driver, where only final states matter); ``run`` is the
+same loop on a one-row batch that also records every iterate, so a row of
+``run_many`` and a ``run`` from the same start agree bit for bit.
 ``closed_form_quadratic`` is the independent oracle for diagonal
 quadratics, where the k-th iterate is (1 - alpha*lambda_i)^k x0_i
 componentwise.
@@ -25,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
-from .fileio import atomic_write_csv
+from .fileio import atomic_write_columns
 from .zoo import Objective
 
 
@@ -87,9 +89,6 @@ class GradientMap:
         """Dg(x) = I - alpha * hess f(x); symmetric."""
         return np.eye(self.objective.dimension) - self.alpha * self.objective.hessian(x)
 
-    def run(self, x0, policy: StopPolicy = DEFAULT_POLICY) -> "Trajectory":
-        return run(self, x0, policy)
-
     def __repr__(self):
         return f"GradientMap({self.objective!r}, alpha={self.alpha})"
 
@@ -132,18 +131,15 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Columns k, x_1..x_d, f, grad_norm; written atomically."""
-        d = self.iterates.shape[1]
+        n, d = self.iterates.shape
         header = ["k"] + [f"x_{i + 1}" for i in range(d)] + ["f", "grad_norm"]
-        rows = (
-            [k, *(float(v) for v in self.iterates[k]), float(self.f_values[k]), float(self.grad_norms[k])]
-            for k in range(self.iterates.shape[0])
-        )
-        atomic_write_csv(path, header, rows)
+        columns = [np.arange(n), *self.iterates.T, self.f_values, self.grad_norms]
+        atomic_write_columns(path, header, columns)
 
 
 def _row_norms(x) -> np.ndarray:
-    # shared by the single and batched loops so both round identically
-    return np.sqrt(np.sum(x * x, axis=-1))
+    # the reduction np.sum dispatches to, so it rounds as np.sum does
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _solve_rows(mats, rhs):
@@ -186,38 +182,13 @@ def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajector
         raise ContractViolationError(f"x0 must have shape ({obj.dimension},)")
     if not obj.lipschitz_global and not obj.contains(x):
         raise ContractViolationError("x0 lies outside domain_box, where the step-size certificate holds")
-
-    iterates, f_values, grad_norms = [], [], []
-    k = 0
-    while True:
-        f = obj.value(x)
-        g = obj.gradient(x)
-        if not np.isfinite(f) or not np.all(np.isfinite(g)):
-            raise NumericalFailureError(f"non-finite value or gradient at iterate {k}", k)
-        gn = float(_row_norms(g))
-        iterates.append(x.copy())
-        f_values.append(float(f))
-        grad_norms.append(gn)
-
-        if gn <= policy.tol:
-            reason = StopReason.GRAD_NORM_BELOW_TOL
-        elif float(_row_norms(x)) >= policy.divergence_radius:
-            reason = StopReason.DIVERGED
-        elif k == policy.max_iters:
-            reason = StopReason.MAX_ITERS
-        elif not obj.lipschitz_global and not obj.contains(x):
-            reason = StopReason.LEFT_DOMAIN_BOX
-        else:
-            x = x - gmap.alpha * g
-            k += 1
-            continue
-        break
-
+    result, history = _descend(gmap, x[None, :], policy, history=True)
+    d = obj.dimension
     return Trajectory(
-        iterates=np.array(iterates),
-        f_values=np.array(f_values),
-        grad_norms=np.array(grad_norms),
-        stop_reason=reason,
+        iterates=history[:, :d].copy(),
+        f_values=history[:, d].copy(),
+        grad_norms=history[:, d + 1].copy(),
+        stop_reason=result.stop_reasons[0],
         alpha=gmap.alpha,
     )
 
@@ -233,8 +204,23 @@ class BatchResult:
     stop_reasons: list  # list[StopReason], length n
 
 
-# Stop codes of run_many, in the precedence order of the stop rule; a
-# code indexes this tuple.
+def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> BatchResult:
+    """Advance many starting points at once, with ``run``'s stop rule.
+
+    Each row's final state matches a ``run`` from that row bit for bit;
+    only the dense history is skipped.
+    """
+    obj = gmap.objective
+    x0s = np.array(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != obj.dimension:
+        raise ContractViolationError(f"x0s must have shape (n, {obj.dimension})")
+    if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
+        raise ContractViolationError("some starting points lie outside domain_box")
+    return _descend(gmap, x0s, policy)[0]
+
+
+# Stop codes of the stepping loop, in the precedence order of the stop
+# rule; a code indexes this tuple.
 _STOP_CODE_REASONS = (
     StopReason.GRAD_NORM_BELOW_TOL,
     StopReason.DIVERGED,
@@ -248,46 +234,46 @@ _RUNNING = np.int8(-1)
 _BOUND_SLACK = 1e-9
 # Entries below this magnitude cannot overflow the squares of a row norm.
 _NORM_SAFE = 1e150
+_HISTORY_ROWS = 256  # rows of a fresh history buffer; a full one doubles
 
 
 def _columns_within(x, lo, hi) -> bool:
-    """True when every column j of the batch x lies in [lo[j], hi[j]].
+    """True when every column j of x lies in [lo[j], hi[j]]; False on a NaN."""
+    for j in range(x.shape[1]):
+        column = x[:, j]
+        if not (lo[j] <= column.min() and column.max() <= hi[j]):
+            return False
+    return True
 
-    Strided per-column min/max; a NaN entry makes the test read False.
-    """
-    return all(
-        lo[j] <= x[:, j].min() and x[:, j].max() <= hi[j] for j in range(x.shape[1])
-    )
 
+def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bool = False):
+    """The stepping loop of ``run`` and ``run_many``, on a validated (n, d) batch.
 
-def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> BatchResult:
-    """Advance many starting points at once.
-
-    Arithmetic is elementwise-identical to ``run``, so each row's final
-    state matches the corresponding single run bit for bit; only the dense
-    history is skipped.  The stop rule is the same as ``run``'s.  Per
+    Returns ``(BatchResult, history)``.  Rows are stepped with elementwise
+    arithmetic, so no row's results depend on the rest of the batch.  Per
     iteration, the divergence and box tests are first settled for the
     whole batch from per-column minima and maxima of the iterates, and
     fall back to the exact per-row tests only when that cannot decide.
+    With ``history`` set, ``x0s`` holds one row and ``history`` has one
+    row ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small
+    and doubles when full, so nothing is sized by ``policy.max_iters``.
+    Otherwise ``history`` is None.
     """
     obj = gmap.objective
-    x0s = np.array(x0s, dtype=float)
-    if x0s.ndim != 2 or x0s.shape[1] != obj.dimension:
-        raise ContractViolationError(f"x0s must have shape (n, {obj.dimension})")
-    if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
-        raise ContractViolationError("some starting points lie outside domain_box")
-
+    value, gradient, alpha = obj._value, obj._gradient, gmap.alpha
+    tol, radius, max_iters = policy.tol, policy.divergence_radius, policy.max_iters
     n, d = x0s.shape
     final_x = np.zeros_like(x0s)
     final_f = np.zeros(n)
     final_gn = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
     codes = np.full(n, _RUNNING, dtype=np.int8)
+    hist = np.empty((_HISTORY_ROWS, d + 2)) if history else None
 
     # Rows whose entries all lie in [-cube, cube] have norm below the
     # divergence radius.  A box-local certificate keeps the rows inside
     # the box, which settles divergence too when the box fits the cube.
-    cube = min(policy.divergence_radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK))
+    cube = min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK))
     lo = np.full(d, -cube)
     hi = np.full(d, cube)
     check_box = not obj.lipschitz_global
@@ -298,29 +284,38 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
     active = np.arange(n)
     k = 0
     while active.size:
-        f = obj.value(x)
-        g = obj.gradient(x)
-        if not (np.isfinite(f).all() and np.isfinite(g).all()):
-            bad = ~(np.isfinite(f) & np.all(np.isfinite(g), axis=-1))
-            trial = int(active[np.argmax(bad)])
-            raise NumericalFailureError(
-                f"non-finite value or gradient at iterate {k} (trial {trial})", k
-            )
+        f = value(x)
+        g = gradient(x)
         gn = _row_norms(g)
-        tol_hit = gn <= policy.tol
+        # A finite norm implies a finite gradient, so this flags every
+        # non-finite row; an overflowed norm flags a finite one too, which
+        # the exact test below lets through.
+        suspect = ~(np.isfinite(f) & np.isfinite(gn))
+        if history:
+            if k == len(hist):
+                hist = np.concatenate([hist, np.empty_like(hist)])
+            hist[k, :d], hist[k, d], hist[k, d + 1] = x[0], f[0], gn[0]
+        tol_hit = gn <= tol
+        flagged = tol_hit | suspect
 
+        div_hit = box_exit = np.False_
         in_box = check_box and _columns_within(x, box_lo, box_hi)
-        if (in_box and box_in_cube) or _columns_within(x, lo, hi):
-            div_hit = np.False_
-        else:
-            div_hit = _row_norms(x) >= policy.divergence_radius
+        if not ((in_box and box_in_cube) or _columns_within(x, lo, hi)):
+            div_hit = _row_norms(x) >= radius
+            flagged |= div_hit
         if check_box and not in_box:
             box_exit = ~obj.contains(x)
-        else:
-            box_exit = np.False_
-        capped = np.bool_(k == policy.max_iters)
+            flagged |= box_exit
+        capped = k == max_iters
 
-        if capped or (tol_hit | div_hit | box_exit).any():
+        if capped or flagged.any():
+            if suspect.any():
+                bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=-1))
+                if bad.any():
+                    trial = "" if history else f" (trial {int(active[np.argmax(bad)])})"
+                    raise NumericalFailureError(
+                        f"non-finite value or gradient at iterate {k}{trial}", k
+                    )
             code = np.select([tol_hit, div_hit, capped, box_exit], _STOP_CODES, _RUNNING)
             done = code != _RUNNING
             idx = active[done]
@@ -331,13 +326,14 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
             codes[idx] = code[done]
             keep = ~done
             active = active[keep]
-            x = x[keep] - gmap.alpha * g[keep]
+            x = x[keep] - alpha * g[keep]
         else:
-            x = x - gmap.alpha * g
+            x = x - alpha * g
         k += 1
 
     reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()
-    return BatchResult(final_x, final_f, final_gn, iterations, reasons)
+    result = BatchResult(final_x, final_f, final_gn, iterations, reasons)
+    return result, (hist[:k] if history else None)
 
 
 def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:

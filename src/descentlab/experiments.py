@@ -32,7 +32,7 @@ from .errors import (
     InapplicableError,
     InsufficientDataError,
 )
-from .fileio import atomic_write_csv
+from .fileio import atomic_write_columns, atomic_write_csv
 from .zoo import Objective
 
 LABEL_DIVERGED = "Diverged"
@@ -47,36 +47,15 @@ FIT_FLOOR = 100.0 * np.finfo(float).eps
 MIN_CHUNK = 10_000
 
 
-def _basin_label(final_x, final_grad_norm, stop_reason, records, tol):
-    """Shared basin logic: an index into records, or a status string."""
-    if stop_reason is StopReason.DIVERGED:
-        return LABEL_DIVERGED
-    if stop_reason is StopReason.LEFT_DOMAIN_BOX:
-        return LABEL_LEFT_BOX
-    if final_grad_norm > tol:
-        return LABEL_UNRESOLVED
-    matches = [
-        i
-        for i, rec in enumerate(records)
-        if np.max(np.abs(final_x - rec.location)) <= tol
-    ]
-    if len(matches) > 1:
-        raise BasinAmbiguityError(
-            f"final iterate within {tol} of records {matches}; "
-            "basin tolerance is wider than the critical-point separation"
-        )
-    if not matches:
-        return LABEL_UNRESOLVED
-    return matches[0]
-
-
 def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
-    """Array form of ``_basin_label`` over a batch, as integer codes.
+    """The basin of each final state of a batch, as integer codes.
 
     Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
     and 2 are Diverged, LeftBox and Unresolved (see ``_label_table``).  A
-    row within ``tol`` of two records raises the same ambiguity error as
-    the single-trajectory path.
+    row that has not diverged or left the box is Unresolved unless its
+    gradient norm is within ``tol`` and a record lies within ``tol`` of
+    it (infinity norm).  A row within ``tol`` of two records raises an
+    ambiguity error: the tolerance no longer separates them.
     """
     n_records = len(records)
     reasons = np.asarray(result.stop_reasons, dtype=object)
@@ -93,10 +72,12 @@ def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
         ambiguous |= hit & (codes < n_records)
         codes[hit] = i
     if np.any(ambiguous):
-        # the first ambiguous row raises, with the per-trial path's message
         t = int(np.argmax(ambiguous))
-        _basin_label(
-            result.final_x[t], result.final_grad_norm[t], result.stop_reasons[t], records, tol
+        matches = [i for i, rec in enumerate(records)
+                   if np.max(np.abs(result.final_x[t] - rec.location)) <= tol]
+        raise BasinAmbiguityError(
+            f"final iterate within {tol} of records {matches}; "
+            "basin tolerance is wider than the critical-point separation"
         )
     return codes
 
@@ -114,9 +95,9 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     of the final iterate raise an ambiguity error since that means the
     tolerance no longer separates the critical points.
     """
-    return _basin_label(
-        traj.final_x, traj.final_grad_norm, traj.stop_reason, records, tol
-    )
+    final = BatchResult(traj.final_x[None, :], traj.f_values[-1:], traj.grad_norms[-1:],
+                        np.array([traj.n_steps]), [traj.stop_reason])
+    return _label_table(records)[_basin_codes(final, records, tol)[0]]
 
 
 @dataclass
@@ -174,12 +155,12 @@ class MonteCarloReport:
             + [f"x0_{i + 1}" for i in range(d)]
             + ["label", "iterations", "final_grad_norm"]
         )
-        rows = (
-            [t, *self.trial_x0[t], str(self.trial_labels[t]),
-             int(self.trial_iterations[t]), self.trial_final_grad_norm[t]]
-            for t in range(self.n_trials)
-        )
-        atomic_write_csv(path, header, rows)
+        columns = [
+            np.arange(self.n_trials), *self.trial_x0.T,
+            [str(label) for label in self.trial_labels],
+            self.trial_iterations, self.trial_final_grad_norm,
+        ]
+        atomic_write_columns(path, header, columns)
 
     def basins_to_csv(self, path) -> None:
         header = ["label", "classification", "count"]
@@ -351,6 +332,28 @@ def _least_squares_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, f
     return float(slope), float(intercept), r_squared
 
 
+def _rate_fit(regime: str, ks: np.ndarray, xs: np.ndarray, distances: np.ndarray) -> RateFit:
+    """``regime``'s fit of log distances against ``xs`` over iterates ``ks``.
+
+    The slope is log b for the linear regime and the exponent p for the
+    power regime.  Fewer than 10 usable iterates raise insufficient data.
+    """
+    if ks.size < 10:
+        raise InsufficientDataError(
+            f"only {ks.size} usable iterates in the fit window; need 10"
+        )
+    slope, _, r_squared = _least_squares_line(xs, np.log(distances))
+    linear = regime == "Linear"
+    return RateFit(
+        regime=regime,
+        fitted_b=float(np.exp(slope)) if linear else None,
+        fitted_exponent=None if linear else slope,
+        fit_window=(int(ks[0]), int(ks[-1])),
+        r_squared=r_squared,
+        n_points=int(ks.size),
+    )
+
+
 def _require_converged(traj: Trajectory, x_star) -> None:
     x_star = np.asarray(x_star, dtype=float)
     if np.max(np.abs(traj.final_x - x_star)) > BASIN_TOL:
@@ -369,19 +372,7 @@ def fit_linear_rate(traj: Trajectory, x_star) -> RateFit:
     """
     _require_converged(traj, x_star)
     ks, distances = _fit_window(traj, x_star)
-    if ks.size < 10:
-        raise InsufficientDataError(
-            f"only {ks.size} usable iterates in the fit window; need 10"
-        )
-    slope, _, r_squared = _least_squares_line(ks.astype(float), np.log(distances))
-    return RateFit(
-        regime="Linear",
-        fitted_b=float(np.exp(slope)),
-        fitted_exponent=None,
-        fit_window=(int(ks[0]), int(ks[-1])),
-        r_squared=r_squared,
-        n_points=int(ks.size),
-    )
+    return _rate_fit("Linear", ks, ks.astype(float), distances)
 
 
 def fit_power_rate(traj: Trajectory, x_star) -> RateFit:
@@ -399,19 +390,7 @@ def fit_power_rate(traj: Trajectory, x_star) -> RateFit:
         )
     positive = ks >= 1
     ks, distances = ks[positive], distances[positive]
-    if ks.size < 10:
-        raise InsufficientDataError(
-            f"only {ks.size} usable iterates in the fit window; need 10"
-        )
-    slope, _, r_squared = _least_squares_line(np.log(ks.astype(float)), np.log(distances))
-    return RateFit(
-        regime="Power",
-        fitted_b=None,
-        fitted_exponent=slope,
-        fit_window=(int(ks[0]), int(ks[-1])),
-        r_squared=r_squared,
-        n_points=int(ks.size),
-    )
+    return _rate_fit("Power", ks, np.log(ks.astype(float)), distances)
 
 
 def rate_fits(traj: Trajectory, x_star) -> list[RateFit]:

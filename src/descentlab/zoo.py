@@ -32,7 +32,11 @@ The shipped zoo:
 ``value``, ``gradient`` and ``hessian`` all accept a single point of shape
 ``(d,)`` or a batch of shape ``(n, d)`` and evaluate row-wise with
 identical arithmetic, so batched drivers reproduce single-point results
-bit for bit.  A batch of Hessians has shape ``(n, d, d)``.
+bit for bit.  A batch of Hessians has shape ``(n, d, d)``.  These public
+methods check the input once (a float array with trailing dimension d)
+and hand it to ``_value``, ``_gradient`` and ``_hessian``, which each
+objective implements and which check nothing: the descent engine calls
+them directly on arrays it has already validated.
 """
 
 from __future__ import annotations
@@ -95,7 +99,8 @@ class Objective:
     """Base class: an evaluatable C^2 function on a certified box.
 
     Subclasses set ``name``, ``dimension``, ``domain_box`` and ``params``
-    and implement the three evaluation methods plus ``lipschitz_bound`` and
+    and implement ``_value``, ``_gradient`` and ``_hessian`` (unchecked;
+    see the module docstring) plus ``lipschitz_bound`` and
     ``known_critical_points``.  ``lipschitz_global`` is True when the
     reported bound holds on all of R^d (quadratics), in which case the
     descent engine does not treat leaving the box as a certificate loss.
@@ -110,13 +115,13 @@ class Objective:
     lipschitz_global: bool = False
 
     def value(self, x):
-        raise NotImplementedError
+        return self._value(_check_point(x, self.dimension))
 
     def gradient(self, x):
-        raise NotImplementedError
+        return self._gradient(_check_point(x, self.dimension))
 
     def hessian(self, x):
-        raise NotImplementedError
+        return self._hessian(_check_point(x, self.dimension))
 
     def lipschitz_bound(self) -> float:
         raise NotImplementedError
@@ -165,16 +170,13 @@ class DiagonalQuadratic(Objective):
     def params(self):
         return self.lambdas.tolist()
 
-    def value(self, x):
-        x = _check_point(x, self.dimension)
-        return 0.5 * np.sum(self.lambdas * x * x, axis=-1)
+    def _value(self, x):
+        return 0.5 * np.add.reduce(self.lambdas * x * x, axis=-1)
 
-    def gradient(self, x):
-        x = _check_point(x, self.dimension)
+    def _gradient(self, x):
         return self.lambdas * x
 
-    def hessian(self, x):
-        x = _check_point(x, self.dimension)
+    def _hessian(self, x):
         return _diagonal_fill(x.shape, self.lambdas)
 
     def lipschitz_bound(self) -> float:
@@ -228,19 +230,16 @@ class NesterovExample(Objective):
             domain_box = [[-2.0, 2.0], [-2.0, 2.0]]
         self.domain_box = _as_box(domain_box, 2)
 
-    def value(self, x):
-        x = _check_point(x, 2)
+    def _value(self, x):
         u, v = x[..., 0], x[..., 1]
         v2 = v * v
         return 0.5 * u * u + 0.25 * v2 * v2 - 0.5 * v2
 
-    def gradient(self, x):
-        x = _check_point(x, 2)
+    def _gradient(self, x):
         u, v = x[..., 0], x[..., 1]
         return np.stack([u, v * v * v - v], axis=-1)
 
-    def hessian(self, x):
-        x = _check_point(x, 2)
+    def _hessian(self, x):
         v = x[..., 1]
         hess = _diagonal_fill(x.shape, 1.0)
         hess[..., 1, 1] = 3.0 * v * v - 1.0
@@ -288,20 +287,17 @@ class QuarticCopositive(Objective):
     def params(self):
         return self.q.tolist()
 
-    def value(self, x):
-        x = _check_point(x, self.dimension)
+    def _value(self, x):
         u = x * x
-        qu = np.sum(self.q * u[..., None, :], axis=-1)
-        return np.sum(u * qu, axis=-1)
+        qu = np.add.reduce(self.q * u[..., None, :], axis=-1)
+        return np.add.reduce(u * qu, axis=-1)
 
-    def gradient(self, x):
-        x = _check_point(x, self.dimension)
+    def _gradient(self, x):
         u = x * x
-        mu = np.sum(self._m * u[..., None, :], axis=-1)
+        mu = np.add.reduce(self._m * u[..., None, :], axis=-1)
         return 2.0 * x * mu
 
-    def hessian(self, x):
-        x = _check_point(x, self.dimension)
+    def _hessian(self, x):
         u = x * x
         # a stack of matrix-vector products rounds like the single one
         mu = (self._m @ u[..., None])[..., 0]

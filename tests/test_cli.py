@@ -276,3 +276,92 @@ def test_rates_reports_too_few_iterates_in_one_line():
 def test_config_missing_file_is_reported(tmp_path):
     proc = cli("run", "--config", str(tmp_path / "absent.json"), check=False)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("index", ["7", "3", "-1"])
+def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys, index):
+    from descentlab.cli import main
+
+    out = tmp_path / "out"
+    argv = ["stable-set", "--objective", "nesterov", "--index", index, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: index {index} is out of range for 3 critical point records\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "sub, key, value",
+    [
+        ("run", "x0", ["a", 1]),
+        ("run", "x0", [[0.5, 0.3], [0.1]]),
+        ("run", "x0", 0.5),
+        ("rates", "x0", [0.5, None]),
+        ("run", "x0", "nan,0.3"),
+        ("invert", "y", [True, 1.0]),
+        ("invert", "y", []),
+        ("montecarlo", "init_box", [[0, "b"], [0, 1]]),
+        ("montecarlo", "init_box", [[0, 1], [0]]),
+        ("montecarlo", "init_box", [0, 1]),
+        ("montecarlo", "init_box", [[0, 1, 2], [0, 1, 2]]),
+        ("montecarlo", "init_box", "0,0:1"),
+        ("montecarlo", "init_box", "0,0"),
+        ("montecarlo", "init_box", "0,0:1,1:2,2"),
+        ("run", "x0", "0.5:0.3"),
+        ("run", "x0", "0.5,,0.3"),
+    ],
+)
+def test_vector_config_values_are_checked_where_they_merge(tmp_path, capsys, sub, key, value):
+    from descentlab.cli import VECTOR_FORMS, VECTOR_KEYS, main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"objective": "nesterov", "alpha": 0.05, "trials": 20, "y": [0.95, 1.7], key: value}
+    ))
+    assert main([sub, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = VECTOR_FORMS[VECTOR_KEYS[key]]
+    assert captured.err == f"error: {key} must be {expected}, got {value!r}\n"
+
+
+@pytest.mark.parametrize(
+    "sub, key, value, message",
+    [
+        ("run", "x0", [0.5, 0.3, 0.1], "x0 must have shape (2,)"),
+        ("rates", "x0", "0.5", "x0 must have shape (2,)"),
+        ("invert", "y", [0.95, 1.7, 0.0], "y must have shape (2,)"),
+        ("montecarlo", "init_box", [[0, 1]], "init_box must have shape (2, 2)"),
+        ("montecarlo", "init_box", "0,0,0:1,1,1", "init_box must have shape (2, 2)"),
+    ],
+)
+def test_vector_values_of_the_wrong_length_exit_2_with_one_line(
+    tmp_path, capsys, sub, key, value, message
+):
+    from descentlab.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(
+        {"objective": "nesterov", "alpha": 0.05, "trials": 20, "y": [0.95, 1.7], key: value}
+    ))
+    assert main([sub, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_vector_config_values_may_be_lists_or_strings(tmp_path, capsys):
+    from descentlab.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "objective": "nesterov", "x0": ["0.5", 0.3], "trials": 20,
+        "init_box": [[0.1, 0.2], ["0.1", 0.2]],
+    }))
+    assert main(["run", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["x0"] == [0.5, 0.3]
+    assert main(["montecarlo", "--config", str(path)]) == 0
+    assert capsys.readouterr().out == "saddle_hits: 0\n"

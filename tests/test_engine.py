@@ -1,6 +1,8 @@
 """Gradient map and iteration engine: hand-checked steps, the closed-form
 quadratic oracle, stop reasons, and batch/single equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from descentlab import (
     DiagonalQuadratic,
     GradientMap,
     NesterovExample,
+    NumericalFailureError,
     QuarticCopositive,
     StopPolicy,
     StopReason,
@@ -19,6 +22,7 @@ from descentlab import (
     run,
     run_many,
 )
+from descentlab.engine import _HISTORY_ROWS
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -300,12 +304,136 @@ def test_descent_violations_counts_fabricated_increase():
     assert descent_violations(traj, obj) == 1
 
 
-def test_gradient_map_run_method_delegates():
+def _reference_run(gmap, x0, policy):
+    """One point stepped with the exact stop tests in order, no batch shortcuts."""
+    obj = gmap.objective
+    x = np.array(x0, dtype=float)
+    iterates, f_values, grad_norms = [], [], []
+    k = 0
+    while True:
+        f, g = obj.value(x), obj.gradient(x)
+        if not np.isfinite(f) or not np.all(np.isfinite(g)):
+            raise NumericalFailureError(f"non-finite value or gradient at iterate {k}", k)
+        gn = float(np.sqrt(np.sum(g * g)))
+        iterates.append(x.copy())
+        f_values.append(float(f))
+        grad_norms.append(gn)
+        if gn <= policy.tol:
+            reason = StopReason.GRAD_NORM_BELOW_TOL
+        elif float(np.sqrt(np.sum(x * x))) >= policy.divergence_radius:
+            reason = StopReason.DIVERGED
+        elif k == policy.max_iters:
+            reason = StopReason.MAX_ITERS
+        elif not obj.lipschitz_global and not obj.contains(x):
+            reason = StopReason.LEFT_DOMAIN_BOX
+        else:
+            x = x - gmap.alpha * g
+            k += 1
+            continue
+        return np.array(iterates), np.array(f_values), np.array(grad_norms), reason
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize(
+    "obj, alpha, policy, x0",
+    [
+        (NesterovExample(), 0.09, StopPolicy(), [0.7, -0.4]),
+        (NesterovExample(), 0.09, StopPolicy(), [0.5, 0.0]),
+        (NesterovExample(domain_box=[[-0.5, 0.5], [-0.5, 0.5]]), 0.9, StopPolicy(), [0.0, 0.3]),
+        (NesterovExample(domain_box=[[-0.5, 0.5], [-0.5, 0.5]]), 0.9,
+         StopPolicy(divergence_radius=0.6), [0.0, 0.4]),
+        (DiagonalQuadratic([1.0, -1.0]), 0.5, StopPolicy(), [0.1, 1.0]),
+        (DiagonalQuadratic([-1e-10]), 0.5e10, StopPolicy(tol=0.0, divergence_radius=1e300), [1.0]),
+        (DiagonalQuadratic(np.linspace(-0.5, 1.0, 12)), 0.9, StopPolicy(max_iters=300),
+         np.linspace(-1.0, 1.0, 12)),
+        (QuarticCopositive(np.eye(3)), 0.05, StopPolicy(tol=0.0, max_iters=400), [0.5, -0.3, 0.2]),
+    ],
+)
+def test_run_matches_the_single_point_reference_bitwise(obj, alpha, policy, x0):
+    gmap = GradientMap(obj, alpha)
+    traj = run(gmap, np.array(x0, dtype=float), policy)
+    iterates, f_values, grad_norms, reason = _reference_run(gmap, x0, policy)
+    assert np.array_equal(traj.iterates, iterates)
+    assert np.array_equal(traj.f_values, f_values)
+    assert np.array_equal(traj.grad_norms, grad_norms)
+    assert traj.stop_reason is reason
+
+
+@pytest.mark.parametrize(
+    "obj, alpha, policy, x0s, reasons",
+    [
+        # starts at a minimum, on the saddle's axis and off it
+        (NesterovExample(), 0.09, StopPolicy(),
+         [[0.0, 1.0], [0.5, 0.0], [0.3, -0.2]], {StopReason.GRAD_NORM_BELOW_TOL}),
+        # one start already beyond the radius, one that grows past it
+        (DiagonalQuadratic([1.0, -1.0]), 0.5, StopPolicy(divergence_radius=10.0),
+         [[0.0, 11.0], [0.2, 1.0], [0.0, 0.0]],
+         {StopReason.DIVERGED, StopReason.GRAD_NORM_BELOW_TOL}),
+        (DiagonalQuadratic([1.0, 2.0]), 0.4, StopPolicy(tol=0.0, max_iters=0),
+         [[1.0, 1.0], [0.0, 0.0]], {StopReason.MAX_ITERS, StopReason.GRAD_NORM_BELOW_TOL}),
+        (NesterovExample(domain_box=[[-0.5, 0.5], [-0.5, 0.5]]), 0.9, StopPolicy(),
+         [[0.0, 0.4], [0.2, 0.0], [0.0, 0.0]],
+         {StopReason.LEFT_DOMAIN_BOX, StopReason.GRAD_NORM_BELOW_TOL}),
+    ],
+)
+def test_run_is_run_many_on_one_row_for_every_stop_reason(obj, alpha, policy, x0s, reasons):
+    gmap = GradientMap(obj, alpha)
+    batch = _assert_rows_match_single_runs(gmap, np.array(x0s), policy)
+    assert set(batch.stop_reasons) == reasons
+    assert 0 in batch.iterations  # some row stops before its first step
+
+
+@pytest.mark.parametrize("n_iterates", [
+    1, _HISTORY_ROWS - 1, _HISTORY_ROWS, _HISTORY_ROWS + 1,
+    2 * _HISTORY_ROWS, 2 * _HISTORY_ROWS + 1, 4 * _HISTORY_ROWS + 1,
+])
+def test_history_is_whole_across_buffer_growth(n_iterates):
+    obj = NesterovExample()
+    gmap = GradientMap(obj, 0.09)
+    traj = run(gmap, np.array([0.7, -0.4]), StopPolicy(tol=0.0, max_iters=n_iterates - 1))
+    assert traj.stop_reason is StopReason.MAX_ITERS
+    assert traj.iterates.shape == (n_iterates, 2)
+    assert traj.f_values.shape == traj.grad_norms.shape == (n_iterates,)
+    for k in range(traj.n_steps):
+        assert np.array_equal(traj.iterates[k + 1], gmap.step(traj.iterates[k]))
+    np.testing.assert_array_equal(traj.f_values, obj.value(traj.iterates))
+    grads = obj.gradient(traj.iterates)
+    np.testing.assert_array_equal(traj.grad_norms, np.sqrt(np.sum(grads * grads, axis=-1)))
+
+
+def test_a_huge_iteration_cap_allocates_nothing_by_the_cap():
     gmap = GradientMap(DiagonalQuadratic([1.0, 2.0]), 0.4)
-    a = gmap.run(np.array([1.0, 1.0]))
-    b = run(gmap, np.array([1.0, 1.0]))
-    assert np.array_equal(a.iterates, b.iterates)
-    assert a.stop_reason is b.stop_reason
+    tracemalloc.start()
+    try:
+        traj = run(gmap, np.array([1.0, 1.0]), StopPolicy(max_iters=10**12))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.stop_reason is StopReason.GRAD_NORM_BELOW_TOL
+    assert traj.n_steps < 100
+    assert peak < 1_000_000
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_values_name_the_iterate_and_the_trial():
+    # f = -x^2 / 2 overflows to -inf after one step of size 1e200
+    gmap = GradientMap(DiagonalQuadratic([-1.0]), 1e200, validate=False)
+    with pytest.raises(NumericalFailureError) as single:
+        run(gmap, np.array([1.0]))
+    assert str(single.value) == "non-finite value or gradient at iterate 1"
+    assert single.value.iterate_index == 1
+    with pytest.raises(NumericalFailureError) as batch:
+        run_many(gmap, np.array([[0.0], [1.0]]))
+    assert str(batch.value) == "non-finite value or gradient at iterate 1 (trial 1)"
+    # f = (1e-100 * 1e250) * 1e250 overflows while the gradient, 1e150, and
+    # its norm stay finite; the error comes before the divergence stop
+    gmap = GradientMap(DiagonalQuadratic([1e-100]), 0.5)
+    with pytest.raises(NumericalFailureError) as start:
+        run(gmap, np.array([1e250]))
+    assert str(start.value) == "non-finite value or gradient at iterate 0"
+    with pytest.raises(NumericalFailureError) as batch:
+        run_many(gmap, np.array([[0.5], [1e250]]))
+    assert str(batch.value) == "non-finite value or gradient at iterate 0 (trial 1)"
 
 
 def test_trajectory_csv_layout(tmp_path):

@@ -35,7 +35,36 @@ from descentlab import (
     run,
 )
 from descentlab import experiments
-from descentlab.experiments import BASIN_TOL, MIN_CHUNK, _basin_label
+from descentlab.experiments import (
+    BASIN_TOL,
+    LABEL_DIVERGED,
+    LABEL_LEFT_BOX,
+    LABEL_UNRESOLVED,
+    MIN_CHUNK,
+)
+
+
+def _basin_label(final_x, final_grad_norm, stop_reason, records, tol):
+    """Per-trial oracle for the batched labelling: a record index or a status."""
+    if stop_reason is StopReason.DIVERGED:
+        return LABEL_DIVERGED
+    if stop_reason is StopReason.LEFT_DOMAIN_BOX:
+        return LABEL_LEFT_BOX
+    if final_grad_norm > tol:
+        return LABEL_UNRESOLVED
+    matches = [
+        i
+        for i, rec in enumerate(records)
+        if np.max(np.abs(final_x - rec.location)) <= tol
+    ]
+    if len(matches) > 1:
+        raise BasinAmbiguityError(
+            f"final iterate within {tol} of records {matches}; "
+            "basin tolerance is wider than the critical-point separation"
+        )
+    if not matches:
+        return LABEL_UNRESOLVED
+    return matches[0]
 
 
 @pytest.fixture(scope="module")

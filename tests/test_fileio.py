@@ -4,8 +4,11 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from descentlab.fileio import (
+    CSV_BLOCK_ROWS,
+    atomic_write_columns,
     atomic_write_csv,
     atomic_write_json,
     atomic_write_text,
@@ -58,3 +61,25 @@ def test_atomic_csv_writes_file(tmp_path):
     atomic_write_csv(path, ["a", "b"], [[1, 2], [3, 4]])
     assert path.read_text() == "a,b\n1,2\n3,4\n"
     assert os.path.exists(path)
+
+
+def test_columns_stream_across_blocks_like_rows(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(0)
+    ks, xs, flags = np.arange(n), rng.normal(size=n), rng.random(n) < 0.5
+    labels = [str(k % 7) if k % 3 else "Diverged" for k in range(n)]
+    path = tmp_path / "table.csv"
+    atomic_write_columns(path, ["k", "x", "flag", "label"], [ks, xs, flags, labels])
+    expected = "".join(
+        f"{k},{float(x)!r},{int(f)},{lab}\n" for k, x, f, lab in zip(ks, xs, flags, labels)
+    )
+    assert path.read_text() == "k,x,flag,label\n" + expected
+
+
+def test_mismatched_columns_raise_and_leave_no_file(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError):
+        atomic_write_columns(path, ["a", "b"], [np.arange(3), np.arange(4)])
+    with pytest.raises(ValueError):
+        atomic_write_csv(path, ["a", "b"], [[1, 2], [3]])
+    assert list(tmp_path.iterdir()) == []
