@@ -138,8 +138,19 @@ class Trajectory:
 
 
 def _row_norms(x) -> np.ndarray:
-    # the reduction np.sum dispatches to, so it rounds as np.sum does
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    # Rounds as np.sqrt(np.sum(x * x, axis=-1)) does.  On numpy 2.4 a sum
+    # along a contiguous last axis adds its terms one after another below
+    # 8 terms and pairwise from 8 terms on.  Below 8 the columns are added
+    # in that order here, which avoids the slow short-axis reduction; from
+    # 8 on it is the reduction np.sum dispatches to.  tests/test_engine.py
+    # pins both for d = 1..12, so a numpy that moves the threshold fails it.
+    d = x.shape[-1]
+    if d >= 8:
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
+    s = x[..., 0] * x[..., 0]
+    for j in range(1, d):
+        s += x[..., j] * x[..., j]
+    return np.sqrt(s)
 
 
 def _solve_rows(mats, rhs):

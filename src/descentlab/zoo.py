@@ -236,8 +236,11 @@ class NesterovExample(Objective):
         return 0.5 * u * u + 0.25 * v2 * v2 - 0.5 * v2
 
     def _gradient(self, x):
-        u, v = x[..., 0], x[..., 1]
-        return np.stack([u, v * v * v - v], axis=-1)
+        v = x[..., 1]
+        out = np.empty_like(x)
+        out[..., 0] = x[..., 0]
+        out[..., 1] = v * v * v - v
+        return out
 
     def _hessian(self, x):
         v = x[..., 1]

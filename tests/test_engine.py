@@ -22,7 +22,7 @@ from descentlab import (
     run,
     run_many,
 )
-from descentlab.engine import _HISTORY_ROWS
+from descentlab.engine import _HISTORY_ROWS, _row_norms
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -260,6 +260,24 @@ def test_run_many_matches_single_runs_bitwise_in_high_dimension():
     batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy(max_iters=5000))
     reasons = set(batch.stop_reasons)
     assert reasons == {StopReason.GRAD_NORM_BELOW_TOL, StopReason.DIVERGED}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("d", range(1, 13))
+def test_row_norms_round_as_np_sum(d):
+    # below 8 columns _row_norms adds them one by one, which matches np.sum
+    # only while numpy adds a short last axis sequentially; a numpy that
+    # adds pairwise from fewer terms fails here
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((4000, d)) * np.exp(rng.uniform(-30.0, 30.0, (4000, d)))
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, np.nan, 1.0])
+    x[:500] = rng.choice(specials, (500, d))
+    x[500] = np.resize(specials, d)  # one row of every special value
+    for batch in (x, x[:1], x[500:501], x[-1:]):
+        got = _row_norms(batch)
+        want = np.sqrt(np.sum(batch * batch, axis=-1))
+        differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+        assert differ.size == 0, f"d={d}: {differ.size} rows round unlike np.sum"
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
