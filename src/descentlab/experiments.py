@@ -1,6 +1,6 @@
 """Statistical experiments: saddle avoidance, basin accounting, and rates.
 
-The Monte Carlo driver runs many independently seeded trajectories and
+The Monte Carlo driver runs trajectories from uniformly drawn starts and
 assigns each limit to a critical-point basin.  The rate fitters extract
 the contraction factor (linear regime) or decay exponent (power regime)
 from a single trajectory, and the gradient-inequality checker certifies
@@ -181,14 +181,11 @@ def _worker_count(n_jobs: int, n_trials: int, cpu_count: int) -> int:
 
 
 def _trial_starts(seed: int, n_trials: int, lo, hi) -> np.ndarray:
-    # One RNG stream per trial, keyed by (seed, trial index): any schedule
-    # that runs the trials, in chunks or threads, draws the same points.
-    d = lo.shape[0]
-    x0s = np.empty((n_trials, d))
-    for t in range(n_trials):
-        u = np.random.default_rng([seed, t]).random(d)
-        x0s[t] = lo + u * (hi - lo)
-    return x0s
+    # One stream for the seed, drawn in trial order before the trials are
+    # split: any schedule that runs them, in chunks or threads, steps the
+    # same points.  The draw fills rows in order, so trial t's start does
+    # not depend on n_trials.
+    return lo + np.random.default_rng(seed).random((n_trials, lo.shape[0])) * (hi - lo)
 
 
 def monte_carlo(
@@ -210,8 +207,9 @@ def monte_carlo(
     Monte Carlo seed.  ``n_jobs`` (at least 1) is the most threads to
     use: the trials are split, in trial order, into
     ``min(n_jobs, os.cpu_count(), ceil(n_trials / MIN_CHUNK))`` chunks,
-    one thread each.  The per-trial RNG streams and elementwise stepping
-    make the report identical for any split.
+    one thread each.  The starts come from one RNG stream for ``seed``,
+    drawn in trial order before the split, and the stepping is
+    elementwise, so the report is identical for any split.
     """
     if n_trials < 1:
         raise ContractViolationError("n_trials must be at least 1")

@@ -119,7 +119,7 @@ def test_saddle_axis_is_thin(nesterov_records):
 
 def test_monte_carlo_splits_between_the_two_minima(nesterov_records):
     report = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
-    assert report.basin_counts == {0: 95, 1: 0, 2: 105}
+    assert report.basin_counts == {0: 93, 1: 0, 2: 107}
     assert report.saddle_hits == 0
     assert report.diverged == 0
     assert report.unresolved == 0
@@ -246,6 +246,25 @@ def test_monte_carlo_respects_init_box(nesterov_records):
     assert report.basin_counts == {0: 0, 1: 0, 2: 50}
     assert np.all(report.trial_x0 >= 0.1)
     assert np.all(report.trial_x0 <= 0.2)
+
+
+def test_trial_starts_do_not_depend_on_the_trial_count(nesterov_records):
+    short = monte_carlo(NesterovExample(), 0.09, 100, seed=11, records=nesterov_records)
+    long = monte_carlo(NesterovExample(), 0.09, 1000, seed=11, records=nesterov_records)
+    assert np.array_equal(long.trial_x0[:100], short.trial_x0)
+    assert long.trial_labels[:100] == short.trial_labels
+
+
+def test_trial_starts_fill_the_init_box(nesterov_records):
+    box = np.array([[-1.5, -0.25], [0.5, 1.75]])
+    report = monte_carlo(
+        NesterovExample(), 0.09, 1000, seed=4, init_box=box, records=nesterov_records
+    )
+    lo, hi = box[:, 0], box[:, 1]
+    assert np.all(report.trial_x0 >= lo) and np.all(report.trial_x0 < hi)
+    # a uniform draw reaches into every corner of the box
+    assert np.all(report.trial_x0.min(axis=0) < lo + 0.01 * (hi - lo))
+    assert np.all(report.trial_x0.max(axis=0) > hi - 0.01 * (hi - lo))
 
 
 def test_monte_carlo_counts_divergence():
