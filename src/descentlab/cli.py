@@ -325,8 +325,15 @@ def cmd_rates(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="descentlab",
         description="Gradient-descent experiments: trajectories, basin "
         "statistics, critical points, stable sets, map inversion, rates.",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, StopPolicy, StopReason, _solve_rows, run_many
+from .engine import GradientMap, StopPolicy, StopReason, _seeded_rng, _solve_rows, run_many
 from .errors import ContractViolationError
 from .fileio import atomic_write_columns
 from .jacobi import eigh_jacobi
@@ -217,7 +217,7 @@ def find_critical_points(
     """
     if n_seeds < 1:
         raise ContractViolationError("n_seeds must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
     seeds = lo + rng.random((n_seeds, objective.dimension)) * (hi - lo)
 

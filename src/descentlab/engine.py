@@ -153,6 +153,18 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(s)
 
 
+def _seeded_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)`` for a non-negative integer seed.
+
+    Every sampler of the library draws through this, so any other seed
+    (negative, boolean, fractional, None, a sequence) is refused with a
+    contract violation before the caller has done any work.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)
+
+
 def _solve_rows(mats, rhs):
     """Solve ``mats[i] @ out[i] = rhs[i]`` for a batch of square systems.
 

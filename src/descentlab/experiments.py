@@ -24,6 +24,7 @@ from .engine import (
     StopPolicy,
     StopReason,
     Trajectory,
+    _seeded_rng,
     run_many,
 )
 from .errors import (
@@ -185,7 +186,7 @@ def _trial_starts(seed: int, n_trials: int, lo, hi) -> np.ndarray:
     # split: any schedule that runs them, in chunks or threads, steps the
     # same points.  The draw fills rows in order, so trial t's start does
     # not depend on n_trials.
-    return lo + np.random.default_rng(seed).random((n_trials, lo.shape[0])) * (hi - lo)
+    return lo + _seeded_rng(seed).random((n_trials, lo.shape[0])) * (hi - lo)
 
 
 def monte_carlo(
@@ -207,12 +208,16 @@ def monte_carlo(
     Monte Carlo seed.  ``n_jobs`` (at least 1) is the most threads to
     use: the trials are split, in trial order, into
     ``min(n_jobs, os.cpu_count(), ceil(n_trials / MIN_CHUNK))`` chunks,
-    one thread each.  The starts come from one RNG stream for ``seed``,
-    drawn in trial order before the split, and the stepping is
-    elementwise, so the report is identical for any split.
+    one thread each.  The starts come from one RNG stream for ``seed`` (a
+    non-negative integer), drawn in trial order before the split, and the
+    stepping is elementwise, so the report is identical for any split.
     """
     if n_trials < 1:
         raise ContractViolationError("n_trials must be at least 1")
+    if n_trials > np.iinfo(np.intp).max // (8 * objective.dimension):
+        raise ContractViolationError(
+            f"n_trials = {n_trials} is more trials than an array can hold"
+        )
     if n_jobs < 1:
         raise ContractViolationError(f"n_jobs must be at least 1, got {n_jobs}")
     gmap = GradientMap(objective, alpha)
@@ -225,11 +230,10 @@ def monte_carlo(
         box[:, 1] > objective.domain_box[:, 1]
     ):
         raise ContractViolationError("init_box must lie inside the domain box")
+    x0s = _trial_starts(seed, n_trials, box[:, 0], box[:, 1])
     if records is None:
         records = find_critical_points(objective)
     policy = policy or StopPolicy()
-
-    x0s = _trial_starts(seed, n_trials, box[:, 0], box[:, 1])
 
     workers = _worker_count(n_jobs, n_trials, os.cpu_count() or 1)
     if workers == 1:
@@ -471,10 +475,10 @@ def check_lojasiewicz(
         raise ContractViolationError("m must be nonnegative")
     if radius <= 0.0:
         raise ContractViolationError("radius must be positive")
+    rng = _seeded_rng(seed)
     x_star = np.asarray(x_star, dtype=float)
     f_star = float(objective.value(x_star))
 
-    rng = np.random.default_rng(seed)
     cube = rng.random((n_samples, x_star.shape[0])) * 2.0 - 1.0
     points = x_star + radius * cube
     dist = np.sqrt(np.sum((points - x_star) ** 2, axis=-1))

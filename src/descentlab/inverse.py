@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, _solve_rows
+from .engine import GradientMap, _seeded_rng, _solve_rows
 from .errors import ContractViolationError, NonConvergenceError
 
 MAX_INNER = 200  # default iteration budget of one inversion
@@ -219,7 +219,7 @@ def injectivity_margin_check(
     if n_pairs < 1:
         raise ContractViolationError("n_pairs must be at least 1")
     obj = gmap.objective
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lo, hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
     xs = lo + rng.random((n_pairs, obj.dimension)) * (hi - lo)
     ys = lo + rng.random((n_pairs, obj.dimension)) * (hi - lo)
@@ -272,7 +272,7 @@ def roundtrip_check(
     if n_samples < 1:
         raise ContractViolationError("n_samples must be at least 1")
     obj = gmap.objective
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     lo, hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
     xs = lo + rng.random((n_samples, obj.dimension)) * (hi - lo)
 

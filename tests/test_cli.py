@@ -365,3 +365,37 @@ def test_vector_config_values_may_be_lists_or_strings(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["x0"] == [0.5, 0.3]
     assert main(["montecarlo", "--config", str(path)]) == 0
     assert capsys.readouterr().out == "saddle_hits: 0\n"
+
+
+@pytest.mark.parametrize("sub", ["montecarlo", "classify", "stable-set", "run"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_negative_seed_exits_2_with_one_line(tmp_path, capsys, sub, source):
+    from descentlab.cli import main
+
+    out = tmp_path / "out"
+    argv = [sub, "--objective", "nesterov", "--out", str(out)]
+    argv += ["--trials", "20"] if sub == "montecarlo" else []
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_a_flag_of_the_wrong_type_is_one_line_of_usage_error(capsys):
+    from descentlab.cli import main
+
+    with pytest.raises(SystemExit) as exited:
+        main(["montecarlo", "--objective", "nesterov", "--seed", "x"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "descentlab montecarlo: error: argument --seed: invalid int value: 'x'\n"
+    )

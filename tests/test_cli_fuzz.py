@@ -1,0 +1,141 @@
+"""Generated flag and config values for ``montecarlo`` and ``run``.
+
+Whatever the values, a command ends with exit 0, 1 or 2, at most one
+line on stderr and no warning: bad input is refused with a one-line
+message, never with a traceback.  ``cli.main`` runs in-process.  Valid
+trial counts stay at 50 or below and valid iteration caps at 200 or
+below (or huge, where the tolerance stops every run first), so the
+examples run in a few seconds.
+"""
+
+import contextlib
+import io
+import json
+import os
+import tempfile
+import warnings
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from descentlab.cli import main
+
+NAN = float("nan")
+WORDS = st.sampled_from(["", "abc", "1e3", "0x10", "nan", "inf", "-", "1,2", "None", "[]"])
+
+
+# Valid values, huge ones included: a positive tolerance stops every
+# nesterov run long before a huge iteration cap.
+VALID = {
+    "seed": st.one_of(st.integers(0, 2**32), st.sampled_from([2**64, 10**30])),
+    "trials": st.integers(1, 50),
+    "n_jobs": st.one_of(st.integers(1, 4), st.just(10**30)),
+    "tol": st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e300, 10**30, float("inf")])),
+    "max_iters": st.one_of(st.integers(0, 200), st.just(10**30)),
+    "x0": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+}
+# Invalid values: negative, boolean, string or NaN; no trials or threads;
+# trial counts far past what an array of starts can hold; malformed points.
+SCALAR_INVALID = st.one_of(st.integers(-10**6, -1), st.booleans(), WORDS, st.just(NAN))
+INVALID = {
+    "seed": SCALAR_INVALID,
+    "trials": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2**62, 10**30])),
+    "n_jobs": st.one_of(SCALAR_INVALID, st.just(0)),
+    "tol": SCALAR_INVALID,
+    "max_iters": SCALAR_INVALID,
+    "x0": st.one_of(
+        st.lists(
+            st.one_of(st.floats(-2.0, 2.0), st.booleans(), WORDS, st.just(NAN), st.just(1e300)),
+            max_size=3,
+        ),
+        st.floats(-2.0, 2.0),
+        WORDS,
+    ),
+}
+
+FLAGS = {
+    "montecarlo": {"seed", "trials", "n_jobs", "tol", "max_iters"},
+    "run": {"seed", "tol", "max_iters", "x0"},
+}
+ROUTES = st.sampled_from(["flag", "config"])
+
+
+def _flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(str(entry) for entry in value)
+    return str(value)
+
+
+def _invoke(command, options):
+    """Run the command in-process; return (exit code, stderr lines, warnings)."""
+    argv = [command, "--objective", "nesterov"]
+    config = {}
+    for key, (value, route) in options.items():
+        if route == "flag" and key in FLAGS[command]:
+            argv.append(f"--{key.replace('_', '-')}={_flag_text(value)}")
+        else:
+            config[key] = value
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if config:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            argv += ["--config", path]
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag
+                code = exc.code
+    return code, stderr.getvalue().splitlines(), caught
+
+
+def _cases(command):
+    """``(bad, options)``: options for ``command``, each routed to a flag or
+    the config, all valid except key ``bad`` (None for none).
+
+    ``montecarlo`` always gets a trial count, which it requires.
+    """
+    required = {"trials"} if command == "montecarlo" else set()
+
+    def options(bad):
+        values = {**VALID, bad: INVALID[bad]} if bad else VALID
+        present = required | ({bad} if bad else set())
+        return st.tuples(st.just(bad), st.fixed_dictionaries(
+            {key: st.tuples(values[key], ROUTES) for key in present},
+            optional={key: st.tuples(values[key], ROUTES)
+                      for key in values if key not in present},
+        ))
+
+    return st.sampled_from([None, *VALID]).flatmap(options)
+
+
+def _check(command, case):
+    bad, options = case
+    code, err, caught = _invoke(command, options)
+    assert not caught, [str(w.message) for w in caught]
+    if bad is None:
+        assert (code, err) == (0, [])
+    else:
+        assert code in (0, 1, 2), (code, err)
+        assert len(err) <= 1, err
+
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@example(case=("seed", {"trials": (20, "flag"), "seed": (-1, "flag")}))
+@example(case=("seed", {"trials": (20, "config"), "seed": (-3, "config")}))
+@given(case=_cases("montecarlo"))
+def test_montecarlo_ends_in_an_exit_code_and_one_line(case):
+    _check("montecarlo", case)
+
+
+@FUZZ
+@example(case=("seed", {"seed": (-1, "flag")}))
+@given(case=_cases("run"))
+def test_run_ends_in_an_exit_code_and_one_line(case):
+    _check("run", case)

@@ -29,9 +29,11 @@ from descentlab import (
     find_critical_points,
     fit_linear_rate,
     fit_power_rate,
+    injectivity_margin_check,
     monte_carlo,
     path_length_check,
     rate_fits,
+    roundtrip_check,
     run,
 )
 from descentlab import experiments
@@ -287,6 +289,51 @@ def test_monte_carlo_validates_inputs(nesterov_records):
             NesterovExample(), 0.09, 10, seed=0,
             init_box=[[-1.0, 1.0]], records=nesterov_records,
         )
+
+
+SAMPLERS = {
+    "monte_carlo": lambda seed: monte_carlo(NesterovExample(), 0.09, 10, seed=seed),
+    "find_critical_points": lambda seed: find_critical_points(NesterovExample(), seed=seed),
+    "check_lojasiewicz": lambda seed: check_lojasiewicz(
+        NesterovExample(), [0.0, 1.0], 0.5, 0.1, 0.1, n_samples=10, seed=seed
+    ),
+    "roundtrip_check": lambda seed: roundtrip_check(
+        GradientMap(NesterovExample(), 0.09), 10, seed=seed
+    ),
+    "injectivity_margin_check": lambda seed: injectivity_margin_check(
+        GradientMap(NesterovExample(), 0.09), 10, seed=seed
+    ),
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the seed was checked")
+
+
+@pytest.mark.parametrize("seed", [-1, -3, 1.5, 2.0, True, None, "7", [1, 2]])
+@pytest.mark.parametrize("sampler", sorted(SAMPLERS))
+def test_every_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(
+    sampler, seed, monkeypatch
+):
+    # the census must refuse the seed before its critical-point search
+    monkeypatch.setattr(experiments, "find_critical_points", _no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        SAMPLERS[sampler](seed)
+    assert str(refused.value) == f"seed must be a non-negative integer, got {seed!r}"
+
+
+def test_samplers_accept_numpy_and_huge_integer_seeds(nesterov_records):
+    plain = monte_carlo(NesterovExample(), 0.09, 20, seed=5, records=nesterov_records)
+    numpy = monte_carlo(NesterovExample(), 0.09, 20, seed=np.int64(5), records=nesterov_records)
+    assert np.array_equal(plain.trial_x0, numpy.trial_x0)
+    huge = monte_carlo(NesterovExample(), 0.09, 20, seed=2**70, records=nesterov_records)
+    assert huge.saddle_hits == 0
+
+
+def test_monte_carlo_refuses_more_trials_than_an_array_holds(nesterov_records):
+    # refused from the count alone: no array of this size is requested
+    with pytest.raises(ContractViolationError, match="more trials than an array can hold"):
+        monte_carlo(NesterovExample(), 0.09, 2**62, seed=0, records=nesterov_records)
 
 
 def test_monte_carlo_report_serialization(tmp_path, nesterov_records):
