@@ -324,8 +324,10 @@ def test_every_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(
 
 def test_samplers_accept_numpy_and_huge_integer_seeds(nesterov_records):
     plain = monte_carlo(NesterovExample(), 0.09, 20, seed=5, records=nesterov_records)
-    numpy = monte_carlo(NesterovExample(), 0.09, 20, seed=np.int64(5), records=nesterov_records)
-    assert np.array_equal(plain.trial_x0, numpy.trial_x0)
+    as_numpy = monte_carlo(
+        NesterovExample(), 0.09, 20, seed=np.int64(5), records=nesterov_records
+    )
+    assert np.array_equal(plain.trial_x0, as_numpy.trial_x0)
     huge = monte_carlo(NesterovExample(), 0.09, 20, seed=2**70, records=nesterov_records)
     assert huge.saddle_hits == 0
 
