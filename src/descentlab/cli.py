@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .critical import find_critical_points, sample_local_stable_set
-from .engine import GradientMap, StopPolicy, alpha_from_theta, run
+from .engine import GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError
 from .experiments import (
     MIN_CHUNK,
@@ -156,7 +156,9 @@ def _resolve_x0(opts, objective: Objective) -> np.ndarray:
 
 
 def _resolve_seed(opts) -> int:
-    return 0 if opts["seed"] is None else opts["seed"]
+    seed = 0 if opts["seed"] is None else opts["seed"]
+    _seeded_rng(seed)  # refuses a bad seed before any work
+    return seed
 
 
 def _out_path(opts, name: str) -> str | None:
@@ -178,8 +180,9 @@ def _labelled_run(opts):
     alpha = _resolve_alpha(opts, objective)
     policy = _resolve_policy(opts)
     x0 = _resolve_x0(opts, objective)
+    seed = _resolve_seed(opts)
     traj = run(GradientMap(objective, alpha), x0, policy)
-    records = find_critical_points(objective, seed=_resolve_seed(opts))
+    records = find_critical_points(objective, seed=seed)
     return objective, alpha, x0, traj, records, assign_basin(traj, records)
 
 
@@ -283,6 +286,7 @@ def cmd_invert(args) -> int:
     opts = _merged(args)
     objective = _resolve_objective(opts)
     alpha = _resolve_alpha(opts, objective)
+    _resolve_seed(opts)  # unused, but refused when bad like every command's
     if opts["y"] is None:
         raise ContractViolationError("--y is required")
     y = opts["y"]
@@ -401,6 +405,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except DescentLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, StopPolicy, StopReason, _seeded_rng, _solve_rows, run_many
+from .engine import (
+    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _row_norms, _solve_rows,
+    _sum_squares, run_many,
+)
 from .errors import ContractViolationError
 from .fileio import atomic_write_columns
 from .jacobi import eigh_jacobi
@@ -94,7 +97,7 @@ def classify(
     """
     x = np.asarray(x, dtype=float)
     grad = objective.gradient(x)
-    grad_norm = float(np.sqrt(np.sum(grad * grad)))
+    grad_norm = float(_row_norms(grad))
     if not np.isfinite(grad_norm) or grad_norm > grad_tol:
         raise ContractViolationError(
             f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {grad_tol:.3e}"
@@ -144,7 +147,7 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters
     active = np.arange(seeds.shape[0])
     x = seeds.copy()
     grad = objective.gradient(x)
-    merit = np.sum(grad * grad, axis=-1)
+    merit = _sum_squares(grad)
     hit_tol = np.zeros(active.size, dtype=bool)
     for _ in range(max_iters):
         hit_tol |= np.sqrt(merit) <= tol
@@ -165,22 +168,11 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters
             pending = np.flatnonzero(~singular | direction.any(axis=-1))
 
         x_new, grad_new, merit_new = x.copy(), grad.copy(), merit.copy()
-        accepted = np.zeros(active.size, dtype=bool)
-        step = np.ones(active.size)
-        for _ in range(40):
-            if not pending.size:
-                break
-            trial = x[pending] - step[pending, None] * direction[pending]
-            trial_grad = objective.gradient(trial)
-            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
-            ok = np.isfinite(trial_merit) & (trial_merit < merit[pending])
-            taken = pending[ok]
-            x_new[taken], grad_new[taken], merit_new[taken] = (
-                trial[ok], trial_grad[ok], trial_merit[ok],
-            )
-            accepted[taken] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
+        accepted = _backtrack(
+            lambda trial, rows: objective.gradient(trial), x, direction, pending, 40,
+            lambda trial_merit, rows, step: trial_merit < merit[rows],
+            (x_new, grad_new, merit_new),
+        )
 
         moved = np.max(np.abs(x_new - x), axis=-1)
         x, grad, merit = x_new, grad_new, merit_new
@@ -217,9 +209,7 @@ def find_critical_points(
     """
     if n_seeds < 1:
         raise ContractViolationError("n_seeds must be at least 1")
-    rng = _seeded_rng(seed)
-    lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
-    seeds = lo + rng.random((n_seeds, objective.dimension)) * (hi - lo)
+    seeds = _box_samples(seed, n_seeds, objective.domain_box)
 
     roots: list[np.ndarray] = []
     n_dropped = 0
@@ -304,18 +294,21 @@ def sample_local_stable_set(
         raise ContractViolationError("grid must be at least 1")
     center = record.location
     spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
+    if not np.isfinite(spacing):
+        raise ContractViolationError(f"radius {radius} is too large to space a grid")
     if radius == 0.0:
         points = center[None, :].copy()
     else:
-        offsets = spacing * (np.arange(grid) - (grid - 1) / 2.0)
-        ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-        candidates = center + np.stack([ox.ravel(), oy.ravel()], axis=1)
-        dist = np.sqrt(np.sum((candidates - center) ** 2, axis=1))
-        points = candidates[dist <= radius * (1.0 + 1e-12)]
+        steps = np.arange(grid) - (grid - 1) / 2.0
+        sx, sy = (s.ravel() for s in np.meshgrid(steps, steps, indexing="ij"))
+        # trimmed in units of the spacing, where the test is exact and
+        # cannot overflow: steps are multiples of 1/2
+        inside = sx * sx + sy * sy <= ((grid - 1) / 2.0) ** 2
+        points = center + spacing * np.stack([sx[inside], sy[inside]], axis=1)
 
     result = run_many(gmap, points, policy or StopPolicy())
     settled = np.array(
-        [reason is StopReason.GRAD_NORM_BELOW_TOL for reason in result.stop_reasons]
+        [reason is StopReason.GRAD_NORM_BELOW_TOL for reason in result.stop_reasons], dtype=bool
     )
     near = np.max(np.abs(result.final_x - center), axis=1) <= tol
     converged = settled & near
@@ -325,7 +318,7 @@ def sample_local_stable_set(
         basis = record.stable_subspace_basis
         rel = points[converged] - center
         residual = rel - (rel @ basis) @ basis.T
-        max_distance = float(np.max(np.sqrt(np.sum(residual * residual, axis=1))))
+        max_distance = float(np.max(_row_norms(residual)))
 
     return StableSetSample(
         center=center.copy(),

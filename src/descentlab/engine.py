@@ -137,20 +137,25 @@ class Trajectory:
         atomic_write_columns(path, header, columns)
 
 
-def _row_norms(x) -> np.ndarray:
-    # Rounds as np.sqrt(np.sum(x * x, axis=-1)) does.  On numpy 2.4 a sum
-    # along a contiguous last axis adds its terms one after another below
-    # 8 terms and pairwise from 8 terms on.  Below 8 the columns are added
-    # in that order here, which avoids the slow short-axis reduction; from
-    # 8 on it is the reduction np.sum dispatches to.  tests/test_engine.py
-    # pins both for d = 1..12, so a numpy that moves the threshold fails it.
+def _sum_squares(x) -> np.ndarray:
+    # The library's one row sum of squares; rounds as np.sum(x * x,
+    # axis=-1) does.  On numpy 2.4 a sum along a contiguous last axis adds
+    # its terms one after another below 8 terms and pairwise from 8 terms
+    # on.  Below 8 the columns are added in that order here, which avoids
+    # the slow short-axis reduction; from 8 on it is the reduction np.sum
+    # dispatches to.  tests/test_engine.py pins both for d = 1..12, so a
+    # numpy that moves the threshold fails it.
     d = x.shape[-1]
     if d >= 8:
-        return np.sqrt(np.add.reduce(x * x, axis=-1))
+        return np.add.reduce(x * x, axis=-1)
     s = x[..., 0] * x[..., 0]
     for j in range(1, d):
         s += x[..., j] * x[..., j]
-    return np.sqrt(s)
+    return s
+
+
+def _row_norms(x) -> np.ndarray:
+    return np.sqrt(_sum_squares(x))
 
 
 def _seeded_rng(seed) -> np.random.Generator:
@@ -163,6 +168,14 @@ def _seeded_rng(seed) -> np.random.Generator:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
     return np.random.default_rng(seed)
+
+
+def _box_samples(seed, n: int, box) -> np.ndarray:
+    # n points uniform on box (rows [lo, hi]), drawn row by row in order
+    # from one stream, so row i does not depend on n or on how the rows
+    # are split afterwards.
+    lo, hi = box[:, 0], box[:, 1]
+    return lo + _seeded_rng(seed).random((n, lo.shape[0])) * (hi - lo)
 
 
 def _solve_rows(mats, rhs):
@@ -185,6 +198,32 @@ def _solve_rows(mats, rhs):
             except np.linalg.LinAlgError:
                 singular[i] = True
         return out, singular
+
+
+def _backtrack(residual, x, direction, rows, tries: int, decrease, out):
+    """The batched Newton solvers' line search along ``-direction`` on ``rows`` of ``x``.
+
+    Each row tries steps s = 1, 1/2, ... (``tries`` at most) and takes the
+    first whose merit ``_sum_squares(residual(trial, rows))`` is finite and
+    passes ``decrease(merit, rows, s)``, writing the trial point, residual
+    and merit into its row of ``out``.  Returns the rows that took a step.
+    """
+    accepted = np.zeros(x.shape[0], dtype=bool)
+    step = np.ones(x.shape[0])
+    for _ in range(tries):
+        if not rows.size:
+            break
+        trial = x[rows] - step[rows, None] * direction[rows]
+        trial_residual = residual(trial, rows)
+        trial_merit = _sum_squares(trial_residual)
+        ok = np.isfinite(trial_merit) & decrease(trial_merit, rows, step[rows])
+        taken = rows[ok]
+        for buffer, values in zip(out, (trial, trial_residual, trial_merit)):
+            buffer[taken] = values[ok]
+        accepted[taken] = True
+        rows = rows[~ok]
+        step[rows] *= 0.5
+    return accepted
 
 
 def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajectory:

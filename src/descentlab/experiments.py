@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +23,8 @@ from .engine import (
     StopPolicy,
     StopReason,
     Trajectory,
-    _seeded_rng,
+    _box_samples,
+    _row_norms,
     run_many,
 )
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     InapplicableError,
     InsufficientDataError,
 )
-from .fileio import atomic_write_columns, atomic_write_csv
+from .fileio import atomic_write_columns
 from .zoo import Objective
 
 LABEL_DIVERGED = "Diverged"
@@ -164,29 +164,20 @@ class MonteCarloReport:
         atomic_write_columns(path, header, columns)
 
     def basins_to_csv(self, path) -> None:
-        header = ["label", "classification", "count"]
-        rows = [
-            [str(i), self.records[i].classification.value, int(self.basin_counts[i])]
-            for i in sorted(self.basin_counts)
+        basins = sorted(self.basin_counts)
+        columns = [
+            [*map(str, basins), LABEL_DIVERGED, LABEL_LEFT_BOX, LABEL_UNRESOLVED],
+            [*(self.records[i].classification.value for i in basins), "", "", ""],
+            [*(int(self.basin_counts[i]) for i in basins),
+             self.diverged, self.left_box, self.unresolved],
         ]
-        rows.append([LABEL_DIVERGED, "", self.diverged])
-        rows.append([LABEL_LEFT_BOX, "", self.left_box])
-        rows.append([LABEL_UNRESOLVED, "", self.unresolved])
-        atomic_write_csv(path, header, rows)
+        atomic_write_columns(path, ["label", "classification", "count"], columns)
 
 
 def _worker_count(n_jobs: int, n_trials: int, cpu_count: int) -> int:
     """Threads for a census: the request, capped by the cores and by
     chunks of at least MIN_CHUNK trials."""
     return min(n_jobs, cpu_count, math.ceil(n_trials / MIN_CHUNK))
-
-
-def _trial_starts(seed: int, n_trials: int, lo, hi) -> np.ndarray:
-    # One stream for the seed, drawn in trial order before the trials are
-    # split: any schedule that runs them, in chunks or threads, steps the
-    # same points.  The draw fills rows in order, so trial t's start does
-    # not depend on n_trials.
-    return lo + _seeded_rng(seed).random((n_trials, lo.shape[0])) * (hi - lo)
 
 
 def monte_carlo(
@@ -230,7 +221,7 @@ def monte_carlo(
         box[:, 1] > objective.domain_box[:, 1]
     ):
         raise ContractViolationError("init_box must lie inside the domain box")
-    x0s = _trial_starts(seed, n_trials, box[:, 0], box[:, 1])
+    x0s = _box_samples(seed, n_trials, box)
     if records is None:
         records = find_critical_points(objective)
     policy = policy or StopPolicy()
@@ -239,6 +230,8 @@ def monte_carlo(
     if workers == 1:
         result = run_many(gmap, x0s, policy)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = np.array_split(np.arange(n_trials), workers)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda c: run_many(gmap, x0s[c], policy), chunks))
@@ -313,8 +306,7 @@ def _fit_window(traj: Trajectory, x_star) -> tuple[np.ndarray, np.ndarray]:
     which would bias a log-space fit.
     """
     x_star = np.asarray(x_star, dtype=float)
-    diff = traj.iterates - x_star
-    distances = np.sqrt(np.sum(diff * diff, axis=-1))
+    distances = _row_norms(traj.iterates - x_star)
     n = distances.shape[0]
     start = n // 5
     ks = np.arange(n)
@@ -475,13 +467,12 @@ def check_lojasiewicz(
         raise ContractViolationError("m must be nonnegative")
     if radius <= 0.0:
         raise ContractViolationError("radius must be positive")
-    rng = _seeded_rng(seed)
     x_star = np.asarray(x_star, dtype=float)
+    cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)))
     f_star = float(objective.value(x_star))
 
-    cube = rng.random((n_samples, x_star.shape[0])) * 2.0 - 1.0
     points = x_star + radius * cube
-    dist = np.sqrt(np.sum((points - x_star) ** 2, axis=-1))
+    dist = _row_norms(points - x_star)
     inside = (dist <= radius) & (dist > 0.0)
 
     values = objective.value(points)
@@ -489,7 +480,7 @@ def check_lojasiewicz(
     used = inside & (gaps > 0.0)
 
     grads = objective.gradient(points)
-    grad_norms = np.sqrt(np.sum(grads * grads, axis=-1))
+    grad_norms = _row_norms(grads)
     lhs = grad_norms[used]
     rhs = m * gaps[used] ** a
     violations = int(np.count_nonzero(lhs < rhs * (1.0 - 1e-10)))
@@ -557,8 +548,7 @@ def path_length_check(
     alpha = traj.alpha if alpha is None else alpha
     f_star = float(traj.f_values[-1]) if f_star is None else float(f_star)
 
-    steps = traj.iterates[1:] - traj.iterates[:-1]
-    step_norms = np.sqrt(np.sum(steps * steps, axis=-1))
+    step_norms = _row_norms(traj.iterates[1:] - traj.iterates[:-1])
     # e[k] = sum of step norms from k onward; reversed cumsum keeps it exact
     tails = np.concatenate([np.cumsum(step_norms[::-1])[::-1], [0.0]])
 
@@ -574,9 +564,7 @@ def path_length_check(
 
     if x_star is not None and radius is not None:
         x_star = np.asarray(x_star, dtype=float)
-        diff = traj.iterates[usable] - x_star
-        how_far = np.sqrt(np.sum(diff * diff, axis=-1))
-        if float(np.max(how_far)) > radius:
+        if float(np.max(_row_norms(traj.iterates[usable] - x_star))) > radius:
             raise InapplicableError(
                 "checked window leaves the certified neighborhood; the "
                 "path-length bound only holds where the gradient "

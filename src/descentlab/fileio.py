@@ -55,16 +55,6 @@ def atomic_write_columns(path, header, columns) -> None:
         handle.writelines(_csv_blocks(header, columns))
 
 
-def atomic_write_csv(path, header, rows) -> None:
-    """Write a small table given row by row; see ``format_csv``."""
-    atomic_write_text(path, format_csv(header, rows))
-
-
-def format_csv(header, rows) -> str:
-    """CSV text of a table given row by row, cells as in ``atomic_write_columns``."""
-    return "".join(_csv_blocks(header, list(zip(*rows, strict=True)) or [()] * len(header)))
-
-
 def _csv_blocks(header, columns):
     """Yield the header line, then the rows a block at a time, as text."""
     columns = [np.asarray(column) for column in columns]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, _seeded_rng, _solve_rows
+from .engine import GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows, _sum_squares
 from .errors import ContractViolationError, NonConvergenceError
 
 MAX_INNER = 200  # default iteration budget of one inversion
@@ -108,6 +108,9 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     best_residual = np.full(n, np.inf)
     failed = np.zeros(n, dtype=bool)
 
+    def residual(trial, rows):
+        return gmap.step(trial) - y[rows]
+
     # The decrease check runs on the squared residual, not the subproblem
     # value: near the solution the value's per-step decrease underflows
     # against its O(1) magnitude, while the residual stays resolvable all
@@ -117,7 +120,7 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     active = np.arange(n)
     x, y = starts, ys
     grad = gmap.step(x) - y
-    merit = np.sum(grad * grad, axis=-1)
+    merit = _sum_squares(grad)
     for iteration in range(max_inner):
         grad_norm = np.sqrt(merit)
         best = best_residual[active]
@@ -136,42 +139,23 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
         hess = identity - alpha * obj.hessian(x)
         direction, singular = _solve_rows(hess, grad)
         pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
-        x_new, grad_new, merit_new = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
-        accepted = np.zeros(active.size, dtype=bool)
-        step = np.ones(active.size)
-        for _ in range(30):
-            if not pending.size:
-                break
-            trial = x[pending] - step[pending, None] * direction[pending]
-            trial_grad = gmap.step(trial) - y[pending]
-            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
-            ok = np.isfinite(trial_merit) & (
-                trial_merit <= merit[pending] * (1.0 - 1e-4 * step[pending])
-            )
-            taken = pending[ok]
-            x_new[taken], grad_new[taken], merit_new[taken] = (
-                trial[ok], trial_grad[ok], trial_merit[ok],
-            )
-            accepted[taken] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
-
+        out = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
+        accepted = _backtrack(
+            residual, x, direction, pending, 30,
+            lambda trial_merit, rows, step: trial_merit <= merit[rows] * (1.0 - 1e-4 * step),
+            out,
+        )
         rest = np.flatnonzero(~accepted)
-        stuck = np.zeros(active.size, dtype=bool)
         if rest.size:
-            trial = x[rest] - fallback_step * grad[rest]
-            trial_grad = gmap.step(trial) - y[rest]
-            trial_merit = np.sum(trial_grad * trial_grad, axis=-1)
-            ok = np.isfinite(trial_merit)
-            taken = rest[ok]
-            x_new[taken], grad_new[taken], merit_new[taken] = (
-                trial[ok], trial_grad[ok], trial_merit[ok],
+            # one plain gradient step, taken whenever its merit is finite
+            accepted |= _backtrack(
+                residual, x, fallback_step * grad, rest, 1,
+                lambda trial_merit, rows, step: True, out,
             )
-            stuck[rest[~ok]] = True
-        x, grad, merit = x_new, grad_new, merit_new
-        if stuck.any():
-            failed[active[stuck]] = True
-            keep = ~stuck
+        x, grad, merit = out
+        if not accepted.all():
+            failed[active[~accepted]] = True
+            keep = accepted
             active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
             if not active.size:
                 break
@@ -219,14 +203,11 @@ def injectivity_margin_check(
     if n_pairs < 1:
         raise ContractViolationError("n_pairs must be at least 1")
     obj = gmap.objective
-    rng = _seeded_rng(seed)
-    lo, hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
-    xs = lo + rng.random((n_pairs, obj.dimension)) * (hi - lo)
-    ys = lo + rng.random((n_pairs, obj.dimension)) * (hi - lo)
+    xs, ys = np.split(_box_samples(seed, 2 * n_pairs, obj.domain_box), 2)
 
-    sep = np.sqrt(np.sum((xs - ys) ** 2, axis=-1))
+    sep = _row_norms(xs - ys)
     keep = sep > 0.0
-    mapped = np.sqrt(np.sum((gmap.step(xs) - gmap.step(ys)) ** 2, axis=-1))
+    mapped = _row_norms(gmap.step(xs) - gmap.step(ys))
     ratios = mapped[keep] / sep[keep]
 
     threshold = (1.0 - gmap.alpha * obj.lipschitz_bound()) - 1e-9
@@ -271,22 +252,14 @@ def roundtrip_check(
     """
     if n_samples < 1:
         raise ContractViolationError("n_samples must be at least 1")
-    obj = gmap.objective
-    rng = _seeded_rng(seed)
-    lo, hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
-    xs = lo + rng.random((n_samples, obj.dimension)) * (hi - lo)
-
+    xs = _box_samples(seed, n_samples, gmap.objective.domain_box)
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):
         raise ContractViolationError("y must be finite")
     solutions = _invert_batch(gmap, ys, ys, tol, MAX_INNER)[0]
     return RoundTripReport(
         n_samples=n_samples,
-        max_forward_residual=_max_row_norm(gmap.step(solutions) - ys),
-        max_backward_residual=_max_row_norm(solutions - xs),
+        max_forward_residual=float(np.max(_row_norms(gmap.step(solutions) - ys))),
+        max_backward_residual=float(np.max(_row_norms(solutions - xs))),
         tol=tol,
     )
-
-
-def _max_row_norm(a) -> float:
-    return float(np.max(np.sqrt(np.sum(a * a, axis=-1))))

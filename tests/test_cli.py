@@ -367,14 +367,19 @@ def test_vector_config_values_may_be_lists_or_strings(tmp_path, capsys):
     assert capsys.readouterr().out == "saddle_hits: 0\n"
 
 
-@pytest.mark.parametrize("sub", ["montecarlo", "classify", "stable-set", "run"])
+@pytest.mark.parametrize("sub", ["montecarlo", "classify", "stable-set", "run", "rates", "invert"])
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_a_negative_seed_exits_2_with_one_line(tmp_path, capsys, sub, source):
+def test_a_negative_seed_exits_2_with_one_line(tmp_path, capsys, monkeypatch, sub, source):
+    import descentlab.cli
     from descentlab.cli import main
 
+    def no_descent(*args, **kwargs):
+        raise AssertionError("a descent ran before the seed was refused")
+
+    monkeypatch.setattr(descentlab.cli, "run", no_descent)
     out = tmp_path / "out"
     argv = [sub, "--objective", "nesterov", "--out", str(out)]
-    argv += ["--trials", "20"] if sub == "montecarlo" else []
+    argv += {"montecarlo": ["--trials", "20"], "invert": ["--y", "0.5,0.5"]}.get(sub, [])
     if source == "flag":
         argv += ["--seed", "-1"]
     else:
@@ -399,3 +404,19 @@ def test_a_flag_of_the_wrong_type_is_one_line_of_usage_error(capsys):
     assert captured.err == (
         "descentlab montecarlo: error: argument --seed: invalid int value: 'x'\n"
     )
+
+
+def test_a_census_too_large_for_memory_is_one_line_and_exit_1():
+    import resource
+
+    def limit_memory():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        CMD + ["montecarlo", "--objective", "nesterov", "--trials", "1000000000000"],
+        capture_output=True, text=True, timeout=300, preexec_fn=limit_memory,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory: ")
+    assert proc.stderr.count("\n") == 1

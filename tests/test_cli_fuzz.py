@@ -1,11 +1,14 @@
-"""Generated flag and config values for ``montecarlo`` and ``run``.
+"""Generated flag and config values for every subcommand.
 
 Whatever the values, a command ends with exit 0, 1 or 2, at most one
 line on stderr and no warning: bad input is refused with a one-line
-message, never with a traceback.  ``cli.main`` runs in-process.  Valid
-trial counts stay at 50 or below and valid iteration caps at 200 or
-below (or huge, where the tolerance stops every run first), so the
-examples run in a few seconds.
+message, never with a traceback.  Valid input is never refused (exit 2);
+``invert`` and ``rates`` may end with exit 1 and one line on valid input
+(no convergence, no basin reached), the other commands end with exit 0
+and nothing on stderr.  ``cli.main`` runs in-process.  Valid trial counts
+stay at 50 or below, iteration caps at 200 or below (or huge, where the
+tolerance stops every run first) and stable-set grids at 9 or below, so
+the examples run in a few seconds.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import os
 import tempfile
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +37,10 @@ VALID = {
     "tol": st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e300, 10**30, float("inf")])),
     "max_iters": st.one_of(st.integers(0, 200), st.just(10**30)),
     "x0": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    "y": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
+    "radius": st.floats(0.0, 0.5),
+    "grid": st.integers(1, 9),
+    "index": st.just(1),  # nesterov's strict saddle, between its two minima
 }
 # Invalid values: negative, boolean, string or NaN; no trials or threads;
 # trial counts far past what an array of starts can hold; malformed points.
@@ -51,12 +59,28 @@ INVALID = {
         st.floats(-2.0, 2.0),
         WORDS,
     ),
+    # too wide for the domain box, or no grid at all
+    "radius": st.one_of(SCALAR_INVALID, st.sampled_from([5.0, 1e300, float("inf")])),
+    "grid": st.one_of(SCALAR_INVALID, st.just(0)),
+    # a minimum, past the records, or not an index
+    "index": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2, 3, 10**30])),
 }
+INVALID["y"] = INVALID["x0"]
 
+# The options each command reads.  A command draws these and the
+# options of ``montecarlo`` and ``run``; a drawn value that is not one of
+# its flags goes to the config, which checks it too.
 FLAGS = {
     "montecarlo": {"seed", "trials", "n_jobs", "tol", "max_iters"},
     "run": {"seed", "tol", "max_iters", "x0"},
+    "classify": {"seed"},
+    "stable-set": {"seed", "tol", "max_iters", "radius", "grid", "index"},
+    "invert": {"seed", "tol", "y"},
+    "rates": {"seed", "tol", "max_iters", "x0"},
 }
+# Exit codes of valid input; exit 1 comes with one line on stderr.
+VALID_CODES = {"invert": (0, 1), "rates": (0, 1)}
+SHARED = FLAGS["montecarlo"] | FLAGS["run"]
 ROUTES = st.sampled_from(["flag", "config"])
 
 
@@ -96,9 +120,12 @@ def _cases(command):
     """``(bad, options)``: options for ``command``, each routed to a flag or
     the config, all valid except key ``bad`` (None for none).
 
-    ``montecarlo`` always gets a trial count, which it requires.
+    ``montecarlo`` always gets a trial count and ``invert`` a target
+    point, which they require.
     """
-    required = {"trials"} if command == "montecarlo" else set()
+    required = {"montecarlo": {"trials"}, "invert": {"y"}}.get(command, set())
+
+    keys = SHARED | FLAGS[command]
 
     def options(bad):
         values = {**VALID, bad: INVALID[bad]} if bad else VALID
@@ -106,10 +133,10 @@ def _cases(command):
         return st.tuples(st.just(bad), st.fixed_dictionaries(
             {key: st.tuples(values[key], ROUTES) for key in present},
             optional={key: st.tuples(values[key], ROUTES)
-                      for key in values if key not in present},
+                      for key in keys if key not in present},
         ))
 
-    return st.sampled_from([None, *VALID]).flatmap(options)
+    return st.sampled_from([None, *sorted(keys)]).flatmap(options)
 
 
 def _check(command, case):
@@ -117,7 +144,8 @@ def _check(command, case):
     code, err, caught = _invoke(command, options)
     assert not caught, [str(w.message) for w in caught]
     if bad is None:
-        assert (code, err) == (0, [])
+        assert code in VALID_CODES.get(command, (0,)), (code, err)
+        assert len(err) == code, err
     else:
         assert code in (0, 1, 2), (code, err)
         assert len(err) <= 1, err
@@ -139,3 +167,10 @@ def test_montecarlo_ends_in_an_exit_code_and_one_line(case):
 @given(case=_cases("run"))
 def test_run_ends_in_an_exit_code_and_one_line(case):
     _check("run", case)
+
+
+@pytest.mark.parametrize("command", ["classify", "stable-set", "invert", "rates"])
+@FUZZ
+@given(data=st.data())
+def test_command_ends_in_an_exit_code_and_one_line(command, data):
+    _check(command, data.draw(_cases(command)))

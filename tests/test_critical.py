@@ -311,6 +311,26 @@ def test_stable_set_sample_radius_zero_is_the_saddle_itself():
     assert sample.max_subspace_distance == 0.0
 
 
+def test_stable_set_sample_of_an_empty_trimmed_grid_is_empty():
+    # the four points of a 2 x 2 grid all lie outside the ball
+    obj = NesterovExample()
+    rec = classify(obj, np.array([0.0, 0.0]))
+    sample = sample_local_stable_set(GradientMap(obj, 0.09), rec, radius=0.5, grid=2)
+    assert sample.points.shape == (0, 2)
+    assert sample.converged.dtype == bool and sample.converged.shape == (0,)
+    assert sample.max_subspace_distance == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_stable_set_grid_of_a_huge_radius_is_trimmed_without_overflow():
+    # squared offsets near 1e300 overflow, which once trimmed every point
+    # but the center; trimmed exactly, the grid leaves the domain box
+    obj = NesterovExample()
+    rec = classify(obj, np.array([0.0, 0.0]))
+    with pytest.raises(ContractViolationError, match="outside domain_box"):
+        sample_local_stable_set(GradientMap(obj, 0.09), rec, radius=1e300, grid=3)
+
+
 def test_stable_set_sample_on_exact_linear_dynamics():
     obj = DiagonalQuadratic([1.0, -1.0])
     gmap = GradientMap(obj, 0.5)
@@ -333,6 +353,10 @@ def test_stable_set_sampling_rejects_bad_inputs():
         sample_local_stable_set(gmap, saddle, radius=-0.1)
     with pytest.raises(ContractViolationError):
         sample_local_stable_set(gmap, saddle, radius=0.5, grid=0)
+    # a spacing that overflows would fill the grid with inf and NaN
+    for radius in (np.inf, 1.5e308):
+        with pytest.raises(ContractViolationError, match="too large"):
+            sample_local_stable_set(gmap, saddle, radius=radius, grid=3)
     obj3 = DiagonalQuadratic([1.0, -1.0, 1.0])
     rec3 = classify(obj3, np.zeros(3))
     with pytest.raises(ContractViolationError):

@@ -22,7 +22,7 @@ from descentlab import (
     run,
     run_many,
 )
-from descentlab.engine import _HISTORY_ROWS, _row_norms
+from descentlab.engine import _HISTORY_ROWS, _row_norms, _sum_squares
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -262,20 +262,32 @@ def test_run_many_matches_single_runs_bitwise_in_high_dimension():
     assert reasons == {StopReason.GRAD_NORM_BELOW_TOL, StopReason.DIVERGED}
 
 
+ROUNDINGS = {
+    "": (_row_norms, lambda x: np.sqrt(np.sum(x * x, axis=-1))),
+    # a square root can map two sums to one norm, so the sums are pinned too
+    "sums-": (_sum_squares, lambda x: np.sum(x * x, axis=-1)),
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("d", range(1, 13))
-def test_row_norms_round_as_np_sum(d):
-    # below 8 columns _row_norms adds them one by one, which matches np.sum
-    # only while numpy adds a short last axis sequentially; a numpy that
-    # adds pairwise from fewer terms fails here
+@pytest.mark.parametrize(
+    "kind, d", [(kind, d) for kind in ROUNDINGS for d in range(1, 13)],
+    ids=[f"{kind}{d}" for kind in ROUNDINGS for d in range(1, 13)],
+)
+def test_row_norms_round_as_np_sum(kind, d):
+    # below 8 columns _sum_squares adds them one by one, which matches
+    # np.sum only while numpy adds a short last axis sequentially; a numpy
+    # that adds pairwise from fewer terms fails here
+    reduce, reference = ROUNDINGS[kind]
     rng = np.random.default_rng(d)
     x = rng.standard_normal((4000, d)) * np.exp(rng.uniform(-30.0, 30.0, (4000, d)))
     specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, np.nan, 1.0])
     x[:500] = rng.choice(specials, (500, d))
     x[500] = np.resize(specials, d)  # one row of every special value
-    for batch in (x, x[:1], x[500:501], x[-1:]):
-        got = _row_norms(batch)
-        want = np.sqrt(np.sum(batch * batch, axis=-1))
+    for batch in (x, x[:1], x[500:501], x[-1:], x[0], x[500], x[-1]):
+        got = np.asarray(reduce(batch))
+        want = np.asarray(reference(batch))
+        assert got.shape == want.shape
         differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
         assert differ.size == 0, f"d={d}: {differ.size} rows round unlike np.sum"
 

@@ -1,7 +1,6 @@
 """Atomic writers and CSV cell formatting."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -9,10 +8,8 @@ import pytest
 from descentlab.fileio import (
     CSV_BLOCK_ROWS,
     atomic_write_columns,
-    atomic_write_csv,
     atomic_write_json,
     atomic_write_text,
-    format_csv,
 )
 
 
@@ -39,28 +36,31 @@ def test_atomic_json_round_trips(tmp_path):
     assert path.read_text().endswith("\n")
 
 
-def test_format_csv_cells():
-    text = format_csv(
-        ["k", "x", "flag", "name"],
-        [[0, 0.1, True, "a"], [1, np.float64(0.25), False, "b"]],
+def test_csv_cells_follow_the_column_dtype(tmp_path):
+    path = tmp_path / "table.csv"
+    atomic_write_columns(
+        path, ["k", "x", "flag", "name"],
+        [[0, 1], [0.1, np.float64(0.25)], [True, False], ["a", "b"]],
     )
+    text = path.read_text()
     assert text == "k,x,flag,name\n0,0.1,1,a\n1,0.25,0,b\n"
     # numpy wrappers must not leak into cells
     assert "np.float64" not in text
 
 
-def test_float_cells_round_trip_exactly():
+def test_float_cells_round_trip_exactly(tmp_path):
     values = [0.1, 1.0 / 3.0, 1e-300, np.float64(np.pi)]
-    text = format_csv(["v"], [[v] for v in values])
-    parsed = [float(line) for line in text.strip().splitlines()[1:]]
+    path = tmp_path / "table.csv"
+    atomic_write_columns(path, ["v"], [values])
+    parsed = [float(line) for line in path.read_text().strip().splitlines()[1:]]
     assert parsed == [float(v) for v in values]
 
 
-def test_atomic_csv_writes_file(tmp_path):
+def test_atomic_columns_write_file(tmp_path):
     path = tmp_path / "table.csv"
-    atomic_write_csv(path, ["a", "b"], [[1, 2], [3, 4]])
+    atomic_write_columns(path, ["a", "b"], [[1, 3], [2, 4]])
     assert path.read_text() == "a,b\n1,2\n3,4\n"
-    assert os.path.exists(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 def test_columns_stream_across_blocks_like_rows(tmp_path):
@@ -80,6 +80,4 @@ def test_mismatched_columns_raise_and_leave_no_file(tmp_path):
     path = tmp_path / "table.csv"
     with pytest.raises(ValueError):
         atomic_write_columns(path, ["a", "b"], [np.arange(3), np.arange(4)])
-    with pytest.raises(ValueError):
-        atomic_write_csv(path, ["a", "b"], [[1, 2], [3]])
     assert list(tmp_path.iterdir()) == []
