@@ -292,6 +292,8 @@ def sample_local_stable_set(
         raise ContractViolationError("radius must be nonnegative")
     if grid < 1:
         raise ContractViolationError("grid must be at least 1")
+    if int(grid) ** 2 > np.iinfo(np.intp).max // (8 * record.dimension):
+        raise ContractViolationError(f"grid = {grid} has more points than an array can hold")
     center = record.location
     spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     if not np.isfinite(spacing):

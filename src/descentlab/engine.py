@@ -13,7 +13,13 @@ One private stepping loop, ``_descend``, applies g and the stop rule to a
 batch of starting points.  ``run_many`` is that loop on a batch (used by
 the Monte Carlo driver, where only final states matter); ``run`` is the
 same loop on a one-row batch that also records every iterate, so a row of
-``run_many`` and a ``run`` from the same start agree bit for bit.
+``run_many`` and a ``run`` from the same start agree bit for bit.  The
+stop rule only watches the orbit x_{k+1} = g(x_k) and never changes it,
+so the loop takes a block of steps, calling only the gradient, and then
+settles the rule for every iterate of the block at once; each row stops
+at its first stopping iterate and the steps it took past it are thrown
+away.  Blocks are one step wide on a large batch (a census settles after
+every step) and grow to 64 steps on a single run.
 ``closed_form_quadratic`` is the independent oracle for diagonal
 quadratics, where the k-th iterate is (1 - alpha*lambda_i)^k x0_i
 componentwise.
@@ -51,6 +57,9 @@ class StopPolicy:
     max_iters: int = 100_000
 
     def __post_init__(self):
+        # the stepping loop sizes its blocks by the iterations left
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ContractViolationError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.tol < 0 or self.divergence_radius <= 0 or self.max_iters < 0:
             raise ContractViolationError("StopPolicy fields out of range")
 
@@ -297,6 +306,20 @@ _BOUND_SLACK = 1e-9
 # Entries below this magnitude cannot overflow the squares of a row norm.
 _NORM_SAFE = 1e150
 _HISTORY_ROWS = 256  # rows of a fresh history buffer; a full one doubles
+# Iterates of all active rows that one block holds, at most: a block of
+# steps on m rows is at most _BLOCK_ROWS // m steps wide (and at least 1).
+_BLOCK_ROWS = 64
+
+
+def _block_width(width: int, rows: int) -> int:
+    """Steps in the block after one of ``width`` steps, with ``rows`` rows active.
+
+    Widths double from 1 up to ``_BLOCK_ROWS // rows``, so a block holds
+    no more than ``_BLOCK_ROWS`` iterates of a batch of up to that many
+    rows, a larger batch settles after every step, and a run steps at
+    most about twice as far as it gets before the rule stops it.
+    """
+    return max(1, min(2 * width, _BLOCK_ROWS // rows))
 
 
 def _columns_within(x, lo, hi) -> bool:
@@ -312,14 +335,32 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     """The stepping loop of ``run`` and ``run_many``, on a validated (n, d) batch.
 
     Returns ``(BatchResult, history)``.  Rows are stepped with elementwise
-    arithmetic, so no row's results depend on the rest of the batch.  Per
-    iteration, the divergence and box tests are first settled for the
-    whole batch from per-column minima and maxima of the iterates, and
-    fall back to the exact per-row tests only when that cannot decide.
-    With ``history`` set, ``x0s`` holds one row and ``history`` has one
-    row ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small
-    and doubles when full, so nothing is sized by ``policy.max_iters``.
-    Otherwise ``history`` is None.
+    arithmetic, so no row's results depend on the rest of the batch.
+
+    The loop steps a block of b iterates of every active row, calling
+    only ``_gradient`` and the step, and then settles the stop rule for
+    the whole block at once: one call each gives f, the gradient norms,
+    the finiteness screen and the tolerance, divergence, cap and box
+    tests of all b x m iterates.  Each row stops at its first stopping
+    iterate, in the precedence order of ``_STOP_CODE_REASONS``; the steps
+    it took past that iterate are thrown away.  The stop rule only
+    watches the orbit, so this changes no iterate, value or norm.  A
+    non-finite value or gradient raises at the first iterate where a row
+    still running shows one (the lowest trial first), as a loop that
+    settled every step would.  The width b comes from the active row
+    count m (``_block_width``): widths double from 1 up to 64 // m, so b
+    is 1 on a census batch and reaches 64 on a single row, and no block
+    reaches past the iteration cap.
+
+    The divergence and box tests are first settled for the whole block
+    from per-column minima and maxima of the iterates, and fall back to
+    the exact per-row tests only when that cannot decide.  With
+    ``history`` set, ``x0s`` holds one row and ``history`` has one row
+    ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small and
+    doubles when full, so nothing is sized by ``policy.max_iters``.
+    Otherwise ``history`` is None.  Overflow in the arithmetic is not
+    reported as a numpy warning: the finiteness screen turns it into a
+    ``NumericalFailureError``.
     """
     obj = gmap.objective
     value, gradient, alpha = obj._value, obj._gradient, gmap.alpha
@@ -345,57 +386,94 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     x = x0s
     active = np.arange(n)
     k = 0
-    while active.size:
-        f = value(x)
-        g = gradient(x)
-        gn = _row_norms(g)
-        # A finite norm implies a finite gradient, so this flags every
-        # non-finite row; an overflowed norm flags a finite one too, which
-        # the exact test below lets through.
-        suspect = ~(np.isfinite(f) & np.isfinite(gn))
-        if history:
-            if k == len(hist):
-                hist = np.concatenate([hist, np.empty_like(hist)])
-            hist[k, :d], hist[k, d], hist[k, d + 1] = x[0], f[0], gn[0]
-        tol_hit = gn <= tol
-        flagged = tol_hit | suspect
+    width = 0
+    with np.errstate(all="ignore"):
+        while active.size:
+            m = active.size
+            width = _block_width(width, m)
+            b = min(width, max_iters - k + 1)  # the block ends at the cap
+            # Iterates k .. k + b - 1 of every row in xs, their gradients
+            # in gs, and the start of the next block in x_next.
+            if b == 1:
+                g = gradient(x)
+                xs, gs, x_next = x[None], g[None], x - alpha * g
+            else:
+                xs = np.empty((b + 1, m, d))
+                gs = np.empty((b, m, d))
+                xs[0] = x
+                steps = list(xs)
+                for x_j, g_j, x_after in zip(steps, gs, steps[1:]):
+                    g = g_j[...] = gradient(x_j)
+                    np.subtract(x_j, alpha * g, out=x_after)
+                x_next = steps[b]
+                xs = xs[:b]
 
-        div_hit = box_exit = np.False_
-        in_box = check_box and _columns_within(x, box_lo, box_hi)
-        if not ((in_box and box_in_cube) or _columns_within(x, lo, hi)):
-            div_hit = _row_norms(x) >= radius
-            flagged |= div_hit
-        if check_box and not in_box:
-            box_exit = ~obj.contains(x)
-            flagged |= box_exit
-        capped = k == max_iters
+            flat = xs.reshape(-1, d)
+            f = value(flat).reshape(b, m)
+            gn = _row_norms(gs)
+            # A finite norm implies a finite gradient, so this flags every
+            # non-finite iterate; an overflowed norm flags a finite one
+            # too, which the exact test below lets through.
+            suspect = ~(np.isfinite(f) & np.isfinite(gn))
+            if history:
+                while k + b > len(hist):
+                    hist = np.concatenate([hist, np.empty_like(hist)])
+                span = hist[k:k + b]
+                span[:, :d], span[:, d], span[:, d + 1] = xs[:, 0], f[:, 0], gn[:, 0]
+            tol_hit = gn <= tol
+            flagged = tol_hit | suspect
 
-        if capped or flagged.any():
-            if suspect.any():
-                bad = ~(np.isfinite(f) & np.isfinite(g).all(axis=-1))
-                if bad.any():
-                    trial = "" if history else f" (trial {int(active[np.argmax(bad)])})"
-                    raise NumericalFailureError(
-                        f"non-finite value or gradient at iterate {k}{trial}", k
-                    )
-            code = np.select([tol_hit, div_hit, capped, box_exit], _STOP_CODES, _RUNNING)
-            done = code != _RUNNING
-            idx = active[done]
-            final_x[idx] = x[done]
-            final_f[idx] = f[done]
-            final_gn[idx] = gn[done]
-            iterations[idx] = k
-            codes[idx] = code[done]
-            keep = ~done
-            active = active[keep]
-            x = x[keep] - alpha * g[keep]
-        else:
-            x = x - alpha * g
-        k += 1
+            div_hit = box_exit = np.False_
+            in_box = check_box and _columns_within(flat, box_lo, box_hi)
+            if not ((in_box and box_in_cube) or _columns_within(flat, lo, hi)):
+                div_hit = _row_norms(xs) >= radius
+                flagged |= div_hit
+            if check_box and not in_box:
+                box_exit = ~obj.contains(xs)
+                flagged |= box_exit
+            capped = k + b - 1 == max_iters
+
+            if capped or flagged.any():
+                if capped and b > 1:
+                    capped = np.arange(k, k + b)[:, None] == max_iters
+                code = np.select([tol_hit, div_hit, capped, box_exit], _STOP_CODES, _RUNNING)
+                done = code != _RUNNING
+                if suspect.any():
+                    bad = ~(np.isfinite(f) & np.isfinite(gs).all(axis=-1))
+                    # a row is not checked past the iterate it stops at
+                    bad[1:] &= ~np.logical_or.accumulate(done[:-1], axis=0)
+                    if bad.any():
+                        # the first bad iterate, then the lowest trial
+                        j, r = divmod(int(np.argmax(bad)), m)
+                        trial = "" if history else f" (trial {int(active[r])})"
+                        raise NumericalFailureError(
+                            f"non-finite value or gradient at iterate {k + j}{trial}", k + j
+                        )
+                if b == 1:
+                    # plain masks on the one iterate: the census path
+                    stopped, at = done[0], 0
+                    xs, f, gn, code = xs[0], f[0], gn[0], code[0]
+                    sel = stopped
+                else:
+                    stopped = done.any(axis=0)
+                    at = done.argmax(axis=0)[stopped]
+                    sel = (at, stopped)
+                idx = active[stopped]
+                final_x[idx] = xs[sel]
+                final_f[idx] = f[sel]
+                final_gn[idx] = gn[sel]
+                iterations[idx] = k + at
+                codes[idx] = code[sel]
+                keep = ~stopped
+                active = active[keep]
+                x = x_next[keep]
+            else:
+                x = x_next
+            k += b
 
     reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()
     result = BatchResult(final_x, final_f, final_gn, iterations, reasons)
-    return result, (hist[:k] if history else None)
+    return result, (hist[:iterations[0] + 1] if history else None)
 
 
 def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:

@@ -8,7 +8,9 @@ message, never with a traceback.  Valid input is never refused (exit 2);
 and nothing on stderr.  ``cli.main`` runs in-process.  Valid trial counts
 stay at 50 or below, iteration caps at 200 or below (or huge, where the
 tolerance stops every run first) and stable-set grids at 9 or below, so
-the examples run in a few seconds.
+the examples run in a few seconds.  Far starts and radii (up to 1e300)
+on diagonal quadratics, whose certificate is global, overflow in the
+stepping loop and end with exit 1 and one line, again without a warning.
 """
 
 import contextlib
@@ -61,7 +63,8 @@ INVALID = {
     ),
     # too wide for the domain box, or no grid at all
     "radius": st.one_of(SCALAR_INVALID, st.sampled_from([5.0, 1e300, float("inf")])),
-    "grid": st.one_of(SCALAR_INVALID, st.just(0)),
+    # or more grid points than an array can hold
+    "grid": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2**40, 10**30])),
     # a minimum, past the records, or not an index
     "index": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2, 3, 10**30])),
 }
@@ -90,9 +93,9 @@ def _flag_text(value) -> str:
     return str(value)
 
 
-def _invoke(command, options):
+def _invoke(command, options, objective="nesterov"):
     """Run the command in-process; return (exit code, stderr lines, warnings)."""
-    argv = [command, "--objective", "nesterov"]
+    argv = [command, "--objective", objective]
     config = {}
     for key, (value, route) in options.items():
         if route == "flag" and key in FLAGS[command]:
@@ -174,3 +177,43 @@ def test_run_ends_in_an_exit_code_and_one_line(case):
 @given(data=st.data())
 def test_command_ends_in_an_exit_code_and_one_line(command, data):
     _check(command, data.draw(_cases(command)))
+
+
+# Far out on a quadratic, f and the row norms overflow: the command ends
+# with exit 0 (the run diverged or converged) or exit 1 and one line (a
+# non-finite value), never with a warning.
+CURVATURES = st.sampled_from([0.25, 0.5, 1.0, 2.0])
+FAR = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]),
+              st.floats(-300.0, 300.0)),
+)
+
+
+def _check_far(command, objective, options):
+    code, err, caught = _invoke(command, options, objective)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1), (code, err)
+    assert len(err) == code, err
+
+
+@FUZZ
+@example(lambdas=[1.0, -1.0], x0=[1e300, 0.0])
+@given(lambdas=st.lists(st.tuples(st.sampled_from([1.0, -1.0]), CURVATURES).map(
+           lambda pair: pair[0] * pair[1]), min_size=1, max_size=3),
+       x0=st.lists(FAR, min_size=3, max_size=3))
+def test_a_far_start_on_a_quadratic_warns_of_nothing(lambdas, x0):
+    objective = f"diagonal_quadratic:{json.dumps(lambdas)}"
+    options = {"x0": (x0[:len(lambdas)], "flag"), "max_iters": (3000, "flag")}
+    _check_far("run", objective, options)
+
+
+@FUZZ
+@example(curvatures=(1.0, 1.0), radius=1e300, grid=41)
+@given(curvatures=st.tuples(CURVATURES, CURVATURES), radius=FAR.map(abs),
+       grid=st.integers(1, 9))
+def test_a_far_stable_set_grid_on_a_quadratic_warns_of_nothing(curvatures, radius, grid):
+    # one stable and one unstable direction: the origin is a strict saddle
+    objective = f"diagonal_quadratic:{json.dumps([curvatures[0], -curvatures[1]])}"
+    options = {"radius": (radius, "flag"), "grid": (grid, "flag"), "max_iters": (3000, "flag")}
+    _check_far("stable-set", objective, options)

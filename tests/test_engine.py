@@ -12,9 +12,11 @@ from descentlab import (
     GradientMap,
     NesterovExample,
     NumericalFailureError,
+    Objective,
     QuarticCopositive,
     StopPolicy,
     StopReason,
+    StronglyConvexQuadratic,
     Trajectory,
     alpha_from_theta,
     closed_form_quadratic,
@@ -22,7 +24,7 @@ from descentlab import (
     run,
     run_many,
 )
-from descentlab.engine import _HISTORY_ROWS, _row_norms, _sum_squares
+from descentlab.engine import _HISTORY_ROWS, _block_width, _row_norms, _sum_squares
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -181,6 +183,9 @@ def test_stop_policy_validation():
         StopPolicy(divergence_radius=0.0)
     with pytest.raises(ContractViolationError):
         StopPolicy(max_iters=-1)
+    for not_an_integer in (2.5, 3.0, True, None):
+        with pytest.raises(ContractViolationError):
+            StopPolicy(max_iters=not_an_integer)
 
 
 def test_run_many_matches_single_runs_bitwise():
@@ -292,7 +297,49 @@ def test_row_norms_round_as_np_sum(kind, d):
         assert differ.size == 0, f"d={d}: {differ.size} rows round unlike np.sum"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def _zoo_member(kind, d, rng):
+    if kind == "diagonal":
+        return DiagonalQuadratic(rng.uniform(-2.0, 2.0, d))
+    if kind == "strongly_convex":
+        return StronglyConvexQuadratic(rng.uniform(0.1, 2.0, d))
+    if kind == "quartic":
+        return QuarticCopositive(rng.standard_normal((d, d)))
+    return NesterovExample()
+
+
+BLOCK_EVALUATIONS = {
+    "value": lambda obj, x: obj._value(x),
+    "gradient": lambda obj, x: obj._gradient(x),
+    "sum_squares": lambda obj, x: _sum_squares(x),
+    "row_norms": lambda obj, x: _row_norms(x),
+}
+ZOO_DIMENSIONS = [(kind, d) for kind in ("diagonal", "strongly_convex", "quartic")
+                  for d in range(1, 13)] + [("nesterov", 2)]
+
+
+@pytest.mark.parametrize("kind, d", ZOO_DIMENSIONS, ids=[f"{k}{d}" for k, d in ZOO_DIMENSIONS])
+def test_a_block_of_iterates_evaluates_each_row_as_one_point(kind, d):
+    # the stepping loop settles a block of b steps on m rows with one call
+    # each on a (b * m, d) batch; each row must get the bits of a (1, d) call
+    rng = np.random.default_rng(100 + d)
+    obj = _zoo_member(kind, d, rng)
+    b, m = 37, 3
+    x = rng.standard_normal((b * m, d)) * np.exp(rng.uniform(-30.0, 30.0, (b * m, d)))
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, np.nan, 1.0])
+    x[:20] = rng.choice(specials, (20, d))
+    with np.errstate(all="ignore"):
+        for name, evaluate in BLOCK_EVALUATIONS.items():
+            want = np.stack([evaluate(obj, x[i:i + 1].copy())[0] for i in range(b * m)])
+            for block in (x, x.reshape(b, m, d)):
+                got = evaluate(obj, block).reshape(want.shape)
+                # a NaN raises in the loop, so only its sign may differ
+                unlike = got.view(np.uint64) != want.view(np.uint64)
+                unlike &= ~(np.isnan(got) & np.isnan(want))
+                differ = np.flatnonzero(unlike.reshape(b * m, -1).any(axis=1))
+                assert differ.size == 0, f"{name} on {block.shape}: rows {differ} differ"
+
+
+@pytest.mark.filterwarnings("error")
 def test_run_many_diverges_where_the_row_norm_overflows():
     # from |x| ~ 1.3e154 on, x * x overflows and the norm reads inf, while
     # f = lambda x^2 / 2 with a tiny lambda stays finite: run stops there
@@ -444,7 +491,7 @@ def test_a_huge_iteration_cap_allocates_nothing_by_the_cap():
     assert peak < 1_000_000
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_non_finite_values_name_the_iterate_and_the_trial():
     # f = -x^2 / 2 overflows to -inf after one step of size 1e200
     gmap = GradientMap(DiagonalQuadratic([-1.0]), 1e200, validate=False)
@@ -478,3 +525,129 @@ def test_trajectory_csv_layout(tmp_path):
     assert first[0] == "0"
     assert float(first[1]) == 0.5
     assert float(first[4]) == traj.grad_norms[0]
+
+
+class _Poisoned(Objective):
+    """``base`` with a NaN value or gradient (``part``) at each row of ``markers``."""
+
+    def __init__(self, base, markers, part):
+        self.base, self.markers, self.part = base, np.atleast_2d(markers), part
+        self.name, self.dimension = base.name, base.dimension
+        self.domain_box, self.lipschitz_global = base.domain_box, base.lipschitz_global
+
+    def lipschitz_bound(self):
+        return self.base.lipschitz_bound()
+
+    def _hit(self, x):
+        return (x[..., None, :] == self.markers).all(axis=-1).any(axis=-1)
+
+    def _value(self, x):
+        f = self.base._value(x)
+        return np.where(self._hit(x), np.nan, f) if self.part == "value" else f
+
+    def _gradient(self, x):
+        g = self.base._gradient(x)
+        return np.where(self._hit(x)[..., None], np.nan, g) if self.part == "gradient" else g
+
+
+def _orbit(obj, alpha, x0, k):
+    """Iterate k of the gradient map from x0, one public step at a time."""
+    gmap = GradientMap(obj, alpha, validate=False)
+    x = np.array(x0, dtype=float)
+    for _ in range(k):
+        x = gmap.step(x)
+    return x
+
+
+def _stopping_at(reason, stop):
+    """``(objective, alpha, policy, x0, other)``: the run from x0 stops for
+    ``reason`` at iterate ``stop``; the run from ``other`` takes longer and
+    never meets an iterate of the first."""
+    if reason is StopReason.GRAD_NORM_BELOW_TOL:  # x_k = 2^-k exactly
+        return DiagonalQuadratic([1.0]), 0.5, StopPolicy(tol=2.0**-stop), [1.0], [3.0]
+    if reason is StopReason.MAX_ITERS:
+        return DiagonalQuadratic([1.0]), 0.5, StopPolicy(tol=0.0, max_iters=stop), [1.0], [3.0]
+    if reason is StopReason.DIVERGED:  # |x_k| grows by 1.5 per step
+        obj = DiagonalQuadratic([-1.0])
+        x = _orbit(obj, 0.5, [1.0], stop)[0]
+        return obj, 0.5, StopPolicy(divergence_radius=float(np.sqrt(x * x))), [1.0], [0.5]
+    # y grows by about 1.5 per step off the saddle and leaves [-y, y] for
+    # y = y_{stop - 1}, near 0.5, where alpha * L = 0.5
+    x0 = [0.0, 0.5 / 1.5 ** (stop - 1)]
+    edge = _orbit(NesterovExample(), 0.5, x0, stop - 1)[1]
+    obj = NesterovExample(domain_box=[[-1.0, 1.0], [-edge, edge]])
+    return obj, 0.5, StopPolicy(tol=0.0), x0, [0.0, x0[1] / 2]
+
+
+def _block_iterates(rows):
+    """Iterates at the first, a middle and the last offset of the loop's
+    blocks on ``rows`` rows: the one-step first block, the 4-step block,
+    and the second block of full width."""
+    blocks, width, start = [], 0, 0
+    while len(blocks) < 2 or blocks[-1][1] != blocks[-2][1]:
+        width = _block_width(width, rows)
+        blocks.append((start, width))
+        start += width
+    chosen = [blocks[0], next(bl for bl in blocks if bl[1] == 4), blocks[-1]]
+    return sorted({k for start, width in chosen
+                   for k in (start, start + width // 2, start + width - 1)})
+
+
+def _first_failure(call):
+    with pytest.raises(NumericalFailureError) as failure:
+        call()
+    return str(failure.value), failure.value.iterate_index
+
+
+# stop iterate and poisoned iterate, relative to the block offset
+SCENARIOS = {
+    "stop": (0, None),
+    "non-finite-before-stop": (3, 0),
+    "non-finite-after-stop": (0, 1),
+    "non-finite-at-stop": (0, 0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("reason", list(StopReason), ids=[r.value for r in StopReason])
+def test_stops_and_failures_at_block_boundaries(reason, scenario):
+    # run steps one row and run_many here two, so their blocks differ;
+    # each is checked at its own boundaries against the single-point
+    # reference and run against run_many, for a value and a gradient
+    stop_shift, poison_shift = SCENARIOS[scenario]
+    for rows in (1, 2):
+        for k in _block_iterates(rows):
+            stop = k + stop_shift
+            if reason is StopReason.LEFT_DOMAIN_BOX and stop == 0:
+                continue  # a start outside the box is refused
+            base, alpha, policy, x0, other = _stopping_at(reason, stop)
+            for part in ("value", "gradient") if poison_shift is not None else ("value",):
+                obj = base
+                if poison_shift is not None:
+                    marker = _orbit(base, alpha, x0, k + poison_shift)
+                    obj = _Poisoned(base, marker, part)
+                gmap = GradientMap(obj, alpha)
+                x0s = np.array([other, x0])
+                if scenario in ("stop", "non-finite-after-stop"):
+                    iterates, f_values, grad_norms, want = _reference_run(gmap, x0, policy)
+                    traj = run(gmap, np.array(x0), policy)
+                    assert (traj.stop_reason, traj.n_steps) == (reason, stop)
+                    assert traj.stop_reason is want
+                    assert np.array_equal(traj.iterates, iterates)
+                    assert np.array_equal(traj.f_values, f_values)
+                    assert np.array_equal(traj.grad_norms, grad_norms)
+                    batch = _assert_rows_match_single_runs(gmap, x0s, policy)
+                    assert batch.iterations[0] > stop or reason is StopReason.MAX_ITERS
+                    continue
+                message, index = _first_failure(lambda: _reference_run(gmap, x0, policy))
+                assert index == k
+                assert _first_failure(lambda: run(gmap, np.array(x0), policy)) == (message, k)
+                failure = _first_failure(lambda: run_many(gmap, x0s, policy))
+                assert failure == (f"{message} (trial 1)", k)
+                # trial 0 turns bad one iterate later, or at the same one
+                for later, trial in ((1, 1), (0, 0)):
+                    both = GradientMap(
+                        _Poisoned(base, [marker, _orbit(base, alpha, other, k + later)], part), alpha)
+                    failure = _first_failure(lambda: run_many(both, x0s, policy))
+                    assert failure == (f"{message} (trial {trial})", k)
