@@ -117,49 +117,52 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     # the way down.  The Newton direction is a descent direction for this
     # merit wherever the solve succeeds (its slope is the squared gradient
     # norm identically), so damping remains meaningful too.
-    active = np.arange(n)
-    x, y = starts, ys
-    grad = gmap.step(x) - y
-    merit = _sum_squares(grad)
-    for iteration in range(max_inner):
-        grad_norm = np.sqrt(merit)
-        best = best_residual[active]
-        best_residual[active] = np.where(grad_norm < best, grad_norm, best)
-        done = grad_norm <= stop_at
-        if done.any():
-            rows = active[done]
-            solutions[rows] = x[done]
-            residuals[rows] = grad_norm[done]
-            iterations[rows] = iteration
-            keep = ~done
-            active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
-            if not active.size:
-                break
+    # A target far outside the image overflows the residual; such a row
+    # fails the finite-merit test and is reported, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        active = np.arange(n)
+        x, y = starts, ys
+        grad = gmap.step(x) - y
+        merit = _sum_squares(grad)
+        for iteration in range(max_inner):
+            grad_norm = np.sqrt(merit)
+            best = best_residual[active]
+            best_residual[active] = np.where(grad_norm < best, grad_norm, best)
+            done = grad_norm <= stop_at
+            if done.any():
+                rows = active[done]
+                solutions[rows] = x[done]
+                residuals[rows] = grad_norm[done]
+                iterations[rows] = iteration
+                keep = ~done
+                active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
+                if not active.size:
+                    break
 
-        hess = identity - alpha * obj.hessian(x)
-        direction, singular = _solve_rows(hess, grad)
-        pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
-        out = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
-        accepted = _backtrack(
-            residual, x, direction, pending, 30,
-            lambda trial_merit, rows, step: trial_merit <= merit[rows] * (1.0 - 1e-4 * step),
-            out,
-        )
-        rest = np.flatnonzero(~accepted)
-        if rest.size:
-            # one plain gradient step, taken whenever its merit is finite
-            accepted |= _backtrack(
-                residual, x, fallback_step * grad, rest, 1,
-                lambda trial_merit, rows, step: True, out,
+            hess = identity - alpha * obj.hessian(x)
+            direction, singular = _solve_rows(hess, grad)
+            pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
+            out = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
+            accepted = _backtrack(
+                residual, x, direction, pending, 30,
+                lambda trial_merit, rows, step: trial_merit <= merit[rows] * (1.0 - 1e-4 * step),
+                out,
             )
-        x, grad, merit = out
-        if not accepted.all():
-            failed[active[~accepted]] = True
-            keep = accepted
-            active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
-            if not active.size:
-                break
-    failed[active] = True
+            rest = np.flatnonzero(~accepted)
+            if rest.size:
+                # one plain gradient step, taken whenever its merit is finite
+                accepted |= _backtrack(
+                    residual, x, fallback_step * grad, rest, 1,
+                    lambda trial_merit, rows, step: True, out,
+                )
+            x, grad, merit = out
+            if not accepted.all():
+                failed[active[~accepted]] = True
+                keep = accepted
+                active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
+                if not active.size:
+                    break
+        failed[active] = True
 
     if failed.any():
         first = int(np.argmax(failed))

@@ -134,6 +134,16 @@ def test_invert_budget_exhaustion_reports_best_residual():
     assert excinfo.value.best_residual > 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_target_whose_residual_overflows_fails_without_a_warning():
+    # the residual of y = (1e300, 1e300) overflows at the start: the row
+    # fails the finite-merit test and the budget error reports inf
+    gmap = GradientMap(NesterovExample(), 0.09)
+    with pytest.raises(NonConvergenceError) as excinfo:
+        invert(gmap, np.array([1e300, 1e300]))
+    assert excinfo.value.best_residual == np.inf
+
+
 def test_prox_solve_report_to_dict():
     gmap = GradientMap(DiagonalQuadratic([1.0, -1.0]), 0.5)
     d = invert(gmap, np.array([0.5, 1.5])).to_dict()
