@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .critical import find_critical_points, sample_local_stable_set
+from .critical import find_critical_points, grid_spacing, sample_local_stable_set
 from .engine import GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError
 from .experiments import (
@@ -250,6 +250,9 @@ def cmd_stable_set(args) -> int:
     objective = _resolve_objective(opts)
     alpha = _resolve_alpha(opts, objective)
     policy = _resolve_policy(opts)
+    radius = 0.5 if opts["radius"] is None else opts["radius"]
+    grid = 41 if opts["grid"] is None else opts["grid"]
+    grid_spacing(radius, grid)  # refused before the search
     records = find_critical_points(objective, seed=_resolve_seed(opts))
     if opts["index"] is not None:
         # a negative index is refused, not counted from the end
@@ -263,8 +266,6 @@ def cmd_stable_set(args) -> int:
         if not saddles:
             raise ContractViolationError("objective has no strict saddle to sample")
         record = saddles[0]
-    radius = 0.5 if opts["radius"] is None else opts["radius"]
-    grid = 41 if opts["grid"] is None else opts["grid"]
     gmap = GradientMap(objective, alpha)
     sample = sample_local_stable_set(gmap, record, radius=radius, grid=grid, policy=policy)
     summary = {

@@ -269,6 +269,25 @@ class StableSetSample:
         atomic_write_columns(path, header, [*self.points.T, self.converged])
 
 
+def grid_spacing(radius: float, grid: int) -> float:
+    """The spacing of a stable-set grid of ``grid`` points per axis on [-radius, radius].
+
+    Refuses a negative radius, a grid below one point or too large for an
+    array of 2-D points, and a radius whose spacing overflows.  The one
+    check of these inputs, so the CLI can refuse them before any search.
+    """
+    if radius < 0:
+        raise ContractViolationError("radius must be nonnegative")
+    if grid < 1:
+        raise ContractViolationError("grid must be at least 1")
+    if int(grid) ** 2 > np.iinfo(np.intp).max // (8 * 2):
+        raise ContractViolationError(f"grid = {grid} has more points than an array can hold")
+    spacing = 0.0 if radius == 0.0 else 2.0 * float(radius) / max(grid - 1, 1)
+    if not np.isfinite(spacing):
+        raise ContractViolationError(f"radius {radius} is too large to space a grid")
+    return spacing
+
+
 def sample_local_stable_set(
     gmap: GradientMap,
     record: CriticalPointRecord,
@@ -288,16 +307,8 @@ def sample_local_stable_set(
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
     if record.dimension != 2:
         raise ContractViolationError("grid sampling is implemented for dimension 2 only")
-    if radius < 0:
-        raise ContractViolationError("radius must be nonnegative")
-    if grid < 1:
-        raise ContractViolationError("grid must be at least 1")
-    if int(grid) ** 2 > np.iinfo(np.intp).max // (8 * record.dimension):
-        raise ContractViolationError(f"grid = {grid} has more points than an array can hold")
+    spacing = grid_spacing(radius, grid)
     center = record.location
-    spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
-    if not np.isfinite(spacing):
-        raise ContractViolationError(f"radius {radius} is too large to space a grid")
     if radius == 0.0:
         points = center[None, :].copy()
     else:

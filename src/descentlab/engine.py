@@ -19,7 +19,12 @@ so the loop takes a block of steps, calling only the gradient, and then
 settles the rule for every iterate of the block at once; each row stops
 at its first stopping iterate and the steps it took past it are thrown
 away.  Blocks are one step wide on a large batch (a census settles after
-every step) and grow to 64 steps on a single run.
+every step) and grow to 64 steps on a single run.  On a census the loop's
+cost past the arithmetic is selecting and testing rows, so it selects 2-D
+rows only through ``_rows`` (``compress`` for a mask, ``take`` for
+indices, never numpy's much slower boolean-mask indexing), and when every
+column has the same bounds it tests a whole block against a box or the
+divergence cube with one ``min`` and one ``max``.
 ``closed_form_quadratic`` is the independent oracle for diagonal
 quadratics, where the k-th iterate is (1 - alpha*lambda_i)^k x0_i
 componentwise.
@@ -282,7 +287,9 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
     only the dense history is skipped.
     """
     obj = gmap.objective
-    x0s = np.array(x0s, dtype=float)
+    # row-major whatever the input's layout: from 8 columns on, numpy sums
+    # a row of a column-major batch in another order than run's point
+    x0s = np.array(x0s, dtype=float, order="C")
     if x0s.ndim != 2 or x0s.shape[1] != obj.dimension:
         raise ContractViolationError(f"x0s must have shape (n, {obj.dimension})")
     if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
@@ -322,8 +329,32 @@ def _block_width(width: int, rows: int) -> int:
     return max(1, min(2 * width, _BLOCK_ROWS // rows))
 
 
+def _rows(a, which) -> np.ndarray:
+    """Rows ``which`` of the 2-D array ``a``: a boolean mask or an index array.
+
+    The stepping loop's one way to select rows.  numpy's boolean-mask
+    indexing of 2-D rows is about ten times slower than ``compress``.
+    """
+    if which.dtype == bool:
+        return np.compress(which, a, axis=0)
+    return a.take(which, axis=0)
+
+
+def _uniform_bounds(lo, hi):
+    """``(lo, hi)`` as two floats when every column has the same bounds, else as given."""
+    if np.all(lo == lo[0]) and np.all(hi == hi[0]):
+        return float(lo[0]), float(hi[0])
+    return lo, hi
+
+
 def _columns_within(x, lo, hi) -> bool:
-    """True when every column j of x lies in [lo[j], hi[j]]; False on a NaN."""
+    """True when every column j of x lies in [lo[j], hi[j]]; False on a NaN.
+
+    Float bounds hold for every column, and the whole block is tested
+    with one ``min`` and one ``max``; a NaN propagates through both.
+    """
+    if isinstance(lo, float):
+        return bool(lo <= x.min() and x.max() <= hi)
     for j in range(x.shape[1]):
         column = x[:, j]
         if not (lo[j] <= column.min() and column.max() <= hi[j]):
@@ -353,8 +384,14 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     reaches past the iteration cap.
 
     The divergence and box tests are first settled for the whole block
-    from per-column minima and maxima of the iterates, and fall back to
-    the exact per-row tests only when that cannot decide.  With
+    (``_columns_within``) and fall back to the exact per-row tests only
+    when that cannot decide: with the same bounds on every column, as on
+    the divergence cube and every zoo default box, one ``min`` and one
+    ``max`` of the block decide it, and otherwise per-column ones; the
+    bounds are put in that form once, before the loop.  Stop codes are
+    written in reverse precedence onto an ``int8`` array, skipping a
+    test that cannot hit.  The stopped rows and the survivors are
+    selected with ``_rows``, never with a boolean mask on 2-D rows.  With
     ``history`` set, ``x0s`` holds one row and ``history`` has one row
     ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small and
     doubles when full, so nothing is sized by ``policy.max_iters``.
@@ -376,12 +413,10 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     # Rows whose entries all lie in [-cube, cube] have norm below the
     # divergence radius.  A box-local certificate keeps the rows inside
     # the box, which settles divergence too when the box fits the cube.
-    cube = min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK))
-    lo = np.full(d, -cube)
-    hi = np.full(d, cube)
+    cube = float(min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK)))
     check_box = not obj.lipschitz_global
-    box_lo, box_hi = obj.domain_box[:, 0], obj.domain_box[:, 1]
-    box_in_cube = bool(np.all(box_lo >= lo) and np.all(box_hi <= hi))
+    box_lo, box_hi = _uniform_bounds(obj.domain_box[:, 0], obj.domain_box[:, 1])
+    box_in_cube = bool(np.all(box_lo >= -cube) and np.all(box_hi <= cube))
 
     x = x0s
     active = np.arange(n)
@@ -423,9 +458,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
             tol_hit = gn <= tol
             flagged = tol_hit | suspect
 
-            div_hit = box_exit = np.False_
+            div_hit = box_exit = False
             in_box = check_box and _columns_within(flat, box_lo, box_hi)
-            if not ((in_box and box_in_cube) or _columns_within(flat, lo, hi)):
+            if not ((in_box and box_in_cube) or _columns_within(flat, -cube, cube)):
                 div_hit = _row_norms(xs) >= radius
                 flagged |= div_hit
             if check_box and not in_box:
@@ -436,7 +471,11 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
             if capped or flagged.any():
                 if capped and b > 1:
                     capped = np.arange(k, k + b)[:, None] == max_iters
-                code = np.select([tol_hit, div_hit, capped, box_exit], _STOP_CODES, _RUNNING)
+                # each code overwrites the ones after it in precedence
+                code = np.full((b, m), _RUNNING, dtype=np.int8)
+                for hit, stop_code in zip((box_exit, capped, div_hit, tol_hit), _STOP_CODES[::-1]):
+                    if hit is not False:
+                        np.copyto(code, stop_code, where=hit)
                 done = code != _RUNNING
                 if suspect.any():
                     bad = ~(np.isfinite(f) & np.isfinite(gs).all(axis=-1))
@@ -449,24 +488,21 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                         raise NumericalFailureError(
                             f"non-finite value or gradient at iterate {k + j}{trial}", k + j
                         )
-                if b == 1:
-                    # plain masks on the one iterate: the census path
-                    stopped, at = done[0], 0
-                    xs, f, gn, code = xs[0], f[0], gn[0], code[0]
-                    sel = stopped
-                else:
-                    stopped = done.any(axis=0)
-                    at = done.argmax(axis=0)[stopped]
-                    sel = (at, stopped)
-                idx = active[stopped]
-                final_x[idx] = xs[sel]
-                final_f[idx] = f[sel]
-                final_gn[idx] = gn[sel]
+                # the stopped rows, and their stopping iterates as rows
+                # of the block flattened to (b * m, d)
+                stopped = done.any(axis=0)
+                rows = np.flatnonzero(stopped)
+                at = done[:, rows].argmax(axis=0)
+                sel = at * m + rows
+                idx = active[rows]
+                final_x[idx] = _rows(flat, sel)
+                final_f[idx] = f.ravel()[sel]
+                final_gn[idx] = gn.ravel()[sel]
                 iterations[idx] = k + at
-                codes[idx] = code[sel]
+                codes[idx] = code.ravel()[sel]
                 keep = ~stopped
                 active = active[keep]
-                x = x_next[keep]
+                x = _rows(x_next, keep)
             else:
                 x = x_next
             k += b

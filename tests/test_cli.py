@@ -294,6 +294,33 @@ def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--grid", str(10**30), f"grid = {10**30} has more points than an array can hold"),
+        ("--grid", "0", "grid must be at least 1"),
+        ("--radius", "-1", "radius must be nonnegative"),
+        ("--radius", "1.5e308", "radius 1.5e+308 is too large to space a grid"),
+    ],
+)
+def test_a_bad_stable_set_grid_or_radius_exits_2_before_the_search(
+    tmp_path, capsys, monkeypatch, flag, value, message
+):
+    import descentlab.cli
+    from descentlab.cli import main
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the critical-point search ran before the grid was refused")
+
+    monkeypatch.setattr(descentlab.cli, "find_critical_points", no_search)
+    out = tmp_path / "out"
+    assert main(["stable-set", "--objective", "nesterov", flag, value, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "sub, key, value",
     [
         ("run", "x0", ["a", 1]),

@@ -24,7 +24,14 @@ from descentlab import (
     run,
     run_many,
 )
-from descentlab.engine import _HISTORY_ROWS, _block_width, _row_norms, _sum_squares
+from descentlab.engine import (
+    _HISTORY_ROWS,
+    _block_width,
+    _columns_within,
+    _row_norms,
+    _sum_squares,
+    _uniform_bounds,
+)
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -265,6 +272,83 @@ def test_run_many_matches_single_runs_bitwise_in_high_dimension():
     batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy(max_iters=5000))
     reasons = set(batch.stop_reasons)
     assert reasons == {StopReason.GRAD_NORM_BELOW_TOL, StopReason.DIVERGED}
+
+
+def test_run_many_is_bitwise_for_any_memory_layout_of_the_batch():
+    # a column-major batch kept its layout through the steps, and from 8
+    # columns on numpy sums its rows in another order than run's points
+    gmap = GradientMap(StronglyConvexQuadratic([1.0] * 6 + [2.0] * 6), 0.4)
+    x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 12))
+    wide = np.repeat(x0s, 2, axis=0)
+    wide = np.repeat(wide, 2, axis=1)
+    for batch in (x0s, np.asfortranarray(x0s), wide[::2, ::2], np.asfortranarray(wide)[::2, ::2]):
+        assert np.array_equal(batch, x0s)
+        _assert_rows_match_single_runs(gmap, batch, StopPolicy())
+
+
+@pytest.mark.parametrize("box", [[[-0.5, 0.5], [-0.8, 0.8]], [[-0.8, 0.8], [-0.8, 0.8]]],
+                         ids=["unequal-box", "uniform-box"])
+def test_run_many_settling_every_step_matches_single_runs_bitwise(box):
+    # more than 32 rows run to the cap, so run_many settles after every
+    # step while run settles blocks of up to 64 steps; f = x^2/2 + y^4/4
+    # - y^2/2 at alpha = 0.5 halves x exactly and moves y away from 0
+    cap = 40
+    assert _block_width(64, 33) == 1
+    obj = NesterovExample(domain_box=box)
+    gmap = GradientMap(obj, 0.5)
+    policy = StopPolicy(tol=2.0 ** -(cap + 1), divergence_radius=0.85, max_iters=cap)
+    rng = np.random.default_rng(8)
+    # on the saddle's stable axis x_k = 2^-(j + k): a tolerance stop at
+    # iterate cap + 1 - j, so the first meets the tolerance at the cap
+    on_axis = np.stack([2.0 ** -np.arange(1, cap + 2), np.zeros(cap + 1)], axis=1)
+    # too close to the axis to leave the box or settle before the cap
+    slow = np.stack([rng.uniform(-0.5, 0.5, 40),
+                     rng.choice([-1.0, 1.0], 40) * np.geomspace(1e-12, 1e-8, 40)], axis=1)
+    out_at_cap = np.array([[0.0, 1e-7], [0.0, -1e-7]])  # leave the box at the cap
+    # leave the box, beyond the radius or inside it, over many iterations
+    leaving = np.stack([np.linspace(-0.5, 0.5, 60),
+                        np.resize([1.0, -1.0], 60) * np.geomspace(1e-6, 0.79, 60)], axis=1)
+    x0s = np.concatenate([out_at_cap, on_axis, slow, leaving])
+    batch = _assert_rows_match_single_runs(gmap, x0s, policy)
+    reasons = np.array([r.value for r in batch.stop_reasons])
+    assert set(reasons) == {r.value for r in StopReason}
+    assert np.count_nonzero(batch.iterations == cap) > 32
+    assert batch.iterations[2] == cap
+    assert batch.stop_reasons[2] is StopReason.GRAD_NORM_BELOW_TOL
+    outside = ~obj.contains(batch.final_x)
+    assert np.all(outside[:2]) and np.all(reasons[:2] == StopReason.MAX_ITERS.value)
+    # a divergence at the iterate that leaves the box, and exits inside the radius
+    assert np.any((reasons == StopReason.DIVERGED.value) & outside)
+    exits = reasons == StopReason.LEFT_DOMAIN_BOX.value
+    assert np.all(outside[exits]) and np.all(_row_norms(batch.final_x[exits]) < 0.85)
+    assert np.unique(batch.iterations).size > 30
+
+
+BOUND_ENTRIES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("rows", [1, 10_000])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [([-1.0, -1.0], [1.0, 1.0]), ([0.0, -0.0], [0.5, 0.5]), ([-0.0, 0.0], [-0.0, 0.0]),
+     ([-0.5, -1.0], [0.5, 1.0]), ([-1.0, 0.0], [0.25, 1.0])],
+    ids=["uniform", "uniform-zero-lo", "uniform-zero-box", "unequal", "unequal-zero"],
+)
+def test_whole_block_box_test_gives_the_per_column_answer(rows, lo, hi):
+    lo, hi = np.array(lo), np.array(hi)
+    bounds = _uniform_bounds(lo, hi)
+    assert isinstance(bounds[0], float) == (lo[0] == lo[1] and hi[0] == hi[1])
+    rng = np.random.default_rng(rows)
+    for trial in range(200):
+        x = rng.uniform(-1.0, 1.0, (rows, 2))
+        # a few entries on a bound, signed zeros, infinities or NaN
+        picks = np.concatenate([BOUND_ENTRIES[:7], lo, hi]) if trial % 2 else BOUND_ENTRIES
+        x[rng.integers(0, rows, 4), rng.integers(0, 2, 4)] = rng.choice(picks, 4)
+        if trial % 3 == 0:
+            x = np.clip(x, lo, hi)  # inside or on a bound, but for a NaN
+        want = bool(np.all((x >= lo) & (x <= hi)))
+        assert _columns_within(x, *bounds) is want
+        assert _columns_within(x, lo, hi) is want
 
 
 ROUNDINGS = {
