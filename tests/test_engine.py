@@ -279,8 +279,7 @@ def test_run_many_is_bitwise_for_any_memory_layout_of_the_batch():
     # columns on numpy sums its rows in another order than run's points
     gmap = GradientMap(StronglyConvexQuadratic([1.0] * 6 + [2.0] * 6), 0.4)
     x0s = np.random.default_rng(3).uniform(-2.0, 2.0, size=(40, 12))
-    wide = np.repeat(x0s, 2, axis=0)
-    wide = np.repeat(wide, 2, axis=1)
+    wide = np.repeat(np.repeat(x0s, 2, axis=0), 2, axis=1)
     for batch in (x0s, np.asfortranarray(x0s), wide[::2, ::2], np.asfortranarray(wide)[::2, ::2]):
         assert np.array_equal(batch, x0s)
         _assert_rows_match_single_runs(gmap, batch, StopPolicy())
