@@ -21,10 +21,9 @@ at its first stopping iterate and the steps it took past it are thrown
 away.  Blocks are one step wide on a large batch (a census settles after
 every step) and grow to 64 steps on a single run.  On a census the loop's
 cost past the arithmetic is selecting and testing rows, so it selects 2-D
-rows only through ``_rows`` (``compress`` for a mask, ``take`` for
-indices, never numpy's much slower boolean-mask indexing), and when every
-column has the same bounds it tests a whole block against a box or the
-divergence cube with one ``min`` and one ``max``.
+rows with ``compress`` for a mask and ``take`` for indices, never with
+numpy's much slower boolean-mask indexing, and tests a whole block
+against a box or the divergence cube with one ``min`` and one ``max``.
 ``closed_form_quadratic`` is the independent oracle for diagonal
 quadratics, where the k-th iterate is (1 - alpha*lambda_i)^k x0_i
 componentwise.
@@ -329,37 +328,13 @@ def _block_width(width: int, rows: int) -> int:
     return max(1, min(2 * width, _BLOCK_ROWS // rows))
 
 
-def _rows(a, which) -> np.ndarray:
-    """Rows ``which`` of the 2-D array ``a``: a boolean mask or an index array.
+def _columns_within(x, lo: float, hi: float) -> bool:
+    """True when every entry of x lies in [lo, hi]; False on a NaN.
 
-    The stepping loop's one way to select rows.  numpy's boolean-mask
-    indexing of 2-D rows is about ten times slower than ``compress``.
+    One ``min`` and one ``max`` of the whole contiguous block; a NaN
+    propagates through both.
     """
-    if which.dtype == bool:
-        return np.compress(which, a, axis=0)
-    return a.take(which, axis=0)
-
-
-def _uniform_bounds(lo, hi):
-    """``(lo, hi)`` as two floats when every column has the same bounds, else as given."""
-    if np.all(lo == lo[0]) and np.all(hi == hi[0]):
-        return float(lo[0]), float(hi[0])
-    return lo, hi
-
-
-def _columns_within(x, lo, hi) -> bool:
-    """True when every column j of x lies in [lo[j], hi[j]]; False on a NaN.
-
-    Float bounds hold for every column, and the whole block is tested
-    with one ``min`` and one ``max``; a NaN propagates through both.
-    """
-    if isinstance(lo, float):
-        return bool(lo <= x.min() and x.max() <= hi)
-    for j in range(x.shape[1]):
-        column = x[:, j]
-        if not (lo[j] <= column.min() and column.max() <= hi[j]):
-            return False
-    return True
+    return bool(lo <= x.min() and x.max() <= hi)
 
 
 def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bool = False):
@@ -384,17 +359,20 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     reaches past the iteration cap.
 
     The divergence and box tests are first settled for the whole block
-    (``_columns_within``) and fall back to the exact per-row tests only
-    when that cannot decide: with the same bounds on every column, as on
-    the divergence cube and every zoo default box, one ``min`` and one
-    ``max`` of the block decide it, and otherwise per-column ones; the
-    bounds are put in that form once, before the loop.  Stop codes are
-    written in reverse precedence onto an ``int8`` array, skipping a
-    test that cannot hit.  The stopped rows and the survivors are
-    selected with ``_rows``, never with a boolean mask on 2-D rows.  With
-    ``history`` set, ``x0s`` holds one row and ``history`` has one row
-    ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small and
-    doubles when full, so nothing is sized by ``policy.max_iters``.
+    with one ``min`` and one ``max`` (``_columns_within``) against the
+    bounds every column shares: the divergence cube, and the tightest
+    interval inside every column's box interval, worked out once before
+    the loop.  They fall back to the exact per-row tests only when that
+    cannot decide, so a box with unequal bounds per column falls back
+    sooner with the same results.  Stop codes are written in reverse
+    precedence onto an ``int8`` array, skipping a test that cannot hit.
+    The stopped rows and the survivors are selected with ``take`` and
+    ``compress``, never with a boolean mask on 2-D rows, which is about
+    ten times slower than ``compress``.
+
+    With ``history`` set, ``x0s`` holds one row and ``history`` has one
+    row ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small
+    and doubles when full, so nothing is sized by ``policy.max_iters``.
     Otherwise ``history`` is None.  Overflow in the arithmetic is not
     reported as a numpy warning: the finiteness screen turns it into a
     ``NumericalFailureError``.
@@ -415,8 +393,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     # the box, which settles divergence too when the box fits the cube.
     cube = float(min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK)))
     check_box = not obj.lipschitz_global
-    box_lo, box_hi = _uniform_bounds(obj.domain_box[:, 0], obj.domain_box[:, 1])
-    box_in_cube = bool(np.all(box_lo >= -cube) and np.all(box_hi <= cube))
+    box = obj.domain_box
+    box_lo, box_hi = float(box[:, 0].max()), float(box[:, 1].min())
+    box_in_cube = bool(np.all(box[:, 0] >= -cube) and np.all(box[:, 1] <= cube))
 
     x = x0s
     active = np.arange(n)
@@ -495,14 +474,14 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 at = done[:, rows].argmax(axis=0)
                 sel = at * m + rows
                 idx = active[rows]
-                final_x[idx] = _rows(flat, sel)
+                final_x[idx] = flat.take(sel, axis=0)
                 final_f[idx] = f.ravel()[sel]
                 final_gn[idx] = gn.ravel()[sel]
                 iterations[idx] = k + at
                 codes[idx] = code.ravel()[sel]
                 keep = ~stopped
                 active = active[keep]
-                x = _rows(x_next, keep)
+                x = np.compress(keep, x_next, axis=0)
             else:
                 x = x_next
             k += b

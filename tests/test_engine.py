@@ -30,7 +30,6 @@ from descentlab.engine import (
     _columns_within,
     _row_norms,
     _sum_squares,
-    _uniform_bounds,
 )
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
@@ -330,13 +329,17 @@ BOUND_ENTRIES = np.array([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25, np.inf, -np.inf
 @pytest.mark.parametrize(
     "lo, hi",
     [([-1.0, -1.0], [1.0, 1.0]), ([0.0, -0.0], [0.5, 0.5]), ([-0.0, 0.0], [-0.0, 0.0]),
-     ([-0.5, -1.0], [0.5, 1.0]), ([-1.0, 0.0], [0.25, 1.0])],
-    ids=["uniform", "uniform-zero-lo", "uniform-zero-box", "unequal", "unequal-zero"],
+     ([-0.5, -1.0], [0.5, 1.0]), ([-1.0, 0.0], [0.25, 1.0]), ([-1.0, 0.5], [0.25, 1.0])],
+    ids=["uniform", "uniform-zero-lo", "uniform-zero-box", "unequal", "unequal-zero",
+         "unequal-disjoint"],
 )
 def test_whole_block_box_test_gives_the_per_column_answer(rows, lo, hi):
+    # the loop tests a block against the bounds every column shares; on
+    # unequal bounds a True must still mean inside, and a False falls
+    # back to the exact per-row test
     lo, hi = np.array(lo), np.array(hi)
-    bounds = _uniform_bounds(lo, hi)
-    assert isinstance(bounds[0], float) == (lo[0] == lo[1] and hi[0] == hi[1])
+    shared_lo, shared_hi = float(lo.max()), float(hi.min())
+    uniform = lo[0] == lo[1] and hi[0] == hi[1]
     rng = np.random.default_rng(rows)
     for trial in range(200):
         x = rng.uniform(-1.0, 1.0, (rows, 2))
@@ -345,9 +348,13 @@ def test_whole_block_box_test_gives_the_per_column_answer(rows, lo, hi):
         x[rng.integers(0, rows, 4), rng.integers(0, 2, 4)] = rng.choice(picks, 4)
         if trial % 3 == 0:
             x = np.clip(x, lo, hi)  # inside or on a bound, but for a NaN
-        want = bool(np.all((x >= lo) & (x <= hi)))
-        assert _columns_within(x, *bounds) is want
-        assert _columns_within(x, lo, hi) is want
+        elif trial % 3 == 1 and shared_lo <= shared_hi:
+            x = np.clip(x, shared_lo, shared_hi)
+        inside = bool(np.all((x >= lo) & (x <= hi)))
+        within_shared = bool(np.all((x >= shared_lo) & (x <= shared_hi)))
+        got = _columns_within(x, shared_lo, shared_hi)
+        assert got is within_shared
+        assert got is inside if uniform else (inside or not got)
 
 
 ROUNDINGS = {
