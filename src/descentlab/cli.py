@@ -25,9 +25,9 @@ from .experiments import (
     monte_carlo,
     rate_fits,
 )
-from .fileio import atomic_write_json
+from .fileio import atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
-from .zoo import Objective, parse_objective
+from .zoo import Objective, _has_bool, parse_objective
 
 THETA_DEFAULT = 0.99
 
@@ -51,8 +51,12 @@ VECTOR_FORMS = {
 
 
 def _load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            config = json.load(handle)
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8 or not JSON
+        reason = getattr(exc, "strerror", None) or exc
+        raise ContractViolationError(f"config file {path}: {reason}") from exc
     if not isinstance(config, dict):
         raise ContractViolationError("config file must contain a JSON object")
     unknown = set(config) - CONFIG_KEYS
@@ -80,10 +84,6 @@ def _as_number(key: str, value, kind):
         expected = "an integer" if kind is int else "a number"
         raise ContractViolationError(f"{key} must be {expected}, got {value!r}")
     return number
-
-
-def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
 
 
 def _as_array(key: str, value, ndim: int) -> np.ndarray:
@@ -123,7 +123,20 @@ def _merged(args: argparse.Namespace) -> dict:
         elif value is not None and key in VECTOR_KEYS:
             value = _as_array(key, value, VECTOR_KEYS[key])
         merged[key] = value
+    if merged["out"] is not None:
+        _check_out_dir(merged["out"])
     return merged
+
+
+def _check_out_dir(out) -> None:
+    """Refuse an --out whose first existing ancestor (or itself) is not a directory."""
+    if not isinstance(out, str):
+        raise ContractViolationError(f"out must be a directory path, got {out!r}")
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ContractViolationError(f"--out {out}: {path} exists and is not a directory")
 
 
 def _resolve_objective(opts) -> Objective:
@@ -164,14 +177,16 @@ def _resolve_seed(opts) -> int:
 def _out_path(opts, name: str) -> str | None:
     if opts["out"] is None:
         return None
-    return os.path.join(os.fspath(opts["out"]), name)
+    return os.path.join(opts["out"], name)
 
 
 def _emit(payload, opts, filename: str) -> None:
-    print(json.dumps(payload, indent=2))
+    """Print ``payload``'s JSON text and write the same text to ``filename``."""
+    text = json_text(payload)
+    sys.stdout.write(text)
     path = _out_path(opts, filename)
     if path:
-        atomic_write_json(path, payload)
+        atomic_write_text(path, text)
 
 
 def _labelled_run(opts):
@@ -191,19 +206,15 @@ def cmd_run(args) -> int:
     objective, alpha, x0, traj, records, label = _labelled_run(opts)
     summary = {
         "objective": objective.to_dict(),
-        "alpha": float(alpha),
-        "x0": [float(v) for v in x0],
-        "stop_reason": traj.stop_reason.value,
+        "alpha": alpha,
+        "x0": x0,
+        "stop_reason": traj.stop_reason,
         "n_steps": traj.n_steps,
-        "final_x": [float(v) for v in traj.final_x],
-        "final_f": float(traj.f_values[-1]),
-        "final_grad_norm": float(traj.final_grad_norm),
+        "final_x": traj.final_x,
+        "final_f": traj.f_values[-1],
+        "final_grad_norm": traj.final_grad_norm,
         "basin": str(label),
-        "basin_location": (
-            [float(v) for v in records[label].location]
-            if isinstance(label, int)
-            else None
-        ),
+        "basin_location": records[label].location if isinstance(label, int) else None,
     }
     csv_path = _out_path(opts, "trajectory.csv")
     if csv_path:
@@ -241,7 +252,7 @@ def cmd_classify(args) -> int:
     opts = _merged(args)
     objective = _resolve_objective(opts)
     records = find_critical_points(objective, seed=_resolve_seed(opts))
-    _emit([record.to_dict() for record in records], opts, "critical_points.json")
+    _emit(records, opts, "critical_points.json")
     return 0
 
 
@@ -269,11 +280,11 @@ def cmd_stable_set(args) -> int:
     gmap = GradientMap(objective, alpha)
     sample = sample_local_stable_set(gmap, record, radius=radius, grid=grid, policy=policy)
     summary = {
-        "saddle": [float(v) for v in record.location],
+        "saddle": record.location,
         "radius": radius,
         "grid": grid,
-        "n_points": int(sample.points.shape[0]),
-        "n_converged": int(np.count_nonzero(sample.converged)),
+        "n_points": sample.points.shape[0],
+        "n_converged": np.count_nonzero(sample.converged),
         "max_subspace_distance": sample.max_subspace_distance,
     }
     csv_path = _out_path(opts, "stable_set.csv")
@@ -294,7 +305,7 @@ def cmd_invert(args) -> int:
     tol = 1e-10 if opts["tol"] is None else opts["tol"]
     gmap = GradientMap(objective, alpha)
     report = invert(gmap, y, tol=tol)
-    payload = {"y": [float(v) for v in y], **report.to_dict()}
+    payload = {"y": y, **report.to_dict()}
     _emit(payload, opts, "inverse.json")
     return 0
 
@@ -311,20 +322,18 @@ def cmd_rates(args) -> int:
         return 1
     x_star = records[label].location
     # a regime whose gate rejects the trajectory is reported as null
-    fits = {fit.regime: fit.to_dict() for fit in rate_fits(traj, x_star)}
+    fits = {fit.regime: fit for fit in rate_fits(traj, x_star)}
     chosen = best_rate_fit(traj, x_star)
     payload = {
         "objective": objective.to_dict(),
-        "alpha": float(alpha),
-        "x0": [float(v) for v in x0],
-        "limit": [float(v) for v in x_star],
+        "alpha": alpha,
+        "x0": x0,
+        "limit": x_star,
         "linear": fits.get("Linear"),
         "power": fits.get("Power"),
         "chosen_regime": chosen.regime,
-        "fitted_b": None if chosen.fitted_b is None else float(chosen.fitted_b),
-        "fitted_exponent": (
-            None if chosen.fitted_exponent is None else float(chosen.fitted_exponent)
-        ),
+        "fitted_b": chosen.fitted_b,
+        "fitted_exponent": chosen.fitted_exponent,
     }
     _emit(payload, opts, "rates.json")
     return 0
@@ -401,7 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ContractViolationError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailureError as exc:

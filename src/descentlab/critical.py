@@ -18,7 +18,7 @@ from .engine import (
     _sum_squares, run_many,
 )
 from .errors import ContractViolationError
-from .fileio import atomic_write_columns
+from .fileio import atomic_write_columns, plain
 from .jacobi import eigh_jacobi
 from .zoo import Classification, Objective
 
@@ -57,18 +57,7 @@ class CriticalPointRecord:
         return self.location.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "location": [float(v) for v in self.location],
-            "grad_norm": float(self.grad_norm),
-            "hessian_eigenvalues": [float(v) for v in self.hessian_eigenvalues],
-            "hessian_eigenvectors": self.hessian_eigenvectors.tolist(),
-            "classification": self.classification.value,
-            "is_strict_saddle": self.is_strict_saddle,
-            "is_degenerate": self.is_degenerate,
-            "stable_subspace_basis": self.stable_subspace_basis.tolist(),
-            "stable_dimension": int(self.stable_dimension),
-            "degeneracy_tol": float(self.degeneracy_tol),
-        }
+        return plain(self)
 
 
 def _classify_spectrum(eigenvalues: np.ndarray, degeneracy_tol: float) -> Classification:
@@ -115,7 +104,7 @@ def classify(
         is_degenerate=bool(np.any(np.abs(w) <= degeneracy_tol)),
         stable_subspace_basis=basis,
         stable_dimension=int(np.count_nonzero(stable_mask)),
-        degeneracy_tol=degeneracy_tol,
+        degeneracy_tol=float(degeneracy_tol),
     )
 
 

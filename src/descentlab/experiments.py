@@ -33,7 +33,7 @@ from .errors import (
     InapplicableError,
     InsufficientDataError,
 )
-from .fileio import atomic_write_columns
+from .fileio import atomic_write_columns, plain
 from .zoo import Objective
 
 LABEL_DIVERGED = "Diverged"
@@ -128,26 +128,22 @@ class MonteCarloReport:
     trial_final_grad_norm: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": int(self.n_trials),
-            "seed": int(self.seed),
-            "alpha": float(self.alpha),
-            "init_box": [[float(v) for v in row] for row in self.init_box],
-            "basin_counts": {str(k): int(v) for k, v in sorted(self.basin_counts.items())},
-            "diverged": int(self.diverged),
-            "left_box": int(self.left_box),
-            "unresolved": int(self.unresolved),
-            "saddle_hits": int(self.saddle_hits),
+        return plain({
+            "n_trials": self.n_trials,
+            "seed": self.seed,
+            "alpha": self.alpha,
+            "init_box": self.init_box,
+            "basin_counts": {str(k): v for k, v in sorted(self.basin_counts.items())},
+            "diverged": self.diverged,
+            "left_box": self.left_box,
+            "unresolved": self.unresolved,
+            "saddle_hits": self.saddle_hits,
             "critical_points": [
-                {
-                    "index": i,
-                    "location": [float(v) for v in rec.location],
-                    "classification": rec.classification.value,
-                    "is_strict_saddle": rec.is_strict_saddle,
-                }
+                {"index": i, "location": rec.location, "classification": rec.classification,
+                 "is_strict_saddle": rec.is_strict_saddle}
                 for i, rec in enumerate(self.records)
             ],
-        }
+        })
 
     def trials_to_csv(self, path) -> None:
         d = self.trial_x0.shape[1]
@@ -254,7 +250,7 @@ def monte_carlo(
     return MonteCarloReport(
         n_trials=n_trials,
         seed=seed,
-        alpha=alpha,
+        alpha=gmap.alpha,
         init_box=box,
         basin_counts=dict(enumerate(counts[:n_records])),
         diverged=diverged,
@@ -286,16 +282,7 @@ class RateFit:
     n_points: int
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "fitted_b": None if self.fitted_b is None else float(self.fitted_b),
-            "fitted_exponent": (
-                None if self.fitted_exponent is None else float(self.fitted_exponent)
-            ),
-            "fit_window": [int(self.fit_window[0]), int(self.fit_window[1])],
-            "r_squared": float(self.r_squared),
-            "n_points": int(self.n_points),
-        }
+        return plain(self)
 
 
 def _fit_window(traj: Trajectory, x_star) -> tuple[np.ndarray, np.ndarray]:
@@ -433,15 +420,7 @@ class LojasiewiczCertificate:
     violations: int
 
     def to_dict(self) -> dict:
-        return {
-            "a": float(self.a),
-            "m": float(self.m),
-            "epsilon": float(self.epsilon),
-            "neighborhood_radius": float(self.neighborhood_radius),
-            "n_samples": int(self.n_samples),
-            "n_used": int(self.n_used),
-            "violations": int(self.violations),
-        }
+        return plain(self)
 
 
 def check_lojasiewicz(
@@ -486,10 +465,10 @@ def check_lojasiewicz(
     violations = int(np.count_nonzero(lhs < rhs * (1.0 - 1e-10)))
     epsilon = float(np.max(gaps[used])) if np.any(used) else 0.0
     return LojasiewiczCertificate(
-        a=a,
-        m=m,
+        a=float(a),
+        m=float(m),
         epsilon=epsilon,
-        neighborhood_radius=radius,
+        neighborhood_radius=float(radius),
         n_samples=n_samples,
         n_used=int(np.count_nonzero(used)),
         violations=violations,
@@ -512,15 +491,7 @@ class PathLengthReport:
         return self.max_ratio <= 1.0 + 1e-6
 
     def to_dict(self) -> dict:
-        return {
-            "max_ratio": float(self.max_ratio),
-            "n_checked": int(self.n_checked),
-            "window": [int(self.window[0]), int(self.window[1])],
-            "a": float(self.a),
-            "m": float(self.m),
-            "alpha": float(self.alpha),
-            "success": self.success,
-        }
+        return {**plain(self), "success": self.success}
 
 
 def path_length_check(
@@ -545,7 +516,8 @@ def path_length_check(
         raise ContractViolationError("exponent a must lie in [0, 1)")
     if m <= 0.0:
         raise ContractViolationError("m must be positive for a path-length bound")
-    alpha = traj.alpha if alpha is None else alpha
+    a, m = float(a), float(m)
+    alpha = traj.alpha if alpha is None else float(alpha)
     f_star = float(traj.f_values[-1]) if f_star is None else float(f_star)
 
     step_norms = _row_norms(traj.iterates[1:] - traj.iterates[:-1])

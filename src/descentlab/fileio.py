@@ -1,17 +1,20 @@
-"""Atomic file output helpers.
+"""Artifact formats and atomic file output.
 
 Every artifact file is written to a temporary file in the target directory
 and renamed into place, so an interrupted run never leaves a truncated
 CSV or JSON file behind.  CSV tables are streamed: rows are formatted a
-block at a time, column by column, and written block by block.
+block at a time, column by column, and written block by block.  Every
+JSON text, on stdout or in a file, is ``json_text`` of a ``plain`` value.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
 from contextlib import contextmanager
+from enum import Enum
 
 import numpy as np
 
@@ -40,8 +43,30 @@ def atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
+def plain(value):
+    """``value`` in JSON's own types: a dataclass as a dict of its fields in
+    order, arrays and tuples as lists, numpy scalars as Python numbers, enums
+    as their values, dicts and lists member by member; anything else as is."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [plain(item) for item in value]
+    return value
+
+
+def json_text(payload) -> str:
+    """The JSON text of ``payload``: indented by 2, ending in a newline."""
+    return json.dumps(plain(payload), indent=2) + "\n"
+
+
 def atomic_write_json(path, payload) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json_text(payload))
 
 
 def atomic_write_columns(path, header, columns) -> None:

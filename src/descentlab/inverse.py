@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows, _sum_squares
 from .errors import ContractViolationError, NonConvergenceError
+from .fileio import plain
 
 MAX_INNER = 200  # default iteration budget of one inversion
 
@@ -33,12 +34,7 @@ class ProxSolveReport:
     subproblem_modulus: float  # 1 - alpha * L, the strong-convexity floor
 
     def to_dict(self) -> dict:
-        return {
-            "solution": [float(v) for v in self.solution],
-            "residual": float(self.residual),
-            "inner_iterations": int(self.inner_iterations),
-            "subproblem_modulus": float(self.subproblem_modulus),
-        }
+        return plain(self)
 
 
 def _check_vector(v, dimension: int, name: str) -> np.ndarray:
@@ -185,13 +181,7 @@ class InjectivityReport:
     violations: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_pairs": int(self.n_pairs),
-            "n_used": int(self.n_used),
-            "min_ratio": float(self.min_ratio),
-            "threshold": float(self.threshold),
-            "violations": int(self.violations),
-        }
+        return plain(self)
 
 
 def injectivity_margin_check(
@@ -235,12 +225,7 @@ class RoundTripReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_samples": int(self.n_samples),
-            "max_forward_residual": float(self.max_forward_residual),
-            "max_backward_residual": float(self.max_backward_residual),
-            "tol": float(self.tol),
-        }
+        return plain(self)
 
 
 def roundtrip_check(
@@ -264,5 +249,5 @@ def roundtrip_check(
         n_samples=n_samples,
         max_forward_residual=float(np.max(_row_norms(gmap.step(solutions) - ys))),
         max_backward_residual=float(np.max(_row_norms(solutions - xs))),
-        tol=tol,
+        tol=float(tol),
     )

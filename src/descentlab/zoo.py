@@ -67,8 +67,24 @@ class KnownCriticalPoint:
     expected_class: Classification
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
+
+
+def _as_floats(value, what: str) -> np.ndarray:
+    """``value`` as a float array: the one conversion of parameters and boxes."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "iufO" and not _has_bool(value):
+            return array.astype(float)
+    except (TypeError, ValueError):  # a dict or a ragged nesting
+        pass
+    raise ContractViolationError(f"{what} must be numbers, got {value!r}")
+
+
 def _as_box(box, dimension) -> np.ndarray:
-    box = np.asarray(box, dtype=float)
+    box = _as_floats(box, "domain_box")
     if box.shape != (dimension, 2):
         raise ContractViolationError(
             f"domain_box must have shape ({dimension}, 2), got {box.shape}"
@@ -157,7 +173,7 @@ class DiagonalQuadratic(Objective):
     lipschitz_global = True
 
     def __init__(self, lambdas, domain_box=None):
-        lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
+        lambdas = np.atleast_1d(_as_floats(lambdas, "lambdas"))
         if lambdas.ndim != 1 or lambdas.size == 0 or not np.all(np.isfinite(lambdas)):
             raise ContractViolationError("lambdas must be a non-empty finite 1-D sequence")
         self.lambdas = lambdas
@@ -276,7 +292,7 @@ class QuarticCopositive(Objective):
     lipschitz_global = False
 
     def __init__(self, q, domain_box=None):
-        q = np.atleast_2d(np.asarray(q, dtype=float))
+        q = np.atleast_2d(_as_floats(q, "Q"))
         if q.ndim != 2 or q.shape[0] != q.shape[1] or not np.all(np.isfinite(q)):
             raise ContractViolationError("Q must be a finite square matrix")
         self.q = q
@@ -324,7 +340,7 @@ class QuarticCopositive(Objective):
 _CONSTRUCTORS = {
     "diagonal_quadratic": DiagonalQuadratic,
     "strongly_convex_quadratic": StronglyConvexQuadratic,
-    "nesterov_example": lambda params=None, domain_box=None: NesterovExample(domain_box),
+    "nesterov_example": NesterovExample,
     "quartic_copositive": QuarticCopositive,
 }
 
@@ -333,12 +349,12 @@ _ALIASES = {"nesterov": "nesterov_example", "quartic": "quartic_copositive"}
 
 def make_objective(name: str, params=None, domain_box=None) -> Objective:
     """Build a zoo objective from its registry name and parameter list."""
-    key = _ALIASES.get(name, name)
+    key = _ALIASES.get(name, name) if isinstance(name, str) else None
     if key not in _CONSTRUCTORS:
         known = sorted(set(_CONSTRUCTORS) | set(_ALIASES))
         raise ContractViolationError(f"unknown objective {name!r}; known: {known}")
     if key == "nesterov_example":
-        if params not in (None, []):
+        if params is not None and (not isinstance(params, list) or params):
             raise ContractViolationError("nesterov_example takes no parameters")
         return NesterovExample(domain_box)
     if params is None:
@@ -347,6 +363,8 @@ def make_objective(name: str, params=None, domain_box=None) -> Objective:
 
 
 def objective_from_dict(d: dict) -> Objective:
+    if not isinstance(d, dict) or "name" not in d:
+        raise ContractViolationError(f"an objective dict needs a 'name', got {d!r}")
     return make_objective(d["name"], d.get("params"), d.get("domain_box"))
 
 
@@ -362,6 +380,6 @@ def parse_objective(spec: str) -> Objective:
     if sep:
         try:
             params = json.loads(rest)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deep
             raise ContractViolationError(f"bad objective parameters {rest!r}: {exc}") from exc
     return make_objective(name.strip(), params)

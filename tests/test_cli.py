@@ -278,6 +278,92 @@ def test_config_missing_file_is_reported(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "name, content, reason",
+    [
+        ("config", None, "Is a directory"),
+        ("latin1.json", '{"objective": "nesterov", "seed": "\xe9"}'.encode("latin-1"),
+         "'utf-8' codec can't decode byte 0xe9"),
+        ("bad.json", b'{"objective": ', "Expecting value"),
+        ("deep.json", b"[" * 100000 + b"]" * 100000, "maximum recursion depth exceeded"),
+    ],
+)
+def test_an_unreadable_config_exits_2_with_one_line(tmp_path, capsys, name, content, reason):
+    from descentlab.cli import main
+
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["classify", "--objective", "nesterov", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config file {path}: {reason}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "sub, work",
+    [
+        ("classify", "find_critical_points"),
+        ("run", "run"),
+        ("montecarlo", "monte_carlo"),
+        ("invert", "invert"),
+    ],
+)
+@pytest.mark.parametrize("blocked", ["file", "below a file"])
+def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, sub, work, blocked
+):
+    import descentlab.cli
+    from descentlab.cli import main
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was refused")
+
+    monkeypatch.setattr(descentlab.cli, work, no_work)
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    out = file if blocked == "file" else file / "sub"
+    extra = {"montecarlo": ["--trials", "5"], "invert": ["--y", "0.1,0.2"]}.get(sub, [])
+    assert main([sub, "--objective", "nesterov", *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out}: {file} exists and is not a directory\n"
+    assert file.read_text() == "kept\n"
+
+
+def test_an_out_value_that_is_not_a_path_exits_2(tmp_path, capsys):
+    from descentlab.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": "nesterov", "out": 5}))
+    assert main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: out must be a directory path, got 5\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("quartic:[[1,2],[3]]", "Q must be numbers, got [[1, 2], [3]]"),
+        ('diagonal_quadratic:{"a":1}', "lambdas must be numbers, got {'a': 1}"),
+        ('diagonal_quadratic:"abc"', "lambdas must be numbers, got 'abc'"),
+        ("diagonal_quadratic:[1,true]", "lambdas must be numbers, got [1, True]"),
+        ("quartic:[[1,[2]],[3,4]]", "Q must be numbers, got [[1, [2]], [3, 4]]"),
+        ("quartic:" + "[" * 100000 + "]" * 100000, "bad objective parameters '[[["),
+    ],
+)
+def test_a_malformed_objective_exits_2_with_one_line(capsys, spec, message):
+    from descentlab.cli import main
+
+    assert main(["classify", "--objective", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("index", ["7", "3", "-1"])
 def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys, index):
     from descentlab.cli import main

@@ -1,4 +1,4 @@
-"""Generated flag and config values for every subcommand.
+"""Generated flag and config values, and objective specs, for every subcommand.
 
 Whatever the values, a command ends with exit 0, 1 or 2, at most one
 line on stderr and no warning: bad input is refused with a one-line
@@ -177,6 +177,41 @@ def test_run_ends_in_an_exit_code_and_one_line(case):
 @given(data=st.data())
 def test_command_ends_in_an_exit_code_and_one_line(command, data):
     _check(command, data.draw(_cases(command)))
+
+
+# Objective specs: a zoo name with JSON parameters of any shape and type,
+# with text that is not JSON, or no zoo name at all.  Whatever the spec,
+# each command ends in an exit code and at most one line.
+NAMES = st.sampled_from([
+    "nesterov", "nesterov_example", "quartic", "quartic_copositive",
+    "diagonal_quadratic", "strongly_convex_quadratic", "", "abc",
+])
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3.0, 3.0), WORDS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(WORDS, inner, max_size=2)),
+    max_leaves=8,
+)
+SPECS = st.one_of(
+    st.builds(lambda name, params: f"{name}:{json.dumps(params)}", NAMES, JSON_VALUES),
+    st.builds(lambda name, text: f"{name}:{text}", NAMES, WORDS),
+    NAMES,
+)
+# what each command requires, and small grids and caps
+SPEC_OPTIONS = {"trials": (5, "flag"), "y": ([0.1, 0.2], "flag"),
+                "grid": (5, "flag"), "max_iters": (200, "flag")}
+
+
+@FUZZ
+@example(command="classify", spec="quartic:[[1,2],[3]]")
+@example(command="run", spec='diagonal_quadratic:{"a":1}')
+@example(command="montecarlo", spec='diagonal_quadratic:"abc"')
+@given(command=st.sampled_from(sorted(FLAGS)), spec=SPECS)
+def test_any_objective_spec_ends_in_an_exit_code_and_one_line(command, spec):
+    code, err, caught = _invoke(command, SPEC_OPTIONS, spec)
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2), (code, err)
+    assert len(err) <= 1, err
 
 
 # Far out on a quadratic, f and the row norms overflow: the command ends

@@ -1,6 +1,8 @@
-"""Atomic writers and CSV cell formatting."""
+"""Atomic writers, CSV cell formatting and the JSON form of values."""
 
 import json
+from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from descentlab.fileio import (
     atomic_write_columns,
     atomic_write_json,
     atomic_write_text,
+    json_text,
+    plain,
 )
 
 
@@ -81,3 +85,77 @@ def test_mismatched_columns_raise_and_leave_no_file(tmp_path):
     with pytest.raises(ValueError):
         atomic_write_columns(path, ["a", "b"], [np.arange(3), np.arange(4)])
     assert list(tmp_path.iterdir()) == []
+
+
+class _Color(Enum):
+    RED = "red"
+    BLUE = 2
+
+
+@dataclass
+class _Inner:
+    point: np.ndarray
+    color: _Color
+
+
+@dataclass(frozen=True)
+class _Outer:
+    name: str
+    inner: _Inner
+    window: tuple
+    extra: float | None = None
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (np.int64(7), 7),
+        (np.int8(-3), -3),
+        (np.uint32(5), 5),
+        (np.bool_(True), True),
+        (np.bool_(False), False),
+        (np.float64(0.1), 0.1),
+        (np.float32(0.5), 0.5),
+        (np.array(2.5), 2.5),
+        (np.array(3), 3),
+        (np.arange(4).reshape(2, 2), [[0, 1], [2, 3]]),
+        (np.array([[[1.5]], [[-0.0]]]), [[[1.5]], [[-0.0]]]),
+        (np.array([True, False]), [True, False]),
+        ((1, np.int64(2), (3.0,)), [1, 2, [3.0]]),
+        (_Color.RED, "red"),
+        (_Color.BLUE, 2),
+        (None, None),
+        (float("inf"), float("inf")),
+        (np.float64(-np.inf), -float("inf")),
+        ("text", "text"),
+        ({"a": [np.int64(1), (np.float64(2.0),)], 3: None}, {"a": [1, [2.0]], 3: None}),
+    ],
+)
+def test_plain_gives_json_types(value, expected):
+    result = plain(value)
+    assert result == expected
+    assert json.dumps(result) == json.dumps(expected)
+    assert type(result) is type(expected)
+
+
+def test_plain_turns_a_dataclass_into_its_fields_in_order():
+    value = _Outer("o", _Inner(np.array([1.0, 2.0]), _Color.BLUE), (np.int64(0), 4))
+    result = plain(value)
+    assert list(result) == ["name", "inner", "window", "extra"]
+    assert result == {
+        "name": "o",
+        "inner": {"point": [1.0, 2.0], "color": 2},
+        "window": [0, 4],
+        "extra": None,
+    }
+    # a dataclass type is not an instance, and is returned as it is
+    assert plain(_Outer) is _Outer
+
+
+def test_json_text_is_what_atomic_write_json_writes(tmp_path):
+    payload = {"x": np.array([0.1, np.float64(1e-300)]), "n": np.int64(3), "inf": np.inf}
+    text = json_text(payload)
+    assert text == json.dumps({"x": [0.1, 1e-300], "n": 3, "inf": float("inf")}, indent=2) + "\n"
+    path = tmp_path / "payload.json"
+    atomic_write_json(path, payload)
+    assert path.read_text() == text

@@ -243,6 +243,37 @@ def test_parse_objective_forms():
         parse_objective("nesterov:[not json")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_objective("quartic:[[1,2],[3]]"),
+        lambda: parse_objective('diagonal_quadratic:{"a":1}'),
+        lambda: parse_objective('diagonal_quadratic:"abc"'),
+        lambda: DiagonalQuadratic([1.0, True]),
+        lambda: QuarticCopositive(np.array([[True]])),
+        lambda: NesterovExample(domain_box=[["a", 1], [0, 1]]),
+        lambda: DiagonalQuadratic([1.0], domain_box={"lo": 0}),
+        lambda: objective_from_dict({}),
+        lambda: objective_from_dict(["nesterov"]),
+        lambda: objective_from_dict({"name": ["nesterov"]}),
+        lambda: make_objective("nesterov", np.array([1.0])),
+        lambda: make_objective("nesterov", {}),
+    ],
+)
+def test_malformed_parameters_and_boxes_are_contract_violations(build):
+    with pytest.raises(ContractViolationError):
+        build()
+
+
+def test_nesterov_is_built_on_its_box_by_name():
+    obj = make_objective("nesterov", None, [[0.0, 1.0], [-1.0, 1.0]])
+    assert isinstance(obj, NesterovExample)
+    assert obj.domain_box.tolist() == [[0.0, 1.0], [-1.0, 1.0]]
+    assert objective_from_dict(obj.to_dict()).domain_box.tolist() == obj.domain_box.tolist()
+    with pytest.raises(ContractViolationError):
+        make_objective("nesterov", [1.0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     lambdas=st.lists(
