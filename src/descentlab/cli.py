@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands wire the objective zoo, the descent engine, and the
-experiment drivers into reproducible runs with file outputs.  Every
-command honors --seed, accepts --config with a JSON defaults file
-(explicit flags win), and writes output files atomically.
+experiment drivers into reproducible runs with file outputs.  Each option
+is declared once, in ``OPTIONS``, and each subcommand once, in
+``COMMANDS``: the parser, the config keys, their conversions, checks and
+defaults all come from these two tables.  Every command honors --seed,
+accepts --config with a JSON defaults file (explicit flags win), and
+writes output files atomically.
 """
 
 from __future__ import annotations
@@ -12,41 +15,54 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .critical import find_critical_points, grid_spacing, sample_local_stable_set
-from .engine import GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
+from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError
-from .experiments import (
-    MIN_CHUNK,
-    assign_basin,
-    best_rate_fit,
-    monte_carlo,
-    rate_fits,
-)
+from .experiments import MIN_CHUNK, assign_basin, best_rate_fit, monte_carlo, rate_fits
 from .fileio import atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import Objective, _has_bool, parse_objective
 
 THETA_DEFAULT = 0.99
+REQUIRED = object()  # the default of an option that every command reading it requires
 
-CONFIG_KEYS = {
-    "objective", "alpha", "theta", "x0", "init_box", "trials", "seed",
-    "tol", "max_iters", "out", "radius", "grid", "index", "y", "n_jobs",
+
+class Option(NamedTuple):
+    kind: str  # "int", "float", "str", "point" or "box"
+    default: object  # the value when neither a flag nor the config gives one
+    help: str
+
+
+# Every option, as flag --key (with "-" for "_") and as config key.  A
+# config file may give any of them to any command.
+OPTIONS = {
+    "objective": Option("str", REQUIRED, "objective name, optionally 'name:[json params]'"),
+    "alpha": Option("float", None, "step size (exclusive with --theta)"),
+    "theta": Option("float", THETA_DEFAULT, "step size as a fraction of 1/L"),
+    "seed": Option("int", 0, "RNG seed"),
+    "tol": Option("float", DEFAULT_POLICY.tol, "gradient-norm stopping tolerance"),
+    "max_iters": Option("int", DEFAULT_POLICY.max_iters, "iteration cap"),
+    "out": Option("str", None, "directory for output files"),
+    "x0": Option("point", None, "start point 'v_1,..,v_d' (default: the box center "
+                 "plus a quarter of its widths)"),
+    "trials": Option("int", REQUIRED, "number of random initializations"),
+    "init_box": Option("box", None, "initialization box 'lo_1,..,lo_d:hi_1,..,hi_d' "
+                       "(default: the domain box)"),
+    "n_jobs": Option("int", 1, "threads for trial chunks, at least 1; capped by the core "
+                     f"count and by chunks of {MIN_CHUNK} trials"),
+    "radius": Option("float", 0.5, "sampling ball radius"),
+    "grid": Option("int", 41, "grid points per axis"),
+    "index": Option("int", None, "record index to sample (default: first strict saddle)"),
+    "y": Option("point", REQUIRED, "target point 'v_1,..,v_d'"),
 }
-# Numeric options and the type each resolves to.  Flags arrive typed by
-# argparse; config values are converted once, where the two are merged.
-NUMERIC_KEYS = {
-    "trials": int, "n_jobs": int, "seed": int, "max_iters": int, "grid": int,
-    "index": int, "alpha": float, "theta": float, "tol": float, "radius": float,
-}
-# Vector options and the array dimension each resolves to: a point, or a
-# box of [lo, hi] rows.  Converted once, where flags and config merge.
-VECTOR_KEYS = {"x0": 1, "y": 1, "init_box": 2}
+_NUMBER_TYPES = {"int": int, "float": float}
 VECTOR_FORMS = {
-    1: "a list of finite numbers or 'v_1,..,v_d'",
-    2: "a list of finite [lo, hi] pairs or 'lo_1,..,lo_d:hi_1,..,hi_d'",
+    "point": "a list of finite numbers or 'v_1,..,v_d'",
+    "box": "a list of finite [lo, hi] pairs or 'lo_1,..,lo_d:hi_1,..,hi_d'",
 }
 
 
@@ -59,11 +75,9 @@ def _load_config(path) -> dict:
         raise ContractViolationError(f"config file {path}: {reason}") from exc
     if not isinstance(config, dict):
         raise ContractViolationError("config file must contain a JSON object")
-    unknown = set(config) - CONFIG_KEYS
+    unknown = set(config) - set(OPTIONS)
     if unknown:
-        raise ContractViolationError(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
+        raise ContractViolationError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return config
 
 
@@ -86,8 +100,8 @@ def _as_number(key: str, value, kind):
     return number
 
 
-def _as_array(key: str, value, ndim: int) -> np.ndarray:
-    """``value`` as a finite float point (ndim 1) or (d, 2) box (ndim 2).
+def _as_array(key: str, value, kind: str) -> np.ndarray:
+    """``value`` as a finite float point or (d, 2) box.
 
     A string reads 'v_1,..,v_d' (a point) or 'lo_1,..,lo_d:hi_1,..,hi_d'
     (a box), as on the command line; a config list may hold numbers and
@@ -101,35 +115,53 @@ def _as_array(key: str, value, ndim: int) -> np.ndarray:
         array = np.array(entries, dtype=float)
     except (TypeError, ValueError):
         array = np.empty(0)
+    ndim = 1 if kind == "point" else 2
     shaped = array.ndim == ndim and array.size > 0 and (ndim == 1 or array.shape[1] == 2)
     if _has_bool(value) or not shaped or not np.isfinite(array).all():
-        raise ContractViolationError(f"{key} must be {VECTOR_FORMS[ndim]}, got {value!r}")
+        raise ContractViolationError(f"{key} must be {VECTOR_FORMS[kind]}, got {value!r}")
     return array
 
 
-def _merged(args: argparse.Namespace) -> dict:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _merged(args: argparse.Namespace, command: Command) -> dict:
     """Resolve option values: explicit flag, then config file, then default.
 
-    Numeric values come back as int or float (see ``NUMERIC_KEYS``) and
-    vector values as float arrays (see ``VECTOR_KEYS``).
+    Every option is converted by its kind in ``OPTIONS``, numbers to int
+    or float and points and boxes to float arrays, whether or not
+    ``command`` reads it; the options it reads get their defaults.  A
+    missing required option, --alpha with --theta, a bad seed and an
+    --out that cannot hold the command's files are refused here, before
+    any work.
     """
     config = _load_config(args.config) if args.config else {}
-    merged = {}
-    for key in CONFIG_KEYS:
+    opts = {}
+    for key, option in OPTIONS.items():
         flag = getattr(args, key, None)
         value = flag if flag is not None else config.get(key)
-        if value is not None and key in NUMERIC_KEYS:
-            value = _as_number(key, value, NUMERIC_KEYS[key])
-        elif value is not None and key in VECTOR_KEYS:
-            value = _as_array(key, value, VECTOR_KEYS[key])
-        merged[key] = value
-    if merged["out"] is not None:
-        _check_out_dir(merged["out"])
-    return merged
+        if value is not None and option.kind in _NUMBER_TYPES:
+            value = _as_number(key, value, _NUMBER_TYPES[option.kind])
+        elif value is not None and option.kind in VECTOR_FORMS:
+            value = _as_array(key, value, option.kind)
+        opts[key] = value
+    if "alpha" in command.options and opts["alpha"] is not None and opts["theta"] is not None:
+        raise ContractViolationError("set at most one of --alpha and --theta")
+    for key in command.options:
+        if opts[key] is None:
+            if OPTIONS[key].default is REQUIRED:
+                raise ContractViolationError(f"{_flag(key)} is required")
+            opts[key] = OPTIONS[key].default
+    _seeded_rng(opts["seed"])  # refuses a bad seed
+    if opts["out"] is not None:
+        _check_out_dir(opts["out"], command.artifacts)
+    return opts
 
 
-def _check_out_dir(out) -> None:
-    """Refuse an --out whose first existing ancestor (or itself) is not a directory."""
+def _check_out_dir(out, artifacts) -> None:
+    """Refuse an --out whose first existing ancestor (or itself) is not a
+    directory, or in which the path of one of ``artifacts`` is a directory."""
     if not isinstance(out, str):
         raise ContractViolationError(f"out must be a directory path, got {out!r}")
     path = os.path.abspath(out)
@@ -137,25 +169,19 @@ def _check_out_dir(out) -> None:
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ContractViolationError(f"--out {out}: {path} exists and is not a directory")
-
-
-def _resolve_objective(opts) -> Objective:
-    if not opts["objective"]:
-        raise ContractViolationError("an --objective is required")
-    return parse_objective(opts["objective"])
+    for path in (os.path.join(out, name) for name in artifacts):
+        if os.path.isdir(path):
+            raise ContractViolationError(f"--out {out}: {path} is a directory")
 
 
 def _resolve_alpha(opts, objective: Objective) -> float:
-    alpha, theta = opts["alpha"], opts["theta"]
-    if alpha is not None and theta is not None:
-        raise ContractViolationError("set at most one of --alpha and --theta")
-    if alpha is not None:
-        return alpha
-    return alpha_from_theta(objective, THETA_DEFAULT if theta is None else theta)
+    if opts["alpha"] is not None:
+        return opts["alpha"]
+    return alpha_from_theta(objective, opts["theta"])
+
 
 def _resolve_policy(opts) -> StopPolicy:
-    kwargs = {key: opts[key] for key in ("tol", "max_iters") if opts[key] is not None}
-    return StopPolicy(**kwargs)
+    return StopPolicy(tol=opts["tol"], max_iters=opts["max_iters"])
 
 
 def _resolve_x0(opts, objective: Objective) -> np.ndarray:
@@ -168,16 +194,8 @@ def _resolve_x0(opts, objective: Objective) -> np.ndarray:
     return (lo + hi) / 2.0 + (hi - lo) / 4.0
 
 
-def _resolve_seed(opts) -> int:
-    seed = 0 if opts["seed"] is None else opts["seed"]
-    _seeded_rng(seed)  # refuses a bad seed before any work
-    return seed
-
-
 def _out_path(opts, name: str) -> str | None:
-    if opts["out"] is None:
-        return None
-    return os.path.join(opts["out"], name)
+    return None if opts["out"] is None else os.path.join(opts["out"], name)
 
 
 def _emit(payload, opts, filename: str) -> None:
@@ -191,18 +209,16 @@ def _emit(payload, opts, filename: str) -> None:
 
 def _labelled_run(opts):
     """The trajectory from the resolved start, the critical points and its basin."""
-    objective = _resolve_objective(opts)
+    objective = parse_objective(opts["objective"])
     alpha = _resolve_alpha(opts, objective)
     policy = _resolve_policy(opts)
     x0 = _resolve_x0(opts, objective)
-    seed = _resolve_seed(opts)
     traj = run(GradientMap(objective, alpha), x0, policy)
-    records = find_critical_points(objective, seed=seed)
+    records = find_critical_points(objective, seed=opts["seed"])
     return objective, alpha, x0, traj, records, assign_basin(traj, records)
 
 
-def cmd_run(args) -> int:
-    opts = _merged(args)
+def cmd_run(opts) -> int:
     objective, alpha, x0, traj, records, label = _labelled_run(opts)
     summary = {
         "objective": objective.to_dict(),
@@ -223,22 +239,11 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_montecarlo(args) -> int:
-    opts = _merged(args)
-    objective = _resolve_objective(opts)
-    alpha = _resolve_alpha(opts, objective)
-    policy = _resolve_policy(opts)
-    if opts["trials"] is None:
-        raise ContractViolationError("--trials is required")
-    report = monte_carlo(
-        objective,
-        alpha,
-        n_trials=opts["trials"],
-        seed=_resolve_seed(opts),
-        init_box=opts["init_box"],
-        policy=policy,
-        n_jobs=1 if opts["n_jobs"] is None else opts["n_jobs"],
-    )
+def cmd_montecarlo(opts) -> int:
+    objective = parse_objective(opts["objective"])
+    report = monte_carlo(objective, _resolve_alpha(opts, objective), n_trials=opts["trials"],
+                         seed=opts["seed"], init_box=opts["init_box"],
+                         policy=_resolve_policy(opts), n_jobs=opts["n_jobs"])
     print(f"saddle_hits: {report.saddle_hits}")
     json_path = _out_path(opts, "report.json")
     if json_path:
@@ -248,29 +253,24 @@ def cmd_montecarlo(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    opts = _merged(args)
-    objective = _resolve_objective(opts)
-    records = find_critical_points(objective, seed=_resolve_seed(opts))
+def cmd_classify(opts) -> int:
+    records = find_critical_points(parse_objective(opts["objective"]), seed=opts["seed"])
     _emit(records, opts, "critical_points.json")
     return 0
 
 
-def cmd_stable_set(args) -> int:
-    opts = _merged(args)
-    objective = _resolve_objective(opts)
+def cmd_stable_set(opts) -> int:
+    objective = parse_objective(opts["objective"])
     alpha = _resolve_alpha(opts, objective)
     policy = _resolve_policy(opts)
-    radius = 0.5 if opts["radius"] is None else opts["radius"]
-    grid = 41 if opts["grid"] is None else opts["grid"]
+    radius, grid = opts["radius"], opts["grid"]
     grid_spacing(radius, grid)  # refused before the search
-    records = find_critical_points(objective, seed=_resolve_seed(opts))
+    records = find_critical_points(objective, seed=opts["seed"])
     if opts["index"] is not None:
         # a negative index is refused, not counted from the end
         if not 0 <= opts["index"] < len(records):
-            raise ContractViolationError(
-                f"index {opts['index']} is out of range for {len(records)} critical point records"
-            )
+            raise ContractViolationError(f"index {opts['index']} is out of range for "
+                                         f"{len(records)} critical point records")
         record = records[opts["index"]]
     else:
         saddles = [r for r in records if r.is_strict_saddle]
@@ -294,31 +294,19 @@ def cmd_stable_set(args) -> int:
     return 0
 
 
-def cmd_invert(args) -> int:
-    opts = _merged(args)
-    objective = _resolve_objective(opts)
-    alpha = _resolve_alpha(opts, objective)
-    _resolve_seed(opts)  # unused, but refused when bad like every command's
-    if opts["y"] is None:
-        raise ContractViolationError("--y is required")
-    y = opts["y"]
-    tol = 1e-10 if opts["tol"] is None else opts["tol"]
-    gmap = GradientMap(objective, alpha)
-    report = invert(gmap, y, tol=tol)
-    payload = {"y": y, **report.to_dict()}
-    _emit(payload, opts, "inverse.json")
+def cmd_invert(opts) -> int:
+    objective = parse_objective(opts["objective"])
+    gmap = GradientMap(objective, _resolve_alpha(opts, objective))
+    report = invert(gmap, opts["y"], tol=opts["tol"])
+    _emit({"y": opts["y"], **report.to_dict()}, opts, "inverse.json")
     return 0
 
 
-def cmd_rates(args) -> int:
-    opts = _merged(args)
+def cmd_rates(opts) -> int:
     objective, alpha, x0, traj, records, label = _labelled_run(opts)
     if not isinstance(label, int):
-        print(
-            f"trajectory did not settle in any basin (label {label}); "
-            "no rate to fit",
-            file=sys.stderr,
-        )
+        print(f"trajectory did not settle in any basin (label {label}); no rate to fit",
+              file=sys.stderr)
         return 1
     x_star = records[label].location
     # a regime whose gate rejects the trajectory is reported as null
@@ -339,11 +327,44 @@ def cmd_rates(args) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    func: Callable[[dict], int]
+    help: str
+    options: tuple  # the OPTIONS it reads, which are its flags besides --config
+    artifacts: tuple  # the files it writes under --out
+
+
+_STEPPING = ("objective", "alpha", "theta", "seed", "tol", "max_iters", "out")
+COMMANDS = {
+    "run": Command(cmd_run, "run one trajectory, write CSV and summary",
+                   (*_STEPPING, "x0"), ("trajectory.csv", "summary.json")),
+    "montecarlo": Command(cmd_montecarlo, "basin statistics over random starts",
+                          (*_STEPPING, "trials", "init_box", "n_jobs"),
+                          ("report.json", "trials.csv", "basins.csv")),
+    "classify": Command(cmd_classify, "find and classify critical points",
+                        ("objective", "seed", "out"), ("critical_points.json",)),
+    "stable-set": Command(cmd_stable_set, "sample the local stable set of a saddle",
+                          (*_STEPPING, "radius", "grid", "index"),
+                          ("stable_set.csv", "stable_set_summary.json")),
+    "invert": Command(cmd_invert, "preimage of a point under the gradient map",
+                      ("objective", "alpha", "theta", "seed", "tol", "out", "y"),
+                      ("inverse.json",)),
+    "rates": Command(cmd_rates, "fit convergence rates along a trajectory",
+                     (*_STEPPING, "x0"), ("rates.json",)),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are one line on stderr, exit 2."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _help(option: Option) -> str:
+    if option.default is REQUIRED:
+        return f"{option.help} (required)"
+    return option.help if option.default is None else f"{option.help} (default {option.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,63 +374,21 @@ def build_parser() -> argparse.ArgumentParser:
         "statistics, critical points, stable sets, map inversion, rates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--objective", help="objective name, optionally 'name:[json params]'")
-        p.add_argument("--alpha", type=float, help="step size (exclusive with --theta)")
-        p.add_argument("--theta", type=float,
-                       help="step size as a fraction of 1/L (default 0.99)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--tol", type=float, help="gradient-norm stopping tolerance")
-        p.add_argument("--max-iters", dest="max_iters", type=int, help="iteration cap")
-        p.add_argument("--out", help="directory for output files")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for key in command.options:
+            option = OPTIONS[key]
+            p.add_argument(_flag(key), dest=key, type=_NUMBER_TYPES.get(option.kind),
+                           help=_help(option))
         p.add_argument("--config", help="JSON file with default option values")
-
-    p_run = sub.add_parser("run", help="run one trajectory, write CSV and summary")
-    common(p_run)
-    p_run.add_argument("--x0", help="comma-separated start point")
-    p_run.set_defaults(func=cmd_run)
-
-    p_mc = sub.add_parser("montecarlo", help="basin statistics over random starts")
-    common(p_mc)
-    p_mc.add_argument("--trials", type=int, help="number of random initializations")
-    p_mc.add_argument("--init-box", dest="init_box",
-                      help="initialization box 'lo_1,..,lo_d:hi_1,..,hi_d'")
-    p_mc.add_argument("--n-jobs", dest="n_jobs", type=int,
-                      help="threads for trial chunks, at least 1 (default 1); capped "
-                      f"by the core count and by chunks of {MIN_CHUNK} trials")
-    p_mc.set_defaults(func=cmd_montecarlo)
-
-    p_cl = sub.add_parser("classify", help="find and classify critical points")
-    common(p_cl)
-    p_cl.set_defaults(func=cmd_classify)
-
-    p_ss = sub.add_parser("stable-set", help="sample the local stable set of a saddle")
-    common(p_ss)
-    p_ss.add_argument("--radius", type=float, help="sampling ball radius (default 0.5)")
-    p_ss.add_argument("--grid", type=int, help="grid points per axis (default 41)")
-    p_ss.add_argument("--index", type=int,
-                      help="record index to sample (default: first strict saddle)")
-    p_ss.set_defaults(func=cmd_stable_set)
-
-    p_inv = sub.add_parser("invert", help="preimage of a point under the gradient map")
-    common(p_inv)
-    p_inv.add_argument("--y", help="comma-separated target point")
-    p_inv.set_defaults(func=cmd_invert)
-
-    p_rt = sub.add_parser("rates", help="fit convergence rates along a trajectory")
-    common(p_rt)
-    p_rt.add_argument("--x0", help="comma-separated start point")
-    p_rt.set_defaults(func=cmd_rates)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.func(_merged(args, command))
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

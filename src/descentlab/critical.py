@@ -20,7 +20,7 @@ from .engine import (
 from .errors import ContractViolationError
 from .fileio import atomic_write_columns, plain
 from .jacobi import eigh_jacobi
-from .zoo import Classification, Objective
+from .zoo import Classification, Objective, _check_vector
 
 DEGENERACY_TOL = 1e-8
 DEDUP_TOL = 1e-6
@@ -84,7 +84,7 @@ def classify(
     Raises a contract violation if the gradient norm exceeds ``grad_tol``:
     the spectrum of a non-critical point says nothing about the dynamics.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_vector(x, objective.dimension, "x")
     grad = objective.gradient(x)
     grad_norm = float(_row_norms(grad))
     if not np.isfinite(grad_norm) or grad_norm > grad_tol:
@@ -196,9 +196,7 @@ def find_critical_points(
     counted on the returned list.  Records come back sorted by location so
     the output is reproducible.
     """
-    if n_seeds < 1:
-        raise ContractViolationError("n_seeds must be at least 1")
-    seeds = _box_samples(seed, n_seeds, objective.domain_box)
+    seeds = _box_samples(seed, n_seeds, objective.domain_box, "n_seeds")
 
     roots: list[np.ndarray] = []
     n_dropped = 0

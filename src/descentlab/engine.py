@@ -64,7 +64,8 @@ class StopPolicy:
         # the stepping loop sizes its blocks by the iterations left
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ContractViolationError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.tol < 0 or self.divergence_radius <= 0 or self.max_iters < 0:
+        # written so that NaN fails them
+        if not (self.tol >= 0 and self.divergence_radius > 0 and self.max_iters >= 0):
             raise ContractViolationError("StopPolicy fields out of range")
 
 
@@ -183,12 +184,23 @@ def _seeded_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _box_samples(seed, n: int, box) -> np.ndarray:
-    # n points uniform on box (rows [lo, hi]), drawn row by row in order
-    # from one stream, so row i does not depend on n or on how the rows
-    # are split afterwards.
+def _box_samples(seed, n, box, name: str, copies: int = 1) -> np.ndarray:
+    """``copies * n`` points uniform on ``box`` (rows [lo, hi]).
+
+    They are drawn row by row in order from one stream, so row i does not
+    depend on n or on how the rows are split afterwards.  Every sampler of
+    the library draws through this, so a sample count ``name`` (``n_...``)
+    that is not an integer, below 1 or too large for an array is refused
+    with a contract violation before the caller has done any work.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ContractViolationError(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise ContractViolationError(f"{name} must be at least 1")
     lo, hi = box[:, 0], box[:, 1]
-    return lo + _seeded_rng(seed).random((n, lo.shape[0])) * (hi - lo)
+    if n > np.iinfo(np.intp).max // (8 * copies * lo.shape[0]):
+        raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
+    return lo + _seeded_rng(seed).random((copies * n, lo.shape[0])) * (hi - lo)
 
 
 def _solve_rows(mats, rhs):

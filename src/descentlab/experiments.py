@@ -34,7 +34,7 @@ from .errors import (
     InsufficientDataError,
 )
 from .fileio import atomic_write_columns, plain
-from .zoo import Objective
+from .zoo import Objective, _check_vector
 
 LABEL_DIVERGED = "Diverged"
 LABEL_LEFT_BOX = "LeftBox"
@@ -199,12 +199,6 @@ def monte_carlo(
     non-negative integer), drawn in trial order before the split, and the
     stepping is elementwise, so the report is identical for any split.
     """
-    if n_trials < 1:
-        raise ContractViolationError("n_trials must be at least 1")
-    if n_trials > np.iinfo(np.intp).max // (8 * objective.dimension):
-        raise ContractViolationError(
-            f"n_trials = {n_trials} is more trials than an array can hold"
-        )
     if n_jobs < 1:
         raise ContractViolationError(f"n_jobs must be at least 1, got {n_jobs}")
     gmap = GradientMap(objective, alpha)
@@ -217,7 +211,7 @@ def monte_carlo(
         box[:, 1] > objective.domain_box[:, 1]
     ):
         raise ContractViolationError("init_box must lie inside the domain box")
-    x0s = _box_samples(seed, n_trials, box)
+    x0s = _box_samples(seed, n_trials, box, "n_trials")
     if records is None:
         records = find_critical_points(objective)
     policy = policy or StopPolicy()
@@ -292,7 +286,6 @@ def _fit_window(traj: Trajectory, x_star) -> tuple[np.ndarray, np.ndarray]:
     within 100 machine epsilons of the limit (roundoff floor), both of
     which would bias a log-space fit.
     """
-    x_star = np.asarray(x_star, dtype=float)
     distances = _row_norms(traj.iterates - x_star)
     n = distances.shape[0]
     start = n // 5
@@ -336,7 +329,6 @@ def _rate_fit(regime: str, ks: np.ndarray, xs: np.ndarray, distances: np.ndarray
 
 
 def _require_converged(traj: Trajectory, x_star) -> None:
-    x_star = np.asarray(x_star, dtype=float)
     if np.max(np.abs(traj.final_x - x_star)) > BASIN_TOL:
         raise ContractViolationError(
             "trajectory does not end at the given limit point; rate fits "
@@ -351,6 +343,7 @@ def fit_linear_rate(traj: Trajectory, x_star) -> RateFit:
     insufficient-data error otherwise (a trajectory started at the limit
     has no usable iterates at all).
     """
+    x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
     _require_converged(traj, x_star)
     ks, distances = _fit_window(traj, x_star)
     return _rate_fit("Linear", ks, ks.astype(float), distances)
@@ -364,6 +357,7 @@ def fit_power_rate(traj: Trajectory, x_star) -> RateFit:
     budget far from it.  It does require the tail to be approaching
     x_star, otherwise the regression is meaningless.
     """
+    x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
     ks, distances = _fit_window(traj, x_star)
     if distances.size >= 2 and distances[-1] >= distances[0]:
         raise ContractViolationError(
@@ -446,8 +440,8 @@ def check_lojasiewicz(
         raise ContractViolationError("m must be nonnegative")
     if radius <= 0.0:
         raise ContractViolationError("radius must be positive")
-    x_star = np.asarray(x_star, dtype=float)
-    cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)))
+    x_star = _check_vector(x_star, objective.dimension, "x_star")
+    cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)), "n_samples")
     f_star = float(objective.value(x_star))
 
     points = x_star + radius * cube
@@ -516,6 +510,8 @@ def path_length_check(
         raise ContractViolationError("exponent a must lie in [0, 1)")
     if m <= 0.0:
         raise ContractViolationError("m must be positive for a path-length bound")
+    if x_star is not None:
+        x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
     a, m = float(a), float(m)
     alpha = traj.alpha if alpha is None else float(alpha)
     f_star = float(traj.f_values[-1]) if f_star is None else float(f_star)
@@ -535,7 +531,6 @@ def path_length_check(
         )
 
     if x_star is not None and radius is not None:
-        x_star = np.asarray(x_star, dtype=float)
         if float(np.max(_row_norms(traj.iterates[usable] - x_star))) > radius:
             raise InapplicableError(
                 "checked window leaves the certified neighborhood; the "

@@ -20,6 +20,7 @@ import numpy as np
 from .engine import GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows, _sum_squares
 from .errors import ContractViolationError, NonConvergenceError
 from .fileio import plain
+from .zoo import _check_vector
 
 MAX_INNER = 200  # default iteration budget of one inversion
 
@@ -35,15 +36,6 @@ class ProxSolveReport:
 
     def to_dict(self) -> dict:
         return plain(self)
-
-
-def _check_vector(v, dimension: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dimension,):
-        raise ContractViolationError(f"{name} must have shape ({dimension},)")
-    if not np.all(np.isfinite(v)):
-        raise ContractViolationError(f"{name} must be finite")
-    return v
 
 
 def invert(
@@ -193,10 +185,8 @@ def injectivity_margin_check(
     A pair counts as a violation when its ratio falls below the margin by
     more than 1e-9 of slack.
     """
-    if n_pairs < 1:
-        raise ContractViolationError("n_pairs must be at least 1")
     obj = gmap.objective
-    xs, ys = np.split(_box_samples(seed, 2 * n_pairs, obj.domain_box), 2)
+    xs, ys = np.split(_box_samples(seed, n_pairs, obj.domain_box, "n_pairs", copies=2), 2)
 
     sep = _row_norms(xs - ys)
     keep = sep > 0.0
@@ -238,9 +228,7 @@ def roundtrip_check(
     batched solve whose rows match ``invert`` bit for bit; if any fails,
     the error is the one ``invert`` raises for the first failing sample.
     """
-    if n_samples < 1:
-        raise ContractViolationError("n_samples must be at least 1")
-    xs = _box_samples(seed, n_samples, gmap.objective.domain_box)
+    xs = _box_samples(seed, n_samples, gmap.objective.domain_box, "n_samples")
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):
         raise ContractViolationError("y must be finite")

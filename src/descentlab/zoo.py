@@ -103,6 +103,28 @@ def _check_point(x, dimension) -> np.ndarray:
     return x
 
 
+def _check_vector(v, dimension: int, name: str) -> np.ndarray:
+    """``v`` as one finite float point of ``dimension``, or a contract violation."""
+    v = _as_floats(v, name)
+    if v.shape != (dimension,):
+        raise ContractViolationError(f"{name} must have shape ({dimension},)")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} must be finite")
+    return v
+
+
+def _refuse_overflow(objective) -> None:
+    # Every zoo gradient vanishes at the origin, so on the box it is at
+    # most sqrt(d) * L * B long, B the box's largest bound: when d * (L *
+    # B)**2 overflows, so may the squared gradient norms of the engine and
+    # the Newton search, which would then report nothing instead of failing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lip, bound = objective.lipschitz_bound(), np.max(np.abs(objective.domain_box))
+        if not np.isfinite(objective.dimension * (lip * bound) * (lip * bound)):
+            raise ContractViolationError(f"{objective.name} is too large for float arithmetic: "
+                                         f"d * (L * B)**2 overflows with L = {lip:g}, B = {bound:g}")
+
+
 def _diagonal_fill(shape, diagonal) -> np.ndarray:
     """Zero matrices of shape ``shape + (d,)`` with ``diagonal`` on each diagonal."""
     out = np.zeros(shape + shape[-1:])
@@ -181,6 +203,7 @@ class DiagonalQuadratic(Objective):
         if domain_box is None:
             domain_box = np.tile([-2.0, 2.0], (self.dimension, 1))
         self.domain_box = _as_box(domain_box, self.dimension)
+        _refuse_overflow(self)
 
     @property
     def params(self):
@@ -245,6 +268,7 @@ class NesterovExample(Objective):
         if domain_box is None:
             domain_box = [[-2.0, 2.0], [-2.0, 2.0]]
         self.domain_box = _as_box(domain_box, 2)
+        _refuse_overflow(self)
 
     def _value(self, x):
         u, v = x[..., 0], x[..., 1]
@@ -296,11 +320,13 @@ class QuarticCopositive(Objective):
         if q.ndim != 2 or q.shape[0] != q.shape[1] or not np.all(np.isfinite(q)):
             raise ContractViolationError("Q must be a finite square matrix")
         self.q = q
-        self._m = q + q.T
+        with np.errstate(over="ignore"):  # refused below if it overflows
+            self._m = q + q.T
         self.dimension = q.shape[0]
         if domain_box is None:
             domain_box = np.tile([-1.0, 1.0], (self.dimension, 1))
         self.domain_box = _as_box(domain_box, self.dimension)
+        _refuse_overflow(self)
 
     @property
     def params(self):
@@ -375,6 +401,8 @@ def parse_objective(spec: str) -> Objective:
     quadratics, a matrix (list of rows) for the quartic.  Plain ``nesterov``
     needs no parameters.
     """
+    if not isinstance(spec, str):
+        raise ContractViolationError(f"an objective spec must be a string, got {spec!r}")
     name, sep, rest = spec.partition(":")
     params = None
     if sep:

@@ -246,15 +246,15 @@ def test_config_values_of_the_wrong_type_exit_2_with_one_line(tmp_path, sub, key
     ],
 )
 def test_every_numeric_config_value_is_checked_before_any_work(tmp_path, capsys, key, value):
-    from descentlab.cli import NUMERIC_KEYS, main
+    from descentlab.cli import OPTIONS, main
 
-    assert key in NUMERIC_KEYS
+    assert OPTIONS[key].kind in ("int", "float")
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"objective": "nesterov", key: value}))
     assert main(["classify", "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {key} must be {'an integer' if NUMERIC_KEYS[key] is int else 'a number'}, got {value!r}\n"
+    assert captured.err == f"error: {key} must be {'an integer' if OPTIONS[key].kind == 'int' else 'a number'}, got {value!r}\n"
 
 
 def test_config_numbers_may_be_numeric_strings_or_integral_floats(tmp_path):
@@ -312,7 +312,7 @@ def test_an_unreadable_config_exits_2_with_one_line(tmp_path, capsys, name, cont
         ("invert", "invert"),
     ],
 )
-@pytest.mark.parametrize("blocked", ["file", "below a file"])
+@pytest.mark.parametrize("blocked", ["file", "below a file", "artifact is a directory"])
 def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, sub, work, blocked
 ):
@@ -326,12 +326,22 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     file = tmp_path / "file"
     file.write_text("kept\n")
     out = file if blocked == "file" else file / "sub"
+    expected = f"error: --out {out}: {file} exists and is not a directory\n"
+    if blocked == "artifact is a directory":
+        # the command's last file: none of its files may be written first
+        last = {"classify": "critical_points.json", "run": "summary.json",
+                "montecarlo": "basins.csv", "invert": "inverse.json"}[sub]
+        out = tmp_path / "out"
+        (out / last).mkdir(parents=True)
+        expected = f"error: --out {out}: {out / last} is a directory\n"
     extra = {"montecarlo": ["--trials", "5"], "invert": ["--y", "0.1,0.2"]}.get(sub, [])
     assert main([sub, "--objective", "nesterov", *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --out {out}: {file} exists and is not a directory\n"
+    assert captured.err == expected
     assert file.read_text() == "kept\n"
+    if blocked == "artifact is a directory":
+        assert [path.name for path in out.iterdir()] == [last]
 
 
 def test_an_out_value_that_is_not_a_path_exits_2(tmp_path, capsys):
@@ -428,7 +438,7 @@ def test_a_bad_stable_set_grid_or_radius_exits_2_before_the_search(
     ],
 )
 def test_vector_config_values_are_checked_where_they_merge(tmp_path, capsys, sub, key, value):
-    from descentlab.cli import VECTOR_FORMS, VECTOR_KEYS, main
+    from descentlab.cli import OPTIONS, VECTOR_FORMS, main
 
     path = tmp_path / "config.json"
     path.write_text(json.dumps(
@@ -437,7 +447,7 @@ def test_vector_config_values_are_checked_where_they_merge(tmp_path, capsys, sub
     assert main([sub, "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    expected = VECTOR_FORMS[VECTOR_KEYS[key]]
+    expected = VECTOR_FORMS[OPTIONS[key].kind]
     assert captured.err == f"error: {key} must be {expected}, got {value!r}\n"
 
 
@@ -533,3 +543,92 @@ def test_a_census_too_large_for_memory_is_one_line_and_exit_1():
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory: ")
     assert proc.stderr.count("\n") == 1
+
+
+FLAG_SETS = {
+    "run": {"x0"},
+    "montecarlo": {"trials", "init-box", "n-jobs"},
+    "stable-set": {"radius", "grid", "index"},
+    "rates": {"x0"},
+}
+STEPPING = {"objective", "alpha", "theta", "seed", "tol", "max-iters", "out", "config"}
+
+
+@pytest.mark.parametrize("sub, flags", [
+    *[(sub, STEPPING | extra) for sub, extra in FLAG_SETS.items()],
+    ("classify", {"objective", "seed", "out", "config"}),
+    ("invert", {"objective", "alpha", "theta", "seed", "tol", "out", "config", "y"}),
+])
+def test_each_subcommand_takes_exactly_its_flags(sub, flags):
+    import argparse
+
+    from descentlab.cli import build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {
+        option[2:] for action in subparsers.choices[sub]._actions
+        for option in action.option_strings if option not in ("-h", "--help")
+    }
+    assert taken == flags
+
+
+@pytest.mark.parametrize("sub, flag", [
+    ("classify", "--alpha"), ("classify", "--theta"), ("classify", "--tol"),
+    ("classify", "--max-iters"), ("invert", "--max-iters"),
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, sub, flag):
+    from descentlab.cli import main
+
+    extra = ["--y", "0.1,0.2"] if sub == "invert" else []
+    with pytest.raises(SystemExit) as exited:
+        main([sub, "--objective", "nesterov", *extra, flag, "0.1"])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"descentlab: error: unrecognized arguments: {flag} 0.1\n"
+
+
+@pytest.mark.parametrize("sub, argv", [
+    ("run", ["--objective", "nesterov", "--x0", "0.5,0.3"]),
+    ("montecarlo", ["--objective", "nesterov", "--trials", "20"]),
+    ("classify", ["--objective", "nesterov"]),
+    ("stable-set", ["--objective", "nesterov", "--grid", "5"]),
+    ("invert", ["--objective", "nesterov", "--alpha", "0.05", "--y", "0.95,1.7"]),
+    ("rates", ["--objective", "strongly_convex_quadratic:[1,2]", "--alpha", "0.2", "--x0", "1,1"]),
+])
+def test_each_subcommand_writes_exactly_its_declared_artifacts(tmp_path, capsys, sub, argv):
+    from descentlab.cli import COMMANDS, main
+
+    assert main([sub, *argv, "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(COMMANDS[sub].artifacts)
+
+
+@pytest.mark.parametrize("spec, bound", [
+    ("diagonal_quadratic:[1e308,-1]", "L = 1e+308, B = 2"),
+    ("diagonal_quadratic:[1e200,-1]", "L = 1e+200, B = 2"),
+    ("quartic:[[1e308]]", "L = inf, B = 1"),
+])
+def test_objective_parameters_that_overflow_exit_2_with_one_line(capsys, spec, bound):
+    import warnings
+
+    from descentlab.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", "--objective", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = "quartic_copositive" if spec.startswith("quartic") else "diagonal_quadratic"
+    assert captured.err == (
+        f"error: {name} is too large for float arithmetic: d * (L * B)**2 overflows with {bound}\n"
+    )
+
+
+def test_an_objective_config_value_that_is_not_a_string_exits_2(tmp_path, capsys):
+    from descentlab.cli import main
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"objective": 5}))
+    assert main(["classify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: an objective spec must be a string, got 5\n"

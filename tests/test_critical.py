@@ -122,6 +122,17 @@ def test_classify_rejects_noncritical_points():
     assert rec.grad_norm <= 1e-6
 
 
+@pytest.mark.parametrize("x, message", [
+    ([[0.0, 0.0], [0.0, 1.0]], r"x must have shape \(2,\)"),
+    ([0.0], r"x must have shape \(2,\)"),
+    ([0.0, float("inf")], "x must be finite"),
+    ([[0.0], [0.0, 1.0]], "x must be numbers"),
+])
+def test_classify_refuses_a_point_that_is_not_one_finite_point(x, message):
+    with pytest.raises(ContractViolationError, match=message):
+        classify(NesterovExample(), x)
+
+
 def test_record_spectral_factorization_invariants():
     obj = NesterovExample()
     for point in obj.known_critical_points():

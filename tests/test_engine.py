@@ -189,6 +189,11 @@ def test_stop_policy_validation():
         StopPolicy(divergence_radius=0.0)
     with pytest.raises(ContractViolationError):
         StopPolicy(max_iters=-1)
+    # NaN fails every range check; an infinite tolerance or radius is valid
+    for nan_field in ({"tol": float("nan")}, {"divergence_radius": float("nan")}):
+        with pytest.raises(ContractViolationError):
+            StopPolicy(**nan_field)
+    StopPolicy(tol=float("inf"), divergence_radius=float("inf"))
     for not_an_integer in (2.5, 3.0, True, None):
         with pytest.raises(ContractViolationError):
             StopPolicy(max_iters=not_an_integer)

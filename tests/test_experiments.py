@@ -322,6 +322,39 @@ def test_every_sampler_refuses_a_seed_that_is_not_a_non_negative_integer(
     assert str(refused.value) == f"seed must be a non-negative integer, got {seed!r}"
 
 
+COUNTED_SAMPLERS = {
+    "monte_carlo": ("n_trials", lambda n: monte_carlo(NesterovExample(), 0.09, n, seed=0)),
+    "find_critical_points": ("n_seeds", lambda n: find_critical_points(NesterovExample(), n_seeds=n)),
+    "check_lojasiewicz": ("n_samples", lambda n: check_lojasiewicz(
+        NesterovExample(), [0.0, 1.0], 0.5, 0.1, 0.1, n_samples=n
+    )),
+    "roundtrip_check": ("n_samples", lambda n: roundtrip_check(GradientMap(NesterovExample(), 0.09), n)),
+    "injectivity_margin_check": ("n_pairs", lambda n: injectivity_margin_check(
+        GradientMap(NesterovExample(), 0.09), n
+    )),
+}
+
+
+@pytest.mark.parametrize("count, message", [
+    (2.5, "{name} must be an integer, got 2.5"),
+    ("5", "{name} must be an integer, got '5'"),
+    (True, "{name} must be an integer, got True"),
+    (0, "{name} must be at least 1"),
+    (-3, "{name} must be at least 1"),
+    (2**62, "{name} = 4611686018427387904 is more {noun} than an array can hold"),
+])
+@pytest.mark.parametrize("sampler", sorted(COUNTED_SAMPLERS))
+def test_every_sampler_refuses_a_sample_count_that_is_not_a_positive_integer(
+    sampler, count, message, monkeypatch
+):
+    # refused from the count alone, before any search or array
+    monkeypatch.setattr(experiments, "find_critical_points", _no_work)
+    name, call = COUNTED_SAMPLERS[sampler]
+    with pytest.raises(ContractViolationError) as refused:
+        call(count)
+    assert str(refused.value) == message.format(name=name, noun=name[2:])
+
+
 def test_samplers_accept_numpy_and_huge_integer_seeds(nesterov_records):
     plain = monte_carlo(NesterovExample(), 0.09, 20, seed=5, records=nesterov_records)
     as_numpy = monte_carlo(
@@ -569,6 +602,25 @@ def test_path_length_validates_parameters():
         path_length_check(traj, a=1.0, m=1.0)
     with pytest.raises(ContractViolationError):
         path_length_check(traj, a=0.5, m=0.0)
+
+
+@pytest.mark.parametrize("x_star, message", [
+    ([0.0], r"x_star must have shape \(2,\)"),
+    ([0.0, 0.0, 0.0], r"x_star must have shape \(2,\)"),
+    ([[0.0, 0.0]], r"x_star must have shape \(2,\)"),
+    ([0.0, float("nan")], "x_star must be finite"),
+    ([0.0, "a"], "x_star must be numbers"),
+])
+def test_rate_and_path_length_checks_refuse_a_bad_limit_point(x_star, message):
+    traj = run(GradientMap(StronglyConvexQuadratic([1.0, 3.0]), 0.3), np.array([1.0, 1.0]))
+    for check in (
+        lambda: fit_linear_rate(traj, x_star),
+        lambda: fit_power_rate(traj, x_star),
+        lambda: path_length_check(traj, a=0.5, m=np.sqrt(2.0), x_star=x_star, radius=1.0),
+        lambda: check_lojasiewicz(StronglyConvexQuadratic([1.0, 3.0]), x_star, 0.5, 1.0, 0.1),
+    ):
+        with pytest.raises(ContractViolationError, match=message):
+            check()
 
 
 def test_path_length_report_to_dict():
