@@ -6,6 +6,24 @@ and Monte Carlo experiments showing that random initialization avoids
 strict saddles.
 """
 
+import os
+import sys
+
+# Importing numpy starts OpenBLAS's thread pool, whose idle workers spin
+# and cost a fresh process tens of milliseconds.  Every matrix descentlab
+# factors or multiplies is d x d at desk scale, which OpenBLAS never
+# splits across threads, and a census runs its own n_jobs threads.  So
+# when descentlab loads numpy itself, and the caller has not chosen a
+# thread count, the pool gets one thread; the variable is gone again
+# afterwards, so child processes see the caller's environment.  Import
+# numpy first, or set OPENBLAS_NUM_THREADS, to keep the pool.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .critical import (
     CriticalPointList,
     CriticalPointRecord,

@@ -24,6 +24,12 @@ cost past the arithmetic is selecting and testing rows, so it selects 2-D
 rows with ``compress`` for a mask and ``take`` for indices, never with
 numpy's much slower boolean-mask indexing, and tests a whole block
 against a box or the divergence cube with one ``min`` and one ``max``.
+It does no work whose result it does not read: the tolerance is tested
+on squared gradient norms, square roots are taken only where a row
+stops, and on an objective certified finite on its box
+(``Objective.finite_on_box``) f is computed only at the stops while the
+block stays in the box; a step where no row can stop advances without
+building a mask.
 ``closed_form_quadratic`` is the independent oracle for diagonal
 quadratics, where the k-th iterate is (1 - alpha*lambda_i)^k x0_i
 componentwise.
@@ -31,6 +37,9 @@ componentwise.
 
 from __future__ import annotations
 
+import math
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,6 +57,13 @@ class StopReason(str, Enum):
     LEFT_DOMAIN_BOX = "LeftDomainBox"
 
 
+def _check_real(value, name: str) -> float:
+    """``value`` as a float; a boolean or a non-real is a contract violation."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class StopPolicy:
     """Termination rules for the iteration.
@@ -61,6 +77,8 @@ class StopPolicy:
     max_iters: int = 100_000
 
     def __post_init__(self):
+        _check_real(self.tol, "tol")
+        _check_real(self.divergence_radius, "divergence_radius")
         # the stepping loop sizes its blocks by the iterations left
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
             raise ContractViolationError(f"max_iters must be an integer, got {self.max_iters!r}")
@@ -82,7 +100,7 @@ class GradientMap:
     """
 
     def __init__(self, objective: Objective, alpha: float, validate: bool = True):
-        alpha = float(alpha)
+        alpha = _check_real(alpha, "alpha")
         if validate:
             if not alpha > 0:
                 raise ContractViolationError("step size alpha must be positive")
@@ -109,7 +127,7 @@ class GradientMap:
 
 def alpha_from_theta(objective: Objective, theta: float = 0.99) -> float:
     """Step size theta / L for theta < 1, the near-optimal constant-step choice."""
-    if not 0 < theta < 1:
+    if not 0 < _check_real(theta, "theta") < 1:
         raise ContractViolationError("theta must lie in (0, 1)")
     lip = objective.lipschitz_bound()
     if lip == 0.0:
@@ -340,6 +358,24 @@ def _block_width(width: int, rows: int) -> int:
     return max(1, min(2 * width, _BLOCK_ROWS // rows))
 
 
+def _squared_tolerance(tol: float) -> float:
+    """The largest double t with sqrt(t) <= tol, or inf when tol is inf.
+
+    ``sqrt`` is correctly rounded and so monotone, hence for every double
+    s, NaN and inf included, ``s <= t`` holds exactly when ``sqrt(s) <=
+    tol`` does: the loop tests the tolerance on squared norms.
+    """
+    tol = float(tol)
+    if tol == math.inf:
+        return math.inf
+    t = min(tol * tol, sys.float_info.max)
+    while math.sqrt(t) > tol:
+        t = math.nextafter(t, 0.0)
+    while (up := math.nextafter(t, math.inf)) < math.inf and math.sqrt(up) <= tol:
+        t = up
+    return t
+
+
 def _columns_within(x, lo: float, hi: float) -> bool:
     """True when every entry of x lies in [lo, hi]; False on a NaN.
 
@@ -357,9 +393,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
 
     The loop steps a block of b iterates of every active row, calling
     only ``_gradient`` and the step, and then settles the stop rule for
-    the whole block at once: one call each gives f, the gradient norms,
-    the finiteness screen and the tolerance, divergence, cap and box
-    tests of all b x m iterates.  Each row stops at its first stopping
+    the whole block at once: one call each gives f, the squared gradient
+    norms, the finiteness screen and the tolerance, divergence, cap and
+    box tests of all b x m iterates.  Each row stops at its first stopping
     iterate, in the precedence order of ``_STOP_CODE_REASONS``; the steps
     it took past that iterate are thrown away.  The stop rule only
     watches the orbit, so this changes no iterate, value or norm.  A
@@ -369,6 +405,18 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     count m (``_block_width``): widths double from 1 up to 64 // m, so b
     is 1 on a census batch and reaches 64 on a single row, and no block
     reaches past the iteration cap.
+
+    The tolerance test is ``sq <= tol2`` on the squared norms, which is
+    ``sqrt(sq) <= tol`` bit for bit (``_squared_tolerance``), so square
+    roots are taken only for the stopping iterates (and the history).
+    On an objective certified finite on its box, a block inside the box
+    with finite squared norms needs no finiteness screen, so f is
+    computed only at the stopping iterates; when, besides, no squared
+    norm reaches ``tol2``, no row can diverge and the cap is not in the
+    block, the loop advances without building any mask.  ``run`` (whose
+    history records f at every iterate), objectives without the
+    certificate, blocks outside the box and the quadratics, whose rows
+    may leave it, take f for the whole block and screen it.
 
     The divergence and box tests are first settled for the whole block
     with one ``min`` and one ``max`` (``_columns_within``) against the
@@ -391,7 +439,8 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     """
     obj = gmap.objective
     value, gradient, alpha = obj._value, obj._gradient, gmap.alpha
-    tol, radius, max_iters = policy.tol, policy.divergence_radius, policy.max_iters
+    tol2 = _squared_tolerance(policy.tol)
+    radius, max_iters = policy.divergence_radius, policy.max_iters
     n, d = x0s.shape
     final_x = np.zeros_like(x0s)
     final_f = np.zeros(n)
@@ -405,6 +454,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     # the box, which settles divergence too when the box fits the cube.
     cube = float(min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK)))
     check_box = not obj.lipschitz_global
+    certified = check_box and obj.finite_on_box and not history
     box = obj.domain_box
     box_lo, box_hi = float(box[:, 0].max()), float(box[:, 1].min())
     box_in_cube = bool(np.all(box[:, 0] >= -cube) and np.all(box[:, 1] <= cube))
@@ -435,29 +485,41 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 xs = xs[:b]
 
             flat = xs.reshape(-1, d)
-            f = value(flat).reshape(b, m)
-            gn = _row_norms(gs)
-            # A finite norm implies a finite gradient, so this flags every
-            # non-finite iterate; an overflowed norm flags a finite one
-            # too, which the exact test below lets through.
-            suspect = ~(np.isfinite(f) & np.isfinite(gn))
+            sq = _sum_squares(gs)
+            in_box = check_box and _columns_within(flat, box_lo, box_hi)
+            div_free = (in_box and box_in_cube) or _columns_within(flat, -cube, cube)
+            capped = k + b - 1 == max_iters
+            # On the box of a certified objective every value and gradient
+            # is finite, so f is needed only at the stops; a finite sq.max()
+            # also rules out an overflowed norm, and NaN fails both tests.
+            lean = certified and in_box and sq.max() < np.inf
+            if lean:
+                if div_free and not capped and sq.min() > tol2:
+                    x = x_next
+                    k += b
+                    continue
+                f, suspect = None, False
+            else:
+                f = value(flat).reshape(b, m)
+                # A finite norm implies a finite gradient, so this flags
+                # every non-finite iterate; an overflowed norm flags a
+                # finite one too, which the exact test below lets through.
+                suspect = ~(np.isfinite(f) & np.isfinite(sq))
             if history:
                 while k + b > len(hist):
                     hist = np.concatenate([hist, np.empty_like(hist)])
                 span = hist[k:k + b]
-                span[:, :d], span[:, d], span[:, d + 1] = xs[:, 0], f[:, 0], gn[:, 0]
-            tol_hit = gn <= tol
+                span[:, :d], span[:, d], span[:, d + 1] = xs[:, 0], f[:, 0], np.sqrt(sq[:, 0])
+            tol_hit = sq <= tol2
             flagged = tol_hit | suspect
 
             div_hit = box_exit = False
-            in_box = check_box and _columns_within(flat, box_lo, box_hi)
-            if not ((in_box and box_in_cube) or _columns_within(flat, -cube, cube)):
+            if not div_free:
                 div_hit = _row_norms(xs) >= radius
                 flagged |= div_hit
             if check_box and not in_box:
                 box_exit = ~obj.contains(xs)
                 flagged |= box_exit
-            capped = k + b - 1 == max_iters
 
             if capped or flagged.any():
                 if capped and b > 1:
@@ -468,7 +530,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                     if hit is not False:
                         np.copyto(code, stop_code, where=hit)
                 done = code != _RUNNING
-                if suspect.any():
+                if suspect is not False and suspect.any():
                     bad = ~(np.isfinite(f) & np.isfinite(gs).all(axis=-1))
                     # a row is not checked past the iterate it stops at
                     bad[1:] &= ~np.logical_or.accumulate(done[:-1], axis=0)
@@ -486,9 +548,10 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 at = done[:, rows].argmax(axis=0)
                 sel = at * m + rows
                 idx = active[rows]
-                final_x[idx] = flat.take(sel, axis=0)
-                final_f[idx] = f.ravel()[sel]
-                final_gn[idx] = gn.ravel()[sel]
+                at_stop = flat.take(sel, axis=0)
+                final_x[idx] = at_stop
+                final_f[idx] = value(at_stop) if f is None else f.ravel()[sel]
+                final_gn[idx] = np.sqrt(sq.ravel()[sel])
                 iterations[idx] = k + at
                 codes[idx] = code.ravel()[sel]
                 keep = ~stopped

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows, _sum_squares
+from .engine import (GradientMap, _backtrack, _box_samples, _check_real, _row_norms, _solve_rows,
+                     _sum_squares)
 from .errors import ContractViolationError, NonConvergenceError
 from .fileio import plain
 from .zoo import _check_vector
@@ -58,6 +59,7 @@ def invert(
     of the objective's dimension.  This is the batched solver behind
     ``roundtrip_check`` run on one row, with the same iterates.
     """
+    _check_real(tol, "tol")
     dimension = gmap.objective.dimension
     y = _check_vector(y, dimension, "y")
     start = y if x0 is None else _check_vector(x0, dimension, "x0")
@@ -228,6 +230,7 @@ def roundtrip_check(
     batched solve whose rows match ``invert`` bit for bit; if any fails,
     the error is the one ``invert`` raises for the first failing sample.
     """
+    _check_real(tol, "tol")
     xs = _box_samples(seed, n_samples, gmap.objective.domain_box, "n_samples")
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):

@@ -113,16 +113,25 @@ def _check_vector(v, dimension: int, name: str) -> np.ndarray:
     return v
 
 
-def _refuse_overflow(objective) -> None:
+def _refuse_overflow(objective, value_bound=None) -> None:
     # Every zoo gradient vanishes at the origin, so on the box it is at
     # most sqrt(d) * L * B long, B the box's largest bound: when d * (L *
     # B)**2 overflows, so may the squared gradient norms of the engine and
     # the Newton search, which would then report nothing instead of failing.
+    # ``value_bound(c)`` runs the objective's own value arithmetic on the
+    # magnitudes of its parameters at the box's farthest corner c, so it
+    # bounds every intermediate of a value on the box; objectives whose
+    # values the gradient bound does not already cover pass it.  Together
+    # these back the ``finite_on_box`` certificate.
     with np.errstate(over="ignore", invalid="ignore"):
         lip, bound = objective.lipschitz_bound(), np.max(np.abs(objective.domain_box))
         if not np.isfinite(objective.dimension * (lip * bound) * (lip * bound)):
             raise ContractViolationError(f"{objective.name} is too large for float arithmetic: "
                                          f"d * (L * B)**2 overflows with L = {lip:g}, B = {bound:g}")
+        corner = np.max(np.abs(objective.domain_box), axis=1)
+        if value_bound is not None and not np.isfinite(value_bound(corner)):
+            raise ContractViolationError(f"{objective.name} is too large for float arithmetic: "
+                                         f"its values on domain_box overflow")
 
 
 def _diagonal_fill(shape, diagonal) -> np.ndarray:
@@ -142,6 +151,10 @@ class Objective:
     ``known_critical_points``.  ``lipschitz_global`` is True when the
     reported bound holds on all of R^d (quadratics), in which case the
     descent engine does not treat leaving the box as a certificate loss.
+    ``finite_on_box`` is True when construction has certified that every
+    value and gradient on ``domain_box`` is finite (``_refuse_overflow``);
+    the descent engine then computes f only where a run stops while its
+    iterates stay in the box.
 
     Objectives are immutable after construction and safe to share across
     threads; all methods are pure.
@@ -151,6 +164,7 @@ class Objective:
     dimension: int
     domain_box: np.ndarray
     lipschitz_global: bool = False
+    finite_on_box: bool = False
 
     def value(self, x):
         return self._value(_check_point(x, self.dimension))
@@ -193,6 +207,7 @@ class DiagonalQuadratic(Objective):
 
     name = "diagonal_quadratic"
     lipschitz_global = True
+    finite_on_box = True
 
     def __init__(self, lambdas, domain_box=None):
         lambdas = np.atleast_1d(_as_floats(lambdas, "lambdas"))
@@ -203,7 +218,8 @@ class DiagonalQuadratic(Objective):
         if domain_box is None:
             domain_box = np.tile([-2.0, 2.0], (self.dimension, 1))
         self.domain_box = _as_box(domain_box, self.dimension)
-        _refuse_overflow(self)
+        # for lambda_i < 1 the values reach past the gradient bound
+        _refuse_overflow(self, lambda c: np.add.reduce(np.abs(lambdas) * c * c))
 
     @property
     def params(self):
@@ -263,11 +279,14 @@ class NesterovExample(Objective):
     name = "nesterov_example"
     dimension = 2
     lipschitz_global = False
+    finite_on_box = True
 
     def __init__(self, domain_box=None):
         if domain_box is None:
             domain_box = [[-2.0, 2.0], [-2.0, 2.0]]
         self.domain_box = _as_box(domain_box, 2)
+        # L >= 1, and L >= 2 y^2 where y^2 >= 1 on the box, so a finite
+        # d * (L * B)**2 also bounds x^2 and y^4 and every term of f
         _refuse_overflow(self)
 
     def _value(self, x):
@@ -314,6 +333,7 @@ class QuarticCopositive(Objective):
 
     name = "quartic_copositive"
     lipschitz_global = False
+    finite_on_box = True
 
     def __init__(self, q, domain_box=None):
         q = np.atleast_2d(_as_floats(q, "Q"))
@@ -326,15 +346,21 @@ class QuarticCopositive(Objective):
         if domain_box is None:
             domain_box = np.tile([-1.0, 1.0], (self.dimension, 1))
         self.domain_box = _as_box(domain_box, self.dimension)
-        _refuse_overflow(self)
+        # Q's antisymmetric part cancels from M and so from L, but not
+        # from the products q_ij u_j that f adds up
+        _refuse_overflow(self, lambda c: self._value_of(np.abs(q), c))
 
     @property
     def params(self):
         return self.q.tolist()
 
     def _value(self, x):
+        return self._value_of(self.q, x)
+
+    @staticmethod
+    def _value_of(q, x):
         u = x * x
-        qu = np.add.reduce(self.q * u[..., None, :], axis=-1)
+        qu = np.add.reduce(q * u[..., None, :], axis=-1)
         return np.add.reduce(u * qu, axis=-1)
 
     def _gradient(self, x):

@@ -29,8 +29,10 @@ from descentlab.engine import (
     _block_width,
     _columns_within,
     _row_norms,
+    _squared_tolerance,
     _sum_squares,
 )
+from descentlab.inverse import invert, roundtrip_check
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -746,3 +748,97 @@ def test_stops_and_failures_at_block_boundaries(reason, scenario):
                         _Poisoned(base, [marker, _orbit(base, alpha, other, k + later)], part), alpha)
                     failure = _first_failure(lambda: run_many(both, x0s, policy))
                     assert failure == (f"{message} (trial {trial})", k)
+
+
+_TOLERANCES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e154, np.finfo(float).max, np.inf]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("tol", _TOLERANCES)
+def test_the_squared_tolerance_decides_as_the_norm_does(tol):
+    tol2 = _squared_tolerance(tol)
+    square = np.float64(tol) * np.float64(tol)
+    candidates = {tol2, np.nextafter(tol2, 0.0), np.nextafter(tol2, np.inf),
+                  square, np.nextafter(square, 0.0), np.nextafter(square, np.inf)}
+    for t in map(np.float64, candidates):
+        assert (np.sqrt(t) <= tol) == (t <= tol2), (tol, t)
+    # the largest such double
+    assert np.sqrt(np.float64(tol2)) <= tol
+    above = np.nextafter(tol2, np.inf)
+    assert tol2 == np.inf or not np.sqrt(above) <= tol or above == np.inf
+
+
+class _Uncertified(NesterovExample):
+    finite_on_box = False
+
+
+class _Counted(NesterovExample):
+    """The Nesterov example, counting the points its value is taken at."""
+
+    def __init__(self, domain_box=None):
+        super().__init__(domain_box)
+        self.points = 0
+
+    def _value(self, x):
+        self.points += x.size // x.shape[-1]
+        return super()._value(x)
+
+
+@pytest.mark.parametrize("box, alpha, policy", [
+    (None, 0.09, StopPolicy()),
+    (None, 0.09, StopPolicy(tol=1e-6, max_iters=100)),
+    (None, 0.09, StopPolicy(tol=0.0, max_iters=0)),
+    (None, 0.09, StopPolicy(divergence_radius=1.5)),
+    ([[-0.6, 0.6], [-0.6, 0.6]], 0.5, StopPolicy()),
+    ([[-2.0, 2.0], [-0.6, 0.6]], 0.5, StopPolicy(tol=1e-8)),
+])
+def test_the_certificate_changes_no_bit_of_a_batch(box, alpha, policy):
+    # the same starts stepped with f at every iterate and with f only at
+    # the stops; on the small boxes the rows off the x-axis leave, which
+    # mixes both settles in one run
+    certified, uncertified = NesterovExample(box), _Uncertified(box)
+    assert certified.finite_on_box and not uncertified.finite_on_box
+    x0s = np.random.default_rng(7).uniform(-0.6, 0.6, (2000, 2))
+    x0s[::4, 1] = 0.0
+    lean = run_many(GradientMap(certified, alpha), x0s, policy)
+    full = run_many(GradientMap(uncertified, alpha), x0s, policy)
+    for field in ("final_x", "final_f", "final_grad_norm", "iterations"):
+        assert np.array_equal(getattr(lean, field), getattr(full, field)), field
+    assert lean.stop_reasons == full.stop_reasons
+
+
+def test_a_certified_batch_in_its_box_takes_f_only_at_the_stops():
+    obj = _Counted()
+    x0s = np.random.default_rng(3).uniform(-2.0, 2.0, (500, 2))
+    batch = run_many(GradientMap(obj, alpha_from_theta(obj, 0.99)), x0s)
+    assert set(batch.stop_reasons) == {StopReason.GRAD_NORM_BELOW_TOL}
+    assert obj.points == len(x0s)
+    # a single run records f at every iterate
+    obj.points = 0
+    traj = run(GradientMap(obj, 0.09), x0s[0])
+    assert obj.points >= traj.n_steps + 1
+
+
+_OBJ = NesterovExample()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: StopPolicy(tol=None),
+    lambda: StopPolicy(tol=True),
+    lambda: StopPolicy(tol="1e-10"),
+    lambda: StopPolicy(divergence_radius="x"),
+    lambda: StopPolicy(divergence_radius=np.bool_(True)),
+    lambda: GradientMap(_OBJ, "x"),
+    lambda: GradientMap(_OBJ, None),
+    lambda: GradientMap(_OBJ, True, validate=False),
+    lambda: alpha_from_theta(_OBJ, None),
+    lambda: alpha_from_theta(_OBJ, False),
+    lambda: invert(GradientMap(_OBJ, 0.09), [0.1, 0.2], tol=None),
+    lambda: invert(GradientMap(_OBJ, 0.09), [0.1, 0.2], tol=[1e-10]),
+    lambda: roundtrip_check(GradientMap(_OBJ, 0.09), 10, tol=True),
+], ids=["tol-None", "tol-True", "tol-str", "radius-str", "radius-np-bool", "alpha-str",
+        "alpha-None", "alpha-True", "theta-None", "theta-False", "invert-tol-None",
+        "invert-tol-list", "roundtrip-tol-True"])
+def test_scalar_parameters_that_are_not_real_numbers_are_refused(call):
+    with pytest.raises(ContractViolationError, match="must be a real number, got "):
+        call()

@@ -1,6 +1,9 @@
 """Objective zoo: analytic derivatives against finite differences and
 hand-derived values, Lipschitz certificates, and the registry."""
 
+import itertools
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -291,3 +294,67 @@ def test_diagonal_quadratic_identities(lambdas, scale):
     assert obj.value(x) == pytest.approx(0.5 * float(np.sum(lam * x * x)), rel=1e-12)
     np.testing.assert_allclose(obj.gradient(x), lam * x, rtol=1e-12)
     assert obj.lipschitz_bound() == pytest.approx(float(np.max(np.abs(lam))))
+
+
+def test_every_zoo_constructor_carries_the_finite_certificate():
+    from descentlab import Objective
+    from descentlab.zoo import _CONSTRUCTORS
+
+    params = {"diagonal_quadratic": [1.0, -1.0], "strongly_convex_quadratic": [1.0, 2.0],
+              "nesterov_example": None, "quartic_copositive": [[1.0, -0.5], [0.25, 2.0]]}
+    assert set(params) == set(_CONSTRUCTORS)
+    assert Objective.finite_on_box is False
+    for name, param in params.items():
+        assert make_objective(name, param).finite_on_box is True
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _largest_accepted(build, lo: float, hi: float) -> float:
+    """The largest positive double s with build(s) accepted, by bisection
+    on the doubles between an accepted ``lo`` and a refused ``hi``."""
+    build(lo)
+    with pytest.raises(ContractViolationError, match="too large for float arithmetic"):
+        build(hi)
+    lo_bits, hi_bits = _bits(lo), _bits(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        try:
+            build(_double(mid))
+            lo_bits = mid
+        except ContractViolationError:
+            hi_bits = mid
+    return _double(lo_bits)
+
+
+EDGES = {
+    # the values overflow before the gradients do
+    "quadratic-flat-on-a-huge-box": (
+        lambda s: DiagonalQuadratic([1e-150, -1e-150], domain_box=[[-s, s], [-1.0, s]]), 1e300),
+    "quadratic-steep": (lambda s: DiagonalQuadratic([s, -1.0]), 1e308),
+    "nesterov-on-a-huge-box": (lambda s: NesterovExample([[-s, s], [-s, s]]), 1e100),
+    "nesterov-wide-in-x": (lambda s: NesterovExample([[-s, s], [-1.0, 1.0]]), 1e300),
+    "quartic-steep": (lambda s: QuarticCopositive([[s]]), 1e308),
+    "quartic-on-a-huge-box": (lambda s: QuarticCopositive(np.eye(2), [[-s, s], [-1.0, 1.0]]), 1e300),
+    # M = Q + Q^T = 0, so L = 0 however large Q is
+    "quartic-antisymmetric": (lambda s: QuarticCopositive([[0.0, s], [-s, 0.0]]), 1.7e308),
+    "quartic-antisymmetric-on-a-huge-box": (
+        lambda s: QuarticCopositive([[0.0, 1.0], [-1.0, 0.0]], [[-s, s], [-s, s]]), 1e300),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("edge", sorted(EDGES))
+def test_objectives_at_the_edge_of_refusal_are_finite_at_their_box_corners(edge):
+    build, refused = EDGES[edge]
+    obj = build(_largest_accepted(build, 1.0, refused))
+    assert obj.finite_on_box
+    corners = np.array(list(itertools.product(*obj.domain_box)))
+    assert np.all(np.isfinite(obj.value(corners)))
+    assert np.all(np.isfinite(obj.gradient(corners)))
