@@ -218,7 +218,8 @@ class DiagonalQuadratic(Objective):
         if domain_box is None:
             domain_box = np.tile([-2.0, 2.0], (self.dimension, 1))
         self.domain_box = _as_box(domain_box, self.dimension)
-        # for lambda_i < 1 the values reach past the gradient bound
+        # with L < 1 a value, up to d * L * B**2, can overflow where
+        # d * (L * B)**2 does not
         _refuse_overflow(self, lambda c: np.add.reduce(np.abs(lambdas) * c * c))
 
     @property
