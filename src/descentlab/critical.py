@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import (
     GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _row_norms, _solve_rows,
-    _sum_squares, run_many,
+    _squared_tolerance, _sum_squares, run_many,
 )
 from .errors import ContractViolationError
 from .fileio import atomic_write_columns, plain
@@ -24,6 +24,12 @@ from .zoo import Classification, Objective, _check_vector
 
 DEGENERACY_TOL = 1e-8
 DEDUP_TOL = 1e-6
+# Iterations of one Newton search, at most.  On the degenerate root of a
+# quartic Newton contracts only linearly, by 2/3 per step and so the
+# gradient by (2/3)**3; the steepest quartic the constructors accept has
+# a gradient of about 1e154 on its box (zoo._refuse_overflow), which takes
+# about 311 iterations to fall below the default tolerance of 1e-10.
+NEWTON_BUDGET = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +123,8 @@ class CriticalPointList(list):
         self.n_dropped = n_dropped
 
 
-def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters: int = 120):
+def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
+                  max_iters: int = NEWTON_BUDGET):
     """Newton iteration on grad f = 0 with a squared-gradient-norm merit guard.
 
     Runs from every row of ``seeds`` at once and returns, per seed, the
@@ -130,24 +137,24 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters
     Each row takes exactly the steps it would take alone: its own
     backtracking line search, and a steepest-descent direction on the
     merit wherever its Hessian is singular.  A row leaves the batch as soon
-    as its outcome is known.
+    as its outcome is known.  The tolerance is tested on the merit, the
+    squared gradient norm, as ``merit <= tol2``, which is ``sqrt(merit) <=
+    tol`` bit for bit (``_squared_tolerance``).
     """
+    gradient, hessian = objective._gradient, objective._hessian
+    tol2 = _squared_tolerance(tol)
     roots = [None] * seeds.shape[0]
-    active = np.arange(seeds.shape[0])
-    x = seeds.copy()
-    grad = objective.gradient(x)
+    grad = gradient(seeds)
     merit = _sum_squares(grad)
+    # only a seed can have a non-finite merit: the line search accepts finite ones
+    active = np.flatnonzero(np.isfinite(merit))
+    x, grad, merit = seeds[active], grad[active], merit[active]
     hit_tol = np.zeros(active.size, dtype=bool)
     for _ in range(max_iters):
-        hit_tol |= np.sqrt(merit) <= tol
-        finite = np.isfinite(merit)
-        if not finite.all():
-            # only a seed can get here: the line search accepts finite merits
-            active, x, grad = active[finite], x[finite], grad[finite]
-            merit, hit_tol = merit[finite], hit_tol[finite]
-            if not active.size:
-                break
-        hess = objective.hessian(x)
+        if not active.size:
+            break
+        hit_tol |= merit <= tol2
+        hess = hessian(x)
         direction, singular = _solve_rows(hess, grad)
         pending = np.arange(active.size)
         if singular is not None:
@@ -158,7 +165,7 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters
 
         x_new, grad_new, merit_new = x.copy(), grad.copy(), merit.copy()
         accepted = _backtrack(
-            lambda trial, rows: objective.gradient(trial), x, direction, pending, 40,
+            lambda trial, rows: gradient(trial), x, direction, pending, 40,
             lambda trial_merit, rows, step: trial_merit < merit[rows],
             (x_new, grad_new, merit_new),
         )
@@ -173,9 +180,7 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float, max_iters
             active, x, grad, merit, hit_tol = (
                 active[keep], x[keep], grad[keep], merit[keep], hit_tol[keep],
             )
-            if not active.size:
-                break
-    for i in np.flatnonzero(hit_tol & (np.sqrt(merit) <= tol)):
+    for i in np.flatnonzero(hit_tol & (merit <= tol2)):
         roots[active[i]] = x[i].copy()
     return roots
 
@@ -198,16 +203,17 @@ def find_critical_points(
     """
     seeds = _box_samples(seed, n_seeds, objective.domain_box, "n_seeds")
 
-    roots: list[np.ndarray] = []
-    n_dropped = 0
-    for root in _newton_roots(objective, seeds, tol):
-        if root is None:
-            n_dropped += 1
-            continue
-        if any(np.max(np.abs(root - known)) <= dedup_tol for known in roots):
-            continue
+    found = [root for root in _newton_roots(objective, seeds, tol) if root is not None]
+    n_dropped = seeds.shape[0] - len(found)
+    # Keep the first converged root of each cluster: the first root not
+    # yet merged is kept, and every later one within dedup_tol of it is
+    # merged, in one comparison per kept root.
+    rest = np.array(found).reshape(-1, objective.dimension)
+    roots = []
+    while rest.shape[0]:
+        root, rest = rest[0], rest[1:]
         roots.append(root)
-
+        rest = rest[~(np.abs(rest - root) <= dedup_tol).all(axis=-1)]
     roots.sort(key=lambda r: tuple(np.round(r, 9)))
     records = [
         classify(objective, root, degeneracy_tol=degeneracy_tol, grad_tol=max(tol, 1e-9))

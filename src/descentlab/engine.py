@@ -243,6 +243,14 @@ def _solve_rows(mats, rhs):
         return out, singular
 
 
+# Coordinates of the trial points that one line-search evaluation holds,
+# at most, past the full step: the rows that refuse the full step try as
+# many further steps at once as fit, so m rows in d dimensions settle in
+# two evaluations when m * d * (tries - 1) fits, and a batch too large for
+# two steps per row tries one step at a time.
+_TRIAL_ENTRIES = 8192
+
+
 def _backtrack(residual, x, direction, rows, tries: int, decrease, out):
     """The batched Newton solvers' line search along ``-direction`` on ``rows`` of ``x``.
 
@@ -250,22 +258,50 @@ def _backtrack(residual, x, direction, rows, tries: int, decrease, out):
     first whose merit ``_sum_squares(residual(trial, rows))`` is finite and
     passes ``decrease(merit, rows, s)``, writing the trial point, residual
     and merit into its row of ``out``.  Returns the rows that took a step.
+
+    Every row first tries the full step, in one evaluation; the rows that
+    refuse it then try all their further steps at once, and each takes
+    its first passing one.  So ``residual`` and ``decrease`` see a stack of
+    trial points of shape ``(w, m, d)``, merits of shape ``(w, m)`` and
+    steps of shape ``(w, 1)``: w steps, each tried on the same m rows.  A
+    stack holds at most ``_TRIAL_ENTRIES`` coordinates past the full step
+    (at least one step), so a large batch tries one step at a time.  Each
+    trial point, residual and merit comes from the same elementwise
+    arithmetic on the same exact powers of two as in a search that halves
+    the step one evaluation at a time, so every row takes the same step
+    bit for bit.  The stack also holds steps past a row's first passing
+    one, which may overflow; a non-finite merit fails anyway, so no numpy
+    warning reports it.
     """
     accepted = np.zeros(x.shape[0], dtype=bool)
-    step = np.ones(x.shape[0])
-    for _ in range(tries):
-        if not rows.size:
-            break
-        trial = x[rows] - step[rows, None] * direction[rows]
-        trial_residual = residual(trial, rows)
-        trial_merit = _sum_squares(trial_residual)
-        ok = np.isfinite(trial_merit) & decrease(trial_merit, rows, step[rows])
-        taken = rows[ok]
-        for buffer, values in zip(out, (trial, trial_residual, trial_merit)):
-            buffer[taken] = values[ok]
-        accepted[taken] = True
-        rows = rows[~ok]
-        step[rows] *= 0.5
+    d = x.shape[1]
+    steps = np.ldexp(1.0, -np.arange(tries))[:, None]
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while rows.size and k < tries:
+            m = rows.size
+            width = 1 if k == 0 else max(1, min(tries - k, _TRIAL_ENTRIES // (m * d)))
+            step = steps[k:k + width]
+            every = m == x.shape[0]  # rows is then every row of x, in order
+            x_rows, d_rows = (x, direction) if every else (x[rows], direction[rows])
+            trial = x_rows - step[:, :, None] * d_rows
+            trial_residual = residual(trial, rows)
+            trial_merit = _sum_squares(trial_residual)
+            ok = np.isfinite(trial_merit) & decrease(trial_merit, rows, step)
+            hit = ok.any(axis=0)
+            took = np.flatnonzero(hit)
+            taken = rows[took]
+            stack = trial, trial_residual, trial_merit
+            if every and width == 1 and took.size == m:
+                for buffer, values in zip(out, stack):
+                    buffer[...] = values[0]
+            else:
+                first = ok[:, took].argmax(axis=0) if width > 1 else 0
+                for buffer, values in zip(out, stack):
+                    buffer[taken] = values[first, took]
+            accepted[taken] = True
+            rows = rows[~hit]
+            k += width
     return accepted
 
 
@@ -359,15 +395,16 @@ def _block_width(width: int, rows: int) -> int:
 
 
 def _squared_tolerance(tol: float) -> float:
-    """The largest double t with sqrt(t) <= tol, or inf when tol is inf.
+    """The largest double t with sqrt(t) <= tol; tol itself when it is inf, negative or NaN.
 
     ``sqrt`` is correctly rounded and so monotone, hence for every double
-    s, NaN and inf included, ``s <= t`` holds exactly when ``sqrt(s) <=
-    tol`` does: the loop tests the tolerance on squared norms.
+    s >= 0, NaN and inf included, ``s <= t`` holds exactly when ``sqrt(s)
+    <= tol`` does: the loops test tolerances on squared norms.
     """
     tol = float(tol)
-    if tol == math.inf:
-        return math.inf
+    if tol == math.inf or not tol >= 0:
+        # every square passes inf, and none a negative or NaN tolerance
+        return tol
     t = min(tol * tol, sys.float_info.max)
     while math.sqrt(t) > tol:
         t = math.nextafter(t, 0.0)

@@ -11,6 +11,8 @@ tolerance stops every run first) and stable-set grids at 9 or below, so
 the examples run in a few seconds.  Far starts and radii (up to 1e300)
 on diagonal quadratics, whose certificate is global, overflow in the
 stepping loop and end with exit 1 and one line, again without a warning.
+Quartics as steep as the constructors accept reach their degenerate
+origin only linearly, and ``classify`` still reports it.
 """
 
 import contextlib
@@ -94,7 +96,7 @@ def _flag_text(value) -> str:
 
 
 def _invoke(command, options, objective="nesterov"):
-    """Run the command in-process; return (exit code, stderr lines, warnings)."""
+    """Run the command in-process; return (exit code, stderr lines, warnings, stdout)."""
     argv = [command, "--objective", objective]
     config = {}
     for key, (value, route) in options.items():
@@ -116,7 +118,7 @@ def _invoke(command, options, objective="nesterov"):
                 code = main(argv)
             except SystemExit as exc:  # argparse refuses a flag
                 code = exc.code
-    return code, stderr.getvalue().splitlines(), caught
+    return code, stderr.getvalue().splitlines(), caught, stdout.getvalue()
 
 
 def _cases(command):
@@ -144,7 +146,7 @@ def _cases(command):
 
 def _check(command, case):
     bad, options = case
-    code, err, caught = _invoke(command, options)
+    code, err, caught, _ = _invoke(command, options)
     assert not caught, [str(w.message) for w in caught]
     if bad is None:
         assert code in VALID_CODES.get(command, (0,)), (code, err)
@@ -208,7 +210,7 @@ SPEC_OPTIONS = {"trials": (5, "flag"), "y": ([0.1, 0.2], "flag"),
 @example(command="montecarlo", spec='diagonal_quadratic:"abc"')
 @given(command=st.sampled_from(sorted(FLAGS)), spec=SPECS)
 def test_any_objective_spec_ends_in_an_exit_code_and_one_line(command, spec):
-    code, err, caught = _invoke(command, SPEC_OPTIONS, spec)
+    code, err, caught, _ = _invoke(command, SPEC_OPTIONS, spec)
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2), (code, err)
     assert len(err) <= 1, err
@@ -226,7 +228,7 @@ FAR = st.one_of(
 
 
 def _check_far(command, objective, options):
-    code, err, caught = _invoke(command, options, objective)
+    code, err, caught, _ = _invoke(command, options, objective)
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1), (code, err)
     assert len(err) == code, err
@@ -253,3 +255,29 @@ def test_a_far_stable_set_grid_on_a_quadratic_warns_of_nothing(curvatures, radiu
     objective = f"diagonal_quadratic:{json.dumps([curvatures[0], -curvatures[1]])}"
     options = {"radius": (radius, "flag"), "grid": (grid, "flag"), "max_iters": (3000, "flag")}
     _check_far("stable-set", objective, options)
+
+
+# Diagonal quartics with scales from 1 up to just past the refusal bound
+# (about 1.1e153 for one dimension, 7.9e152 for two) and either sign: the
+# origin is their only critical point, and Newton contracts towards it by
+# only 2/3 per step, in about 311 steps on the steepest.
+SCALES = st.builds(lambda sign, power: sign * 10.0**power, st.sampled_from([-1.0, 1.0]),
+                   st.floats(0.0, 153.05))
+
+
+@FUZZ
+@example(scales=[1e100])
+@example(scales=[1.1173173274950273e153])
+@given(scales=st.lists(SCALES, min_size=1, max_size=2))
+def test_classify_reports_the_origin_of_any_accepted_quartic(scales):
+    q = [[scale if i == j else 0.0 for j in range(len(scales))]
+         for i, scale in enumerate(scales)]
+    code, err, caught, out = _invoke("classify", {}, f"quartic:{json.dumps(q)}")
+    assert not caught, [str(w.message) for w in caught]
+    if code == 2:
+        assert max(map(abs, scales)) > 7.9e152 and len(err) == 1, err
+        assert "too large for float arithmetic" in err[0]
+        return
+    assert (code, err) == (0, [])
+    locations = [record["location"] for record in json.loads(out)]
+    assert len(locations) == 1 and max(map(abs, locations[0])) <= 1e-9, locations

@@ -16,7 +16,8 @@ from descentlab import (
     sample_local_stable_set,
     stable_subspace,
 )
-from descentlab.critical import _newton_roots
+from descentlab.critical import NEWTON_BUDGET, _newton_roots
+from descentlab.inverse import roundtrip_check
 
 
 def scalar_newton_root(objective, x0, tol, max_iters=120):
@@ -184,6 +185,66 @@ def test_find_critical_points_of_degenerate_quartic():
     assert len(records) == 1
     np.testing.assert_allclose(records[0].location, [0.0, 0.0], atol=1e-8)
     assert records[0].classification is Classification.DEGENERATE
+
+
+# The steepest 1-D quartic the constructors accept, to 1e-9 relative:
+# one 1e-9 steeper overflows d * (L * B)**2 and is refused.
+STEEPEST_QUARTIC = 1.1173173274950273e153
+
+
+def test_the_steepest_quartic_is_at_the_refusal_bound():
+    QuarticCopositive([[STEEPEST_QUARTIC]])
+    with pytest.raises(ContractViolationError, match="too large for float arithmetic"):
+        QuarticCopositive([[STEEPEST_QUARTIC * (1 + 1e-9)]])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("q", [
+    [[1e100]], [[1e150]], [[STEEPEST_QUARTIC]], [[-STEEPEST_QUARTIC]],
+    [[STEEPEST_QUARTIC / np.sqrt(2.0), 0.0], [0.0, -3.0]],
+], ids=["1e100", "1e150", "steepest", "steepest-max", "steepest-2d"])
+def test_a_steep_quartic_reports_its_origin_without_a_warning(q):
+    # Newton contracts the degenerate origin by 2/3 per step, so a steep
+    # quartic needs about 311 iterations to reach the gradient tolerance,
+    # far past the 120 of the old budget
+    objective = QuarticCopositive(q)
+    records = find_critical_points(objective)
+    assert len(records) == 1 and records.n_dropped == 0
+    assert np.max(np.abs(records[0].location)) <= 1e-30
+    assert records[0].grad_norm <= 1e-10
+    seeds = np.random.default_rng(9).uniform(-1.0, 1.0, (20, objective.dimension))
+    assert all(root is not None for root in assert_roots_match_scalar_loop(
+        objective, seeds, max_iters=NEWTON_BUDGET))
+    gmap = GradientMap(objective, 0.5 / objective.lipschitz_bound())
+    report = roundtrip_check(gmap, 200, seed=1)
+    assert report.max_backward_residual <= 1e-9
+
+
+def _pairwise_dedup(roots, dedup_tol):
+    """Reference: each root against every root kept before it, one pair at a time."""
+    kept = []
+    for root in roots:
+        if not any(np.max(np.abs(root - known)) <= dedup_tol for known in kept):
+            kept.append(root)
+    return kept
+
+
+@pytest.mark.parametrize("dedup_tol", [1e-6, 0.0, -1.0, np.nan])
+def test_deduplication_keeps_the_first_root_of_each_cluster(monkeypatch, dedup_tol):
+    # a chain a, b, c with a ~ b and b ~ c but not a ~ c: first come keeps
+    # a and c; NaN coordinates merge with nothing, and a negative or NaN
+    # tolerance merges nothing at all
+    a = np.array([0.0, 0.0])
+    found = [a, None, a + 0.9e-6, a + [1.8e-6, 0.0], a.copy(), None,
+             np.array([np.nan, 0.0]), np.array([np.nan, 0.0]), a - [0.0, 1e-6]]
+    monkeypatch.setattr("descentlab.critical._newton_roots", lambda *args: list(found))
+    monkeypatch.setattr("descentlab.critical.classify", lambda objective, root, **kw: root)
+    records = find_critical_points(DiagonalQuadratic([1.0, 1.0]), n_seeds=len(found),
+                                   dedup_tol=dedup_tol)
+    want = _pairwise_dedup([root for root in found if root is not None], dedup_tol)
+    want.sort(key=lambda r: tuple(np.round(r, 9)))
+    assert records.n_dropped == 2
+    assert [r.tobytes() for r in records] == [r.tobytes() for r in want]
 
 
 ZOO_CLASSES = [

@@ -26,6 +26,8 @@ from descentlab import (
 )
 from descentlab.engine import (
     _HISTORY_ROWS,
+    _TRIAL_ENTRIES,
+    _backtrack,
     _block_width,
     _columns_within,
     _row_norms,
@@ -750,7 +752,8 @@ def test_stops_and_failures_at_block_boundaries(reason, scenario):
                     assert failure == (f"{message} (trial {trial})", k)
 
 
-_TOLERANCES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e154, np.finfo(float).max, np.inf]
+_TOLERANCES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e154, np.finfo(float).max, np.inf,
+               -1e-10, -np.inf, np.nan]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -759,9 +762,13 @@ def test_the_squared_tolerance_decides_as_the_norm_does(tol):
     tol2 = _squared_tolerance(tol)
     square = np.float64(tol) * np.float64(tol)
     candidates = {tol2, np.nextafter(tol2, 0.0), np.nextafter(tol2, np.inf),
-                  square, np.nextafter(square, 0.0), np.nextafter(square, np.inf)}
-    for t in map(np.float64, candidates):
+                  square, np.nextafter(square, 0.0), np.nextafter(square, np.inf),
+                  0.0, 5e-324, 1.0, np.finfo(float).max, np.inf, np.nan}
+    # squares are never negative; a negative or NaN tolerance passes none
+    for t in (np.float64(t) for t in candidates if not t < 0):
         assert (np.sqrt(t) <= tol) == (t <= tol2), (tol, t)
+    if not tol >= 0:
+        return
     # the largest such double
     assert np.sqrt(np.float64(tol2)) <= tol
     above = np.nextafter(tol2, np.inf)
@@ -842,3 +849,102 @@ _OBJ = NesterovExample()
 def test_scalar_parameters_that_are_not_real_numbers_are_refused(call):
     with pytest.raises(ContractViolationError, match="must be a real number, got "):
         call()
+
+
+def sequential_backtrack(residual, x, direction, rows, tries, decrease, out):
+    """Reference: the line search that halves the step one evaluation at a time."""
+    accepted = np.zeros(x.shape[0], dtype=bool)
+    step = np.ones(x.shape[0])
+    for _ in range(tries):
+        if not rows.size:
+            break
+        trial = x[rows] - step[rows, None] * direction[rows]
+        trial_residual = residual(trial, rows)
+        trial_merit = _sum_squares(trial_residual)
+        ok = np.isfinite(trial_merit) & decrease(trial_merit, rows, step[rows])
+        taken = rows[ok]
+        for buffer, values in zip(out, (trial, trial_residual, trial_merit)):
+            buffer[taken] = values[ok]
+        accepted[taken] = True
+        rows = rows[~ok]
+        step[rows] *= 0.5
+    return accepted
+
+
+def _line_search_rows(n):
+    """``(x, direction, bound)`` for n rows that cycle through the outcomes.
+
+    The merit of a trial point is s**2 ||direction||**2 (the residual is
+    the trial's offset from x), and a row passes where it falls below
+    ``bound``, so a unit direction with bound 1.5 * 4**-k first passes at
+    s = 2**-k.  Rows with k = 0, 1, 5 and 39; rows that never pass (bound
+    0, and a NaN direction); and a direction of 1e160, whose merit is inf
+    for every s above about 2**-20 and first passes at 2**-25.
+    """
+    rng = np.random.default_rng(n)
+    x = rng.uniform(-1.0, 1.0, (n, 2))
+    angle = rng.uniform(0.0, 2 * np.pi, n)
+    direction = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    norms = _sum_squares(direction)
+    kinds = np.arange(n) % 7
+    first = np.array([0, 1, 5, 39, 0, 0, 25])[kinds]
+    bound = 1.5 * np.ldexp(1.0, -2 * first) * norms
+    bound[kinds == 4] = 0.0
+    direction[kinds == 5] = np.nan
+    direction[kinds == 6] *= 1e160
+    bound[kinds == 6] = 1.5 * (np.ldexp(1e160, -25)) ** 2 * norms[kinds == 6]
+    return x, direction, bound
+
+
+def _run_line_search(search, x, direction, rows, tries, bound, accept_all=False):
+    """``(accepted, out, calls)``: a search's outcome and its residual calls' sizes."""
+    calls = []
+    start = x.copy()
+
+    def residual(trial, rows):
+        calls.append(trial.size)
+        return trial - start[rows]
+
+    def decrease(trial_merit, rows, step):
+        return np.full(trial_merit.shape, True) if accept_all else trial_merit < bound[rows]
+
+    out = tuple(np.full(shape, -7.0) for shape in (x.shape, x.shape, x.shape[:1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        accepted = search(residual, x, direction, rows, tries, decrease, out)
+    return accepted, out, calls
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, rows, tries, accept_all", [
+    (70, "all", 40, False),  # s = 1, 2**-1, 2**-5, 2**-39, never, NaN, inf
+    (70, "odd", 40, False),  # a subset of the rows
+    (70, "all", 1, True),  # the inversion's fallback: one step, any finite merit
+    (70, "all", 1, False),
+    (70, "none", 40, False),
+    (210, "all", 40, False),  # more steps than one stack holds
+    (4200, "all", 40, False),  # more rows than two steps each fit
+], ids=["mixed", "subset", "one-try", "one-try-decrease", "no-rows", "chunked", "huge"])
+def test_the_line_search_takes_each_rows_sequential_step_bit_for_bit(n, rows, tries, accept_all):
+    x, direction, bound = _line_search_rows(n)
+    rows = {"all": np.arange(n), "odd": np.arange(1, n, 2), "none": np.arange(0)}[rows]
+    want = _run_line_search(sequential_backtrack, x, direction, rows, tries, bound, accept_all)
+    got = _run_line_search(_backtrack, x, direction, rows, tries, bound, accept_all)
+    np.testing.assert_array_equal(got[0], want[0])
+    for got_buffer, want_buffer in zip(got[1], want[1]):
+        assert got_buffer.tobytes() == want_buffer.tobytes()
+    if rows.size and tries == 40 and not accept_all:
+        # every outcome happens, the non-finite merits included
+        assert want[0][rows].any() and not want[0][rows].all()
+    # The full step is one call on the rows; each later call holds at most
+    # _TRIAL_ENTRIES coordinates or one step of every row left, so a small
+    # batch settles in two calls where halving one step at a time takes 40.
+    calls = got[2]
+    m, d = rows.size, x.shape[1]
+    assert len(calls) <= len(want[2])
+    assert calls[:1] == want[2][:1]
+    assert all(size <= max(_TRIAL_ENTRIES, m * d) for size in calls[1:])
+    if m * d * (tries - 1) <= _TRIAL_ENTRIES:
+        assert len(calls) <= min(2, tries)
+    if m * d * 2 > _TRIAL_ENTRIES and len(calls) > 1:
+        # too large for two steps per row: the next step alone
+        assert calls[1] == want[2][1]
