@@ -254,8 +254,9 @@ _TRIAL_ENTRIES = 8192
 def _backtrack(residual, x, direction, rows, tries: int, decrease, out):
     """The batched Newton solvers' line search along ``-direction`` on ``rows`` of ``x``.
 
-    Each row tries steps s = 1, 1/2, ... (``tries`` at most) and takes the
-    first whose merit ``_sum_squares(residual(trial, rows))`` is finite and
+    ``rows`` holds distinct row indices in ascending order.  Each row
+    tries steps s = 1, 1/2, ... (``tries`` at most) and takes the first
+    whose merit ``_sum_squares(residual(trial, rows))`` is finite and
     passes ``decrease(merit, rows, s)``, writing the trial point, residual
     and merit into its row of ``out``.  Returns the rows that took a step.
 
