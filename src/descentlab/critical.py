@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _row_norms, _solve_rows,
-    _squared_tolerance, _sum_squares, run_many,
+    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_tolerance, _row_norms,
+    _solve_rows, _squared_tolerance, _sum_squares, run_many,
 )
 from .errors import ContractViolationError
 from .fileio import atomic_write_columns, plain
@@ -89,7 +89,10 @@ def classify(
 
     Raises a contract violation if the gradient norm exceeds ``grad_tol``:
     the spectrum of a non-critical point says nothing about the dynamics.
+    A negative or NaN tolerance is refused before any work.
     """
+    _check_tolerance(degeneracy_tol, "degeneracy_tol")
+    _check_tolerance(grad_tol, "grad_tol")
     x = _check_vector(x, objective.dimension, "x")
     grad = objective.gradient(x)
     grad_norm = float(_row_norms(grad))
@@ -199,8 +202,12 @@ def find_critical_points(
     damped-Newton pass.  Converged roots closer than ``dedup_tol`` in the
     infinity norm are merged; starts that fail to converge are dropped and
     counted on the returned list.  Records come back sorted by location so
-    the output is reproducible.
+    the output is reproducible.  A negative or NaN tolerance is refused
+    before any work.
     """
+    for value, name in ((tol, "tol"), (degeneracy_tol, "degeneracy_tol"),
+                        (dedup_tol, "dedup_tol")):
+        _check_tolerance(value, name)
     seeds = _box_samples(seed, n_seeds, objective.domain_box, "n_seeds")
 
     found = [root for root in _newton_roots(objective, seeds, tol) if root is not None]
@@ -294,8 +301,10 @@ def sample_local_stable_set(
     The grid spans [-radius, radius] per axis, trimmed to the closed ball;
     offsets are built symmetrically so the center row sits exactly on the
     invariant axes.  A point counts as converged when its run stops on the
-    gradient certificate within ``tol`` (infinity norm) of the saddle.
+    gradient certificate within ``tol`` (infinity norm) of the saddle;
+    a negative or NaN ``tol`` is refused before any work.
     """
+    _check_tolerance(tol, "tol")
     if not record.is_strict_saddle:
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
     if record.dimension != 2:

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError
 from .fileio import atomic_write_columns
-from .zoo import Objective
+from .zoo import _PAIRWISE_FROM, Objective
 
 
 class StopReason(str, Enum):
@@ -64,6 +64,19 @@ def _check_real(value, name: str) -> float:
     return float(value)
 
 
+def _check_tolerance(value, name: str) -> None:
+    """Refuse a ``value`` that is not a real number of at least 0, NaN included."""
+    value = _check_real(value, name)
+    if not value >= 0:  # written so that NaN fails it
+        raise ContractViolationError(f"{name} must be non-negative, got {value!r}")
+
+
+def _check_count(value, name: str) -> None:
+    """Refuse a ``value`` that is not an integer of at least 0, a boolean included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ContractViolationError(f"{name} must be a non-negative integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StopPolicy:
     """Termination rules for the iteration.
@@ -77,14 +90,12 @@ class StopPolicy:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        _check_real(self.tol, "tol")
-        _check_real(self.divergence_radius, "divergence_radius")
+        _check_tolerance(self.tol, "tol")
         # the stepping loop sizes its blocks by the iterations left
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
-            raise ContractViolationError(f"max_iters must be an integer, got {self.max_iters!r}")
-        # written so that NaN fails them
-        if not (self.tol >= 0 and self.divergence_radius > 0 and self.max_iters >= 0):
-            raise ContractViolationError("StopPolicy fields out of range")
+        _check_count(self.max_iters, "max_iters")
+        if not _check_real(self.divergence_radius, "divergence_radius") > 0:  # NaN fails it
+            raise ContractViolationError(
+                f"divergence_radius must be positive, got {self.divergence_radius!r}")
 
 
 DEFAULT_POLICY = StopPolicy()
@@ -171,14 +182,12 @@ class Trajectory:
 
 def _sum_squares(x) -> np.ndarray:
     # The library's one row sum of squares; rounds as np.sum(x * x,
-    # axis=-1) does.  On numpy 2.4 a sum along a contiguous last axis adds
-    # its terms one after another below 8 terms and pairwise from 8 terms
-    # on.  Below 8 the columns are added in that order here, which avoids
-    # the slow short-axis reduction; from 8 on it is the reduction np.sum
-    # dispatches to.  tests/test_engine.py pins both for d = 1..12, so a
-    # numpy that moves the threshold fails it.
+    # axis=-1) does.  Below ``_PAIRWISE_FROM`` terms the columns are added
+    # one after another, as the reduction adds them (a square is never
+    # -0.0, so the reduction's 0.0 start changes nothing); from it on it is
+    # the reduction np.sum dispatches to.
     d = x.shape[-1]
-    if d >= 8:
+    if d >= _PAIRWISE_FROM:
         return np.add.reduce(x * x, axis=-1)
     s = x[..., 0] * x[..., 0]
     for j in range(1, d):
@@ -197,8 +206,7 @@ def _seeded_rng(seed) -> np.random.Generator:
     (negative, boolean, fractional, None, a sequence) is refused with a
     contract violation before the caller has done any work.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ContractViolationError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_count(seed, "seed")
     return np.random.default_rng(seed)
 
 
@@ -353,7 +361,7 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
     only the dense history is skipped.
     """
     obj = gmap.objective
-    # row-major whatever the input's layout: from 8 columns on, numpy sums
+    # row-major whatever the input's layout: from _PAIRWISE_FROM columns on, numpy sums
     # a row of a column-major batch in another order than run's point
     x0s = np.array(x0s, dtype=float, order="C")
     if x0s.ndim != 2 or x0s.shape[1] != obj.dimension:

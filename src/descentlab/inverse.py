@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (GradientMap, _backtrack, _box_samples, _check_real, _row_norms, _solve_rows,
-                     _squared_tolerance, _sum_squares)
+from .engine import (GradientMap, _backtrack, _box_samples, _check_count, _check_tolerance,
+                     _row_norms, _solve_rows, _squared_tolerance, _sum_squares)
 from .errors import ContractViolationError, NonConvergenceError
 from .fileio import plain
 from .zoo import _check_vector
@@ -57,9 +57,12 @@ def invert(
     the budget runs out, which usually means y lies too far outside the
     image of the certified region.  ``y`` and ``x0`` must be finite points
     of the objective's dimension.  This is the batched solver behind
-    ``roundtrip_check`` run on one row, with the same iterates.
+    ``roundtrip_check`` run on one row, with the same iterates.  A
+    negative or NaN ``tol`` and a ``max_inner`` that is not a non-negative
+    integer are refused before any work.
     """
-    _check_real(tol, "tol")
+    _check_tolerance(tol, "tol")
+    _check_count(max_inner, "max_inner")
     dimension = gmap.objective.dimension
     y = _check_vector(y, dimension, "y")
     start = y if x0 is None else _check_vector(x0, dimension, "x0")
@@ -237,7 +240,7 @@ def roundtrip_check(
     batched solve whose rows match ``invert`` bit for bit; if any fails,
     the error is the one ``invert`` raises for the first failing sample.
     """
-    _check_real(tol, "tol")
+    _check_tolerance(tol, "tol")
     xs = _box_samples(seed, n_samples, gmap.objective.domain_box, "n_samples")
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):

@@ -49,6 +49,14 @@ import numpy as np
 
 from .errors import ContractViolationError
 
+# On numpy 2.4, np.add.reduce along a contiguous last axis adds its terms
+# one after another, from 0.0, below this many terms, and pairwise from it
+# on.  Below it a sum over columns that starts at 0.0 rounds as the
+# reduction does and skips its slow short-axis loop; from it on the
+# reduction is kept.  tests/test_engine.py pins both sides of the
+# threshold, so a numpy that moves it fails there.
+_PAIRWISE_FROM = 8
+
 
 class Classification(str, Enum):
     """Second-order taxonomy of a critical point."""
@@ -343,6 +351,11 @@ class QuarticCopositive(Objective):
         self.q = q
         with np.errstate(over="ignore"):  # refused below if it overflows
             self._m = q + q.T
+        self._columns = list(np.ascontiguousarray(self._m.T))  # the columns of M
+        # the reduction adds the products to 0.0, which only turns a -0.0
+        # first product into 0.0, and only a first column with a sign bit
+        # set can give one (u = x * x has none)
+        self._zero_start = bool(np.signbit(self._columns[0]).any())
         self.dimension = q.shape[0]
         if domain_box is None:
             domain_box = np.tile([-1.0, 1.0], (self.dimension, 1))
@@ -366,7 +379,15 @@ class QuarticCopositive(Objective):
 
     def _gradient(self, x):
         u = x * x
-        mu = np.add.reduce(self._m * u[..., None, :], axis=-1)
+        if self.dimension >= _PAIRWISE_FROM:
+            mu = np.add.reduce(self._m * u[..., None, :], axis=-1)
+        else:
+            # M u by columns, in the reduction's order
+            mu = self._columns[0] * u[..., :1]
+            if self._zero_start:
+                mu += 0.0
+            for j in range(1, self.dimension):
+                mu += self._columns[j] * u[..., j:j + 1]
         return 2.0 * x * mu
 
     def _hessian(self, x):

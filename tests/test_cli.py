@@ -632,3 +632,79 @@ def test_an_objective_config_value_that_is_not_a_string_exits_2(tmp_path, capsys
     path.write_text(json.dumps({"objective": 5}))
     assert main(["classify", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: an objective spec must be a string, got 5\n"
+
+
+def test_invert_refuses_a_negative_tolerance_with_one_line():
+    # it ran the whole budget and ended with exit 1 before
+    proc = cli("invert", "--objective", "nesterov", "--y", "0.1,0.1", "--tol", "-1", check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: tol must be non-negative, got -1.0\n"
+
+
+def test_main_in_process_leaves_the_heap_unfrozen(tmp_path, capsys):
+    import gc
+
+    from descentlab.cli import main
+
+    frozen = gc.get_freeze_count()
+    assert main(["run", "--objective", "nesterov", "--x0", "0.5,0.3",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["run", "--objective", "nesterov", "--max-iters", "-1"]) == 2
+    assert gc.get_freeze_count() == frozen
+
+
+# entry_point as a console script calls it, with an atexit handler that
+# reports whether the heap was frozen when it ran
+AT_EXIT = """\
+import atexit, gc, sys
+from descentlab.cli import entry_point
+atexit.register(lambda: print(f"atexit: frozen {gc.get_freeze_count() > 0}"))
+sys.argv = ["descentlab", *sys.argv[1:]]
+entry_point()
+"""
+
+
+def test_entry_point_freezes_the_heap_and_still_runs_atexit_handlers(tmp_path):
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", AT_EXIT, "run", "--objective", "nesterov", "--x0", "0.5,0.3",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    text, _, handler = proc.stdout.rpartition("}\n")
+    assert handler == "atexit: frozen True\n"
+    summary = json.loads(text + "}\n")
+    assert json.loads((out / "summary.json").read_text()) == summary
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == summary["n_steps"] + 2
+    assert lines[-1].split(",")[1:3] == [repr(v) for v in summary["final_x"]]
+    assert sorted(path.name for path in out.iterdir()) == ["summary.json", "trajectory.csv"]
+
+    refused = subprocess.run(
+        [sys.executable, "-c", AT_EXIT, "run", "--objective", "nesterov", "--max-iters", "-1",
+         "--out", str(tmp_path / "refused")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert refused.returncode == 2
+    assert refused.stdout == "atexit: frozen True\n"
+    assert refused.stderr == "error: max_iters must be a non-negative integer, got -1\n"
+    assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo", "--objective", "nesterov", "--trials", "200"],
+    ["run", "--objective", "quartic:[[0.25]]", "--alpha", "0.1", "--tol", "0",
+     "--max-iters", "300", "--x0", "0.6"],
+])
+def test_cli_runs_clean_in_development_mode(tmp_path, argv):
+    # -X dev warns of a file never closed; the frozen heap must not hide one
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "descentlab",
+         *argv, "--out", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

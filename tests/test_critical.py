@@ -229,11 +229,10 @@ def _pairwise_dedup(roots, dedup_tol):
     return kept
 
 
-@pytest.mark.parametrize("dedup_tol", [1e-6, 0.0, -1.0, np.nan])
+@pytest.mark.parametrize("dedup_tol", [1e-6, 0.0])
 def test_deduplication_keeps_the_first_root_of_each_cluster(monkeypatch, dedup_tol):
     # a chain a, b, c with a ~ b and b ~ c but not a ~ c: first come keeps
-    # a and c; NaN coordinates merge with nothing, and a negative or NaN
-    # tolerance merges nothing at all
+    # a and c; NaN coordinates merge with nothing
     a = np.array([0.0, 0.0])
     found = [a, None, a + 0.9e-6, a + [1.8e-6, 0.0], a.copy(), None,
              np.array([np.nan, 0.0]), np.array([np.nan, 0.0]), a - [0.0, 1e-6]]
@@ -245,6 +244,42 @@ def test_deduplication_keeps_the_first_root_of_each_cluster(monkeypatch, dedup_t
     want.sort(key=lambda r: tuple(np.round(r, 9)))
     assert records.n_dropped == 2
     assert [r.tobytes() for r in records] == [r.tobytes() for r in want]
+
+
+BAD_TOLERANCES = [(-1.0, "must be non-negative, got -1.0"),
+                  (np.nan, "must be non-negative, got nan"),
+                  (True, "must be a real number, got True"),
+                  ("1e-6", "must be a real number, got '1e-6'")]
+
+
+@pytest.mark.parametrize("name", ["tol", "degeneracy_tol", "dedup_tol"])
+@pytest.mark.parametrize("value, message", BAD_TOLERANCES)
+def test_find_critical_points_refuses_a_bad_tolerance_before_any_work(monkeypatch, name,
+                                                                        value, message):
+    # a negative or NaN tol found nothing, a negative dedup_tol merged
+    # nothing and a negative degeneracy_tol never reported Degenerate
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr("descentlab.critical._newton_roots", no_search)
+    with pytest.raises(ContractViolationError, match=f"^{name} {message}$"):
+        find_critical_points(NesterovExample(), **{name: value})
+
+
+@pytest.mark.parametrize("name", ["degeneracy_tol", "grad_tol"])
+@pytest.mark.parametrize("value, message", BAD_TOLERANCES)
+def test_classify_refuses_a_bad_tolerance(name, value, message):
+    with pytest.raises(ContractViolationError, match=f"^{name} {message}$"):
+        classify(NesterovExample(), np.array([0.0, 0.0]), **{name: value})
+
+
+def test_zero_and_infinite_tolerances_are_accepted():
+    obj = QuarticCopositive(np.eye(2))
+    assert classify(obj, np.zeros(2), degeneracy_tol=0.0, grad_tol=0.0).classification \
+        is Classification.DEGENERATE
+    assert classify(obj, np.zeros(2), degeneracy_tol=np.inf).classification \
+        is Classification.DEGENERATE
+    assert len(find_critical_points(NesterovExample(), dedup_tol=np.inf)) == 1
 
 
 ZOO_CLASSES = [
@@ -433,6 +468,9 @@ def test_stable_set_sampling_rejects_bad_inputs():
     rec3 = classify(obj3, np.zeros(3))
     with pytest.raises(ContractViolationError):
         sample_local_stable_set(GradientMap(obj3, 0.5), rec3, radius=0.5)
+    for value, message in BAD_TOLERANCES:
+        with pytest.raises(ContractViolationError, match=f"^tol {message}$"):
+            sample_local_stable_set(gmap, saddle, radius=0.5, tol=value)
 
 
 def test_stable_set_csv_layout(tmp_path):

@@ -35,6 +35,7 @@ from descentlab.engine import (
     _sum_squares,
 )
 from descentlab.inverse import invert, roundtrip_check
+from descentlab.zoo import _PAIRWISE_FROM
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
 
@@ -373,15 +374,19 @@ ROUNDINGS = {
 }
 
 
+# every width up to four past the threshold, 1..12 on numpy 2.4
+SUM_WIDTHS = range(1, _PAIRWISE_FROM + 5)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize(
-    "kind, d", [(kind, d) for kind in ROUNDINGS for d in range(1, 13)],
-    ids=[f"{kind}{d}" for kind in ROUNDINGS for d in range(1, 13)],
+    "kind, d", [(kind, d) for kind in ROUNDINGS for d in SUM_WIDTHS],
+    ids=[f"{kind}{d}" for kind in ROUNDINGS for d in SUM_WIDTHS],
 )
 def test_row_norms_round_as_np_sum(kind, d):
-    # below 8 columns _sum_squares adds them one by one, which matches
-    # np.sum only while numpy adds a short last axis sequentially; a numpy
-    # that adds pairwise from fewer terms fails here
+    # below _PAIRWISE_FROM columns _sum_squares adds them one by one, which
+    # matches np.sum only while numpy adds a short last axis sequentially;
+    # a numpy that adds pairwise from fewer terms fails here
     reduce, reference = ROUNDINGS[kind]
     rng = np.random.default_rng(d)
     x = rng.standard_normal((4000, d)) * np.exp(rng.uniform(-30.0, 30.0, (4000, d)))
@@ -394,6 +399,54 @@ def test_row_norms_round_as_np_sum(kind, d):
         assert got.shape == want.shape
         differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
         assert differ.size == 0, f"d={d}: {differ.size} rows round unlike np.sum"
+
+
+def test_numpy_adds_pairwise_from_the_threshold():
+    # one term fewer than _PAIRWISE_FROM is added from 0.0 one term after
+    # another, the threshold's width is not: with the test above, a numpy
+    # that moves the threshold either way fails tier-1
+    rng = np.random.default_rng(8)
+    for d in (_PAIRWISE_FROM - 1, _PAIRWISE_FROM):
+        x = rng.standard_normal((4000, d)) * np.exp(rng.uniform(-30.0, 30.0, (4000, d)))
+        sequential = 0.0 + x[:, 0]
+        for j in range(1, d):
+            sequential = sequential + x[:, j]
+        reduced = np.add.reduce(x, axis=-1)
+        same = np.array_equal(reduced.view(np.uint64), sequential.view(np.uint64))
+        assert same == (d < _PAIRWISE_FROM), d
+
+
+def _quartic_gradient_by_reduction(q, x):
+    # the broadcast formula that QuarticCopositive._gradient adds by columns
+    m = q + q.T
+    return 2.0 * x * np.add.reduce(m * (x * x)[..., None, :], axis=-1)
+
+
+@pytest.mark.parametrize("sign", ["mixed", "nonnegative"])
+@pytest.mark.parametrize("d", SUM_WIDTHS)
+def test_quartic_gradient_rounds_as_the_reduction(d, sign):
+    # a non-symmetric Q with zeros of both signs; its first column decides
+    # whether the column sum starts from 0.0, so both kinds are covered
+    rng = np.random.default_rng(200 + d)
+    q = rng.standard_normal((d, d)) * np.exp(rng.uniform(-3.0, 3.0, (d, d)))
+    q[rng.random((d, d)) < 0.2] = 0.0
+    q[0, 0] = -0.0
+    if sign == "nonnegative":
+        q = np.abs(q)
+    obj = QuarticCopositive(q)
+    x = rng.standard_normal((60, d)) * np.exp(rng.uniform(-30.0, 30.0, (60, d)))
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e200, -1e200, np.nan, np.inf, 1.0])
+    x[:24] = rng.choice(specials, (24, d))
+    x[24] = np.resize(specials, d)
+    x[25] = 0.0
+    with np.errstate(all="ignore"):
+        # a point, an (n, d) batch and a (w, m, d) stack of line-search trials
+        for block in (x[0], x[25], x[30], x, x.reshape(5, 12, d), x[::3]):
+            got = obj._gradient(block)
+            want = _quartic_gradient_by_reduction(q, block)
+            assert got.shape == want.shape
+            differ = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+            assert differ.size == 0, f"d={d}, {block.shape}: {differ.size} entries differ"
 
 
 def _zoo_member(kind, d, rng):

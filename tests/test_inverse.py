@@ -126,6 +126,44 @@ def test_invert_validates_target():
         invert(gmap, np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("keyword, value, message", [
+    ("tol", -1.0, "tol must be non-negative, got -1.0"),
+    ("tol", np.nan, "tol must be non-negative, got nan"),
+    ("tol", "1e-10", "tol must be a real number, got '1e-10'"),
+    ("max_inner", -1, "max_inner must be a non-negative integer, got -1"),
+    ("max_inner", 2.5, "max_inner must be a non-negative integer, got 2.5"),
+    ("max_inner", True, "max_inner must be a non-negative integer, got True"),
+])
+def test_invert_refuses_a_bad_tolerance_or_budget_before_any_work(monkeypatch, keyword,
+                                                                   value, message):
+    # a negative or NaN tol ran the whole budget and reported no
+    # convergence; a fractional budget ended in a TypeError
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr("descentlab.inverse._invert_batch", no_solve)
+    gmap = GradientMap(NesterovExample(), 0.09)
+    with pytest.raises(ContractViolationError, match=f"^{message}$"):
+        invert(gmap, np.array([0.1, 0.1]), **{keyword: value})
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan])
+def test_roundtrip_refuses_a_bad_tolerance_before_any_work(tol):
+    gmap = GradientMap(NesterovExample(), 0.09)
+    with pytest.raises(ContractViolationError, match="^tol must be non-negative"):
+        roundtrip_check(gmap, 10**30, tol=tol)  # refused before the sample count
+
+
+def test_invert_accepts_a_zero_budget_and_an_infinite_tolerance():
+    gmap = GradientMap(NesterovExample(), 0.09)
+    y = np.array([0.1, 0.1])
+    assert invert(gmap, y, tol=np.inf).inner_iterations == 0
+    try:
+        invert(gmap, y, max_inner=0)
+    except NonConvergenceError:
+        pass  # a zero budget is a budget, not a contract violation
+
+
 def test_invert_budget_exhaustion_reports_best_residual():
     gmap = GradientMap(NesterovExample(), 0.09)
     with pytest.raises(NonConvergenceError) as excinfo:
