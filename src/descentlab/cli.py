@@ -23,7 +23,7 @@ import numpy as np
 from .critical import find_critical_points, grid_spacing, sample_local_stable_set
 from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError
-from .experiments import MIN_CHUNK, assign_basin, best_rate_fit, monte_carlo, rate_fits
+from .experiments import MIN_CHUNK, _best_of, assign_basin, monte_carlo, rate_fits
 from .fileio import atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import Objective, _has_bool, parse_objective
@@ -311,8 +311,8 @@ def cmd_rates(opts) -> int:
         return 1
     x_star = records[label].location
     # a regime whose gate rejects the trajectory is reported as null
-    fits = {fit.regime: fit for fit in rate_fits(traj, x_star)}
-    chosen = best_rate_fit(traj, x_star)
+    fitted = rate_fits(traj, x_star)
+    fits, chosen = {fit.regime: fit for fit in fitted}, _best_of(fitted)
     payload = {
         "objective": objective.to_dict(),
         "alpha": alpha,

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_tolerance, _row_norms,
-    _solve_rows, _squared_tolerance, _sum_squares, run_many,
+    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _row_norms, _solve_rows,
+    _squared_tolerance, _sum_squares, run_many,
 )
-from .errors import ContractViolationError
+from .errors import ContractViolationError, _check_count, _check_real
 from .fileio import atomic_write_columns, plain
 from .jacobi import eigh_jacobi
 from .zoo import Classification, Objective, _check_vector
@@ -38,13 +38,14 @@ class CriticalPointRecord:
 
     ``hessian_eigenvalues`` are ascending and ``hessian_eigenvectors[:, i]``
     is the unit eigenvector for the i-th of them.  ``stable_subspace_basis``
-    holds, as columns, the eigenvectors with eigenvalue >= -degeneracy_tol;
-    these are exactly the directions where the gradient-map Jacobian has
-    multiplier <= 1 (up to the same tolerance), for every admissible step
-    size.  ``is_strict_saddle`` is the raw min-eigenvalue test and is also
-    true for local maxima; ``is_degenerate`` is true when any eigenvalue
-    sits inside the tolerance band, even if a negative eigenvalue decided
-    the headline classification.
+    holds, as columns, the eigenvectors with eigenvalue >= -band, the
+    degeneracy band ``classify`` reads the spectrum with (``degeneracy_tol``
+    is the caller's value, not the band); these are exactly the directions
+    where the gradient-map Jacobian has multiplier <= 1 (up to the same
+    band), for every admissible step size.  ``is_strict_saddle`` is the raw
+    min-eigenvalue test and is also true for local maxima; ``is_degenerate``
+    is true when any eigenvalue sits inside the band, even if a negative
+    eigenvalue decided the headline classification.
     """
 
     location: np.ndarray
@@ -66,15 +67,26 @@ class CriticalPointRecord:
         return plain(self)
 
 
-def _classify_spectrum(eigenvalues: np.ndarray, degeneracy_tol: float) -> Classification:
+def _degeneracy_band(objective: Objective, degeneracy_tol: float) -> float:
+    """The half-width of the near-zero eigenvalue band: ``degeneracy_tol``
+    on the objective's own curvature scale, ``degeneracy_tol * max(1, L)``.
+
+    An absolute band misreads steep objectives: at the polished origin of
+    ``quartic:[[1e100]]`` the Hessian eigenvalue is still about 5e26, far
+    outside 1e-8 but a vanishing fraction of L.
+    """
+    return degeneracy_tol * max(1.0, objective.lipschitz_bound())
+
+
+def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
     # Precedence: a point with both a negative and a near-zero eigenvalue is
     # reported as a saddle (the negative direction dominates the dynamics);
     # the near-zero band is preserved in the is_degenerate flag.
-    if eigenvalues[-1] < -degeneracy_tol:
+    if eigenvalues[-1] < -band:
         return Classification.LOCAL_MAX
-    if eigenvalues[0] < -degeneracy_tol:
+    if eigenvalues[0] < -band:
         return Classification.STRICT_SADDLE
-    if np.any(np.abs(eigenvalues) <= degeneracy_tol):
+    if np.any(np.abs(eigenvalues) <= band):
         return Classification.DEGENERATE
     return Classification.LOCAL_MIN
 
@@ -89,10 +101,14 @@ def classify(
 
     Raises a contract violation if the gradient norm exceeds ``grad_tol``:
     the spectrum of a non-critical point says nothing about the dynamics.
+    The Hessian spectrum is read on the objective's own scale: an eigenvalue
+    is near zero when its magnitude is at most ``degeneracy_tol * max(1,
+    L)``, L the objective's ``lipschitz_bound``, and that band decides the
+    class, ``is_strict_saddle``, ``is_degenerate`` and the stable subspace.
     A negative or NaN tolerance is refused before any work.
     """
-    _check_tolerance(degeneracy_tol, "degeneracy_tol")
-    _check_tolerance(grad_tol, "grad_tol")
+    _check_real(degeneracy_tol, "degeneracy_tol", "non-negative")
+    _check_real(grad_tol, "grad_tol", "non-negative")
     x = _check_vector(x, objective.dimension, "x")
     grad = objective.gradient(x)
     grad_norm = float(_row_norms(grad))
@@ -101,16 +117,17 @@ def classify(
             f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {grad_tol:.3e}"
         )
     w, v = eigh_jacobi(objective.hessian(x))
-    stable_mask = w >= -degeneracy_tol
+    band = _degeneracy_band(objective, degeneracy_tol)
+    stable_mask = w >= -band
     basis = v[:, stable_mask]
     return CriticalPointRecord(
         location=x,
         grad_norm=grad_norm,
         hessian_eigenvalues=w,
         hessian_eigenvectors=v,
-        classification=_classify_spectrum(w, degeneracy_tol),
-        is_strict_saddle=bool(w[0] < -degeneracy_tol),
-        is_degenerate=bool(np.any(np.abs(w) <= degeneracy_tol)),
+        classification=_classify_spectrum(w, band),
+        is_strict_saddle=bool(w[0] < -band),
+        is_degenerate=bool(np.any(np.abs(w) <= band)),
         stable_subspace_basis=basis,
         stable_dimension=int(np.count_nonzero(stable_mask)),
         degeneracy_tol=float(degeneracy_tol),
@@ -202,12 +219,13 @@ def find_critical_points(
     damped-Newton pass.  Converged roots closer than ``dedup_tol`` in the
     infinity norm are merged; starts that fail to converge are dropped and
     counted on the returned list.  Records come back sorted by location so
-    the output is reproducible.  A negative or NaN tolerance is refused
-    before any work.
+    the output is reproducible.  Each root is classified as ``classify``
+    does, against the band ``degeneracy_tol * max(1, L)`` on the objective's
+    own scale.  A negative or NaN tolerance is refused before any work.
     """
     for value, name in ((tol, "tol"), (degeneracy_tol, "degeneracy_tol"),
                         (dedup_tol, "dedup_tol")):
-        _check_tolerance(value, name)
+        _check_real(value, name, "non-negative")
     seeds = _box_samples(seed, n_seeds, objective.domain_box, "n_seeds")
 
     found = [root for root in _newton_roots(objective, seeds, tol) if root is not None]
@@ -233,12 +251,13 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     """Orthonormal basis (columns) for the gradient-map stable subspace.
 
     Eigenvectors of Dg(x*) = I - alpha * H(x*) whose eigenvalue is at most
-    1 + alpha * degeneracy_tol.  Computed from the Jacobian directly rather
-    than copied off the record, so the spectrum-mapping relation between
-    the two is something callers can check, not an artifact of sharing.
+    1 + alpha * band, the band ``classify`` read the Hessian with.  Computed
+    from the Jacobian directly rather than copied off the record, so the
+    spectrum-mapping relation between the two is something callers can
+    check, not an artifact of sharing.
     """
     mu, v = eigh_jacobi(gmap.jacobian(record.location))
-    keep = mu <= 1.0 + gmap.alpha * record.degeneracy_tol
+    keep = mu <= 1.0 + gmap.alpha * _degeneracy_band(gmap.objective, record.degeneracy_tol)
     return v[:, keep]
 
 
@@ -276,13 +295,11 @@ def grid_spacing(radius: float, grid: int) -> float:
     array of 2-D points, and a radius whose spacing overflows.  The one
     check of these inputs, so the CLI can refuse them before any search.
     """
-    if radius < 0:
-        raise ContractViolationError("radius must be nonnegative")
-    if grid < 1:
-        raise ContractViolationError("grid must be at least 1")
-    if int(grid) ** 2 > np.iinfo(np.intp).max // (8 * 2):
+    radius = _check_real(radius, "radius", "non-negative")
+    grid = _check_count(grid, "grid", least=1)
+    if grid ** 2 > np.iinfo(np.intp).max // (8 * 2):
         raise ContractViolationError(f"grid = {grid} has more points than an array can hold")
-    spacing = 0.0 if radius == 0.0 else 2.0 * float(radius) / max(grid - 1, 1)
+    spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     if not np.isfinite(spacing):
         raise ContractViolationError(f"radius {radius} is too large to space a grid")
     return spacing
@@ -304,7 +321,7 @@ def sample_local_stable_set(
     gradient certificate within ``tol`` (infinity norm) of the saddle;
     a negative or NaN ``tol`` is refused before any work.
     """
-    _check_tolerance(tol, "tol")
+    _check_real(tol, "tol", "non-negative")
     if not record.is_strict_saddle:
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
     if record.dimension != 2:

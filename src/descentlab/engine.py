@@ -38,14 +38,13 @@ componentwise.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalFailureError
+from .errors import ContractViolationError, NumericalFailureError, _check_count, _check_real
 from .fileio import atomic_write_columns
 from .zoo import _PAIRWISE_FROM, Objective
 
@@ -55,26 +54,6 @@ class StopReason(str, Enum):
     DIVERGED = "Diverged"
     MAX_ITERS = "MaxIters"
     LEFT_DOMAIN_BOX = "LeftDomainBox"
-
-
-def _check_real(value, name: str) -> float:
-    """``value`` as a float; a boolean or a non-real is a contract violation."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def _check_tolerance(value, name: str) -> None:
-    """Refuse a ``value`` that is not a real number of at least 0, NaN included."""
-    value = _check_real(value, name)
-    if not value >= 0:  # written so that NaN fails it
-        raise ContractViolationError(f"{name} must be non-negative, got {value!r}")
-
-
-def _check_count(value, name: str) -> None:
-    """Refuse a ``value`` that is not an integer of at least 0, a boolean included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ContractViolationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -90,12 +69,10 @@ class StopPolicy:
     max_iters: int = 100_000
 
     def __post_init__(self):
-        _check_tolerance(self.tol, "tol")
+        _check_real(self.tol, "tol", "non-negative")
         # the stepping loop sizes its blocks by the iterations left
         _check_count(self.max_iters, "max_iters")
-        if not _check_real(self.divergence_radius, "divergence_radius") > 0:  # NaN fails it
-            raise ContractViolationError(
-                f"divergence_radius must be positive, got {self.divergence_radius!r}")
+        _check_real(self.divergence_radius, "divergence_radius", "positive")
 
 
 DEFAULT_POLICY = StopPolicy()
@@ -111,10 +88,8 @@ class GradientMap:
     """
 
     def __init__(self, objective: Objective, alpha: float, validate: bool = True):
-        alpha = _check_real(alpha, "alpha")
+        alpha = _check_real(alpha, "alpha", "positive" if validate else "")
         if validate:
-            if not alpha > 0:
-                raise ContractViolationError("step size alpha must be positive")
             al = alpha * objective.lipschitz_bound()
             if not al < 1.0:
                 raise ContractViolationError(
@@ -219,10 +194,7 @@ def _box_samples(seed, n, box, name: str, copies: int = 1) -> np.ndarray:
     that is not an integer, below 1 or too large for an array is refused
     with a contract violation before the caller has done any work.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ContractViolationError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise ContractViolationError(f"{name} must be at least 1")
+    _check_count(n, name, least=1)
     lo, hi = box[:, 0], box[:, 1]
     if n > np.iinfo(np.intp).max // (8 * copies * lo.shape[0]):
         raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
@@ -620,14 +592,14 @@ def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:
     the engine's per-step arithmetic does, which keeps growing modes in
     lockstep at the oracle's 1e-12 absolute tolerance.
     """
-    if k < 0 or int(k) != k:
-        raise ContractViolationError("iteration count k must be a non-negative integer")
+    k = _check_count(k, "k")
+    alpha = _check_real(alpha, "alpha")
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     out = np.array(x0, dtype=float)
     if out.shape != lambdas.shape:
         raise ContractViolationError("x0 and lambdas must have matching shapes")
     factors = 1.0 - alpha * lambdas
-    for _ in range(int(k)):
+    for _ in range(k):
         out = factors * out
     return out
 
@@ -640,6 +612,7 @@ def descent_violations(traj: Trajectory, objective: Objective, slack: float = 1e
     up to ``slack``.  Steps whose endpoints leave the certified box are
     excluded when the Lipschitz bound is box-local.
     """
+    _check_real(slack, "slack", "non-negative")
     lip = objective.lipschitz_bound()
     coeff = traj.alpha * (1.0 - traj.alpha * lip / 2.0)
     decrease = traj.f_values[:-1] - coeff * traj.grad_norms[:-1] ** 2

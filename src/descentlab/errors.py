@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the rules for scalar arguments."""
+
+import math
+import numbers
 
 
 class DescentLabError(Exception):
@@ -42,3 +45,31 @@ class BasinAmbiguityError(DescentLabError):
 
 class InapplicableError(DescentLabError):
     """A check was requested outside the region where its certificate holds."""
+
+
+# The two rules every scalar argument of the library is checked by.
+def _check_real(value, name: str, sign: str = "", finite: bool = False) -> float:
+    """``value`` as a float; refuses a boolean, a non-real, NaN and, as
+    asked, a value that is not ``sign`` ("positive", "non-negative") or finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractViolationError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    # each test is written so that NaN fails it
+    if not {"": value == value, "positive": value > 0, "non-negative": value >= 0}[sign]:
+        raise ContractViolationError(f"{name} must be {sign or 'a real number'}, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ContractViolationError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def _check_count(value, name: str, least: int = 0) -> int:
+    """``value`` as an int of at least ``least`` (0 or 1), refusing a boolean
+    and a non-integer (2.0 included)."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if least == 0 and not (integer and value >= 0):
+        raise ContractViolationError(f"{name} must be a non-negative integer, got {value!r}")
+    if not integer:
+        raise ContractViolationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ContractViolationError(f"{name} must be at least {least}")
+    return int(value)

@@ -27,14 +27,10 @@ from .engine import (
     _row_norms,
     run_many,
 )
-from .errors import (
-    BasinAmbiguityError,
-    ContractViolationError,
-    InapplicableError,
-    InsufficientDataError,
-)
+from .errors import (BasinAmbiguityError, ContractViolationError, InapplicableError,
+                     InsufficientDataError, _check_count, _check_real)
 from .fileio import atomic_write_columns, plain
-from .zoo import Objective, _check_vector
+from .zoo import Objective, _as_box, _check_vector
 
 LABEL_DIVERGED = "Diverged"
 LABEL_LEFT_BOX = "LeftBox"
@@ -98,6 +94,7 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     of the final iterate raise an ambiguity error since that means the
     tolerance no longer separates the critical points.
     """
+    tol = _check_real(tol, "tol", "non-negative")
     final = BatchResult(traj.final_x[None, :], traj.f_values[-1:], traj.grad_norms[-1:],
                         np.array([traj.n_steps]), [traj.stop_reason])
     return _label_table(records)[_basin_codes(final, records, tol)[0]]
@@ -201,17 +198,12 @@ def monte_carlo(
     non-negative integer), drawn in trial order before the split, and the
     stepping is elementwise, so the report is identical for any split.
     """
-    if n_jobs < 1:
-        raise ContractViolationError(f"n_jobs must be at least 1, got {n_jobs}")
+    _check_count(n_jobs, "n_jobs", least=1)
+    _check_real(basin_tol, "basin_tol", "non-negative")
     gmap = GradientMap(objective, alpha)
-    box = objective.domain_box if init_box is None else np.asarray(init_box, dtype=float)
-    if box.shape != objective.domain_box.shape:
-        raise ContractViolationError(
-            f"init_box must have shape {objective.domain_box.shape}"
-        )
-    if np.any(box[:, 0] < objective.domain_box[:, 0]) or np.any(
-        box[:, 1] > objective.domain_box[:, 1]
-    ):
+    domain = objective.domain_box
+    box = domain if init_box is None else _as_box(init_box, objective.dimension, "init_box")
+    if np.any(box[:, 0] < domain[:, 0]) or np.any(box[:, 1] > domain[:, 1]):
         raise ContractViolationError("init_box must lie inside the domain box")
     x0s = _box_samples(seed, n_trials, box, "n_trials")
     if records is None:
@@ -392,9 +384,14 @@ def rate_fits(traj: Trajectory, x_star) -> list[RateFit]:
     return fits
 
 
+def _best_of(fits: list[RateFit]) -> RateFit:
+    """The fit with the better r-squared; a tie goes to the first, Linear."""
+    return max(fits, key=lambda fit: fit.r_squared)
+
+
 def best_rate_fit(traj: Trajectory, x_star) -> RateFit:
     """Of ``rate_fits``, the fit with the better r-squared; a tie goes to Linear."""
-    return max(rate_fits(traj, x_star), key=lambda fit: fit.r_squared)
+    return _best_of(rate_fits(traj, x_star))
 
 
 @dataclass(frozen=True)
@@ -436,12 +433,10 @@ def check_lojasiewicz(
     since tight certificates (quadratics along their soft direction) sit
     exactly on the boundary.
     """
-    if not 0.0 <= a < 1.0:
+    if not 0.0 <= _check_real(a, "a") < 1.0:
         raise ContractViolationError("exponent a must lie in [0, 1)")
-    if m < 0.0:
-        raise ContractViolationError("m must be nonnegative")
-    if radius <= 0.0:
-        raise ContractViolationError("radius must be positive")
+    m = _check_real(m, "m", "non-negative")
+    radius = _check_real(radius, "radius", "positive", finite=True)
     x_star = _check_vector(x_star, objective.dimension, "x_star")
     cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)), "n_samples")
     f_star = float(objective.value(x_star))
@@ -508,15 +503,14 @@ def path_length_check(
     given, iterates in the checked window must stay inside that ball or
     the certificate does not apply and an error is raised.
     """
-    if not 0.0 <= a < 1.0:
+    if not 0.0 <= _check_real(a, "a") < 1.0:
         raise ContractViolationError("exponent a must lie in [0, 1)")
-    if m <= 0.0:
-        raise ContractViolationError("m must be positive for a path-length bound")
+    a, m = float(a), _check_real(m, "m", "positive")
+    alpha = traj.alpha if alpha is None else _check_real(alpha, "alpha", "positive")
+    f_star = float(traj.f_values[-1]) if f_star is None else _check_real(f_star, "f_star")
+    radius = None if radius is None else _check_real(radius, "radius", "non-negative")
     if x_star is not None:
         x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
-    a, m = float(a), float(m)
-    alpha = traj.alpha if alpha is None else float(alpha)
-    f_star = float(traj.f_values[-1]) if f_star is None else float(f_star)
 
     step_norms = _row_norms(traj.iterates[1:] - traj.iterates[:-1])
     # e[k] = sum of step norms from k onward; reversed cumsum keeps it exact

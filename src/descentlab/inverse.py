@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (GradientMap, _backtrack, _box_samples, _check_count, _check_tolerance,
-                     _row_norms, _solve_rows, _squared_tolerance, _sum_squares)
-from .errors import ContractViolationError, NonConvergenceError
+from .engine import (GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows,
+                     _squared_tolerance, _sum_squares)
+from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
 from .fileio import plain
 from .zoo import _check_vector
 
@@ -55,13 +55,14 @@ def invert(
     true preimage by tol; the reported residual is the final ||g(x) - y||
     itself.  Raises a non-convergence error carrying the best residual if
     the budget runs out, which usually means y lies too far outside the
-    image of the certified region.  ``y`` and ``x0`` must be finite points
-    of the objective's dimension.  This is the batched solver behind
-    ``roundtrip_check`` run on one row, with the same iterates.  A
+    image of the certified region; a start that already solves y returns
+    with no iterations, whatever the budget.  ``y`` and ``x0`` must be
+    finite points of the objective's dimension.  This is the batched solver
+    behind ``roundtrip_check`` run on one row, with the same iterates.  A
     negative or NaN ``tol`` and a ``max_inner`` that is not a non-negative
     integer are refused before any work.
     """
-    _check_tolerance(tol, "tol")
+    _check_real(tol, "tol", "non-negative")
     _check_count(max_inner, "max_inner")
     dimension = gmap.objective.dimension
     y = _check_vector(y, dimension, "y")
@@ -124,7 +125,9 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
         x, y = starts, ys
         grad = x - alpha * gradient(x) - y
         merit = _sum_squares(grad)
-        for iteration in range(max_inner):
+        # the iterates 0 .. max_inner - 1 are tested, the start even on a
+        # budget of 0, and no step is taken from the last of them
+        for iteration in range(max(max_inner, 1)):
             best = best_merit[active]
             best_merit[active] = np.where(merit < best, merit, best)
             done = merit <= stop2
@@ -137,6 +140,8 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
                 active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
                 if not active.size:
                     break
+            if iteration + 1 >= max_inner:
+                break
 
             hess = identity - alpha * obj.hessian(x)
             direction, singular = _solve_rows(hess, grad)
@@ -240,7 +245,7 @@ def roundtrip_check(
     batched solve whose rows match ``invert`` bit for bit; if any fails,
     the error is the one ``invert`` raises for the first failing sample.
     """
-    _check_tolerance(tol, "tol")
+    _check_real(tol, "tol", "non-negative")
     xs = _box_samples(seed, n_samples, gmap.objective.domain_box, "n_samples")
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):

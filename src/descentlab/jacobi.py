@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolationError, NonConvergenceError
+from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
 
 
 def off_diagonal_norm(a) -> float:
@@ -26,8 +26,10 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
     off-diagonal Frobenius norm drops below ``tol * max(1, ||a||_F)``.
     Returns ``(w, v)`` with ``v[:, i]`` the eigenvector for ``w[i]``; each
     column's largest-magnitude component is made positive so bases are
-    deterministic.
+    deterministic.  A negative or NaN ``tol`` and a non-integer ``max_sweeps`` are refused.
     """
+    tol = _check_real(tol, "tol", "non-negative")
+    max_sweeps = _check_count(max_sweeps, "max_sweeps")
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolationError(f"matrix must be square, got shape {a.shape}")

@@ -91,14 +91,13 @@ def _as_floats(value, what: str) -> np.ndarray:
     raise ContractViolationError(f"{what} must be numbers, got {value!r}")
 
 
-def _as_box(box, dimension) -> np.ndarray:
-    box = _as_floats(box, "domain_box")
+def _as_box(box, dimension: int, name: str = "domain_box") -> np.ndarray:
+    """``box`` as ``dimension`` finite rows [lo, hi] with lo < hi, or a contract violation."""
+    box = _as_floats(box, name)
     if box.shape != (dimension, 2):
-        raise ContractViolationError(
-            f"domain_box must have shape ({dimension}, 2), got {box.shape}"
-        )
+        raise ContractViolationError(f"{name} must have shape ({dimension}, 2)")
     if not np.all(np.isfinite(box)) or not np.all(box[:, 0] < box[:, 1]):
-        raise ContractViolationError("domain_box intervals must be finite with lo < hi")
+        raise ContractViolationError(f"{name} intervals must be finite with lo < hi")
     return box
 
 

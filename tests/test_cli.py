@@ -1,6 +1,7 @@
 """Command-line interface, exercised through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -99,6 +100,56 @@ def test_montecarlo_output_is_independent_of_thread_count(tmp_path):
     assert report["n_trials"] == 60
     assert sum(report["basin_counts"].values()) + report["diverged"] == 60
     assert len((serial_dir / "trials.csv").read_text().strip().splitlines()) == 61
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two threads need two cores")
+def test_a_two_thread_census_writes_the_serial_artifacts(tmp_path, capsys, monkeypatch):
+    # 20001 trials make two chunks of at least MIN_CHUNK, so --n-jobs 2
+    # starts two threads; run in-process to see them
+    import threading
+
+    from descentlab import experiments
+    from descentlab.cli import main
+    from descentlab.experiments import MIN_CHUNK
+
+    n_trials = 2 * MIN_CHUNK + 1
+    threads = set()
+    run_many = experiments.run_many
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return run_many(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_many", recorded)
+    argv = ["montecarlo", "--objective", "nesterov", "--trials", str(n_trials), "--seed", "5"]
+    assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
+    assert len(threads) == 1
+    threads.clear()
+    assert main([*argv, "--n-jobs", "2", "--out", str(tmp_path / "threaded")]) == 0
+    assert len(threads) == 2
+    serial_out, threaded_out = capsys.readouterr().out.splitlines()
+    assert serial_out == threaded_out
+    for name in ["report.json", "trials.csv", "basins.csv"]:
+        assert (tmp_path / "serial" / name).read_bytes() == \
+            (tmp_path / "threaded" / name).read_bytes()
+
+
+def test_rates_fits_each_regime_once(monkeypatch, capsys):
+    from descentlab import experiments
+    from descentlab.cli import main
+
+    calls = []
+    for name in ("fit_linear_rate", "fit_power_rate"):
+        def counted(*args, _fit=getattr(experiments, name), _name=name):
+            calls.append(_name)
+            return _fit(*args)
+
+        monkeypatch.setattr(experiments, name, counted)
+    argv = ["rates", "--objective", "strongly_convex_quadratic:[1,2]", "--alpha", "0.2",
+            "--x0", "1,1"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["chosen_regime"] == "Linear"
+    assert sorted(calls) == ["fit_linear_rate", "fit_power_rate"]
 
 
 def test_montecarlo_requires_trials():
@@ -394,7 +445,7 @@ def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys,
     [
         ("--grid", str(10**30), f"grid = {10**30} has more points than an array can hold"),
         ("--grid", "0", "grid must be at least 1"),
-        ("--radius", "-1", "radius must be nonnegative"),
+        ("--radius", "-1", "radius must be non-negative, got -1.0"),
         ("--radius", "1.5e308", "radius 1.5e+308 is too large to space a grid"),
     ],
 )

@@ -2,17 +2,20 @@
 
 Whatever the values, a command ends with exit 0, 1 or 2, at most one
 line on stderr and no warning: bad input is refused with a one-line
-message, never with a traceback.  Valid input is never refused (exit 2);
-``invert`` and ``rates`` may end with exit 1 and one line on valid input
-(no convergence, no basin reached), the other commands end with exit 0
-and nothing on stderr.  ``cli.main`` runs in-process.  Valid trial counts
-stay at 50 or below, iteration caps at 200 or below (or huge, where the
-tolerance stops every run first) and stable-set grids at 9 or below, so
-the examples run in a few seconds.  Far starts and radii (up to 1e300)
-on diagonal quadratics, whose certificate is global, overflow in the
-stepping loop and end with exit 1 and one line, again without a warning.
-Quartics as steep as the constructors accept reach their degenerate
-origin only linearly, and ``classify`` still reports it.
+message, never with a traceback.  A numeric option that draws a word or
+value that is not a number of its kind, or a value its rule refuses for
+a command that reads it, ends in exit 2.  Valid input is never refused
+(exit 2); ``invert`` and ``rates`` may end with exit 1 and one line on
+valid input (no convergence, no basin reached), the other commands end
+with exit 0 and nothing on stderr.  ``cli.main`` runs in-process.  Valid
+trial counts stay at 50 or below, iteration caps at 200 or below (or
+huge, where the tolerance stops every run first) and stable-set grids at
+9 or below, so the examples run in a few seconds.  Far starts and radii
+(up to 1e300) on diagonal quadratics, whose certificate is global,
+overflow in the stepping loop and end with exit 1 and one line, again
+without a warning.  Quartics as steep as the constructors accept reach
+their degenerate origin only linearly, and ``classify`` still reports
+it, as Degenerate.
 """
 
 import contextlib
@@ -26,10 +29,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from descentlab.cli import main
+from descentlab.cli import COMMANDS, OPTIONS, main
 
 NAN = float("nan")
-WORDS = st.sampled_from(["", "abc", "1e3", "0x10", "nan", "inf", "-", "1,2", "None", "[]"])
+# Words that read as valid numbers, and words no numeric option accepts
+NUMBER_WORDS = ["1e3", "inf"]
+REFUSED_WORDS = ["", "abc", "0x10", "nan", "-", "1,2", "None", "[]"]
+WORDS = st.sampled_from(NUMBER_WORDS + REFUSED_WORDS)
 
 
 # Valid values, huge ones included: a positive tolerance stops every
@@ -48,7 +54,8 @@ VALID = {
 }
 # Invalid values: negative, boolean, string or NaN; no trials or threads;
 # trial counts far past what an array of starts can hold; malformed points.
-SCALAR_INVALID = st.one_of(st.integers(-10**6, -1), st.booleans(), WORDS, st.just(NAN))
+SCALAR_INVALID = st.one_of(st.integers(-10**6, -1), st.booleans(),
+                           st.sampled_from(REFUSED_WORDS), st.just(NAN))
 INVALID = {
     "seed": SCALAR_INVALID,
     "trials": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2**62, 10**30])),
@@ -71,6 +78,24 @@ INVALID = {
     "index": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2, 3, 10**30])),
 }
 INVALID["y"] = INVALID["x0"]
+
+# Drawn invalid values that are refused only in some cases: a radius too
+# wide for the domain box puts grid points outside it unless the grid is
+# one point.
+SOMETIMES_VALID = {"radius": (5.0, 1e300)}
+
+
+def _must_refuse(command, key, value) -> bool:
+    """Whether numeric option ``key`` drawn invalid as ``value`` must end
+    in exit 2: always when the value is not a number (the config and flag
+    conversions refuse it for every command), and otherwise when
+    ``command`` reads the option."""
+    if OPTIONS[key].kind not in ("int", "float"):
+        return False  # a malformed point may still be a point of another length
+    if isinstance(value, (bool, str)) or value != value:
+        return True
+    return key in COMMANDS[command].options and value not in SOMETIMES_VALID.get(key, ())
+
 
 # The options each command reads.  A command draws these and the
 # options of ``montecarlo`` and ``run``; a drawn value that is not one of
@@ -151,6 +176,8 @@ def _check(command, case):
     if bad is None:
         assert code in VALID_CODES.get(command, (0,)), (code, err)
         assert len(err) == code, err
+    elif _must_refuse(command, bad, options[bad][0]):
+        assert code == 2 and len(err) == 1, (code, err)
     else:
         assert code in (0, 1, 2), (code, err)
         assert len(err) <= 1, err
@@ -279,5 +306,8 @@ def test_classify_reports_the_origin_of_any_accepted_quartic(scales):
         assert "too large for float arithmetic" in err[0]
         return
     assert (code, err) == (0, [])
-    locations = [record["location"] for record in json.loads(out)]
+    records = json.loads(out)
+    locations = [record["location"] for record in records]
     assert len(locations) == 1 and max(map(abs, locations[0])) <= 1e-9, locations
+    # read on the quartic's own scale, the flat origin is degenerate
+    assert records[0]["classification"] == "Degenerate", records[0]

@@ -16,7 +16,7 @@ from descentlab import (
     sample_local_stable_set,
     stable_subspace,
 )
-from descentlab.critical import NEWTON_BUDGET, _newton_roots
+from descentlab.critical import DEGENERACY_TOL, NEWTON_BUDGET, _newton_roots
 from descentlab.inverse import roundtrip_check
 
 
@@ -218,6 +218,52 @@ def test_a_steep_quartic_reports_its_origin_without_a_warning(q):
     gmap = GradientMap(objective, 0.5 / objective.lipschitz_bound())
     report = roundtrip_check(gmap, 200, seed=1)
     assert report.max_backward_residual <= 1e-9
+
+
+STEEPEST_2D = STEEPEST_QUARTIC / np.sqrt(2.0)  # the bound with d = 2
+
+
+@pytest.mark.parametrize("q", [
+    [[1e100]], [[-1e100]], [[-1e150]], [[STEEPEST_QUARTIC]], [[-STEEPEST_QUARTIC]],
+    [[1e100, 0.0], [0.0, 1e100]], [[-1e100, 0.0], [0.0, -1e100]],
+    [[STEEPEST_2D, 0.0], [0.0, STEEPEST_2D]], [[-STEEPEST_2D, 0.0], [0.0, -STEEPEST_2D]],
+], ids=["1e100", "-1e100", "-1e150", "steepest", "-steepest",
+        "2d-1e100", "2d--1e100", "2d-steepest", "2d--steepest"])
+def test_the_origin_of_a_steep_quartic_is_degenerate(q):
+    # at the polished origin the Hessian is still far from zero in absolute
+    # terms (about 5e26 for 1e100), but a vanishing fraction of L
+    objective = QuarticCopositive(q)
+    (record,) = find_critical_points(objective)
+    assert record.classification is Classification.DEGENERATE
+    assert record.is_degenerate and not record.is_strict_saddle
+    assert record.stable_dimension == objective.dimension
+    assert record.degeneracy_tol == DEGENERACY_TOL  # the caller's value, not the band
+    basis = stable_subspace(GradientMap(objective, 0.5 / objective.lipschitz_bound()), record)
+    assert basis.shape == (objective.dimension, objective.dimension)
+
+
+@pytest.mark.parametrize("lambdas, expected", [
+    # L = 1e4: the band is 1e-8 * 1e4 = 1e-4, and every small eigenvalue
+    # here lies outside the absolute 1e-8
+    ([1e4, 9e-5], Classification.DEGENERATE),
+    ([1e4, -9e-5], Classification.DEGENERATE),
+    ([1e4, 1.1e-4], Classification.LOCAL_MIN),
+    ([1e4, -1.1e-4], Classification.STRICT_SADDLE),
+    # L < 1: the band stays the absolute 1e-8
+    ([0.5, 9e-9], Classification.DEGENERATE),
+    ([0.5, 1.1e-8], Classification.LOCAL_MIN),
+])
+def test_a_small_eigenvalue_is_read_on_the_objectives_own_scale(lambdas, expected):
+    objective = DiagonalQuadratic(lambdas)
+    band = DEGENERACY_TOL * max(1.0, objective.lipschitz_bound())
+    record = classify(objective, np.zeros(2))
+    assert record.classification is expected
+    assert record.is_degenerate is (abs(lambdas[1]) <= band)
+    assert record.is_strict_saddle is (lambdas[1] < -band)
+    # spectrum mapping: the Jacobian's stable subspace is the record's
+    basis = stable_subspace(GradientMap(objective, 0.5 / objective.lipschitz_bound()), record)
+    record_basis = record.stable_subspace_basis
+    np.testing.assert_allclose(basis @ basis.T, record_basis @ record_basis.T, atol=1e-12)
 
 
 def _pairwise_dedup(roots, dedup_tol):

@@ -154,6 +154,40 @@ def test_monte_carlo_threads_split_trials_in_order(nesterov_records, monkeypatch
     assert np.array_equal(serial.trial_final_grad_norm, threaded.trial_final_grad_norm)
 
 
+def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
+    nesterov_records, monkeypatch, tmp_path
+):
+    # two chunks of at least MIN_CHUNK trials, on two cores: two threads
+    import threading
+
+    from descentlab.fileio import atomic_write_json
+
+    n_trials = 2 * MIN_CHUNK + 1
+    threads = []
+    run_many = experiments.run_many
+
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return run_many(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "run_many", recorded)
+    reports = {}
+    for n_jobs in (1, 2):
+        threads.clear()
+        report = monte_carlo(NesterovExample(), 0.09, n_trials, seed=3,
+                             records=nesterov_records, n_jobs=n_jobs)
+        assert len(set(threads)) == len(threads) == n_jobs
+        out = tmp_path / str(n_jobs)
+        out.mkdir()
+        atomic_write_json(out / "report.json", report.to_dict())
+        report.trials_to_csv(out / "trials.csv")
+        report.basins_to_csv(out / "basins.csv")
+        reports[n_jobs] = out
+    for name in ["report.json", "trials.csv", "basins.csv"]:
+        assert (reports[1] / name).read_bytes() == (reports[2] / name).read_bytes()
+
+
 def test_worker_count_is_capped_by_cores_and_chunk_size():
     # computed only: a pool of this size is never started
     assert experiments._worker_count(100_000, 10_000, 2) == 1

@@ -164,6 +164,22 @@ def test_invert_accepts_a_zero_budget_and_an_infinite_tolerance():
         pass  # a zero budget is a budget, not a contract violation
 
 
+def test_a_zero_budget_tests_the_start():
+    gmap = GradientMap(NesterovExample(), 0.09)
+    x = np.array([0.1, 0.1])
+    # a start that solves the target returns with no iterations
+    report = invert(gmap, gmap.step(x), max_inner=0, x0=x)
+    assert report.inner_iterations == 0
+    assert report.solution.tobytes() == x.tobytes()
+    assert report.residual == 0.0
+    # one that does not reports its own residual
+    with pytest.raises(NonConvergenceError) as excinfo:
+        invert(gmap, x, max_inner=0)
+    start_residual = float(np.sqrt(np.sum((gmap.step(x) - x) ** 2)))
+    assert excinfo.value.best_residual == start_residual
+    assert f"(best residual {start_residual:.3e}," in str(excinfo.value)
+
+
 def test_invert_budget_exhaustion_reports_best_residual():
     gmap = GradientMap(NesterovExample(), 0.09)
     with pytest.raises(NonConvergenceError) as excinfo:
