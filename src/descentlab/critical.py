@@ -67,15 +67,26 @@ class CriticalPointRecord:
         return plain(self)
 
 
-def _degeneracy_band(objective: Objective, degeneracy_tol: float) -> float:
-    """The half-width of the near-zero eigenvalue band: ``degeneracy_tol``
-    on the objective's own curvature scale, ``degeneracy_tol * max(1, L)``.
+def _degeneracy_band(objective: Objective, x: np.ndarray, hessian: np.ndarray,
+                     degeneracy_tol: float) -> float:
+    """The half-width of the near-zero eigenvalue band at the critical point
+    ``x``, whose Hessian is ``hessian``.
 
-    An absolute band misreads steep objectives: at the polished origin of
-    ``quartic:[[1e100]]`` the Hessian eigenvalue is still about 5e26, far
-    outside 1e-8 but a vanishing fraction of L.
+    It is ``degeneracy_tol`` plus how far the Hessian moves within DEDUP_TOL
+    of ``x``, the distance below which the search does not tell roots
+    apart: an eigenvalue smaller than that move has no sign the root's
+    location can vouch for.  The move is the largest row-sum norm of H(x +-
+    DEDUP_TOL e_i) - H(x), which bounds how far each eigenvalue shifts
+    between ``x`` and those 2d points (Weyl).  It depends on neither the
+    domain box nor the other eigenvalues: it is zero where the Hessian is
+    constant, so a quadratic keeps the absolute band, and it is about 3e-12
+    at the saddle of ``nesterov`` on any box.  At the polished origin of
+    ``quartic:[[1e100]]`` (x about 6.5e-38) the eigenvalue is about 5e26,
+    far outside 1e-8, but the move is about 1.2e89.
     """
-    return degeneracy_tol * max(1.0, objective.lipschitz_bound())
+    steps = DEDUP_TOL * np.eye(x.shape[0])
+    change = objective._hessian(x + np.concatenate([steps, -steps])) - hessian
+    return degeneracy_tol + float(np.max(np.sum(np.abs(change), axis=-1)))
 
 
 def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
@@ -101,10 +112,12 @@ def classify(
 
     Raises a contract violation if the gradient norm exceeds ``grad_tol``:
     the spectrum of a non-critical point says nothing about the dynamics.
-    The Hessian spectrum is read on the objective's own scale: an eigenvalue
-    is near zero when its magnitude is at most ``degeneracy_tol * max(1,
-    L)``, L the objective's ``lipschitz_bound``, and that band decides the
-    class, ``is_strict_saddle``, ``is_degenerate`` and the stable subspace.
+    An eigenvalue is near zero when its magnitude is at most the band
+    ``degeneracy_tol`` plus how far the Hessian moves within ``DEDUP_TOL``
+    of ``x`` (``_degeneracy_band``), and that band decides the class,
+    ``is_strict_saddle``, ``is_degenerate`` and the stable subspace.  On a
+    quadratic the band is ``degeneracy_tol``; at the flat origin of a steep
+    quartic it grows with the quartic.
     A negative or NaN tolerance is refused before any work.
     """
     _check_real(degeneracy_tol, "degeneracy_tol", "non-negative")
@@ -116,8 +129,9 @@ def classify(
         raise ContractViolationError(
             f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {grad_tol:.3e}"
         )
-    w, v = eigh_jacobi(objective.hessian(x))
-    band = _degeneracy_band(objective, degeneracy_tol)
+    hessian = objective.hessian(x)
+    w, v = eigh_jacobi(hessian)
+    band = _degeneracy_band(objective, x, hessian, degeneracy_tol)
     stable_mask = w >= -band
     basis = v[:, stable_mask]
     return CriticalPointRecord(
@@ -220,8 +234,9 @@ def find_critical_points(
     infinity norm are merged; starts that fail to converge are dropped and
     counted on the returned list.  Records come back sorted by location so
     the output is reproducible.  Each root is classified as ``classify``
-    does, against the band ``degeneracy_tol * max(1, L)`` on the objective's
-    own scale.  A negative or NaN tolerance is refused before any work.
+    does: against ``degeneracy_tol`` plus how far the Hessian moves within
+    ``DEDUP_TOL`` of the root.  A negative or NaN tolerance is refused
+    before any work.
     """
     for value, name in ((tol, "tol"), (degeneracy_tol, "degeneracy_tol"),
                         (dedup_tol, "dedup_tol")):
@@ -256,8 +271,10 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     spectrum-mapping relation between the two is something callers can
     check, not an artifact of sharing.
     """
-    mu, v = eigh_jacobi(gmap.jacobian(record.location))
-    keep = mu <= 1.0 + gmap.alpha * _degeneracy_band(gmap.objective, record.degeneracy_tol)
+    x = record.location
+    band = _degeneracy_band(gmap.objective, x, gmap.objective.hessian(x), record.degeneracy_tol)
+    mu, v = eigh_jacobi(gmap.jacobian(x))
+    keep = mu <= 1.0 + gmap.alpha * band
     return v[:, keep]
 
 

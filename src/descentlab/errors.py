@@ -1,6 +1,5 @@
 """Exception types shared across the library, and the rules for scalar arguments."""
 
-import math
 import numbers
 
 
@@ -47,18 +46,22 @@ class InapplicableError(DescentLabError):
     """A check was requested outside the region where its certificate holds."""
 
 
-# The two rules every scalar argument of the library is checked by.
-def _check_real(value, name: str, sign: str = "", finite: bool = False) -> float:
-    """``value`` as a float; refuses a boolean, a non-real, NaN and, as
-    asked, a value that is not ``sign`` ("positive", "non-negative") or finite."""
+def _check_real(value, name: str, sign: str = "") -> float:
+    """``value`` as a float, refusing a boolean, a non-real, NaN and a ``sign`` not met."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ContractViolationError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     # each test is written so that NaN fails it
-    if not {"": value == value, "positive": value > 0, "non-negative": value >= 0}[sign]:
+    if sign == "positive":
+        valid = value > 0
+    elif sign == "non-negative":
+        valid = value >= 0
+    elif sign == "":
+        valid = value == value
+    else:
+        raise ValueError(f"unknown sign {sign!r}")
+    if not valid:
         raise ContractViolationError(f"{name} must be {sign or 'a real number'}, got {value!r}")
-    if finite and not math.isfinite(value):
-        raise ContractViolationError(f"{name} must be finite, got {value!r}")
     return value
 
 

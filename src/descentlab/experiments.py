@@ -202,7 +202,7 @@ def monte_carlo(
     _check_real(basin_tol, "basin_tol", "non-negative")
     gmap = GradientMap(objective, alpha)
     domain = objective.domain_box
-    box = domain if init_box is None else _as_box(init_box, objective.dimension, "init_box")
+    box = domain if init_box is None else _as_box(init_box, len(domain), "init_box", flat=True)
     if np.any(box[:, 0] < domain[:, 0]) or np.any(box[:, 1] > domain[:, 1]):
         raise ContractViolationError("init_box must lie inside the domain box")
     x0s = _box_samples(seed, n_trials, box, "n_trials")
@@ -436,7 +436,9 @@ def check_lojasiewicz(
     if not 0.0 <= _check_real(a, "a") < 1.0:
         raise ContractViolationError("exponent a must lie in [0, 1)")
     m = _check_real(m, "m", "non-negative")
-    radius = _check_real(radius, "radius", "positive", finite=True)
+    radius = _check_real(radius, "radius", "positive")
+    if not math.isfinite(radius):
+        raise ContractViolationError(f"radius must be finite, got {radius!r}")
     x_star = _check_vector(x_star, objective.dimension, "x_star")
     cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)), "n_samples")
     f_star = float(objective.value(x_star))

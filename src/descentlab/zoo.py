@@ -91,13 +91,15 @@ def _as_floats(value, what: str) -> np.ndarray:
     raise ContractViolationError(f"{what} must be numbers, got {value!r}")
 
 
-def _as_box(box, dimension: int, name: str = "domain_box") -> np.ndarray:
-    """``box`` as ``dimension`` finite rows [lo, hi] with lo < hi, or a contract violation."""
+def _as_box(box, dimension: int, name: str = "domain_box", flat: bool = False) -> np.ndarray:
+    """``box`` as ``dimension`` finite rows, lo < hi (lo <= hi if ``flat``), or a violation."""
     box = _as_floats(box, name)
     if box.shape != (dimension, 2):
         raise ContractViolationError(f"{name} must have shape ({dimension}, 2)")
-    if not np.all(np.isfinite(box)) or not np.all(box[:, 0] < box[:, 1]):
-        raise ContractViolationError(f"{name} intervals must be finite with lo < hi")
+    ordered = box[:, 0] <= box[:, 1] if flat else box[:, 0] < box[:, 1]
+    if not np.all(np.isfinite(box)) or not np.all(ordered):
+        raise ContractViolationError(
+            f"{name} intervals must be finite with lo {'<=' if flat else '<'} hi")
     return box
 
 

@@ -37,6 +37,7 @@ from descentlab import (
 from descentlab import critical, experiments, inverse
 from descentlab.critical import grid_spacing
 from descentlab.engine import closed_form_quadratic, descent_violations
+from descentlab.errors import _check_real
 from descentlab.jacobi import eigh_jacobi
 
 OBJECTIVE = NesterovExample()
@@ -161,3 +162,8 @@ def test_a_wrong_sign_is_refused_in_the_shared_wording(func, fixed, name, wrong)
         expected = {f"{name} must be {sign}, got {wrong!r}"
                     for sign in ("non-negative", "positive")}
     assert str(refused.value) in expected
+
+
+def test_the_real_rule_knows_its_signs():
+    with pytest.raises(ValueError, match="unknown sign"):
+        _check_real(1.0, "tol", "positiv")

@@ -44,7 +44,8 @@ VALID = {
     "seed": st.one_of(st.integers(0, 2**32), st.sampled_from([2**64, 10**30])),
     "trials": st.integers(1, 50),
     "n_jobs": st.one_of(st.integers(1, 4), st.just(10**30)),
-    "tol": st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e300, 10**30, float("inf")])),
+    "tol": st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e300, 10**30, float("inf")]),
+                     st.sampled_from(NUMBER_WORDS)),
     "max_iters": st.one_of(st.integers(0, 200), st.just(10**30)),
     "x0": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
     "y": st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2),
@@ -54,13 +55,14 @@ VALID = {
 }
 # Invalid values: negative, boolean, string or NaN; no trials or threads;
 # trial counts far past what an array of starts can hold; malformed points.
-SCALAR_INVALID = st.one_of(st.integers(-10**6, -1), st.booleans(),
-                           st.sampled_from(REFUSED_WORDS), st.just(NAN))
+# The number words are no integer, but a valid tolerance.
+SCALAR_INVALID = st.one_of(st.integers(-10**6, -1), st.booleans(), WORDS, st.just(NAN))
 INVALID = {
     "seed": SCALAR_INVALID,
     "trials": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2**62, 10**30])),
     "n_jobs": st.one_of(SCALAR_INVALID, st.just(0)),
-    "tol": SCALAR_INVALID,
+    "tol": st.one_of(st.integers(-10**6, -1), st.booleans(), st.sampled_from(REFUSED_WORDS),
+                     st.just(NAN)),
     "max_iters": SCALAR_INVALID,
     "x0": st.one_of(
         st.lists(
@@ -82,16 +84,19 @@ INVALID["y"] = INVALID["x0"]
 # Drawn invalid values that are refused only in some cases: a radius too
 # wide for the domain box puts grid points outside it unless the grid is
 # one point.
-SOMETIMES_VALID = {"radius": (5.0, 1e300)}
+SOMETIMES_VALID = {"radius": (5.0, 1e3, 1e300)}
 
 
 def _must_refuse(command, key, value) -> bool:
     """Whether numeric option ``key`` drawn invalid as ``value`` must end
-    in exit 2: always when the value is not a number (the config and flag
-    conversions refuse it for every command), and otherwise when
-    ``command`` reads the option."""
-    if OPTIONS[key].kind not in ("int", "float"):
+    in exit 2: always when the value is not a number of the option's kind
+    (the config and flag conversions refuse it for every command), and
+    otherwise when ``command`` reads the option."""
+    kind = OPTIONS[key].kind
+    if kind not in ("int", "float"):
         return False  # a malformed point may still be a point of another length
+    if kind == "float" and value in NUMBER_WORDS:
+        value = float(value)  # read as the number it spells
     if isinstance(value, (bool, str)) or value != value:
         return True
     return key in COMMANDS[command].options and value not in SOMETIMES_VALID.get(key, ())
@@ -189,6 +194,8 @@ FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @FUZZ
 @example(case=("seed", {"trials": (20, "flag"), "seed": (-1, "flag")}))
 @example(case=("seed", {"trials": (20, "config"), "seed": (-3, "config")}))
+@example(case=(None, {"trials": (20, "flag"), "tol": ("1e3", "flag")}))
+@example(case=(None, {"trials": (20, "config"), "tol": ("inf", "config")}))
 @given(case=_cases("montecarlo"))
 def test_montecarlo_ends_in_an_exit_code_and_one_line(case):
     _check("montecarlo", case)
@@ -199,6 +206,16 @@ def test_montecarlo_ends_in_an_exit_code_and_one_line(case):
 @given(case=_cases("run"))
 def test_run_ends_in_an_exit_code_and_one_line(case):
     _check("run", case)
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("word", NUMBER_WORDS)
+@pytest.mark.parametrize("command, key", [
+    ("montecarlo", "seed"), ("montecarlo", "trials"), ("montecarlo", "n_jobs"),
+    ("montecarlo", "max_iters"), ("stable-set", "grid"), ("stable-set", "index"),
+])
+def test_a_number_word_is_refused_by_an_integer_option(command, key, word, route):
+    _check(command, (key, {"trials": (20, "flag"), key: (word, route)}))
 
 
 @pytest.mark.parametrize("command", ["classify", "stable-set", "invert", "rates"])

@@ -231,7 +231,8 @@ STEEPEST_2D = STEEPEST_QUARTIC / np.sqrt(2.0)  # the bound with d = 2
         "2d-1e100", "2d--1e100", "2d-steepest", "2d--steepest"])
 def test_the_origin_of_a_steep_quartic_is_degenerate(q):
     # at the polished origin the Hessian is still far from zero in absolute
-    # terms (about 5e26 for 1e100), but a vanishing fraction of L
+    # terms (about 5e26 for 1e100), but it moves far more than that within
+    # DEDUP_TOL of the root
     objective = QuarticCopositive(q)
     (record,) = find_critical_points(objective)
     assert record.classification is Classification.DEGENERATE
@@ -243,27 +244,47 @@ def test_the_origin_of_a_steep_quartic_is_degenerate(q):
 
 
 @pytest.mark.parametrize("lambdas, expected", [
-    # L = 1e4: the band is 1e-8 * 1e4 = 1e-4, and every small eigenvalue
-    # here lies outside the absolute 1e-8
-    ([1e4, 9e-5], Classification.DEGENERATE),
-    ([1e4, -9e-5], Classification.DEGENERATE),
-    ([1e4, 1.1e-4], Classification.LOCAL_MIN),
-    ([1e4, -1.1e-4], Classification.STRICT_SADDLE),
-    # L < 1: the band stays the absolute 1e-8
+    # a quadratic's Hessian does not move, so the band is the absolute
+    # 1e-8 whatever the other eigenvalue (a band of 1e-8 * L would be 1e-5)
+    ([1e3, 9e-9], Classification.DEGENERATE),
+    ([1e3, -9e-9], Classification.DEGENERATE),
+    ([1e3, 1.1e-8], Classification.LOCAL_MIN),
+    ([1e3, -1.1e-8], Classification.STRICT_SADDLE),
     ([0.5, 9e-9], Classification.DEGENERATE),
     ([0.5, 1.1e-8], Classification.LOCAL_MIN),
 ])
-def test_a_small_eigenvalue_is_read_on_the_objectives_own_scale(lambdas, expected):
+def test_a_small_eigenvalue_is_read_against_the_absolute_band_on_a_quadratic(lambdas, expected):
     objective = DiagonalQuadratic(lambdas)
-    band = DEGENERACY_TOL * max(1.0, objective.lipschitz_bound())
     record = classify(objective, np.zeros(2))
     assert record.classification is expected
-    assert record.is_degenerate is (abs(lambdas[1]) <= band)
-    assert record.is_strict_saddle is (lambdas[1] < -band)
+    assert record.is_degenerate is (abs(lambdas[1]) <= DEGENERACY_TOL)
+    assert record.is_strict_saddle is (lambdas[1] < -DEGENERACY_TOL)
     # spectrum mapping: the Jacobian's stable subspace is the record's
     basis = stable_subspace(GradientMap(objective, 0.5 / objective.lipschitz_bound()), record)
     record_basis = record.stable_subspace_basis
     np.testing.assert_allclose(basis @ basis.T, record_basis @ record_basis.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("objective, x, expected", [
+    (DiagonalQuadratic([1e9, -1.0]), [0.0, 0.0], Classification.STRICT_SADDLE),
+    (StronglyConvexQuadratic([1e9, 1.0]), [0.0, 0.0], Classification.LOCAL_MIN),
+    (NesterovExample([[-1e4, 1e4]] * 2), [0.0, 0.0], Classification.STRICT_SADDLE),
+    (NesterovExample([[-1e4, 1e4]] * 2), [0.0, 1.0], Classification.LOCAL_MIN),
+], ids=["saddle-1e9", "min-1e9", "nesterov-saddle-1e4-box", "nesterov-min-1e4-box"])
+def test_a_large_eigenvalue_or_box_does_not_make_a_point_degenerate(objective, x, expected):
+    # eigenvalues of 1 beside one of 1e9, or on a box where L is about 3e8
+    record = classify(objective, x)
+    assert record.classification is expected
+    assert not record.is_degenerate
+    assert record.is_strict_saddle is (expected is Classification.STRICT_SADDLE)
+    assert record.stable_dimension == (1 if record.is_strict_saddle else 2)
+
+
+def test_the_label_of_a_point_does_not_depend_on_the_domain_box():
+    for x in ([0.0, 0.0], [0.0, -1.0], [0.0, 1.0]):
+        small = classify(NesterovExample(), x)
+        large = classify(NesterovExample([[-1e4, 1e4]] * 2), x)
+        assert large.to_dict() == small.to_dict()
 
 
 def _pairwise_dedup(roots, dedup_tol):

@@ -284,6 +284,16 @@ def test_monte_carlo_respects_init_box(nesterov_records):
     assert np.all(report.trial_x0 <= 0.2)
 
 
+def test_a_flat_init_box_row_samples_one_coordinate(nesterov_records):
+    # starts on the saddle's stable line y = 0 all reach the saddle
+    report = monte_carlo(
+        NesterovExample(), 0.09, 20, seed=2,
+        init_box=[[-1.0, 1.0], [0.0, 0.0]], records=nesterov_records,
+    )
+    assert np.all(report.trial_x0[:, 1] == 0.0)
+    assert report.saddle_hits == 20
+
+
 def test_trial_starts_do_not_depend_on_the_trial_count(nesterov_records):
     short = monte_carlo(NesterovExample(), 0.09, 100, seed=11, records=nesterov_records)
     long = monte_carlo(NesterovExample(), 0.09, 1000, seed=11, records=nesterov_records)
