@@ -262,7 +262,7 @@ def cmd_classify(opts) -> int:
 
 def cmd_stable_set(opts) -> int:
     objective = parse_objective(opts["objective"])
-    alpha = _resolve_alpha(opts, objective)
+    gmap = GradientMap(objective, _resolve_alpha(opts, objective))
     policy = _resolve_policy(opts)
     radius, grid = opts["radius"], opts["grid"]
     grid_spacing(radius, grid)  # refused before the search
@@ -278,7 +278,6 @@ def cmd_stable_set(opts) -> int:
         if not saddles:
             raise ContractViolationError("objective has no strict saddle to sample")
         record = saddles[0]
-    gmap = GradientMap(objective, alpha)
     sample = sample_local_stable_set(gmap, record, radius=radius, grid=grid, policy=policy)
     summary = {
         "saddle": record.location,

@@ -20,9 +20,8 @@ from .engine import (
 from .errors import ContractViolationError, _check_count, _check_real
 from .fileio import atomic_write_columns, plain
 from .jacobi import eigh_jacobi
-from .zoo import Classification, Objective, _check_vector
+from .zoo import DEGENERACY_TOL, Classification, Objective, _check_vector, _classify_spectrum
 
-DEGENERACY_TOL = 1e-8
 DEDUP_TOL = 1e-6
 # Iterations of one Newton search, at most.  On the degenerate root of a
 # quartic Newton contracts only linearly, by 2/3 per step and so the
@@ -89,19 +88,6 @@ def _degeneracy_band(objective: Objective, x: np.ndarray, hessian: np.ndarray,
     return degeneracy_tol + float(np.max(np.sum(np.abs(change), axis=-1)))
 
 
-def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
-    # Precedence: a point with both a negative and a near-zero eigenvalue is
-    # reported as a saddle (the negative direction dominates the dynamics);
-    # the near-zero band is preserved in the is_degenerate flag.
-    if eigenvalues[-1] < -band:
-        return Classification.LOCAL_MAX
-    if eigenvalues[0] < -band:
-        return Classification.STRICT_SADDLE
-    if np.any(np.abs(eigenvalues) <= band):
-        return Classification.DEGENERATE
-    return Classification.LOCAL_MIN
-
-
 def classify(
     objective: Objective,
     x,
@@ -122,7 +108,7 @@ def classify(
     """
     _check_real(degeneracy_tol, "degeneracy_tol", "non-negative")
     _check_real(grad_tol, "grad_tol", "non-negative")
-    x = _check_vector(x, objective.dimension, "x")
+    x = _check_vector(x, (objective.dimension,), "x")
     grad = objective.gradient(x)
     grad_norm = float(_row_norms(grad))
     if not np.isfinite(grad_norm) or grad_norm > grad_tol:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError, _check_count, _check_real
 from .fileio import atomic_write_columns
-from .zoo import _PAIRWISE_FROM, Objective
+from .zoo import _PAIRWISE_FROM, Objective, _check_vector
 
 
 class StopReason(str, Enum):
@@ -299,9 +299,7 @@ def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajector
     value or gradient appears.
     """
     obj = gmap.objective
-    x = np.array(x0, dtype=float)
-    if x.shape != (obj.dimension,):
-        raise ContractViolationError(f"x0 must have shape ({obj.dimension},)")
+    x = _check_vector(x0, (obj.dimension,), "x0")
     if not obj.lipschitz_global and not obj.contains(x):
         raise ContractViolationError("x0 lies outside domain_box, where the step-size certificate holds")
     result, history = _descend(gmap, x[None, :], policy, history=True)
@@ -335,9 +333,7 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> Bat
     obj = gmap.objective
     # row-major whatever the input's layout: from _PAIRWISE_FROM columns on, numpy sums
     # a row of a column-major batch in another order than run's point
-    x0s = np.array(x0s, dtype=float, order="C")
-    if x0s.ndim != 2 or x0s.shape[1] != obj.dimension:
-        raise ContractViolationError(f"x0s must have shape (n, {obj.dimension})")
+    x0s = np.ascontiguousarray(_check_vector(x0s, ("n", obj.dimension), "x0s"))
     if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
         raise ContractViolationError("some starting points lie outside domain_box")
     return _descend(gmap, x0s, policy)[0]
@@ -594,10 +590,8 @@ def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:
     """
     k = _check_count(k, "k")
     alpha = _check_real(alpha, "alpha")
-    lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
-    out = np.array(x0, dtype=float)
-    if out.shape != lambdas.shape:
-        raise ContractViolationError("x0 and lambdas must have matching shapes")
+    lambdas = _check_vector(lambdas, ("d",), "lambdas")
+    out = _check_vector(x0, lambdas.shape, "x0")
     factors = 1.0 - alpha * lambdas
     for _ in range(k):
         out = factors * out

@@ -151,11 +151,8 @@ class MonteCarloReport:
             + [f"x0_{i + 1}" for i in range(d)]
             + ["label", "iterations", "final_grad_norm"]
         )
-        columns = [
-            np.arange(self.n_trials), *self.trial_x0.T,
-            [str(label) for label in self.trial_labels],
-            self.trial_iterations, self.trial_final_grad_norm,
-        ]
+        columns = [np.arange(self.n_trials), *self.trial_x0.T, self.trial_labels,
+                   self.trial_iterations, self.trial_final_grad_norm]
         atomic_write_columns(path, header, columns)
 
     def basins_to_csv(self, path) -> None:
@@ -172,7 +169,7 @@ class MonteCarloReport:
 def _worker_count(n_jobs: int, n_trials: int, cpu_count: int) -> int:
     """Threads for a census: the request, capped by the cores and by
     chunks of at least MIN_CHUNK trials."""
-    return min(n_jobs, cpu_count, math.ceil(n_trials / MIN_CHUNK))
+    return min(n_jobs, cpu_count, max(1, n_trials // MIN_CHUNK))
 
 
 def monte_carlo(
@@ -193,7 +190,7 @@ def monte_carlo(
     search with its own fixed seed, so basin indices do not depend on the
     Monte Carlo seed.  ``n_jobs`` (at least 1) is the most threads to
     use: the trials are split, in trial order, into
-    ``min(n_jobs, os.cpu_count(), ceil(n_trials / MIN_CHUNK))`` chunks,
+    ``min(n_jobs, os.cpu_count(), max(1, n_trials // MIN_CHUNK))`` chunks,
     one thread each.  The starts come from one RNG stream for ``seed`` (a
     non-negative integer), drawn in trial order before the split, and the
     stepping is elementwise, so the report is identical for any split.
@@ -337,7 +334,7 @@ def fit_linear_rate(traj: Trajectory, x_star) -> RateFit:
     insufficient-data error otherwise (a trajectory started at the limit
     has no usable iterates at all).
     """
-    x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
+    x_star = _check_vector(x_star, traj.iterates.shape[1:], "x_star")
     _require_converged(traj, x_star)
     ks, distances = _fit_window(traj, x_star)
     return _rate_fit("Linear", ks, ks.astype(float), distances)
@@ -351,7 +348,7 @@ def fit_power_rate(traj: Trajectory, x_star) -> RateFit:
     budget far from it.  It does require the tail to be approaching
     x_star, otherwise the regression is meaningless.
     """
-    x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
+    x_star = _check_vector(x_star, traj.iterates.shape[1:], "x_star")
     ks, distances = _fit_window(traj, x_star)
     if distances.size >= 2 and distances[-1] >= distances[0]:
         raise ContractViolationError(
@@ -439,7 +436,7 @@ def check_lojasiewicz(
     radius = _check_real(radius, "radius", "positive")
     if not math.isfinite(radius):
         raise ContractViolationError(f"radius must be finite, got {radius!r}")
-    x_star = _check_vector(x_star, objective.dimension, "x_star")
+    x_star = _check_vector(x_star, (objective.dimension,), "x_star")
     cube = _box_samples(seed, n_samples, np.tile([-1.0, 1.0], (x_star.shape[0], 1)), "n_samples")
     f_star = float(objective.value(x_star))
 
@@ -512,7 +509,7 @@ def path_length_check(
     f_star = float(traj.f_values[-1]) if f_star is None else _check_real(f_star, "f_star")
     radius = None if radius is None else _check_real(radius, "radius", "non-negative")
     if x_star is not None:
-        x_star = _check_vector(x_star, traj.iterates.shape[1], "x_star")
+        x_star = _check_vector(x_star, traj.iterates.shape[1:], "x_star")
 
     step_norms = _row_norms(traj.iterates[1:] - traj.iterates[:-1])
     # e[k] = sum of step norms from k onward; reversed cumsum keeps it exact

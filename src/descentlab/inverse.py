@@ -65,8 +65,8 @@ def invert(
     _check_real(tol, "tol", "non-negative")
     _check_count(max_inner, "max_inner")
     dimension = gmap.objective.dimension
-    y = _check_vector(y, dimension, "y")
-    start = y if x0 is None else _check_vector(x0, dimension, "x0")
+    y = _check_vector(y, (dimension,), "y")
+    start = y if x0 is None else _check_vector(x0, (dimension,), "x0")
     solutions, residuals, iterations, modulus = _invert_batch(
         gmap, y[None, :], start[None, :], tol, max_inner
     )
@@ -88,8 +88,6 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     failing row, carrying that row's best residual.
     """
     obj = gmap.objective
-    # the unchecked gradient, and the Hessian through the public method,
-    # which a subclass may override (the tests model a singular Jacobian so)
     gradient, alpha = obj._gradient, gmap.alpha
     lipschitz = obj.lipschitz_bound()
     modulus = 1.0 - alpha * lipschitz
@@ -143,7 +141,7 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
             if iteration + 1 >= max_inner:
                 break
 
-            hess = identity - alpha * obj.hessian(x)
+            hess = identity - alpha * obj._hessian(x)
             direction, singular = _solve_rows(hess, grad)
             pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
             out = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)

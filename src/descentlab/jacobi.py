@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
+from .zoo import _check_vector
 
 
 def off_diagonal_norm(a) -> float:
@@ -26,29 +27,29 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
     off-diagonal Frobenius norm drops below ``tol * max(1, ||a||_F)``.
     Returns ``(w, v)`` with ``v[:, i]`` the eigenvector for ``w[i]``; each
     column's largest-magnitude component is made positive so bases are
-    deterministic.  A negative or NaN ``tol`` and a non-integer ``max_sweeps`` are refused.
+    deterministic.  ``a`` must be a finite, square and symmetric array of
+    numbers, up to 1e-10 relative asymmetry; a negative or NaN ``tol`` and a
+    non-integer ``max_sweeps`` are refused.  On a budget of 0 sweeps a
+    matrix already diagonal to ``tol`` is still decomposed.
     """
     tol = _check_real(tol, "tol", "non-negative")
     max_sweeps = _check_count(max_sweeps, "max_sweeps")
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolationError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ContractViolationError("matrix must be finite")
+    a = _check_vector(a, ("n", "n"), "a")
     scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    if float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
-        raise ContractViolationError("matrix is not symmetric")
+    if np.any(np.abs(a - a.T) > 1e-10 * scale):
+        raise ContractViolationError("a must be symmetric")
     a = 0.5 * (a + a.T)
 
     n = a.shape[0]
     v = np.eye(n)
     threshold = tol * scale
-    if n == 1:
-        return a[0, :].copy(), v
-
-    for _ in range(max_sweeps):
-        if off_diagonal_norm(a) <= threshold:
+    # convergence is tested before every sweep and after the last one
+    for sweep in range(max_sweeps + 1):
+        off = off_diagonal_norm(a)
+        if off <= threshold:
             break
+        if sweep == max_sweeps:
+            raise NonConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off}", off)
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]
@@ -75,11 +76,6 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
                 vec_p, vec_q = v[:, p].copy(), v[:, q].copy()
                 v[:, p] = c * vec_p - s * vec_q
                 v[:, q] = s * vec_p + c * vec_q
-    else:
-        raise NonConvergenceError(
-            f"Jacobi sweeps exhausted with off-diagonal norm {off_diagonal_norm(a)}",
-            off_diagonal_norm(a),
-        )
 
     w = np.diag(a).copy()
     order = np.argsort(w, kind="stable")

@@ -11,7 +11,7 @@ The shipped zoo:
 
 ``diagonal_quadratic(lambdas)``
     f(x) = 1/2 * sum_i lambda_i x_i^2.  The unique critical point is the
-    origin; its class follows the signs of the lambdas.
+    origin; its class is read from the lambdas by ``classify``'s rule.
 
 ``strongly_convex_quadratic(lambdas)``
     Same formula with all lambda_i > 0 enforced, used for convergence-rate
@@ -42,6 +42,7 @@ them directly on arrays it has already validated.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -67,6 +68,27 @@ class Classification(str, Enum):
     DEGENERATE = "Degenerate"
 
 
+# The half-width of the near-zero eigenvalue band at a point where the
+# Hessian is constant; ``critical.classify`` widens it where the Hessian
+# moves (``critical._degeneracy_band``).
+DEGENERACY_TOL = 1e-8
+
+
+def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
+    """The class of a critical point whose Hessian has the ascending
+    ``eigenvalues``, where those within ``band`` of zero count as zero."""
+    # Precedence: a point with both a negative and a near-zero eigenvalue is
+    # reported as a saddle (the negative direction dominates the dynamics);
+    # the near-zero band is preserved in the is_degenerate flag.
+    if eigenvalues[-1] < -band:
+        return Classification.LOCAL_MAX
+    if eigenvalues[0] < -band:
+        return Classification.STRICT_SADDLE
+    if np.any(np.abs(eigenvalues) <= band):
+        return Classification.DEGENERATE
+    return Classification.LOCAL_MIN
+
+
 @dataclass(frozen=True)
 class KnownCriticalPoint:
     """A critical point known in closed form, with its expected class."""
@@ -76,50 +98,60 @@ class KnownCriticalPoint:
 
 
 def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (
+    return isinstance(value, (bool, np.bool_)) or (
         isinstance(value, (list, tuple)) and any(map(_has_bool, value)))
 
 
 def _as_floats(value, what: str) -> np.ndarray:
-    """``value`` as a float array: the one conversion of parameters and boxes."""
+    """``value`` as a float array: the one conversion of parameters, points and boxes."""
     try:
         array = np.asarray(value)
-        if array.dtype.kind in "iufO" and not _has_bool(value):
+        kind = array.dtype.kind
+        # an object array holds ints too large for int64, or anything at all
+        numeric = kind in "iuf" or kind == "O" and all(
+            isinstance(e, numbers.Real) and not _has_bool(e) for e in array.flat)
+        if numeric and not _has_bool(value):
             return array.astype(float)
     except (TypeError, ValueError):  # a dict or a ragged nesting
         pass
     raise ContractViolationError(f"{what} must be numbers, got {value!r}")
 
 
+def _check_vector(v, shape: tuple, name: str) -> np.ndarray:
+    """``v`` as a finite float array of ``shape``, or a contract violation.
+
+    The one rule for array arguments.  Each axis of ``shape`` is a fixed
+    size, or a letter for any size (0 included) that is the same wherever
+    the letter repeats: ``("d", "d")`` asks for a square matrix.
+    """
+    v = _as_floats(v, name)
+    if v.ndim != len(shape) or any(
+            size != (v.shape[shape.index(axis)] if isinstance(axis, str) else axis)
+            for axis, size in zip(shape, v.shape)):
+        pattern = ", ".join(map(str, shape)) + ("," if len(shape) == 1 else "")
+        raise ContractViolationError(f"{name} must have shape ({pattern})")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolationError(f"{name} must be finite")
+    return v
+
+
 def _as_box(box, dimension: int, name: str = "domain_box", flat: bool = False) -> np.ndarray:
     """``box`` as ``dimension`` finite rows, lo < hi (lo <= hi if ``flat``), or a violation."""
-    box = _as_floats(box, name)
-    if box.shape != (dimension, 2):
-        raise ContractViolationError(f"{name} must have shape ({dimension}, 2)")
-    ordered = box[:, 0] <= box[:, 1] if flat else box[:, 0] < box[:, 1]
-    if not np.all(np.isfinite(box)) or not np.all(ordered):
-        raise ContractViolationError(
-            f"{name} intervals must be finite with lo {'<=' if flat else '<'} hi")
+    box = _check_vector(box, (dimension, 2), name)
+    if not np.all(box[:, 0] <= box[:, 1] if flat else box[:, 0] < box[:, 1]):
+        raise ContractViolationError(f"{name} intervals must have lo {'<=' if flat else '<'} hi")
     return box
 
 
 def _check_point(x, dimension) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
+    # non-finite entries pass: the stepping loop asks whether overflowed
+    # iterates lie in the box
+    x = _as_floats(x, "x")
     if x.shape[-1:] != (dimension,):
         raise ContractViolationError(
             f"point has trailing dimension {x.shape}, expected (..., {dimension})"
         )
     return x
-
-
-def _check_vector(v, dimension: int, name: str) -> np.ndarray:
-    """``v`` as one finite float point of ``dimension``, or a contract violation."""
-    v = _as_floats(v, name)
-    if v.shape != (dimension,):
-        raise ContractViolationError(f"{name} must have shape ({dimension},)")
-    if not np.all(np.isfinite(v)):
-        raise ContractViolationError(f"{name} must be finite")
-    return v
 
 
 def _refuse_overflow(objective, value_bound=None) -> None:
@@ -219,9 +251,9 @@ class DiagonalQuadratic(Objective):
     finite_on_box = True
 
     def __init__(self, lambdas, domain_box=None):
-        lambdas = np.atleast_1d(_as_floats(lambdas, "lambdas"))
-        if lambdas.ndim != 1 or lambdas.size == 0 or not np.all(np.isfinite(lambdas)):
-            raise ContractViolationError("lambdas must be a non-empty finite 1-D sequence")
+        lambdas = _check_vector(lambdas, ("d",), "lambdas")
+        if not lambdas.size:
+            raise ContractViolationError("lambdas must not be empty")
         self.lambdas = lambdas
         self.dimension = lambdas.size
         if domain_box is None:
@@ -249,16 +281,9 @@ class DiagonalQuadratic(Objective):
         return float(np.max(np.abs(self.lambdas)))
 
     def known_critical_points(self) -> list[KnownCriticalPoint]:
-        origin = np.zeros(self.dimension)
-        if np.all(self.lambdas > 0):
-            cls = Classification.LOCAL_MIN
-        elif np.all(self.lambdas < 0):
-            cls = Classification.LOCAL_MAX
-        elif np.any(self.lambdas < 0):
-            cls = Classification.STRICT_SADDLE
-        else:
-            cls = Classification.DEGENERATE
-        return [KnownCriticalPoint(origin, cls)]
+        # the Hessian is constant, so classify's band is DEGENERACY_TOL
+        cls = _classify_spectrum(np.sort(self.lambdas), DEGENERACY_TOL)
+        return [KnownCriticalPoint(np.zeros(self.dimension), cls)]
 
 
 class StronglyConvexQuadratic(DiagonalQuadratic):
@@ -346,9 +371,9 @@ class QuarticCopositive(Objective):
     finite_on_box = True
 
     def __init__(self, q, domain_box=None):
-        q = np.atleast_2d(_as_floats(q, "Q"))
-        if q.ndim != 2 or q.shape[0] != q.shape[1] or not np.all(np.isfinite(q)):
-            raise ContractViolationError("Q must be a finite square matrix")
+        q = _check_vector(q, ("d", "d"), "Q")
+        if not q.size:
+            raise ContractViolationError("Q must not be empty")
         self.q = q
         with np.errstate(over="ignore"):  # refused below if it overflows
             self._m = q + q.T

@@ -1,14 +1,16 @@
-"""Every scalar, count and box argument of the library goes through one rule
-of its kind, before any work.
+"""Every scalar, count, array and box argument of the library goes through
+one rule of its kind, before any work.
 
 The rules: a real number (NaN refused, optionally non-negative or
-positive), a count (an integer, not a boolean, at least 0 or 1) and a box
-(finite [lo, hi] rows with lo < hi).  For each parameter the table below
+positive), a count (an integer, not a boolean, at least 0 or 1), an array
+(finite numbers of a shape) and a box (an array of [lo, hi] rows with
+lo < hi).  For each scalar, count and box parameter the first table below
 feeds NaN, both booleans, a string, None (where None is not the default) and a
-value of the wrong sign or range, or a box with lo > hi.  Each is refused
-with a contract violation that names the parameter, while the
-critical-point search, the stepping loop and the batched inversion are
-patched to fail if they are reached.
+value of the wrong sign or range, or a box with lo > hi; for each array
+parameter the second table feeds NaN, inf, booleans, strings, None, a
+ragged list and a wrong shape.  Each is refused with a contract violation that
+names the parameter, while the critical-point search, the stepping loop
+and the batched inversion are patched to fail if they are reached.
 """
 
 import re
@@ -18,23 +20,30 @@ import pytest
 
 from descentlab import (
     ContractViolationError,
+    DiagonalQuadratic,
     GradientMap,
     NesterovExample,
+    QuarticCopositive,
     StopPolicy,
     alpha_from_theta,
     assign_basin,
+    best_rate_fit,
     check_lojasiewicz,
     classify,
     find_critical_points,
+    fit_linear_rate,
+    fit_power_rate,
     injectivity_margin_check,
     invert,
     monte_carlo,
     path_length_check,
+    rate_fits,
     roundtrip_check,
     run,
+    run_many,
     sample_local_stable_set,
 )
-from descentlab import critical, experiments, inverse
+from descentlab import critical, engine, experiments, inverse
 from descentlab.critical import grid_spacing
 from descentlab.engine import closed_form_quadratic, descent_violations
 from descentlab.errors import _check_real
@@ -103,7 +112,8 @@ PARAMETERS = [
 ]
 # None is the default of these, not a bad value
 OPTIONAL = {(monte_carlo, "init_box"), (path_length_check, "alpha"),
-            (path_length_check, "f_star"), (path_length_check, "radius")}
+            (path_length_check, "f_star"), (path_length_check, "radius"),
+            (invert, "x0"), (path_length_check, "x_star")}
 # more bad values of some parameters: an infinite radius where the ball
 # must be finite, fractional counts, and ragged or NaN boxes
 MORE = {
@@ -167,3 +177,90 @@ def test_a_wrong_sign_is_refused_in_the_shared_wording(func, fixed, name, wrong)
 def test_the_real_rule_knows_its_signs():
     with pytest.raises(ValueError, match="unknown sign"):
         _check_real(1.0, "tol", "positiv")
+
+
+CLOSED_FORM = {"lambdas": [1.0, -1.0], "alpha": 0.5, "x0": [1.0, 0.0], "k": 2}
+# a global certificate, so no domain-box test stands in for the rule
+QUADRATIC = GradientMap(DiagonalQuadratic([1.0, -1.0]), 0.5)
+# (function, the other arguments, parameter, a valid value as nested lists)
+ARRAYS = [
+    (run, {"gmap": QUADRATIC}, "x0", [0.5, 0.5]),
+    (run_many, {"gmap": QUADRATIC}, "x0s", [[0.5, 0.5], [0.1, 0.2]]),
+    (closed_form_quadratic, CLOSED_FORM, "lambdas", [1.0, -1.0]),
+    (closed_form_quadratic, CLOSED_FORM, "x0", [1.0, 0.0]),
+    (eigh_jacobi, {}, "a", MATRIX.tolist()),
+    (DiagonalQuadratic, {}, "lambdas", [1.0, -1.0]),
+    (QuarticCopositive, {}, "q", [[1.0, 0.0], [0.0, 1.0]]),
+    (invert, {"gmap": GMAP}, "y", [0.1, 0.1]),
+    (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "x0", [0.1, 0.1]),
+    (classify, {"objective": OBJECTIVE}, "x", [0.0, 0.0]),
+    (fit_linear_rate, {"traj": TRAJ}, "x_star", TRAJ.final_x.tolist()),
+    (fit_power_rate, {"traj": TRAJ}, "x_star", TRAJ.final_x.tolist()),
+    (rate_fits, {"traj": TRAJ}, "x_star", TRAJ.final_x.tolist()),
+    (best_rate_fit, {"traj": TRAJ}, "x_star", TRAJ.final_x.tolist()),
+    (check_lojasiewicz, CERTIFICATE, "x_star", [0.0, 1.0]),
+    (path_length_check, {**PATH, "radius": 0.1}, "x_star", [0.0, 1.0]),
+]
+# more bad values of some arrays: a wrong size where the size is fixed,
+# and no entries at all where the objective needs a dimension
+MORE_ARRAYS = {
+    (run, "x0"): [[0.5, 0.5, 0.5]],
+    (run_many, "x0s"): [[[0.5, 0.5, 0.5]], [0.5, 0.5], [[0.1, 0.2], ["1", "2"]]],
+    (closed_form_quadratic, "x0"): [[1.0]],
+    (eigh_jacobi, "a"): [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    (DiagonalQuadratic, "lambdas"): [[], 1.0],
+    (QuarticCopositive, "q"): [np.zeros((0, 0)), [[1.0, 0.0]], [0.25]],
+    (invert, "y"): [[0.1]],
+    (classify, "x"): [[0.0, 0.0, 0.0]],
+}
+
+
+def _replace_first(value, entry):
+    """``value`` (nested lists) with its first number set to ``entry``."""
+    if isinstance(value, list):
+        return [_replace_first(value[0], entry), *value[1:]]
+    return entry
+
+
+def _array_cases():
+    for func, fixed, name, good in ARRAYS:
+        booleans = np.vectorize(lambda v: v > 0)(good).tolist()
+        bad = [
+            _replace_first(good, float("nan")),
+            _replace_first(good, float("inf")),
+            _replace_first(good, -float("inf")),
+            booleans,
+            np.array(booleans),
+            np.array(good).astype(str).tolist(),
+            np.array(booleans, dtype=object),
+            _replace_first(good, np.True_),
+            np.array(good).astype(str).astype(object),
+            "x",
+            [[0.0], [0.0, 0.0]],
+            [good],
+        ]
+        if (func, name) not in OPTIONAL:
+            bad.append(None)
+        for value in bad + MORE_ARRAYS.get((func, name), []):
+            yield pytest.param(func, fixed, name, value, id=f"{func.__name__}-{name}-{value!r}")
+
+
+@pytest.mark.parametrize("func, fixed, name, value", _array_cases())
+def test_every_array_argument_is_refused_by_its_rule_before_any_work(
+    func, fixed, name, value, monkeypatch
+):
+    monkeypatch.setattr(engine, "_descend", _no_work)
+    monkeypatch.setattr(critical, "_newton_roots", _no_work)
+    monkeypatch.setattr(inverse, "_invert_batch", _no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        func(**{**fixed, name: value})
+    # one of the array rule's messages, naming the parameter (Q for q)
+    assert re.match(rf"{name} must (be numbers, got |have shape \(|be finite$|not be empty$)",
+                    str(refused.value), re.IGNORECASE)
+
+
+@pytest.mark.parametrize("func, fixed, name, good",
+                         [pytest.param(*p, id=f"{p[0].__name__}-{p[2]}") for p in ARRAYS])
+def test_every_array_table_entry_is_valid(func, fixed, name, good):
+    # so the bad values above are bad for the reason they name
+    func(**{**fixed, name: good})

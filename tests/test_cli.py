@@ -440,6 +440,24 @@ def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["100", "-1"])
+def test_a_bad_stable_set_alpha_exits_2_before_the_search(tmp_path, capsys, monkeypatch, alpha):
+    import descentlab.cli
+    from descentlab.cli import main
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the critical-point search ran before alpha was refused")
+
+    monkeypatch.setattr(descentlab.cli, "find_critical_points", no_search)
+    out = tmp_path / "out"
+    argv = ["stable-set", "--objective", "nesterov", "--alpha", alpha, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [

@@ -1,7 +1,6 @@
 """Monte Carlo basin statistics, rate fitting, and gradient-inequality
 certificates."""
 
-import math
 
 import numpy as np
 import pytest
@@ -191,12 +190,16 @@ def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
 def test_worker_count_is_capped_by_cores_and_chunk_size():
     # computed only: a pool of this size is never started
     assert experiments._worker_count(100_000, 10_000, 2) == 1
-    assert experiments._worker_count(100_000, 10_000, 64) == math.ceil(10_000 / MIN_CHUNK)
+    assert experiments._worker_count(100_000, 10_000, 64) == 10_000 // MIN_CHUNK
     assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 64) == 5
     assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 2) == 2
     assert experiments._worker_count(3, 100 * MIN_CHUNK, 64) == 3
     assert experiments._worker_count(1, 100 * MIN_CHUNK, 64) == 1
-    assert experiments._worker_count(4, MIN_CHUNK + 1, 64) == 2
+    # every chunk holds at least MIN_CHUNK trials, and a small census one chunk
+    assert experiments._worker_count(4, MIN_CHUNK + 1, 64) == 1
+    assert experiments._worker_count(4, 2 * MIN_CHUNK - 1, 64) == 1
+    assert experiments._worker_count(4, 2 * MIN_CHUNK, 64) == 2
+    assert experiments._worker_count(4, 1, 64) == 1
 
 
 def test_monte_carlo_rejects_n_jobs_below_one(nesterov_records):
@@ -413,6 +416,19 @@ def test_monte_carlo_refuses_more_trials_than_an_array_holds(nesterov_records):
     # refused from the count alone: no array of this size is requested
     with pytest.raises(ContractViolationError, match="more trials than an array can hold"):
         monte_carlo(NesterovExample(), 0.09, 2**62, seed=0, records=nesterov_records)
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, "Diverged", 2], [0, 1, 2], ["Diverged", "LeftDomainBox", "Unresolved"]]
+)
+def test_trial_labels_are_written_as_their_text(tmp_path, nesterov_records, labels):
+    import dataclasses
+
+    report = monte_carlo(NesterovExample(), 0.09, 3, seed=3, records=nesterov_records)
+    report = dataclasses.replace(report, trial_labels=labels)
+    report.trials_to_csv(tmp_path / "trials.csv")
+    rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[3] for row in rows] == [str(label) for label in labels]
 
 
 def test_monte_carlo_report_serialization(tmp_path, nesterov_records):

@@ -303,9 +303,8 @@ class SingularLeftHalf(DiagonalQuadratic):
     def __init__(self):
         super().__init__([1.0, 0.5])
 
-    def hessian(self, x):
-        hess = super().hessian(x)
-        x = np.asarray(x, dtype=float)
+    def _hessian(self, x):
+        hess = super()._hessian(x)
         hess[..., 0, 0] = np.where(x[..., 0] < 0.0, 2.0, hess[..., 0, 0])
         return hess
 

@@ -66,6 +66,8 @@ def test_one_by_one_passthrough():
     w, v = eigh_jacobi(np.array([[-7.5]]))
     assert w[0] == -7.5
     assert v[0, 0] == 1.0
+    w, v = eigh_jacobi(np.zeros((0, 0)))
+    assert w.shape == (0,) and v.shape == (0, 0)
 
 
 def test_repeated_eigenvalues():
@@ -98,6 +100,8 @@ def test_rejects_bad_inputs():
         eigh_jacobi(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ContractViolationError):
         eigh_jacobi(np.array([1.0, 2.0]))
+    with pytest.raises(ContractViolationError, match="a must be numbers"):
+        eigh_jacobi([[True, False], [False, True]])
 
 
 def test_max_sweeps_exhaustion_raises():
@@ -119,3 +123,12 @@ def test_jacobi_agrees_with_lapack_under_scaling(n, seed, scale):
         w, np.linalg.eigvalsh(a), atol=1e-10 * max(1.0, scale * n)
     )
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
+
+
+def test_a_budget_of_no_sweeps_decomposes_a_diagonal_matrix():
+    w, v = eigh_jacobi(np.diag([2.0, 1.0]), max_sweeps=0)
+    assert w.tolist() == [1.0, 2.0]
+    assert v.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert eigh_jacobi([[3.0]], max_sweeps=0)[0].tolist() == [3.0]
+    with pytest.raises(NonConvergenceError):
+        eigh_jacobi([[2.0, 1.0], [1.0, 3.0]], max_sweeps=0)

@@ -163,6 +163,18 @@ def test_classification_of_known_points():
     assert origin.expected_class is Classification.DEGENERATE
 
 
+@pytest.mark.parametrize(
+    "lambdas",
+    [[1.0, 1e-9], [1.0, -1e-9], [1e-9, -1.0], [1.0, -1.0], [1.0, 3.0], [-1.0, -2.0], [0.0, 1.0]],
+)
+def test_a_quadratic_expects_the_class_that_classify_reports(lambdas):
+    from descentlab import classify
+
+    objective = DiagonalQuadratic(lambdas)
+    (origin,) = objective.known_critical_points()
+    assert origin.expected_class is classify(objective, origin.location).classification
+
+
 def test_strongly_convex_quadratic_rejects_nonpositive_spectrum():
     with pytest.raises(ContractViolationError):
         StronglyConvexQuadratic([1.0, -1.0])
