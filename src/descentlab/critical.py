@@ -66,6 +66,25 @@ class CriticalPointRecord:
         return plain(self)
 
 
+def _check_records(records, dimension: int, name: str = "records") -> list:
+    """``records`` as a list of ``CriticalPointRecord``s whose ``location``
+    has shape ``(dimension,)``, or a contract violation naming ``name``.
+
+    The one rule for record arguments; a single record is checked as
+    ``[record]``.
+    """
+    try:
+        records = list(records)
+    except TypeError:
+        records = None
+    if records is None or not all(isinstance(record, CriticalPointRecord)
+                                  and np.shape(record.location) == (dimension,)
+                                  for record in records):
+        raise ContractViolationError(
+            f"{name} must be of type CriticalPointRecord with location of shape ({dimension},)")
+    return records
+
+
 def _degeneracy_band(objective: Objective, x: np.ndarray, hessian: np.ndarray,
                      degeneracy_tol: float) -> float:
     """The half-width of the near-zero eigenvalue band at the critical point
@@ -109,8 +128,9 @@ def classify(
     _check_real(degeneracy_tol, "degeneracy_tol", "non-negative")
     _check_real(grad_tol, "grad_tol", "non-negative")
     x = _check_vector(x, (objective.dimension,), "x")
-    grad = objective.gradient(x)
-    grad_norm = float(_row_norms(grad))
+    # an overflowed gradient or norm is refused below, so it warns of nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad_norm = float(_row_norms(objective.gradient(x)))
     if not np.isfinite(grad_norm) or grad_norm > grad_tol:
         raise ContractViolationError(
             f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {grad_tol:.3e}"
@@ -257,6 +277,7 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     spectrum-mapping relation between the two is something callers can
     check, not an artifact of sharing.
     """
+    _check_records([record], gmap.objective.dimension, "record")
     x = record.location
     band = _degeneracy_band(gmap.objective, x, gmap.objective.hessian(x), record.degeneracy_tol)
     mu, v = eigh_jacobi(gmap.jacobian(x))
@@ -325,6 +346,7 @@ def sample_local_stable_set(
     a negative or NaN ``tol`` is refused before any work.
     """
     _check_real(tol, "tol", "non-negative")
+    _check_records([record], gmap.objective.dimension, "record")
     if not record.is_strict_saddle:
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
     if record.dimension != 2:

@@ -19,7 +19,7 @@ so the loop takes a block of steps, calling only the gradient, and then
 settles the rule for every iterate of the block at once; each row stops
 at its first stopping iterate and the steps it took past it are thrown
 away.  Blocks are one step wide on a large batch (a census settles after
-every step) and grow to 64 steps on a single run.  On a census the loop's
+every step) and 64 steps wide on a single run.  On a census the loop's
 cost past the arithmetic is selecting and testing rows, so it selects 2-D
 rows with ``compress`` for a mask and ``take`` for indices, never with
 numpy's much slower boolean-mask indexing, and tests a whole block
@@ -302,12 +302,13 @@ def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajector
     x = _check_vector(x0, (obj.dimension,), "x0")
     if not obj.lipschitz_global and not obj.contains(x):
         raise ContractViolationError("x0 lies outside domain_box, where the step-size certificate holds")
-    result, history = _descend(gmap, x[None, :], policy, history=True)
-    d = obj.dimension
+    result, blocks = _descend(gmap, x[None, :], policy, history=True)
+    n = result.iterations[0] + 1
+    iterates, f_values, squares = (np.concatenate(column)[:n] for column in zip(*blocks))
     return Trajectory(
-        iterates=history[:, :d].copy(),
-        f_values=history[:, d].copy(),
-        grad_norms=history[:, d + 1].copy(),
+        iterates=iterates,
+        f_values=f_values,
+        grad_norms=np.sqrt(squares),
         stop_reason=result.stop_reasons[0],
         alpha=gmap.alpha,
     )
@@ -354,21 +355,11 @@ _RUNNING = np.int8(-1)
 _BOUND_SLACK = 1e-9
 # Entries below this magnitude cannot overflow the squares of a row norm.
 _NORM_SAFE = 1e150
-_HISTORY_ROWS = 256  # rows of a fresh history buffer; a full one doubles
-# Iterates of all active rows that one block holds, at most: a block of
-# steps on m rows is at most _BLOCK_ROWS // m steps wide (and at least 1).
+# Iterates of all active rows that one block holds, at most: a block on m
+# rows is _BLOCK_ROWS // m steps wide (at least 1, and never past the
+# cap), so a batch of more than 32 rows settles after every step and a
+# single run steps blocks of 64 from its first step.
 _BLOCK_ROWS = 64
-
-
-def _block_width(width: int, rows: int) -> int:
-    """Steps in the block after one of ``width`` steps, with ``rows`` rows active.
-
-    Widths double from 1 up to ``_BLOCK_ROWS // rows``, so a block holds
-    no more than ``_BLOCK_ROWS`` iterates of a batch of up to that many
-    rows, a larger batch settles after every step, and a run steps at
-    most about twice as far as it gets before the rule stops it.
-    """
-    return max(1, min(2 * width, _BLOCK_ROWS // rows))
 
 
 def _squared_tolerance(tol: float) -> float:
@@ -415,17 +406,18 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     watches the orbit, so this changes no iterate, value or norm.  A
     non-finite value or gradient raises at the first iterate where a row
     still running shows one (the lowest trial first), as a loop that
-    settled every step would.  The width b comes from the active row
-    count m (``_block_width``): widths double from 1 up to 64 // m, so b
-    is 1 on a census batch and reaches 64 on a single row, and no block
-    reaches past the iteration cap.
+    settled every step would.  The width b depends only on the active
+    row count m and the iterations left: b = 64 // m (at least 1), cut
+    to end at the iteration cap, so b is 1 on a census batch and 64 on a
+    single row from its first step.  A row thus steps at most 63
+    iterates past the one it stops at.
 
     The tolerance test is ``sq <= tol2`` on the squared norms, which is
     ``sqrt(sq) <= tol`` bit for bit (``_squared_tolerance``), so square
-    roots are taken only for the stopping iterates (and the history).
-    On an objective certified finite on its box, a block inside the box
-    with finite squared norms needs no finiteness screen, so f is
-    computed only at the stopping iterates; when, besides, no squared
+    roots are taken only for the stopping iterates (and by ``run`` for its
+    history).  On an objective certified finite on its box, a block
+    inside the box with finite squared norms needs no finiteness screen,
+    so f is computed only at the stopping iterates; when, besides, no squared
     norm reaches ``tol2``, no row can diverge and the cap is not in the
     block, the loop advances without building any mask.  ``run`` (whose
     history records f at every iterate), objectives without the
@@ -444,11 +436,12 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     ``compress``, never with a boolean mask on 2-D rows, which is about
     ten times slower than ``compress``.
 
-    With ``history`` set, ``x0s`` holds one row and ``history`` has one
-    row ``[x_k, f_k, grad_norm_k]`` per iterate; its buffer starts small
-    and doubles when full, so nothing is sized by ``policy.max_iters``.
-    Otherwise ``history`` is None.  Overflow in the arithmetic is not
-    reported as a numpy warning: the finiteness screen turns it into a
+    With ``history`` set, ``x0s`` holds one row and ``history`` is the
+    list of every block's ``(xs, f, sq)`` of that row: its iterates,
+    values and squared gradient norms, including the steps past the stop,
+    so nothing is sized by ``policy.max_iters``.  Otherwise ``history``
+    is None.  Overflow in the arithmetic is not reported as a numpy
+    warning: the finiteness screen turns it into a
     ``NumericalFailureError``.
     """
     obj = gmap.objective
@@ -461,7 +454,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     final_gn = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
     codes = np.full(n, _RUNNING, dtype=np.int8)
-    hist = np.empty((_HISTORY_ROWS, d + 2)) if history else None
+    blocks = [] if history else None
 
     # Rows whose entries all lie in [-cube, cube] have norm below the
     # divergence radius.  A box-local certificate keeps the rows inside
@@ -476,12 +469,10 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     x = x0s
     active = np.arange(n)
     k = 0
-    width = 0
     with np.errstate(all="ignore"):
         while active.size:
             m = active.size
-            width = _block_width(width, m)
-            b = min(width, max_iters - k + 1)  # the block ends at the cap
+            b = min(max(1, _BLOCK_ROWS // m), max_iters - k + 1)  # the block ends at the cap
             # Iterates k .. k + b - 1 of every row in xs, their gradients
             # in gs, and the start of the next block in x_next.
             if b == 1:
@@ -520,10 +511,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 # finite one too, which the exact test below lets through.
                 suspect = ~(np.isfinite(f) & np.isfinite(sq))
             if history:
-                while k + b > len(hist):
-                    hist = np.concatenate([hist, np.empty_like(hist)])
-                span = hist[k:k + b]
-                span[:, :d], span[:, d], span[:, d + 1] = xs[:, 0], f[:, 0], np.sqrt(sq[:, 0])
+                blocks.append((xs[:, 0], f[:, 0], sq[:, 0]))
             tol_hit = sq <= tol2
             flagged = tol_hit | suspect
 
@@ -577,7 +565,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
 
     reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()
     result = BatchResult(final_x, final_f, final_gn, iterations, reasons)
-    return result, (hist[:iterations[0] + 1] if history else None)
+    return result, blocks
 
 
 def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:
@@ -604,9 +592,14 @@ def descent_violations(traj: Trajectory, objective: Objective, slack: float = 1e
         f(x_{k+1}) <= f(x_k) - alpha (1 - alpha L / 2) ||grad f(x_k)||^2
 
     up to ``slack``.  Steps whose endpoints leave the certified box are
-    excluded when the Lipschitz bound is box-local.
+    excluded when the Lipschitz bound is box-local.  An objective whose
+    dimension is not the trajectory's is refused.
     """
     _check_real(slack, "slack", "non-negative")
+    if objective.dimension != traj.iterates.shape[1]:
+        raise ContractViolationError(
+            f"objective must have the trajectory's dimension {traj.iterates.shape[1]}, "
+            f"got {objective.dimension}")
     lip = objective.lipschitz_bound()
     coeff = traj.alpha * (1.0 - traj.alpha * lip / 2.0)
     decrease = traj.f_values[:-1] - coeff * traj.grad_norms[:-1] ** 2

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .critical import CriticalPointRecord, find_critical_points
+from .critical import _check_records, find_critical_points
 from .engine import (
     BatchResult,
     GradientMap,
@@ -92,9 +92,12 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     Returns the index of the matching record, or one of the strings
     ``Diverged``, ``LeftBox``, ``Unresolved``.  Two records within ``tol``
     of the final iterate raise an ambiguity error since that means the
-    tolerance no longer separates the critical points.
+    tolerance no longer separates the critical points.  ``records`` that
+    are not ``CriticalPointRecord``s of the trajectory's dimension are
+    refused.
     """
     tol = _check_real(tol, "tol", "non-negative")
+    records = _check_records(records, traj.iterates.shape[1])
     final = BatchResult(traj.final_x[None, :], traj.f_values[-1:], traj.grad_norms[-1:],
                         np.array([traj.n_steps]), [traj.stop_reason])
     return _label_table(records)[_basin_codes(final, records, tol)[0]]
@@ -188,8 +191,10 @@ def monte_carlo(
     The initialization box defaults to the objective's domain box and must
     lie inside it.  Critical-point records default to a fresh multistart
     search with its own fixed seed, so basin indices do not depend on the
-    Monte Carlo seed.  ``n_jobs`` (at least 1) is the most threads to
-    use: the trials are split, in trial order, into
+    Monte Carlo seed; given ones that are not ``CriticalPointRecord``s of
+    the objective's dimension are refused before any work.  ``n_jobs`` (at
+    least 1) is the most threads to use: the trials are split, in trial
+    order, into
     ``min(n_jobs, os.cpu_count(), max(1, n_trials // MIN_CHUNK))`` chunks,
     one thread each.  The starts come from one RNG stream for ``seed`` (a
     non-negative integer), drawn in trial order before the split, and the
@@ -202,6 +207,8 @@ def monte_carlo(
     box = domain if init_box is None else _as_box(init_box, len(domain), "init_box", flat=True)
     if np.any(box[:, 0] < domain[:, 0]) or np.any(box[:, 1] > domain[:, 1]):
         raise ContractViolationError("init_box must lie inside the domain box")
+    if records is not None:
+        records = _check_records(records, objective.dimension)
     x0s = _box_samples(seed, n_trials, box, "n_trials")
     if records is None:
         records = find_critical_points(objective)

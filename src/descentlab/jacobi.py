@@ -8,6 +8,8 @@ the sweep budget below is generous by orders of magnitude.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
@@ -29,13 +31,21 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
     column's largest-magnitude component is made positive so bases are
     deterministic.  ``a`` must be a finite, square and symmetric array of
     numbers, up to 1e-10 relative asymmetry; a negative or NaN ``tol`` and a
-    non-integer ``max_sweeps`` are refused.  On a budget of 0 sweeps a
-    matrix already diagonal to ``tol`` is still decomposed.
+    non-integer ``max_sweeps`` are refused, and so is a matrix whose
+    eigenvalues overflow.  On a budget of 0 sweeps a matrix already
+    diagonal to ``tol`` is still decomposed.
     """
     tol = _check_real(tol, "tol", "non-negative")
     max_sweeps = _check_count(max_sweeps, "max_sweeps")
     a = _check_vector(a, ("n", "n"), "a")
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
+    # The sweeps work on ``a`` scaled by a power of two so that its
+    # largest entry lies below 1, where no square or sum overflows, and
+    # ``scale`` is max(1, ||a||_F) in those units.  The scaling is exact
+    # above the subnormal range, so every result keeps the bits of the
+    # unscaled arithmetic once scaled back.
+    exponent = max(0, math.frexp(float(np.max(np.abs(a), initial=0.0)))[1])
+    a = np.ldexp(a, -exponent)
+    scale = max(math.ldexp(1.0, -exponent), float(np.sqrt(np.sum(a * a))))
     if np.any(np.abs(a - a.T) > 1e-10 * scale):
         raise ContractViolationError("a must be symmetric")
     a = 0.5 * (a + a.T)
@@ -49,6 +59,8 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
         if off <= threshold:
             break
         if sweep == max_sweeps:
+            with np.errstate(over="ignore"):
+                off = float(np.ldexp(off, exponent))
             raise NonConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off}", off)
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -77,7 +89,10 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
                 v[:, p] = c * vec_p - s * vec_q
                 v[:, q] = s * vec_p + c * vec_q
 
-    w = np.diag(a).copy()
+    with np.errstate(over="ignore"):
+        w = np.ldexp(np.diag(a), exponent)
+    if not np.all(np.isfinite(w)):
+        raise ContractViolationError("a must have eigenvalues within the float range")
     order = np.argsort(w, kind="stable")
     w = w[order]
     v = v[:, order]

@@ -3,12 +3,15 @@ one rule of its kind, before any work.
 
 The rules: a real number (NaN refused, optionally non-negative or
 positive), a count (an integer, not a boolean, at least 0 or 1), an array
-(finite numbers of a shape) and a box (an array of [lo, hi] rows with
-lo < hi).  For each scalar, count and box parameter the first table below
+(finite numbers of a shape), a box (an array of [lo, hi] rows with
+lo < hi) and a record (a ``CriticalPointRecord`` located at a point of the
+objective's dimension).  For each scalar, count and box parameter the first table below
 feeds NaN, both booleans, a string, None (where None is not the default) and a
 value of the wrong sign or range, or a box with lo > hi; for each array
 parameter the second table feeds NaN, inf, booleans, strings, None, a
-ragged list and a wrong shape.  Each is refused with a contract violation that
+ragged list and a wrong shape; for each record parameter the third table
+feeds records of another dimension and things that are not records.  Each
+is refused with a contract violation that
 names the parameter, while the critical-point search, the stepping loop
 and the batched inversion are patched to fail if they are reached.
 """
@@ -42,6 +45,7 @@ from descentlab import (
     run,
     run_many,
     sample_local_stable_set,
+    stable_subspace,
 )
 from descentlab import critical, engine, experiments, inverse
 from descentlab.critical import grid_spacing
@@ -263,4 +267,54 @@ def test_every_array_argument_is_refused_by_its_rule_before_any_work(
                          [pytest.param(*p, id=f"{p[0].__name__}-{p[2]}") for p in ARRAYS])
 def test_every_array_table_entry_is_valid(func, fixed, name, good):
     # so the bad values above are bad for the reason they name
+    func(**{**fixed, name: good})
+
+
+# records of a 3-D objective, for the 2-D Nesterov example
+RECORDS_3D = find_critical_points(DiagonalQuadratic([1.0, -1.0, 2.0]))
+MAP_3D = GradientMap(DiagonalQuadratic([1.0, -1.0, 2.0]), 0.1)
+NOT_RECORDS = [RECORDS_3D, [RECORDS_3D[0]], [SADDLE, RECORDS_3D[0]], [1, 2], "x", 5, SADDLE,
+               [SADDLE.location]]
+NOT_A_RECORD = [RECORDS_3D[0], [SADDLE], 1, "x", None, SADDLE.location]
+# (function, the other arguments, parameter, bad values)
+RECORD_ARGUMENTS = [
+    (monte_carlo, CENSUS, "records", NOT_RECORDS),
+    (assign_basin, {"traj": TRAJ}, "records", NOT_RECORDS + [None]),
+    (stable_subspace, {"gmap": GMAP}, "record", NOT_A_RECORD),
+    (stable_subspace, {"gmap": MAP_3D}, "record", [SADDLE]),
+    (sample_local_stable_set, STABLE_SET, "record", NOT_A_RECORD),
+    (sample_local_stable_set, {**STABLE_SET, "gmap": MAP_3D}, "record", [SADDLE]),
+]
+
+
+def _record_cases():
+    for func, fixed, name, bad in RECORD_ARGUMENTS:
+        for i, value in enumerate(bad):
+            dimension = fixed.get("gmap", GMAP).objective.dimension
+            yield pytest.param(func, fixed, name, value, dimension,
+                               id=f"{func.__name__}-{name}-{dimension}d-{i}")
+
+
+@pytest.mark.parametrize("func, fixed, name, value, dimension", _record_cases())
+def test_every_record_argument_is_refused_by_its_rule_before_any_work(
+    func, fixed, name, value, dimension, monkeypatch
+):
+    monkeypatch.setattr(engine, "_descend", _no_work)
+    monkeypatch.setattr(experiments, "find_critical_points", _no_work)
+    monkeypatch.setattr(critical, "_newton_roots", _no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        func(**{**fixed, name: value})
+    assert str(refused.value) == (
+        f"{name} must be of type CriticalPointRecord with location of shape ({dimension},)")
+
+
+@pytest.mark.parametrize("func, fixed, name, good", [
+    (monte_carlo, CENSUS, "records", RECORDS),
+    (monte_carlo, CENSUS, "records", tuple(RECORDS)),
+    (assign_basin, {"traj": TRAJ}, "records", RECORDS),
+    (assign_basin, {"traj": TRAJ}, "records", []),
+    (stable_subspace, {"gmap": GMAP}, "record", SADDLE),
+    (sample_local_stable_set, STABLE_SET, "record", SADDLE),
+])
+def test_every_record_table_entry_is_valid(func, fixed, name, good):
     func(**{**fixed, name: good})

@@ -134,6 +134,14 @@ def test_classify_refuses_a_point_that_is_not_one_finite_point(x, message):
         classify(NesterovExample(), x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [[1e200, 0.0], [0.0, 1e200]])
+def test_classify_refuses_a_far_point_without_a_warning(x):
+    # the norm of the first and the gradient of the second overflow
+    with pytest.raises(ContractViolationError, match="is not critical: grad norm inf"):
+        classify(NesterovExample(), x)
+
+
 def test_record_spectral_factorization_invariants():
     obj = NesterovExample()
     for point in obj.known_critical_points():

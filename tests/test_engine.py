@@ -25,10 +25,9 @@ from descentlab import (
     run_many,
 )
 from descentlab.engine import (
-    _HISTORY_ROWS,
+    _BLOCK_ROWS,
     _TRIAL_ENTRIES,
     _backtrack,
-    _block_width,
     _columns_within,
     _row_norms,
     _squared_tolerance,
@@ -301,7 +300,7 @@ def test_run_many_settling_every_step_matches_single_runs_bitwise(box):
     # step while run settles blocks of up to 64 steps; f = x^2/2 + y^4/4
     # - y^2/2 at alpha = 0.5 halves x exactly and moves y away from 0
     cap = 40
-    assert _block_width(64, 33) == 1
+    assert _BLOCK_ROWS // 33 == 1
     obj = NesterovExample(domain_box=box)
     gmap = GradientMap(obj, 0.5)
     policy = StopPolicy(tol=2.0 ** -(cap + 1), divergence_radius=0.85, max_iters=cap)
@@ -533,6 +532,12 @@ def test_descent_violations_counts_fabricated_increase():
     assert descent_violations(traj, obj) == 1
 
 
+def test_descent_violations_refuses_an_objective_of_another_dimension():
+    traj = run(GradientMap(NesterovExample(), 0.09), np.array([0.5, 0.3]))
+    with pytest.raises(ContractViolationError, match="objective must have the trajectory's dim"):
+        descent_violations(traj, DiagonalQuadratic([1.0, -1.0, 2.0]))
+
+
 def _reference_run(gmap, x0, policy):
     """One point stepped with the exact stop tests in order, no batch shortcuts."""
     obj = gmap.objective
@@ -613,10 +618,11 @@ def test_run_is_run_many_on_one_row_for_every_stop_reason(obj, alpha, policy, x0
 
 
 @pytest.mark.parametrize("n_iterates", [
-    1, _HISTORY_ROWS - 1, _HISTORY_ROWS, _HISTORY_ROWS + 1,
-    2 * _HISTORY_ROWS, 2 * _HISTORY_ROWS + 1, 4 * _HISTORY_ROWS + 1,
+    1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+    2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 4 * _BLOCK_ROWS + 1,
 ])
-def test_history_is_whole_across_buffer_growth(n_iterates):
+def test_history_is_whole_across_block_boundaries(n_iterates):
+    # a single run steps blocks of _BLOCK_ROWS iterates, the last cut at the cap
     obj = NesterovExample()
     gmap = GradientMap(obj, 0.09)
     traj = run(gmap, np.array([0.7, -0.4]), StopPolicy(tol=0.0, max_iters=n_iterates - 1))
@@ -733,16 +739,11 @@ def _stopping_at(reason, stop):
 
 def _block_iterates(rows):
     """Iterates at the first, a middle and the last offset of the loop's
-    blocks on ``rows`` rows: the one-step first block, the 4-step block,
-    and the second block of full width."""
-    blocks, width, start = [], 0, 0
-    while len(blocks) < 2 or blocks[-1][1] != blocks[-2][1]:
-        width = _block_width(width, rows)
-        blocks.append((start, width))
-        start += width
-    chosen = [blocks[0], next(bl for bl in blocks if bl[1] == 4), blocks[-1]]
-    return sorted({k for start, width in chosen
-                   for k in (start, start + width // 2, start + width - 1)})
+    blocks on ``rows`` rows, each ``_BLOCK_ROWS // rows`` steps wide: the
+    first, the middle and the last full-width block of three."""
+    width = _BLOCK_ROWS // rows
+    return sorted({start + offset for start in (0, width, 2 * width)
+                   for offset in (0, width // 2, width - 1)})
 
 
 def _first_failure(call):

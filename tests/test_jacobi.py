@@ -132,3 +132,21 @@ def test_a_budget_of_no_sweeps_decomposes_a_diagonal_matrix():
     assert eigh_jacobi([[3.0]], max_sweeps=0)[0].tolist() == [3.0]
     with pytest.raises(NonConvergenceError):
         eigh_jacobi([[2.0, 1.0], [1.0, 3.0]], max_sweeps=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, eigenvalues", [
+    ([[1e308, 0.0], [0.0, 1.0]], [1.0, 1e308]),
+    ([[1.0, 1e308], [1e308, 1.0]], [-1e308, 1e308]),
+    ([[-1.7e308, 0.0], [0.0, 3.0]], [-1.7e308, 3.0]),
+])
+def test_a_matrix_near_the_float_maximum_decomposes_without_a_warning(a, eigenvalues):
+    w, v = eigh_jacobi(a)
+    np.testing.assert_allclose(w, eigenvalues, rtol=1e-15)
+    assert np.max(np.abs(v.T @ v - np.eye(2))) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_matrix_whose_eigenvalues_overflow_is_refused():
+    with pytest.raises(ContractViolationError, match="a must have eigenvalues within the float"):
+        eigh_jacobi([[1e308, 1e308], [1e308, 1e308]])
