@@ -21,12 +21,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .critical import find_critical_points, grid_spacing, sample_local_stable_set
-from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, _seeded_rng, alpha_from_theta, run
-from .errors import ContractViolationError, DescentLabError, NumericalFailureError
+from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, run
+from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
 from .experiments import MIN_CHUNK, _best_of, assign_basin, monte_carlo, rate_fits
 from .fileio import atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
-from .zoo import Objective, _has_bool, parse_objective
+from .zoo import _has_bool, parse_objective
 
 THETA_DEFAULT = 0.99
 REQUIRED = object()  # the default of an option that every command reading it requires
@@ -128,14 +128,17 @@ def _flag(key: str) -> str:
 
 
 def _merged(args: argparse.Namespace, command: Command) -> dict:
-    """Resolve option values: explicit flag, then config file, then default.
+    """Resolve every input of ``command``, refusing a bad one before any work.
 
-    Every option is converted by its kind in ``OPTIONS``, numbers to int
-    or float and points and boxes to float arrays, whether or not
-    ``command`` reads it; the options it reads get their defaults.  A
-    missing required option, --alpha with --theta, a bad seed and an
-    --out that cannot hold the command's files are refused here, before
-    any work.
+    Each option comes from its flag, else the config file, else its
+    default, and is converted by its kind in ``OPTIONS`` whether or not
+    ``command`` reads it.  A missing required option, --alpha with
+    --theta, a bad seed and an --out that cannot hold the command's files
+    are refused first.  Then "objective" becomes the parsed ``Objective``
+    and an unset "x0" the quarter point of its box; a command reading
+    "alpha" gets "gmap", its certified ``GradientMap``, one reading
+    "max_iters" gets "policy", its ``StopPolicy``, and one reading "grid"
+    has its grid and radius checked.
     """
     config = _load_config(args.config) if args.config else {}
     opts = {}
@@ -154,45 +157,47 @@ def _merged(args: argparse.Namespace, command: Command) -> dict:
             if OPTIONS[key].default is REQUIRED:
                 raise ContractViolationError(f"{_flag(key)} is required")
             opts[key] = OPTIONS[key].default
-    _seeded_rng(opts["seed"])  # refuses a bad seed
+    _check_count(opts["seed"], "seed")
     if opts["out"] is not None:
         _check_out_dir(opts["out"], command.artifacts)
+    objective = opts["objective"] = parse_objective(opts["objective"])
+    if "alpha" in command.options:
+        alpha = opts["alpha"]
+        if alpha is None:
+            alpha = alpha_from_theta(objective, opts["theta"])
+        opts["gmap"] = GradientMap(objective, alpha)
+    if "max_iters" in command.options:
+        opts["policy"] = StopPolicy(tol=opts["tol"], max_iters=opts["max_iters"])
+    if "x0" in command.options and opts["x0"] is None:
+        # Deterministic default start: the quarter point between the box
+        # center and the upper corner, which avoids the center's frequent
+        # coincidence with a critical point.
+        lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
+        opts["x0"] = (lo + hi) / 2.0 + (hi - lo) / 4.0
+    if "grid" in command.options:
+        grid_spacing(opts["radius"], opts["grid"])
     return opts
 
 
 def _check_out_dir(out, artifacts) -> None:
     """Refuse an --out whose first existing ancestor (or itself) is not a
-    directory, or in which the path of one of ``artifacts`` is a directory."""
+    directory, below which a name to create is longer than that file
+    system allows, or in which the path of one of ``artifacts`` is a
+    directory."""
     if not isinstance(out, str):
         raise ContractViolationError(f"out must be a directory path, got {out!r}")
-    path = os.path.abspath(out)
+    path, missing = os.path.abspath(out), []
     while not os.path.exists(path):
-        path = os.path.dirname(path)
+        path, name = os.path.split(path)
+        missing.append(name)
     if not os.path.isdir(path):
         raise ContractViolationError(f"--out {out}: {path} exists and is not a directory")
+    limit = os.pathconf(path, "PC_NAME_MAX")
+    if any(len(os.fsencode(name)) > limit for name in missing):
+        raise ContractViolationError(f"--out {out}: a name in it is longer than {limit} bytes")
     for path in (os.path.join(out, name) for name in artifacts):
         if os.path.isdir(path):
             raise ContractViolationError(f"--out {out}: {path} is a directory")
-
-
-def _resolve_alpha(opts, objective: Objective) -> float:
-    if opts["alpha"] is not None:
-        return opts["alpha"]
-    return alpha_from_theta(objective, opts["theta"])
-
-
-def _resolve_policy(opts) -> StopPolicy:
-    return StopPolicy(tol=opts["tol"], max_iters=opts["max_iters"])
-
-
-def _resolve_x0(opts, objective: Objective) -> np.ndarray:
-    if opts["x0"] is not None:
-        return opts["x0"]
-    # Deterministic default start: the quarter point between the box
-    # center and the upper corner, which avoids the center's frequent
-    # coincidence with a critical point.
-    lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
-    return (lo + hi) / 2.0 + (hi - lo) / 4.0
 
 
 def _out_path(opts, name: str) -> str | None:
@@ -210,21 +215,17 @@ def _emit(payload, opts, filename: str) -> None:
 
 def _labelled_run(opts):
     """The trajectory from the resolved start, the critical points and its basin."""
-    objective = parse_objective(opts["objective"])
-    alpha = _resolve_alpha(opts, objective)
-    policy = _resolve_policy(opts)
-    x0 = _resolve_x0(opts, objective)
-    traj = run(GradientMap(objective, alpha), x0, policy)
-    records = find_critical_points(objective, seed=opts["seed"])
-    return objective, alpha, x0, traj, records, assign_basin(traj, records)
+    traj = run(opts["gmap"], opts["x0"], opts["policy"])
+    records = find_critical_points(opts["objective"], seed=opts["seed"])
+    return traj, records, assign_basin(traj, records)
 
 
 def cmd_run(opts) -> int:
-    objective, alpha, x0, traj, records, label = _labelled_run(opts)
+    traj, records, label = _labelled_run(opts)
     summary = {
-        "objective": objective.to_dict(),
-        "alpha": alpha,
-        "x0": x0,
+        "objective": opts["objective"].to_dict(),
+        "alpha": opts["gmap"].alpha,
+        "x0": opts["x0"],
         "stop_reason": traj.stop_reason,
         "n_steps": traj.n_steps,
         "final_x": traj.final_x,
@@ -241,10 +242,9 @@ def cmd_run(opts) -> int:
 
 
 def cmd_montecarlo(opts) -> int:
-    objective = parse_objective(opts["objective"])
-    report = monte_carlo(objective, _resolve_alpha(opts, objective), n_trials=opts["trials"],
+    report = monte_carlo(opts["objective"], opts["gmap"].alpha, n_trials=opts["trials"],
                          seed=opts["seed"], init_box=opts["init_box"],
-                         policy=_resolve_policy(opts), n_jobs=opts["n_jobs"])
+                         policy=opts["policy"], n_jobs=opts["n_jobs"])
     print(f"saddle_hits: {report.saddle_hits}")
     json_path = _out_path(opts, "report.json")
     if json_path:
@@ -255,18 +255,14 @@ def cmd_montecarlo(opts) -> int:
 
 
 def cmd_classify(opts) -> int:
-    records = find_critical_points(parse_objective(opts["objective"]), seed=opts["seed"])
+    records = find_critical_points(opts["objective"], seed=opts["seed"])
     _emit(records, opts, "critical_points.json")
     return 0
 
 
 def cmd_stable_set(opts) -> int:
-    objective = parse_objective(opts["objective"])
-    gmap = GradientMap(objective, _resolve_alpha(opts, objective))
-    policy = _resolve_policy(opts)
     radius, grid = opts["radius"], opts["grid"]
-    grid_spacing(radius, grid)  # refused before the search
-    records = find_critical_points(objective, seed=opts["seed"])
+    records = find_critical_points(opts["objective"], seed=opts["seed"])
     if opts["index"] is not None:
         # a negative index is refused, not counted from the end
         if not 0 <= opts["index"] < len(records):
@@ -278,7 +274,8 @@ def cmd_stable_set(opts) -> int:
         if not saddles:
             raise ContractViolationError("objective has no strict saddle to sample")
         record = saddles[0]
-    sample = sample_local_stable_set(gmap, record, radius=radius, grid=grid, policy=policy)
+    sample = sample_local_stable_set(opts["gmap"], record, radius=radius, grid=grid,
+                                     policy=opts["policy"])
     summary = {
         "saddle": record.location,
         "radius": radius,
@@ -295,15 +292,13 @@ def cmd_stable_set(opts) -> int:
 
 
 def cmd_invert(opts) -> int:
-    objective = parse_objective(opts["objective"])
-    gmap = GradientMap(objective, _resolve_alpha(opts, objective))
-    report = invert(gmap, opts["y"], tol=opts["tol"])
+    report = invert(opts["gmap"], opts["y"], tol=opts["tol"])
     _emit({"y": opts["y"], **report.to_dict()}, opts, "inverse.json")
     return 0
 
 
 def cmd_rates(opts) -> int:
-    objective, alpha, x0, traj, records, label = _labelled_run(opts)
+    traj, records, label = _labelled_run(opts)
     if not isinstance(label, int):
         print(f"trajectory did not settle in any basin (label {label}); no rate to fit",
               file=sys.stderr)
@@ -313,9 +308,9 @@ def cmd_rates(opts) -> int:
     fitted = rate_fits(traj, x_star)
     fits, chosen = {fit.regime: fit for fit in fitted}, _best_of(fitted)
     payload = {
-        "objective": objective.to_dict(),
-        "alpha": alpha,
-        "x0": x0,
+        "objective": opts["objective"].to_dict(),
+        "alpha": opts["gmap"].alpha,
+        "x0": opts["x0"],
         "limit": x_star,
         "linear": fits.get("Linear"),
         "power": fits.get("Power"),

@@ -64,16 +64,18 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
             raise NonConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off}", off)
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = float(a[p, q])
                 if apq == 0.0:
                     continue
-                # Golub & Van Loan sym.schur2: the smaller-angle root
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                # Golub & Van Loan sym.schur2: the smaller-angle root.  In
+                # Python floats, which round as float64 does, a huge tau
+                # squares to inf without a warning and t is then 0.
+                tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = 1.0 / (tau - np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
 
                 col_p, col_q = a[:, p].copy(), a[:, q].copy()

@@ -266,12 +266,14 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
     assert overridden["alpha"] == pytest.approx(0.9 / 11.0)
 
 
-def test_config_rejects_unknown_keys(tmp_path):
+# gmap and policy are resolved from the options, never set themselves
+@pytest.mark.parametrize("key", ["stepsize", "gmap", "policy"])
+def test_config_rejects_unknown_keys(tmp_path, key):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"objective": "nesterov", "stepsize": 0.1}))
+    config.write_text(json.dumps({"objective": "nesterov", key: 0.1}))
     proc = cli("run", "--config", str(config), check=False)
     assert proc.returncode == 2
-    assert "stepsize" in proc.stderr
+    assert proc.stderr == f"error: unknown config keys: {key}\n"
 
 
 @pytest.mark.parametrize(
@@ -363,7 +365,9 @@ def test_an_unreadable_config_exits_2_with_one_line(tmp_path, capsys, name, cont
         ("invert", "invert"),
     ],
 )
-@pytest.mark.parametrize("blocked", ["file", "below a file", "artifact is a directory"])
+@pytest.mark.parametrize(
+    "blocked", ["file", "below a file", "artifact is a directory", "name too long"]
+)
 def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, sub, work, blocked
 ):
@@ -385,6 +389,10 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
         out = tmp_path / "out"
         (out / last).mkdir(parents=True)
         expected = f"error: --out {out}: {out / last} is a directory\n"
+    if blocked == "name too long":
+        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+        out = tmp_path / ("x" * (limit + 1)) / "sub"
+        expected = f"error: --out {out}: a name in it is longer than {limit} bytes\n"
     extra = {"montecarlo": ["--trials", "5"], "invert": ["--y", "0.1,0.2"]}.get(sub, [])
     assert main([sub, "--objective", "nesterov", *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -393,6 +401,8 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     assert file.read_text() == "kept\n"
     if blocked == "artifact is a directory":
         assert [path.name for path in out.iterdir()] == [last]
+    if blocked == "name too long":
+        assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def test_an_out_value_that_is_not_a_path_exits_2(tmp_path, capsys):
@@ -440,21 +450,33 @@ def test_stable_set_index_out_of_range_exits_2_before_sampling(tmp_path, capsys,
     assert not out.exists()
 
 
+ALPHA_READERS = [
+    ("run", "run"),
+    ("rates", "run"),
+    ("montecarlo", "monte_carlo"),
+    ("stable-set", "find_critical_points"),
+    ("invert", "invert"),
+]
+
+
+@pytest.mark.parametrize("sub, work", ALPHA_READERS)
 @pytest.mark.parametrize("alpha", ["100", "-1"])
-def test_a_bad_stable_set_alpha_exits_2_before_the_search(tmp_path, capsys, monkeypatch, alpha):
+def test_a_bad_alpha_exits_2_before_any_work(tmp_path, capsys, monkeypatch, sub, work, alpha):
     import descentlab.cli
     from descentlab.cli import main
 
-    def no_search(*args, **kwargs):
-        raise AssertionError("the critical-point search ran before alpha was refused")
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before alpha was refused")
 
-    monkeypatch.setattr(descentlab.cli, "find_critical_points", no_search)
+    monkeypatch.setattr(descentlab.cli, work, no_work)
     out = tmp_path / "out"
-    argv = ["stable-set", "--objective", "nesterov", "--alpha", alpha, "--out", str(out)]
+    extra = {"montecarlo": ["--trials", "5"], "invert": ["--y", "0.1,0.2"]}.get(sub, [])
+    argv = [sub, "--objective", "nesterov", *extra, "--alpha", alpha, "--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: alpha")
+    assert captured.err.count("\n") == 1
     assert not out.exists()
 
 

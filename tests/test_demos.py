@@ -1,6 +1,5 @@
 """The narrative demos, each run as a script in a scratch directory."""
 
-import os
 import pathlib
 import subprocess
 import sys
@@ -17,12 +16,8 @@ def test_every_demo_is_collected():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs_cleanly(tmp_path, script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, str(script)], cwd=tmp_path,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

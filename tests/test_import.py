@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 THREADS = "import os; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
 
 pytestmark = pytest.mark.skipif(
@@ -18,7 +17,6 @@ pytestmark = pytest.mark.skipif(
 def _threads(code, **env):
     """Threads running and OPENBLAS_NUM_THREADS after ``code``, in a fresh interpreter."""
     environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    environ["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [environ.get("PYTHONPATH")])])
     environ.update(env)
     proc = subprocess.run([sys.executable, "-c", f"{code}; {THREADS}"], env=environ,
                           capture_output=True, text=True, timeout=120, check=True)

@@ -150,3 +150,17 @@ def test_a_matrix_near_the_float_maximum_decomposes_without_a_warning(a, eigenva
 def test_a_matrix_whose_eigenvalues_overflow_is_refused():
     with pytest.raises(ContractViolationError, match="a must have eigenvalues within the float"):
         eigh_jacobi([[1e308, 1e308], [1e308, 1e308]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_tolerance_rotates_without_an_overflow_warning():
+    # the second draw: its rotations reach an entry so small against the
+    # diagonal gap that tau * tau overflows
+    rng = np.random.default_rng(0)
+    rng.standard_normal((3, 3))
+    a = rng.standard_normal((3, 3))
+    a = a + a.T
+    w, v = eigh_jacobi(a, tol=0)
+    w_ref, v_ref = np.linalg.eigh(a)
+    np.testing.assert_allclose(w, w_ref, atol=1e-12 * np.abs(w_ref).max())
+    np.testing.assert_allclose(np.abs(v.T @ v_ref), np.eye(3), atol=1e-10)
