@@ -396,6 +396,11 @@ def main(argv=None) -> int:
     except DescentLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # the OS refused an artifact: a full disk, a path too long
+        path = exc.filename2 or exc.filename  # a rename names the artifact second
+        where = "" if path is None else f": {path}"
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

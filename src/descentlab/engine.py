@@ -412,6 +412,14 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     single row from its first step.  A row thus steps at most 63
     iterates past the one it stops at.
 
+    A block of one row (a ``run``, or the last row of a batch) is stepped
+    in Python floats through ``Objective._point_gradient`` and made into
+    the block's arrays once, which saves about eight numpy calls per step.
+    Its bits are the array loop's: ``_point_gradient`` equals
+    ``_gradient`` on the row bit for bit, and ``x - alpha * g`` is the
+    same two correctly rounded double operations in Python as in numpy,
+    both of which overflow silently here.
+
     The tolerance test is ``sq <= tol2`` on the squared norms, which is
     ``sqrt(sq) <= tol`` bit for bit (``_squared_tolerance``), so square
     roots are taken only for the stopping iterates (and by ``run`` for its
@@ -446,6 +454,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     """
     obj = gmap.objective
     value, gradient, alpha = obj._value, obj._gradient, gmap.alpha
+    point_gradient = obj._point_gradient
     tol2 = _squared_tolerance(policy.tol)
     radius, max_iters = policy.divergence_radius, policy.max_iters
     n, d = x0s.shape
@@ -478,6 +487,17 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
             if b == 1:
                 g = gradient(x)
                 xs, gs, x_next = x[None], g[None], x - alpha * g
+            elif m == 1:  # in Python floats, bit for bit the loop below
+                p = x[0].tolist()
+                xs, gs = list(p), []  # flat, as numpy converts them fastest
+                for _ in range(b):
+                    g = point_gradient(p)
+                    gs += g
+                    p = [v - alpha * g_i for v, g_i in zip(p, g)]
+                    xs += p
+                xs = np.array(xs).reshape(b + 1, 1, d)
+                gs = np.array(gs).reshape(b, 1, d)
+                xs, x_next = xs[:b], xs[b]
             else:
                 xs = np.empty((b + 1, m, d))
                 gs = np.empty((b, m, d))

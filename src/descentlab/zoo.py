@@ -37,6 +37,16 @@ methods check the input once (a float array with trailing dimension d)
 and hand it to ``_value``, ``_gradient`` and ``_hessian``, which each
 objective implements and which check nothing: the descent engine calls
 them directly on arrays it has already validated.
+
+``_point_gradient(p)`` is the gradient at one point given and returned as
+a list of Python floats, for the engine's single-row stepping.  It equals
+``_gradient(np.array([p]))[0]`` bit for bit, -0.0, inf and NaN included:
+every numpy elementwise operation and every Python float ``+``, ``-`` and
+``*`` is one correctly rounded IEEE-754 double operation, and both
+overflow silently (under ``np.errstate(all="ignore")``), so the zoo's
+overrides repeat the array arithmetic operation for operation in the
+same order, with no ``**`` and no division.  The base class's default
+goes through ``_gradient``.
 """
 
 from __future__ import annotations
@@ -189,7 +199,9 @@ class Objective:
     Subclasses set ``name``, ``dimension``, ``domain_box`` and ``params``
     and implement ``_value``, ``_gradient`` and ``_hessian`` (unchecked;
     see the module docstring) plus ``lipschitz_bound`` and
-    ``known_critical_points``.  ``lipschitz_global`` is True when the
+    ``known_critical_points``.  They may override ``_point_gradient``,
+    which must equal ``_gradient`` on a one-row batch bit for bit (see
+    the module docstring).  ``lipschitz_global`` is True when the
     reported bound holds on all of R^d (quadratics), in which case the
     descent engine does not treat leaving the box as a certificate loss.
     ``finite_on_box`` is True when construction has certified that every
@@ -215,6 +227,9 @@ class Objective:
 
     def hessian(self, x):
         return self._hessian(_check_point(x, self.dimension))
+
+    def _point_gradient(self, p: list) -> list:
+        return self._gradient(np.array([p]))[0].tolist()
 
     def lipschitz_bound(self) -> float:
         raise NotImplementedError
@@ -255,6 +270,7 @@ class DiagonalQuadratic(Objective):
         if not lambdas.size:
             raise ContractViolationError("lambdas must not be empty")
         self.lambdas = lambdas
+        self._lambda_list = lambdas.tolist()
         self.dimension = lambdas.size
         if domain_box is None:
             domain_box = np.tile([-2.0, 2.0], (self.dimension, 1))
@@ -272,6 +288,9 @@ class DiagonalQuadratic(Objective):
 
     def _gradient(self, x):
         return self.lambdas * x
+
+    def _point_gradient(self, p):
+        return [lam * v for lam, v in zip(self._lambda_list, p)]
 
     def _hessian(self, x):
         return _diagonal_fill(x.shape, self.lambdas)
@@ -336,6 +355,10 @@ class NesterovExample(Objective):
         out[..., 1] = v * v * v - v
         return out
 
+    def _point_gradient(self, p):
+        u, v = p
+        return [u, v * v * v - v]
+
     def _hessian(self, x):
         v = x[..., 1]
         hess = _diagonal_fill(x.shape, 1.0)
@@ -378,6 +401,7 @@ class QuarticCopositive(Objective):
         with np.errstate(over="ignore"):  # refused below if it overflows
             self._m = q + q.T
         self._columns = list(np.ascontiguousarray(self._m.T))  # the columns of M
+        self._column_lists = [column.tolist() for column in self._columns]
         # the reduction adds the products to 0.0, which only turns a -0.0
         # first product into 0.0, and only a first column with a sign bit
         # set can give one (u = x * x has none)
@@ -415,6 +439,20 @@ class QuarticCopositive(Objective):
             for j in range(1, self.dimension):
                 mu += self._columns[j] * u[..., j:j + 1]
         return 2.0 * x * mu
+
+    def _point_gradient(self, p):
+        if self.dimension >= _PAIRWISE_FROM:
+            return super()._point_gradient(p)
+        # _gradient's column sums, one operation at a time in the same order
+        columns = self._column_lists
+        u = [v * v for v in p]
+        mu = [c * u[0] for c in columns[0]]
+        if self._zero_start:
+            mu = [s + 0.0 for s in mu]
+        for j in range(1, self.dimension):
+            u_j = u[j]
+            mu = [s + c * u_j for s, c in zip(mu, columns[j])]
+        return [2.0 * v * s for v, s in zip(p, mu)]
 
     def _hessian(self, x):
         u = x * x

@@ -1,5 +1,6 @@
 """Command-line interface, exercised through real subprocesses."""
 
+import errno
 import json
 import os
 import subprocess
@@ -403,6 +404,30 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
         assert [path.name for path in out.iterdir()] == [last]
     if blocked == "name too long":
         assert [path.name for path in tmp_path.iterdir()] == ["file"]
+
+
+def test_a_full_disk_at_the_rename_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    from descentlab.cli import main
+
+    def full(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", full)
+    out = tmp_path / "out"
+    assert main(["run", "--objective", "nesterov", "--out", str(out)]) == 1
+    first = out / "trajectory.csv"
+    assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}: {first}\n"
+    assert list(out.iterdir()) == []  # the temporary file is gone
+
+
+def test_an_out_path_over_the_path_limit_exits_1_with_one_line(tmp_path, capsys):
+    from descentlab.cli import main
+
+    out = os.path.join(tmp_path, "deep", *["y" * 250] * 20)
+    assert main(["classify", "--objective", "nesterov", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {os.strerror(errno.ENAMETOOLONG)}: {tmp_path}")
+    assert err.count("\n") == 1
 
 
 def test_an_out_value_that_is_not_a_path_exits_2(tmp_path, capsys):

@@ -581,6 +581,12 @@ def _reference_run(gmap, x0, policy):
         (DiagonalQuadratic(np.linspace(-0.5, 1.0, 12)), 0.9, StopPolicy(max_iters=300),
          np.linspace(-1.0, 1.0, 12)),
         (QuarticCopositive(np.eye(3)), 0.05, StopPolicy(tol=0.0, max_iters=400), [0.5, -0.3, 0.2]),
+        # M u summed by the reduction, from _PAIRWISE_FROM columns on
+        (QuarticCopositive(np.random.default_rng(9).standard_normal((9, 9))), 0.01,
+         StopPolicy(tol=0.0, max_iters=300), np.linspace(-0.18, 0.16, 9)),
+        # a first column of M with negative entries: M u starts from 0.0
+        (QuarticCopositive([[-1.0, 0.5, 0.0], [-0.5, 2.0, 0.3], [0.0, 0.3, 1.0]]), 0.03,
+         StopPolicy(tol=0.0, max_iters=300), [-0.0, 0.6, -0.4]),
     ],
 )
 def test_run_matches_the_single_point_reference_bitwise(obj, alpha, policy, x0):

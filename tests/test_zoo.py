@@ -230,6 +230,49 @@ def test_batched_hessian_matches_single_points_bitwise(obj):
             assert single.tobytes() == expected.tobytes()
 
 
+def _point_form_zoo():
+    rng = np.random.default_rng(21)
+    members = zoo_instances() + [NesterovExample(domain_box=[[-0.5, 0.5], [-3.0, 1.0]])]
+    for d in (1, 2, 3, 7, 8, 12):
+        members.append(DiagonalQuadratic(rng.uniform(-2.0, 2.0, d)))
+        members.append(StronglyConvexQuadratic(rng.uniform(0.1, 2.0, d)))
+        # zeros of both signs; a negative first column of M starts the sum from 0.0
+        q = rng.standard_normal((d, d)) * np.exp(rng.uniform(-3.0, 3.0, (d, d)))
+        q[rng.random((d, d)) < 0.2] = 0.0
+        q[0, 0] = -0.0
+        members.append(QuarticCopositive(q))
+        members.append(QuarticCopositive(np.abs(q)))
+        members.append(QuarticCopositive(-np.abs(q)))
+    members.append(DiagonalQuadratic([0.0, -0.0, 1e-300]))
+    return members
+
+
+@pytest.mark.parametrize("obj", _point_form_zoo(), ids=lambda o: f"{o.name}-d{o.dimension}")
+def test_point_gradient_is_the_one_row_gradient_bitwise(obj):
+    rng = np.random.default_rng(31 + obj.dimension)
+    d, lo, hi = obj.dimension, obj.domain_box[:, 0], obj.domain_box[:, 1]
+    inside = lo + rng.random((30, d)) * (hi - lo)
+    beyond = rng.standard_normal((30, d)) * np.exp(rng.uniform(-30.0, 30.0, (30, d)))
+    big = np.finfo(float).max
+    # the engine steps on past an overflowed iterate to the end of its block
+    specials = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e155, -1e155, 1e200, -1e200, big, -big, 1.0,
+                         np.inf, -np.inf, np.nan])
+    edges = rng.choice(specials, (30, d))
+    signed_zeros = np.where(rng.random((30, d)) < 0.5, 0.0, -0.0)
+    points = np.concatenate([inside, beyond, edges, signed_zeros, inside * (rng.random((30, d)) < 0.5)])
+    overflowed = 0
+    with np.errstate(all="ignore"):
+        for x in points:
+            want = obj._gradient(x[None])[0]
+            got = obj._point_gradient(x.tolist())
+            assert isinstance(got, list) and all(type(g) is float for g in got)
+            # byte comparison also tells +0.0 from -0.0 and keeps NaN's bits
+            assert np.array(got).tobytes() == want.tobytes(), x
+            overflowed += np.all(np.isfinite(x)) and not np.all(np.isfinite(want))
+    # lambda_i * x_i overflows only where |lambda_i| > 1
+    assert overflowed > 0 or isinstance(obj, DiagonalQuadratic) and max(abs(obj.lambdas)) <= 1.0
+
+
 def test_contains_handles_single_and_batch():
     obj = QuarticCopositive(np.eye(2))
     assert obj.contains(np.array([0.5, -0.5]))
