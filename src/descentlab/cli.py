@@ -15,6 +15,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -23,7 +24,8 @@ import numpy as np
 from .critical import find_critical_points, grid_spacing, sample_local_stable_set
 from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
-from .experiments import MIN_CHUNK, _best_of, assign_basin, monte_carlo, rate_fits
+from .experiments import (BASIN_TOL, MIN_CHUNK, _best_of, _settled, assign_basin, monte_carlo,
+                          rate_fits)
 from .fileio import atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import _has_bool, parse_objective
@@ -214,10 +216,17 @@ def _emit(payload, opts, filename: str) -> None:
 
 
 def _labelled_run(opts):
-    """The trajectory from the resolved start, the critical points and its basin."""
+    """The trajectory from the resolved start, the critical points and its basin.
+
+    The critical points are searched for, with --seed, only when the
+    trajectory settled (see ``experiments._settled``); the label of any
+    other reads no records, so it is found with none.
+    """
     traj = run(opts["gmap"], opts["x0"], opts["policy"])
-    records = find_critical_points(opts["objective"], seed=opts["seed"])
-    return traj, records, assign_basin(traj, records)
+    records = []
+    if _settled([traj.stop_reason], traj.grad_norms[-1:], BASIN_TOL)[0]:
+        records = find_critical_points(opts["objective"], seed=opts["seed"])
+    return traj, records, assign_basin(traj, records, BASIN_TOL)
 
 
 def cmd_run(opts) -> int:
@@ -379,8 +388,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_FLAGS = {_flag(key) for key, option in OPTIONS.items() if option.kind in VECTOR_FORMS}
+
+
+def _joined_vectors(argv) -> list:
+    """``argv`` with each point or box flag joined to a value starting '-'.
+
+    argparse takes a token like '-0.5,0.3' for an unknown flag, since it
+    is no plain negative number, so ``--x0 -0.5,0.3`` would be a usage
+    error; here it becomes ``--x0=-0.5,0.3``.  A value is a '-' followed
+    by a digit or '.', which no flag is, so ``--x0 --out d`` stays a
+    usage error and a malformed value is still refused by ``_as_array``.
+    """
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VECTOR_FLAGS and re.match(r"-[0-9.]", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     command = COMMANDS[args.command]
     try:
         return command.func(_merged(args, command))

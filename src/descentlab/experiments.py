@@ -46,25 +46,40 @@ FIT_FLOOR = 100.0 * np.finfo(float).eps
 MIN_CHUNK = 10_000
 
 
+# a bare StopReason operand would be converted to a numpy string and
+# compare unequal to every object; a 0-d object array compares members
+_DIVERGED = np.array(StopReason.DIVERGED, dtype=object)
+_LEFT_BOX = np.array(StopReason.LEFT_DOMAIN_BOX, dtype=object)
+
+
+def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
+    """Which final states a critical-point record may claim, as booleans.
+
+    A final state has settled if it stopped neither Diverged nor
+    LeftDomainBox and its gradient norm is not above ``tol``; any other
+    is Diverged, LeftBox or Unresolved whatever the records are, so the
+    records are read only for a settled one.
+    """
+    reasons = np.asarray(stop_reasons, dtype=object)
+    return (reasons != _DIVERGED) & (reasons != _LEFT_BOX) & ~(np.asarray(final_grad_norm) > tol)
+
+
 def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
     """The basin of each final state of a batch, as integer codes.
 
     Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
     and 2 are Diverged, LeftBox and Unresolved (see ``_label_table``).  A
-    row that has not diverged or left the box is Unresolved unless its
-    gradient norm is within ``tol`` and a record lies within ``tol`` of
-    it (infinity norm).  A row within ``tol`` of two records raises an
+    row that has not settled (see ``_settled``) is never a record's; a
+    settled one is Unresolved unless a record lies within ``tol`` of it
+    (infinity norm).  A row within ``tol`` of two records raises an
     ambiguity error: the tolerance no longer separates them.
     """
     n_records = len(records)
     reasons = np.asarray(result.stop_reasons, dtype=object)
     codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
-    # a bare StopReason operand would be converted to a numpy string and
-    # compare unequal to every object; a 0-d object array compares members
-    for reason, code in ((StopReason.LEFT_DOMAIN_BOX, n_records + 1),
-                         (StopReason.DIVERGED, n_records)):
-        codes[reasons == np.array(reason, dtype=object)] = code
-    settled = (codes == n_records + 2) & ~(result.final_grad_norm > tol)
+    codes[reasons == _DIVERGED] = n_records
+    codes[reasons == _LEFT_BOX] = n_records + 1
+    settled = _settled(reasons, result.final_grad_norm, tol)
     ambiguous = np.zeros_like(settled)
     for i, rec in enumerate(records):
         hit = settled & (np.abs(result.final_x - rec.location) <= tol).all(axis=-1)
@@ -90,11 +105,13 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     """Label a finished trajectory with the basin it landed in.
 
     Returns the index of the matching record, or one of the strings
-    ``Diverged``, ``LeftBox``, ``Unresolved``.  Two records within ``tol``
-    of the final iterate raise an ambiguity error since that means the
-    tolerance no longer separates the critical points.  ``records`` that
-    are not ``CriticalPointRecord``s of the trajectory's dimension are
-    refused.
+    ``Diverged``, ``LeftBox``, ``Unresolved``.  ``records`` are read only
+    when the trajectory settled (see ``_settled``): one that did not gets
+    the same label for any records, even none.  Two records within
+    ``tol`` of a settled final iterate raise an ambiguity error since that
+    means the tolerance no longer separates the critical points.
+    ``records`` that are not ``CriticalPointRecord``s of the trajectory's
+    dimension are refused.
     """
     tol = _check_real(tol, "tol", "non-negative")
     records = _check_records(records, traj.iterates.shape[1])

@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -248,6 +249,74 @@ def test_rates_reports_unsettled_trajectories():
     )
     assert proc.returncode == 1
     assert "Diverged" in proc.stderr
+
+
+UNSETTLED_RUNS = {
+    "stalled": (["--objective", "quartic:[[0.25]]", "--alpha", "0.1", "--tol", "0",
+                 "--max-iters", "200", "--x0", "0.6"], "MaxIters", "Unresolved"),
+    "diverged": (["--objective", "diagonal_quadratic:[1,-1]", "--x0", "0.5,0.3"],
+                 "Diverged", "Diverged"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSETTLED_RUNS))
+@pytest.mark.parametrize("sub", ["run", "rates"])
+def test_a_run_that_cannot_settle_is_labelled_without_the_search(
+    tmp_path, capsys, monkeypatch, sub, case
+):
+    from descentlab import assign_basin, find_critical_points, run
+    from descentlab import cli as cli_module
+    from descentlab.cli import main
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the critical-point search ran for a run that cannot settle")
+
+    monkeypatch.setattr(cli_module, "find_critical_points", no_search)
+    argv, reason, label = UNSETTLED_RUNS[case]
+    out = tmp_path / "out"
+    status = main([sub, *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    if sub == "rates":
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"trajectory did not settle in any basin (label {label}); no rate to fit\n"
+        )
+        assert not (out / "rates.json").exists()
+        return
+    assert status == 0
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert (summary["stop_reason"], summary["basin"]) == (reason, label)
+    assert summary["basin_location"] is None
+    assert (out / "summary.json").read_text() == captured.out
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == summary["n_steps"] + 2
+    # the records of the search, had it run, give the same label
+    opts = cli_module._merged(cli_module.build_parser().parse_args([sub, *argv]),
+                              cli_module.COMMANDS[sub])
+    traj = run(opts["gmap"], opts["x0"], opts["policy"])
+    records = find_critical_points(opts["objective"], seed=opts["seed"])
+    assert records and assign_basin(traj, records) == label
+
+
+def test_a_settled_run_searches_once_with_its_seed(tmp_path, capsys, monkeypatch):
+    from descentlab import cli as cli_module
+    from descentlab.cli import main
+
+    seeds, find = [], cli_module.find_critical_points
+
+    def counted(objective, seed):
+        seeds.append(seed)
+        return find(objective, seed=seed)
+
+    monkeypatch.setattr(cli_module, "find_critical_points", counted)
+    argv = ["run", "--objective", "nesterov", "--x0", "0.5,0.3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert seeds == [0]
+    golden = pathlib.Path(__file__).parent / "golden" / "run"
+    assert capsys.readouterr().out == (golden / "stdout.txt").read_text()
+    assert (tmp_path / "summary.json").read_bytes() == (golden / "summary.json").read_bytes()
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -590,6 +659,33 @@ def test_vector_values_of_the_wrong_length_exit_2_with_one_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("sub, extra, flag, value, artifact, key, expected", [
+    ("run", [], "--x0", "-0.5,0.3", "summary.json", "x0", [-0.5, 0.3]),
+    ("invert", ["--alpha", "0.05"], "--y", "-0.95,1.7", "inverse.json", "y", [-0.95, 1.7]),
+    ("montecarlo", ["--trials", "20"], "--init-box", "-1,-1:1,1", "report.json", "init_box",
+     [[-1.0, 1.0], [-1.0, 1.0]]),
+])
+def test_a_vector_flag_takes_a_value_that_starts_with_a_minus(
+    tmp_path, capsys, sub, extra, flag, value, artifact, key, expected
+):
+    from descentlab.cli import main
+
+    argv = [sub, "--objective", "nesterov", *extra, flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / artifact).read_text())[key] == expected
+    # a malformed one is still refused by the value check, an absent one by argparse
+    assert main([sub, "--objective", "nesterov", *extra, flag, value + ",x"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key} must be a list of finite ")
+    assert captured.err.endswith(f", got '{value},x'\n") and captured.err.count("\n") == 1
+    with pytest.raises(SystemExit) as exited:
+        main([sub, "--objective", "nesterov", *extra, flag, "--out", str(tmp_path / "d")])
+    assert exited.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: expected one argument\n")
 
 
 def test_vector_config_values_may_be_lists_or_strings(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Monte Carlo basin statistics, rate fitting, and gradient-inequality
 certificates."""
 
+import itertools
 
 import numpy as np
 import pytest
@@ -252,6 +253,28 @@ def test_batch_labels_match_the_scalar_oracle(nesterov_records):
     assert labels == [
         "Diverged", "Diverged", "LeftBox", "LeftBox", "Unresolved", "Unresolved",
         "Unresolved", "Unresolved", 0, 1, 2, 2,
+    ]
+
+
+def test_settled_rows_are_exactly_those_a_record_may_claim(nesterov_records):
+    norms = [0.0, 0.5 * BASIN_TOL, BASIN_TOL, 2.0 * BASIN_TOL, np.inf, np.nan]
+    cases = list(itertools.product(StopReason, norms))
+    # every row sits on a record, so a record claims each row it may claim
+    rows = [(nesterov_records[t % 3].location, norm, reason)
+            for t, (reason, norm) in enumerate(cases)]
+    batch = _batch(rows)
+    settled = experiments._settled(batch.stop_reasons, batch.final_grad_norm, BASIN_TOL)
+    assert settled.tolist() == [
+        reason not in (StopReason.DIVERGED, StopReason.LEFT_DOMAIN_BOX) and not norm > BASIN_TOL
+        for reason, norm in cases
+    ]
+    codes = experiments._basin_codes(batch, nesterov_records, BASIN_TOL)
+    assert settled.tolist() == (codes < len(nesterov_records)).tolist()
+    # an unsettled row gets the same label without records
+    table = experiments._label_table(nesterov_records)
+    bare = experiments._basin_codes(batch, [], BASIN_TOL)
+    assert [table[c] for c in codes[~settled]] == [
+        experiments._label_table([])[c] for c in bare[~settled]
     ]
 
 

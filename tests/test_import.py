@@ -1,4 +1,4 @@
-"""Importing descentlab: the BLAS thread pool it leaves behind."""
+"""Importing descentlab: the BLAS thread pool and the modules it leaves behind."""
 
 import os
 import subprocess
@@ -8,7 +8,7 @@ import pytest
 
 THREADS = "import os; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
 
-pytestmark = pytest.mark.skipif(
+COUNTS_THREADS = pytest.mark.skipif(
     not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
     reason="counts threads in /proc on a Linux machine with 2 or more cores",
 )
@@ -24,6 +24,7 @@ def _threads(code, **env):
     return int(count), variable
 
 
+@COUNTS_THREADS
 def test_descentlab_loads_numpy_with_one_blas_thread():
     pool = _threads("import numpy")[0]
     if pool < 2:
@@ -32,3 +33,19 @@ def test_descentlab_loads_numpy_with_one_blas_thread():
     # a caller's choice is kept, and so is a pool numpy started first
     assert _threads("import descentlab", OPENBLAS_NUM_THREADS="2") == (2, "2")
     assert _threads("import numpy; import descentlab") == (pool, "None")
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["run", "--objective", "quartic:[[0.25]]", "--alpha", "0.1", "--tol", "0",
+      "--max-iters", "200", "--x0", "0.6"], False),
+    (["run", "--objective", "nesterov", "--x0", "0.5,0.3"], True),
+])
+def test_run_loads_numpy_random_only_for_the_search_of_a_settled_run(argv, draws):
+    # numpy.random, and the secrets and OpenSSL modules it loads, cost a
+    # fresh process about 5 MB of peak memory
+    code = ("import sys, contextlib, io; from descentlab.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == f"{draws}\n"
