@@ -15,7 +15,6 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -372,14 +371,16 @@ def _help(option: Option) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags are spelled in full: an abbreviation would slip past _joined_vectors
     parser = _Parser(
         prog="descentlab",
         description="Gradient-descent experiments: trajectories, basin "
         "statistics, critical points, stable sets, map inversion, rates.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
         for key in command.options:
             option = OPTIONS[key]
             p.add_argument(_flag(key), dest=key, type=_NUMBER_TYPES.get(option.kind),
@@ -396,13 +397,13 @@ def _joined_vectors(argv) -> list:
 
     argparse takes a token like '-0.5,0.3' for an unknown flag, since it
     is no plain negative number, so ``--x0 -0.5,0.3`` would be a usage
-    error; here it becomes ``--x0=-0.5,0.3``.  A value is a '-' followed
-    by a digit or '.', which no flag is, so ``--x0 --out d`` stays a
-    usage error and a malformed value is still refused by ``_as_array``.
+    error; here it becomes ``--x0=-0.5,0.3``.  Every flag starts '--', so
+    a token with a single leading '-' is a value: ``--x0 --out d`` stays a
+    usage error, and a value such as '-inf,0' is refused by ``_as_array``.
     """
     joined = []
     for token in argv:
-        if joined and joined[-1] in _VECTOR_FLAGS and re.match(r"-[0-9.]", token):
+        if joined and joined[-1] in _VECTOR_FLAGS and token[:1] == "-" and token[:2] != "--":
             joined[-1] += "=" + token
         else:
             joined.append(token)

@@ -176,24 +176,34 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
 
     Each row takes exactly the steps it would take alone: its own
     backtracking line search, and a steepest-descent direction on the
-    merit wherever its Hessian is singular.  A row leaves the batch as soon
-    as its outcome is known.  The tolerance is tested on the merit, the
-    squared gradient norm, as ``merit <= tol2``, which is ``sqrt(merit) <=
-    tol`` bit for bit (``_squared_tolerance``).
+    merit wherever its Hessian is singular.  Each round drops the rows
+    that have left, in one compaction, stops once the budget is spent, and
+    steps the rest.  A row leaves when its step is refused, when it stalls
+    after hitting the tolerance, or when the budget is spent, and leaves
+    as a root if it hit the tolerance before its last step.  That is read
+    fresh each round as ``merit <= tol2`` on the squared gradient norm,
+    which is ``sqrt(merit) <= tol`` bit for bit (``_squared_tolerance``):
+    a step is taken only if it strictly lowers the merit, so a row under
+    the tolerance stays under it.
     """
     gradient, hessian = objective._gradient, objective._hessian
     tol2 = _squared_tolerance(tol)
     roots = [None] * seeds.shape[0]
-    grad = gradient(seeds)
+    active, x = np.arange(seeds.shape[0]), seeds
+    grad = gradient(x)
     merit = _sum_squares(grad)
     # only a seed can have a non-finite merit: the line search accepts finite ones
-    active = np.flatnonzero(np.isfinite(merit))
-    x, grad, merit = seeds[active], grad[active], merit[active]
-    hit_tol = np.zeros(active.size, dtype=bool)
-    for _ in range(max_iters):
+    left, hit = ~np.isfinite(merit), False
+    for iteration in range(max_iters + 1):
+        left |= iteration == max_iters  # a spent budget ends every row
+        if left.any():
+            for i in np.flatnonzero(left & hit):
+                roots[active[i]] = x[i].copy()
+            keep = ~left
+            active, x, grad, merit = active[keep], x[keep], grad[keep], merit[keep]
         if not active.size:
             break
-        hit_tol |= merit <= tol2
+        hit = merit <= tol2
         hess = hessian(x)
         direction, singular = _solve_rows(hess, grad)
         pending = np.arange(active.size)
@@ -203,25 +213,15 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
             # a zero fallback direction ends the row where it stands
             pending = np.flatnonzero(~singular | direction.any(axis=-1))
 
-        x_new, grad_new, merit_new = x.copy(), grad.copy(), merit.copy()
+        # a row whose step is refused keeps its point in the copies
+        out = x.copy(), grad.copy(), merit.copy()
         accepted = _backtrack(
             lambda trial, rows: gradient(trial), x, direction, pending, 40,
-            lambda trial_merit, rows, step: trial_merit < merit[rows],
-            (x_new, grad_new, merit_new),
+            lambda trial_merit, rows, step: trial_merit < merit[rows], out,
         )
-
-        moved = np.max(np.abs(x_new - x), axis=-1)
-        x, grad, merit = x_new, grad_new, merit_new
-        finished = ~accepted | (hit_tol & (moved <= 1e-12))
-        if finished.any():
-            for i in np.flatnonzero(finished & hit_tol):
-                roots[active[i]] = x[i].copy()
-            keep = ~finished
-            active, x, grad, merit, hit_tol = (
-                active[keep], x[keep], grad[keep], merit[keep], hit_tol[keep],
-            )
-    for i in np.flatnonzero(hit_tol & (merit <= tol2)):
-        roots[active[i]] = x[i].copy()
+        moved = np.max(np.abs(out[0] - x), axis=-1)
+        x, grad, merit = out
+        left = ~accepted | (hit & (moved <= 1e-12))
     return roots
 
 

@@ -83,9 +83,14 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
 
     Returns ``(solutions, residuals, inner_iterations, modulus)``.  Every
     row runs the iteration ``invert`` describes, with its own line search
-    and its own fallback step, and leaves the batch once it converges.  If
-    any row fails, raises the non-convergence error of the lowest-indexed
-    failing row, carrying that row's best residual.
+    and its own fallback step.  Each round drops the rows that have left,
+    in one compaction, stops once the budget is spent, and steps the rest.
+    A row leaves solved when its merit reaches the stop, and unsolved when
+    its Newton and fallback steps are both refused; -1 in its
+    ``inner_iterations`` entry marks a row unsolved, one still running
+    when the budget is spent too.  If any row is unsolved, raises the
+    non-convergence error of the lowest-indexed one, carrying that row's
+    best residual.
     """
     obj = gmap.objective
     gradient, alpha = obj._gradient, gmap.alpha
@@ -98,9 +103,8 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     n = ys.shape[0]
     solutions = np.empty_like(ys)
     residuals = np.empty(n)
-    iterations = np.zeros(n, dtype=np.int64)
+    iterations = np.full(n, -1, dtype=np.int64)
     best_merit = np.full(n, np.inf)
-    failed = np.zeros(n, dtype=bool)
 
     def residual(trial, rows):
         # gmap.step(trial) - y[rows], on the unchecked gradient
@@ -119,32 +123,31 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     # is the square root of the best merit, so square roots are taken only
     # for the rows that stop.
     with np.errstate(over="ignore", invalid="ignore"):
-        active = np.arange(n)
-        x, y = starts, ys
+        active, x, y = np.arange(n), starts, ys
         grad = x - alpha * gradient(x) - y
         merit = _sum_squares(grad)
+        refused = np.zeros(n, dtype=bool)
         # the iterates 0 .. max_inner - 1 are tested, the start even on a
         # budget of 0, and no step is taken from the last of them
         for iteration in range(max(max_inner, 1)):
-            best = best_merit[active]
-            best_merit[active] = np.where(merit < best, merit, best)
+            best_merit[active] = np.fmin(best_merit[active], merit)
             done = merit <= stop2
-            if done.any():
+            left = done | refused
+            if left.any():
                 rows = active[done]
                 solutions[rows] = x[done]
                 residuals[rows] = np.sqrt(merit[done])
                 iterations[rows] = iteration
-                keep = ~done
+                keep = ~left
                 active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
-                if not active.size:
-                    break
-            if iteration + 1 >= max_inner:
+            if not active.size or iteration + 1 >= max_inner:
                 break
 
             hess = identity - alpha * obj._hessian(x)
             direction, singular = _solve_rows(hess, grad)
             pending = np.arange(active.size) if singular is None else np.flatnonzero(~singular)
-            out = np.empty_like(x), np.empty_like(grad), np.empty_like(merit)
+            # a row whose step is refused keeps its point in the copies
+            out = x.copy(), grad.copy(), merit.copy()
             accepted = _backtrack(
                 residual, x, direction, pending, 30,
                 lambda trial_merit, rows, step: trial_merit <= merit[rows] * (1.0 - 1e-4 * step),
@@ -158,17 +161,11 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
                     lambda trial_merit, rows, step: True, out,
                 )
             x, grad, merit = out
-            if not accepted.all():
-                failed[active[~accepted]] = True
-                keep = accepted
-                active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
-                if not active.size:
-                    break
-        failed[active] = True
+            refused = ~accepted
 
-    if failed.any():
-        first = int(np.argmax(failed))
-        best_residual = float(np.sqrt(best_merit[first]))
+    unsolved = np.flatnonzero(iterations < 0)
+    if unsolved.size:
+        best_residual = float(np.sqrt(best_merit[unsolved[0]]))
         raise NonConvergenceError(
             f"inversion budget of {max_inner} iterations exhausted "
             f"(best residual {best_residual:.3e}, requested {tol:.3e})",

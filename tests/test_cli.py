@@ -676,16 +676,45 @@ def test_a_vector_flag_takes_a_value_that_starts_with_a_minus(
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert json.loads((tmp_path / artifact).read_text())[key] == expected
-    # a malformed one is still refused by the value check, an absent one by argparse
-    assert main([sub, "--objective", "nesterov", *extra, flag, value + ",x"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {key} must be a list of finite ")
-    assert captured.err.endswith(f", got '{value},x'\n") and captured.err.count("\n") == 1
+    # a malformed or non-finite one is still refused by the value check, an
+    # absent one by argparse
+    for bad in (value + ",x", "-inf,0", "-nan,0"):
+        assert main([sub, "--objective", "nesterov", *extra, flag, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} must be a list of finite ")
+        assert captured.err.endswith(f", got '{bad}'\n") and captured.err.count("\n") == 1
     with pytest.raises(SystemExit) as exited:
         main([sub, "--objective", "nesterov", *extra, flag, "--out", str(tmp_path / "d")])
     assert exited.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: expected one argument\n")
+
+
+@pytest.mark.parametrize("sub, work, argv, unrecognized", [
+    ("run", "run", ["--objective", "nesterov", "--x", "0.5,0.3"], "--x 0.5,0.3"),
+    ("run", "run", ["--objective", "nesterov", "--x", "-0.5,0.3"], "--x -0.5,0.3"),
+    ("run", "run", ["--obj", "nesterov"], "--obj nesterov"),
+    ("montecarlo", "monte_carlo", ["--objective", "nesterov", "--trials", "20",
+                                   "--init", "-1,-1:1,1"], "--init -1,-1:1,1"),
+])
+def test_an_abbreviated_flag_exits_2_with_one_line_before_any_work(
+    capsys, monkeypatch, sub, work, argv, unrecognized
+):
+    # an abbreviation that argparse expanded would bypass _joined_vectors:
+    # --x would run as --x0, but not with a value starting with '-'
+    import descentlab.cli
+    from descentlab.cli import main
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran for an abbreviated flag")
+
+    monkeypatch.setattr(descentlab.cli, work, no_work)
+    with pytest.raises(SystemExit) as exited:
+        main([sub, *argv])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"descentlab: error: unrecognized arguments: {unrecognized}\n"
 
 
 def test_vector_config_values_may_be_lists_or_strings(tmp_path, capsys):

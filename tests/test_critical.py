@@ -404,6 +404,29 @@ def test_batched_newton_with_a_short_budget_and_bad_seeds():
     assert any(root is None for root in roots) and any(root is not None for root in roots)
 
 
+@pytest.mark.parametrize("max_iters", [*range(9), NEWTON_BUDGET])
+def test_batched_newton_matches_scalar_loop_at_every_small_budget(max_iters):
+    # rows leave by every rule, often in the same round: a non-finite seed
+    # before its first Hessian, a singular Hessian with a zero fallback
+    # direction, a refused line search, a stalled step at an exact or a
+    # polished root, and the rest when the budget is spent; the steep
+    # quartic's steps stall below 1e-12 before its rows hit the tolerance
+    rng = np.random.default_rng(11)
+    nesterov = rng.uniform(-2.0, 2.0, size=(24, 2))
+    nesterov[::4, 1] = np.array([1.0, -1.0] * 3) / np.sqrt(3.0)
+    nesterov[1], nesterov[2], nesterov[3] = [0.0, 0.0], [0.0, 1.0], [np.nan, 0.5]
+    quartic = rng.uniform(-1.0, 1.0, size=(24, 2))
+    quartic[::3, 0] = 0.0
+    quartic[1::5, 1] = 0.0
+    quartic[7], quartic[8] = [0.0, 0.0], [np.inf, 0.5]
+    steep = rng.uniform(-1.0, 1.0, size=(4, 1))
+    with np.errstate(invalid="ignore"):
+        for objective, seeds in ((NesterovExample(), nesterov),
+                                 (QuarticCopositive(np.eye(2)), quartic),
+                                 (QuarticCopositive([[1e100]]), steep)):
+            assert_roots_match_scalar_loop(objective, seeds, max_iters=max_iters)
+
+
 def test_batched_newton_drops_seeds_whose_line_search_fails():
     # on y = +-1/sqrt(3) the Nesterov Hessian is singular up to rounding,
     # so the Newton step is about 1e15 long and no halving of it lowers the

@@ -22,7 +22,8 @@ def scalar_invert(gmap, y, tol=1e-10, max_inner=200):
     """Reference: the one-point inversion loop the batched solver replaced.
 
     Returns (solution, residual, inner_iterations), or raises the same
-    non-convergence error as the library.
+    non-convergence error as the library.  The start is tested even on a
+    budget of 0.
     """
     obj = gmap.objective
     alpha = gmap.alpha
@@ -33,7 +34,7 @@ def scalar_invert(gmap, y, tol=1e-10, max_inner=200):
     grad = gmap.step(x) - y
     merit = float(np.sum(grad * grad))
     best_residual = np.inf
-    for iteration in range(max_inner):
+    for iteration in range(max(max_inner, 1)):
         grad_norm = float(np.sqrt(merit))
         best_residual = min(best_residual, grad_norm)
         if grad_norm <= stop_at:
@@ -379,6 +380,45 @@ def test_inversion_of_targets_outside_the_certified_box_matches_scalar_loop():
             assert excinfo.value.best_residual == outcomes[i].best_residual
         with pytest.raises(NonConvergenceError) as excinfo:
             _invert_batch(gmap, ys, ys, 1e-10, 200)
+    assert excinfo.value.best_residual == outcomes[failing[0]].best_residual
+
+
+@pytest.mark.parametrize("max_inner", range(7))
+def test_inversion_of_far_targets_matches_scalar_loop_at_every_small_budget(max_inner):
+    # the far targets above, with some near ones that one step solves and
+    # some whose residual overflows, so that their first step is refused:
+    # from a budget of 2 on, round 1 drops solved and refused rows at once,
+    # and the rows left when the budget is spent are unsolved too
+    objective = QuarticCopositive([[1.0, 0.2], [0.0, 0.5]])
+    gmap = GradientMap(objective, 0.9 / objective.lipschitz_bound())
+    ys = gmap.step(3.0 * box_samples(objective, 100, seed=8))
+    ys[5::20] = gmap.step(0.01 * box_samples(objective, 5, seed=8))
+    ys[10::20] = [1e60, -1e60]
+    outcomes = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for y in ys:
+            try:
+                outcomes.append(scalar_invert(gmap, y, max_inner=max_inner))
+            except NonConvergenceError as exc:
+                outcomes.append(exc)
+    failing = [i for i, out in enumerate(outcomes) if isinstance(out, NonConvergenceError)]
+    solved = [i for i, out in enumerate(outcomes) if i not in failing]
+    for i in failing:
+        with pytest.raises(NonConvergenceError) as excinfo:
+            invert(gmap, ys[i], max_inner=max_inner)
+        assert str(excinfo.value) == str(outcomes[i])
+        assert excinfo.value.best_residual == outcomes[i].best_residual
+    solutions, residuals, iterations, _ = _invert_batch(
+        gmap, ys[solved], ys[solved], 1e-10, max_inner
+    )
+    for row, i in enumerate(solved):
+        solution, residual, inner = outcomes[i]
+        assert solutions[row].tobytes() == solution.tobytes()
+        assert (residuals[row], iterations[row]) == (residual, inner)
+    assert failing
+    with pytest.raises(NonConvergenceError) as excinfo:
+        _invert_batch(gmap, ys, ys, 1e-10, max_inner)
+    assert str(excinfo.value) == str(outcomes[failing[0]])
     assert excinfo.value.best_residual == outcomes[failing[0]].best_residual
 
 
