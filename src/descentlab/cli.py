@@ -139,7 +139,7 @@ def _merged(args: argparse.Namespace, command: Command) -> dict:
     and an unset "x0" the quarter point of its box; a command reading
     "alpha" gets "gmap", its certified ``GradientMap``, one reading
     "max_iters" gets "policy", its ``StopPolicy``, and one reading "grid"
-    has its grid and radius checked.
+    has its grid, radius and objective dimension checked.
     """
     config = _load_config(args.config) if args.config else {}
     opts = {}
@@ -176,7 +176,7 @@ def _merged(args: argparse.Namespace, command: Command) -> dict:
         lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
         opts["x0"] = (lo + hi) / 2.0 + (hi - lo) / 4.0
     if "grid" in command.options:
-        grid_spacing(opts["radius"], opts["grid"])
+        grid_spacing(opts["radius"], opts["grid"], objective.dimension)
     return opts
 
 

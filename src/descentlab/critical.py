@@ -312,13 +312,16 @@ class StableSetSample:
         atomic_write_columns(path, header, [*self.points.T, self.converged])
 
 
-def grid_spacing(radius: float, grid: int) -> float:
+def grid_spacing(radius: float, grid: int, dimension: int = 2) -> float:
     """The spacing of a stable-set grid of ``grid`` points per axis on [-radius, radius].
 
-    Refuses a negative radius, a grid below one point or too large for an
-    array of 2-D points, and a radius whose spacing overflows.  The one
-    check of these inputs, so the CLI can refuse them before any search.
+    Refuses an objective ``dimension`` other than 2, a negative radius, a
+    grid below one point or too large for an array of 2-D points, and a
+    radius whose spacing overflows.  The one check of these inputs, so the
+    CLI can refuse them before any search.
     """
+    if dimension != 2:
+        raise ContractViolationError("grid sampling is implemented for dimension 2 only")
     radius = _check_real(radius, "radius", "non-negative")
     grid = _check_count(grid, "grid", least=1)
     if grid ** 2 > np.iinfo(np.intp).max // (8 * 2):
@@ -349,9 +352,7 @@ def sample_local_stable_set(
     _check_records([record], gmap.objective.dimension, "record")
     if not record.is_strict_saddle:
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
-    if record.dimension != 2:
-        raise ContractViolationError("grid sampling is implemented for dimension 2 only")
-    spacing = grid_spacing(radius, grid)
+    spacing = grid_spacing(radius, grid, record.dimension)
     center = record.location
     if radius == 0.0:
         points = center[None, :].copy()

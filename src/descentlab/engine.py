@@ -18,8 +18,9 @@ stop rule only watches the orbit x_{k+1} = g(x_k) and never changes it,
 so the loop takes a block of steps, calling only the gradient, and then
 settles the rule for every iterate of the block at once; each row stops
 at its first stopping iterate and the steps it took past it are thrown
-away.  Blocks are one step wide on a large batch (a census settles after
-every step) and 64 steps wide on a single run.  On a census the loop's
+away.  A batch of two or more rows settles after every step (a census
+does), and a single row steps blocks of 64, so only a single row steps
+past its stop, by at most 63 iterates.  On a census the loop's
 cost past the arithmetic is selecting and testing rows, so it selects 2-D
 rows with ``compress`` for a mask and ``take`` for indices, never with
 numpy's much slower boolean-mask indexing, and tests a whole block
@@ -174,31 +175,23 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(_sum_squares(x))
 
 
-def _seeded_rng(seed) -> np.random.Generator:
-    """``np.random.default_rng(seed)`` for a non-negative integer seed.
-
-    Every sampler of the library draws through this, so any other seed
-    (negative, boolean, fractional, None, a sequence) is refused with a
-    contract violation before the caller has done any work.
-    """
-    _check_count(seed, "seed")
-    return np.random.default_rng(seed)
-
-
 def _box_samples(seed, n, box, name: str, copies: int = 1) -> np.ndarray:
     """``copies * n`` points uniform on ``box`` (rows [lo, hi]).
 
-    They are drawn row by row in order from one stream, so row i does not
-    depend on n or on how the rows are split afterwards.  Every sampler of
-    the library draws through this, so a sample count ``name`` (``n_...``)
-    that is not an integer, below 1 or too large for an array is refused
-    with a contract violation before the caller has done any work.
+    They are drawn row by row in order from ``np.random.default_rng(seed)``,
+    so row i does not depend on n or on how the rows are split afterwards.
+    Every sampler of the library draws through this, so a sample count
+    ``name`` (``n_...``) that is not an integer, below 1 or too large for
+    an array, and then any seed but a non-negative integer (negative,
+    boolean, fractional, None, a sequence), are refused with a contract
+    violation before the caller has done any work.
     """
     _check_count(n, name, least=1)
     lo, hi = box[:, 0], box[:, 1]
     if n > np.iinfo(np.intp).max // (8 * copies * lo.shape[0]):
         raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
-    return lo + _seeded_rng(seed).random((copies * n, lo.shape[0])) * (hi - lo)
+    _check_count(seed, "seed")
+    return lo + np.random.default_rng(seed).random((copies * n, lo.shape[0])) * (hi - lo)
 
 
 def _solve_rows(mats, rhs):
@@ -355,10 +348,9 @@ _RUNNING = np.int8(-1)
 _BOUND_SLACK = 1e-9
 # Entries below this magnitude cannot overflow the squares of a row norm.
 _NORM_SAFE = 1e150
-# Iterates of all active rows that one block holds, at most: a block on m
-# rows is _BLOCK_ROWS // m steps wide (at least 1, and never past the
-# cap), so a batch of more than 32 rows settles after every step and a
-# single run steps blocks of 64 from its first step.
+# Iterates that one block of a single active row holds, at most (never
+# past the cap), so a single row steps at most _BLOCK_ROWS - 1 iterates
+# past its stop; two or more active rows take one step a block.
 _BLOCK_ROWS = 64
 
 
@@ -407,15 +399,15 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     non-finite value or gradient raises at the first iterate where a row
     still running shows one (the lowest trial first), as a loop that
     settled every step would.  The width b depends only on the active
-    row count m and the iterations left: b = 64 // m (at least 1), cut
-    to end at the iteration cap, so b is 1 on a census batch and 64 on a
-    single row from its first step.  A row thus steps at most 63
-    iterates past the one it stops at.
+    row count m: two or more rows take one numpy step (b = 1), and one
+    row a block of b = 64 steps from its first, cut to end at the
+    iteration cap.  Only a single row thus steps past the iterate it
+    stops at, by at most 63 iterates.
 
     A block of one row (a ``run``, or the last row of a batch) is stepped
     in Python floats through ``Objective._point_gradient`` and made into
     the block's arrays once, which saves about eight numpy calls per step.
-    Its bits are the array loop's: ``_point_gradient`` equals
+    Its bits are the numpy step's: ``_point_gradient`` equals
     ``_gradient`` on the row bit for bit, and ``x - alpha * g`` is the
     same two correctly rounded double operations in Python as in numpy,
     both of which overflow silently here.
@@ -481,13 +473,14 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     with np.errstate(all="ignore"):
         while active.size:
             m = active.size
-            b = min(max(1, _BLOCK_ROWS // m), max_iters - k + 1)  # the block ends at the cap
             # Iterates k .. k + b - 1 of every row in xs, their gradients
             # in gs, and the start of the next block in x_next.
-            if b == 1:
+            if m > 1:
+                b = 1
                 g = gradient(x)
                 xs, gs, x_next = x[None], g[None], x - alpha * g
-            elif m == 1:  # in Python floats, bit for bit the loop below
+            else:  # in Python floats, bit for bit the numpy step above
+                b = min(_BLOCK_ROWS, max_iters - k + 1)  # the block ends at the cap
                 p = x[0].tolist()
                 xs, gs = list(p), []  # flat, as numpy converts them fastest
                 for _ in range(b):
@@ -498,16 +491,6 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 xs = np.array(xs).reshape(b + 1, 1, d)
                 gs = np.array(gs).reshape(b, 1, d)
                 xs, x_next = xs[:b], xs[b]
-            else:
-                xs = np.empty((b + 1, m, d))
-                gs = np.empty((b, m, d))
-                xs[0] = x
-                steps = list(xs)
-                for x_j, g_j, x_after in zip(steps, gs, steps[1:]):
-                    g = g_j[...] = gradient(x_j)
-                    np.subtract(x_j, alpha * g, out=x_after)
-                x_next = steps[b]
-                xs = xs[:b]
 
             flat = xs.reshape(-1, d)
             sq = _sum_squares(gs)

@@ -575,16 +575,19 @@ def test_a_bad_alpha_exits_2_before_any_work(tmp_path, capsys, monkeypatch, sub,
 
 
 @pytest.mark.parametrize(
-    "flag, value, message",
+    "objective, flag, value, message",
     [
-        ("--grid", str(10**30), f"grid = {10**30} has more points than an array can hold"),
-        ("--grid", "0", "grid must be at least 1"),
-        ("--radius", "-1", "radius must be non-negative, got -1.0"),
-        ("--radius", "1.5e308", "radius 1.5e+308 is too large to space a grid"),
+        ("nesterov", "--grid", str(10**30),
+         f"grid = {10**30} has more points than an array can hold"),
+        ("nesterov", "--grid", "0", "grid must be at least 1"),
+        ("nesterov", "--radius", "-1", "radius must be non-negative, got -1.0"),
+        ("nesterov", "--radius", "1.5e308", "radius 1.5e+308 is too large to space a grid"),
+        ("diagonal_quadratic:[1,-1,2]", "--grid", "41",
+         "grid sampling is implemented for dimension 2 only"),
     ],
 )
 def test_a_bad_stable_set_grid_or_radius_exits_2_before_the_search(
-    tmp_path, capsys, monkeypatch, flag, value, message
+    tmp_path, capsys, monkeypatch, objective, flag, value, message
 ):
     import descentlab.cli
     from descentlab.cli import main
@@ -594,7 +597,7 @@ def test_a_bad_stable_set_grid_or_radius_exits_2_before_the_search(
 
     monkeypatch.setattr(descentlab.cli, "find_critical_points", no_search)
     out = tmp_path / "out"
-    assert main(["stable-set", "--objective", "nesterov", flag, value, "--out", str(out)]) == 2
+    assert main(["stable-set", "--objective", objective, flag, value, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

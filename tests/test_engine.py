@@ -252,6 +252,31 @@ def test_run_many_tol_wins_over_the_cap_on_the_same_iteration():
     assert batch.stop_reasons[2] is StopReason.MAX_ITERS
 
 
+class _RowCountingQuadratic(DiagonalQuadratic):
+    """Counts the batch rows passed to ``_gradient``."""
+
+    rows = 0
+
+    def _gradient(self, x):
+        self.rows += x.shape[0]
+        return super()._gradient(x)
+
+
+def test_two_rows_step_one_iterate_a_block_and_the_last_row_steps_alone():
+    # at alpha = 0.5 each iterate halves, so the rows meet 2^-30 at
+    # iterates 10 and 30; the batch takes one step a block while both
+    # run, so _gradient sees both rows for iterates 0..10 only, and the
+    # last row then steps single-row blocks in Python floats, as run does
+    obj = _RowCountingQuadratic([1.0])
+    gmap = GradientMap(obj, 0.5)
+    x0s = np.array([[2.0 ** -20], [1.0]])
+    policy = StopPolicy(tol=2.0 ** -30)
+    batch = run_many(gmap, x0s, policy)
+    assert obj.rows == 2 * 11
+    assert batch.iterations.tolist() == [10, 30]
+    _assert_rows_match_single_runs(gmap, x0s, policy)
+
+
 def test_run_many_divergence_wins_over_a_box_exit_on_the_same_iteration():
     obj = NesterovExample(domain_box=[[-0.5, 0.5], [-0.5, 0.5]])
     gmap = GradientMap(obj, 0.9)
@@ -296,11 +321,11 @@ def test_run_many_is_bitwise_for_any_memory_layout_of_the_batch():
 @pytest.mark.parametrize("box", [[[-0.5, 0.5], [-0.8, 0.8]], [[-0.8, 0.8], [-0.8, 0.8]]],
                          ids=["unequal-box", "uniform-box"])
 def test_run_many_settling_every_step_matches_single_runs_bitwise(box):
-    # more than 32 rows run to the cap, so run_many settles after every
-    # step while run settles blocks of up to 64 steps; f = x^2/2 + y^4/4
-    # - y^2/2 at alpha = 0.5 halves x exactly and moves y away from 0
+    # more than 32 rows run to the cap; run_many settles after every step
+    # while two or more rows are active, and run settles blocks of up to
+    # 64 steps; f = x^2/2 + y^4/4 - y^2/2 at alpha = 0.5 halves x exactly
+    # and moves y away from 0
     cap = 40
-    assert _BLOCK_ROWS // 33 == 1
     obj = NesterovExample(domain_box=box)
     gmap = GradientMap(obj, 0.5)
     policy = StopPolicy(tol=2.0 ** -(cap + 1), divergence_radius=0.85, max_iters=cap)
@@ -743,12 +768,14 @@ def _stopping_at(reason, stop):
     return obj, 0.5, StopPolicy(tol=0.0), x0, [0.0, x0[1] / 2]
 
 
-def _block_iterates(rows):
-    """Iterates at the first, a middle and the last offset of the loop's
-    blocks on ``rows`` rows, each ``_BLOCK_ROWS // rows`` steps wide: the
-    first, the middle and the last full-width block of three."""
-    width = _BLOCK_ROWS // rows
-    return sorted({start + offset for start in (0, width, 2 * width)
+def _block_iterates():
+    """Iterates at the first, a middle and the last offset of the first
+    three blocks of a single row, ``_BLOCK_ROWS`` steps wide, and of three
+    spans half as wide, which fall inside those blocks.  A batch of two
+    rows settles after every step, so each of these is also the first and
+    the last iterate of one of its blocks."""
+    return sorted({start + offset for width in (_BLOCK_ROWS, _BLOCK_ROWS // 2)
+                   for start in (0, width, 2 * width)
                    for offset in (0, width // 2, width - 1)})
 
 
@@ -771,45 +798,45 @@ SCENARIOS = {
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 @pytest.mark.parametrize("reason", list(StopReason), ids=[r.value for r in StopReason])
 def test_stops_and_failures_at_block_boundaries(reason, scenario):
-    # run steps one row and run_many here two, so their blocks differ;
-    # each is checked at its own boundaries against the single-point
-    # reference and run against run_many, for a value and a gradient
+    # run steps one row in blocks of _BLOCK_ROWS and run_many here two,
+    # one step a block, so their blocks differ; each is checked at and
+    # inside run's blocks against the single-point reference and run
+    # against run_many, for a value and a gradient
     stop_shift, poison_shift = SCENARIOS[scenario]
-    for rows in (1, 2):
-        for k in _block_iterates(rows):
-            stop = k + stop_shift
-            if reason is StopReason.LEFT_DOMAIN_BOX and stop == 0:
-                continue  # a start outside the box is refused
-            base, alpha, policy, x0, other = _stopping_at(reason, stop)
-            for part in ("value", "gradient") if poison_shift is not None else ("value",):
-                obj = base
-                if poison_shift is not None:
-                    marker = _orbit(base, alpha, x0, k + poison_shift)
-                    obj = _Poisoned(base, marker, part)
-                gmap = GradientMap(obj, alpha)
-                x0s = np.array([other, x0])
-                if scenario in ("stop", "non-finite-after-stop"):
-                    iterates, f_values, grad_norms, want = _reference_run(gmap, x0, policy)
-                    traj = run(gmap, np.array(x0), policy)
-                    assert (traj.stop_reason, traj.n_steps) == (reason, stop)
-                    assert traj.stop_reason is want
-                    assert np.array_equal(traj.iterates, iterates)
-                    assert np.array_equal(traj.f_values, f_values)
-                    assert np.array_equal(traj.grad_norms, grad_norms)
-                    batch = _assert_rows_match_single_runs(gmap, x0s, policy)
-                    assert batch.iterations[0] > stop or reason is StopReason.MAX_ITERS
-                    continue
-                message, index = _first_failure(lambda: _reference_run(gmap, x0, policy))
-                assert index == k
-                assert _first_failure(lambda: run(gmap, np.array(x0), policy)) == (message, k)
-                failure = _first_failure(lambda: run_many(gmap, x0s, policy))
-                assert failure == (f"{message} (trial 1)", k)
-                # trial 0 turns bad one iterate later, or at the same one
-                for later, trial in ((1, 1), (0, 0)):
-                    both = GradientMap(
-                        _Poisoned(base, [marker, _orbit(base, alpha, other, k + later)], part), alpha)
-                    failure = _first_failure(lambda: run_many(both, x0s, policy))
-                    assert failure == (f"{message} (trial {trial})", k)
+    for k in _block_iterates():
+        stop = k + stop_shift
+        if reason is StopReason.LEFT_DOMAIN_BOX and stop == 0:
+            continue  # a start outside the box is refused
+        base, alpha, policy, x0, other = _stopping_at(reason, stop)
+        for part in ("value", "gradient") if poison_shift is not None else ("value",):
+            obj = base
+            if poison_shift is not None:
+                marker = _orbit(base, alpha, x0, k + poison_shift)
+                obj = _Poisoned(base, marker, part)
+            gmap = GradientMap(obj, alpha)
+            x0s = np.array([other, x0])
+            if scenario in ("stop", "non-finite-after-stop"):
+                iterates, f_values, grad_norms, want = _reference_run(gmap, x0, policy)
+                traj = run(gmap, np.array(x0), policy)
+                assert (traj.stop_reason, traj.n_steps) == (reason, stop)
+                assert traj.stop_reason is want
+                assert np.array_equal(traj.iterates, iterates)
+                assert np.array_equal(traj.f_values, f_values)
+                assert np.array_equal(traj.grad_norms, grad_norms)
+                batch = _assert_rows_match_single_runs(gmap, x0s, policy)
+                assert batch.iterations[0] > stop or reason is StopReason.MAX_ITERS
+                continue
+            message, index = _first_failure(lambda: _reference_run(gmap, x0, policy))
+            assert index == k
+            assert _first_failure(lambda: run(gmap, np.array(x0), policy)) == (message, k)
+            failure = _first_failure(lambda: run_many(gmap, x0s, policy))
+            assert failure == (f"{message} (trial 1)", k)
+            # trial 0 turns bad one iterate later, or at the same one
+            for later, trial in ((1, 1), (0, 0)):
+                both = GradientMap(
+                    _Poisoned(base, [marker, _orbit(base, alpha, other, k + later)], part), alpha)
+                failure = _first_failure(lambda: run_many(both, x0s, policy))
+                assert failure == (f"{message} (trial {trial})", k)
 
 
 _TOLERANCES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e154, np.finfo(float).max, np.inf,
