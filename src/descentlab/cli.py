@@ -25,7 +25,7 @@ from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, r
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
 from .experiments import (BASIN_TOL, MIN_CHUNK, _best_of, _settled, assign_basin, monte_carlo,
                           rate_fits)
-from .fileio import atomic_write_json, atomic_write_text, json_text
+from .fileio import _atomic_handle, atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import _has_bool, parse_objective
 
@@ -128,14 +128,15 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _merged(args: argparse.Namespace, command: Command) -> dict:
+def _merged(args: argparse.Namespace, command: Command, created: list) -> dict:
     """Resolve every input of ``command``, refusing a bad one before any work.
 
     Each option comes from its flag, else the config file, else its
     default, and is converted by its kind in ``OPTIONS`` whether or not
     ``command`` reads it.  A missing required option, --alpha with
     --theta, a bad seed and an --out that cannot hold the command's files
-    are refused first.  Then "objective" becomes the parsed ``Objective``
+    are refused first; the directories made for --out are appended to
+    ``created``.  Then "objective" becomes the parsed ``Objective``
     and an unset "x0" the quarter point of its box; a command reading
     "alpha" gets "gmap", its certified ``GradientMap``, one reading
     "max_iters" gets "policy", its ``StopPolicy``, and one reading "grid"
@@ -160,7 +161,7 @@ def _merged(args: argparse.Namespace, command: Command) -> dict:
             opts[key] = OPTIONS[key].default
     _check_count(opts["seed"], "seed")
     if opts["out"] is not None:
-        _check_out_dir(opts["out"], command.artifacts)
+        _make_out_dir(opts["out"], command.artifacts, created)
     objective = opts["objective"] = parse_objective(opts["objective"])
     if "alpha" in command.options:
         alpha = opts["alpha"]
@@ -180,25 +181,45 @@ def _merged(args: argparse.Namespace, command: Command) -> dict:
     return opts
 
 
-def _check_out_dir(out, artifacts) -> None:
-    """Refuse an --out whose first existing ancestor (or itself) is not a
-    directory, below which a name to create is longer than that file
-    system allows, or in which the path of one of ``artifacts`` is a
-    directory."""
+class _Probed(Exception):
+    """Abandons the probe file of ``_make_out_dir``."""
+
+
+def _make_out_dir(out, artifacts, created: list) -> None:
+    """Make the directory --out and write one file in it, so that the OS
+    refuses an --out that cannot hold the command's files before any work.
+
+    The missing directories of ``out`` are made, outermost first, and
+    appended to ``created``.  The probe is the temporary file of the first
+    of ``artifacts``, written through ``_atomic_handle`` as every artifact
+    is, and abandoned before it is renamed into place.  An --out in which
+    the path of one of ``artifacts`` is a directory is refused too.
+    """
     if not isinstance(out, str):
         raise ContractViolationError(f"out must be a directory path, got {out!r}")
     path, missing = os.path.abspath(out), []
-    while not os.path.exists(path):
-        path, name = os.path.split(path)
-        missing.append(name)
-    if not os.path.isdir(path):
-        raise ContractViolationError(f"--out {out}: {path} exists and is not a directory")
-    limit = os.pathconf(path, "PC_NAME_MAX")
-    if any(len(os.fsencode(name)) > limit for name in missing):
-        raise ContractViolationError(f"--out {out}: a name in it is longer than {limit} bytes")
+    while not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    try:
+        with _atomic_handle(os.path.join(out, artifacts[0])) as handle:
+            handle.write("probe\n")
+            raise _Probed
+    except _Probed:
+        pass
+    except OSError as exc:
+        raise ContractViolationError(f"--out {out}: {_os_reason(exc)}") from exc
+    finally:
+        created.extend(path for path in reversed(missing) if os.path.isdir(path))
     for path in (os.path.join(out, name) for name in artifacts):
         if os.path.isdir(path):
             raise ContractViolationError(f"--out {out}: {path} is a directory")
+
+
+def _os_reason(exc: OSError) -> str:
+    """The OS's reason for ``exc`` and the path it names, if any."""
+    path = exc.filename2 or exc.filename  # a rename names the artifact second
+    return f"{exc.strerror or exc}" + ("" if path is None else f": {path}")
 
 
 def _out_path(opts, name: str) -> str | None:
@@ -411,27 +432,32 @@ def _joined_vectors(argv) -> list:
 
 
 def main(argv=None) -> int:
+    """Run one command; a refused or failed one leaves no directory made for --out
+    behind, unless a file was written in it."""
     args = build_parser().parse_args(_joined_vectors(sys.argv[1:] if argv is None else argv))
     command = COMMANDS[args.command]
+    created, status = [], 1  # 1: a failure, caught below or not
     try:
-        return command.func(_merged(args, command))
+        status = command.func(_merged(args, command, created))
     except ContractViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
-        return 1
     except DescentLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # the OS refused an artifact: a full disk, a path too long
-        path = exc.filename2 or exc.filename  # a rename names the artifact second
-        where = "" if path is None else f": {path}"
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
-        return 1
+    except OSError as exc:  # the OS refused an artifact: a full disk, say
+        print(f"error: {_os_reason(exc)}", file=sys.stderr)
+    finally:
+        if status != 0:
+            for path in reversed(created):
+                try:
+                    os.rmdir(path)
+                except OSError:  # not empty: neither is any directory above it
+                    break
+    return status
 
 
 def entry_point() -> None:

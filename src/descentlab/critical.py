@@ -9,8 +9,6 @@ exceed one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import (
@@ -31,7 +29,6 @@ DEDUP_TOL = 1e-6
 NEWTON_BUDGET = 400
 
 
-@dataclass(frozen=True, eq=False)
 class CriticalPointRecord:
     """Everything classify() knows about one critical point.
 
@@ -47,16 +44,24 @@ class CriticalPointRecord:
     eigenvalue decided the headline classification.
     """
 
-    location: np.ndarray
-    grad_norm: float
-    hessian_eigenvalues: np.ndarray
-    hessian_eigenvectors: np.ndarray
-    classification: Classification
-    is_strict_saddle: bool
-    is_degenerate: bool
-    stable_subspace_basis: np.ndarray
-    stable_dimension: int
-    degeneracy_tol: float = DEGENERACY_TOL
+    __slots__ = ("location", "grad_norm", "hessian_eigenvalues", "hessian_eigenvectors",
+                 "classification", "is_strict_saddle", "is_degenerate", "stable_subspace_basis",
+                 "stable_dimension", "degeneracy_tol")
+
+    def __init__(self, location: np.ndarray, grad_norm: float, hessian_eigenvalues: np.ndarray,
+                 hessian_eigenvectors: np.ndarray, classification: Classification,
+                 is_strict_saddle: bool, is_degenerate: bool, stable_subspace_basis: np.ndarray,
+                 stable_dimension: int, degeneracy_tol: float = DEGENERACY_TOL):
+        self.location = location
+        self.grad_norm = grad_norm
+        self.hessian_eigenvalues = hessian_eigenvalues
+        self.hessian_eigenvectors = hessian_eigenvectors
+        self.classification = classification
+        self.is_strict_saddle = is_strict_saddle
+        self.is_degenerate = is_degenerate
+        self.stable_subspace_basis = stable_subspace_basis
+        self.stable_dimension = stable_dimension
+        self.degeneracy_tol = degeneracy_tol
 
     @property
     def dimension(self) -> int:
@@ -285,7 +290,6 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     return v[:, keep]
 
 
-@dataclass
 class StableSetSample:
     """Grid sample of the local stable set around a strict saddle.
 
@@ -296,11 +300,15 @@ class StableSetSample:
     converged).
     """
 
-    center: np.ndarray
-    points: np.ndarray
-    converged: np.ndarray
-    grid_spacing: float
-    max_subspace_distance: float
+    __slots__ = ("center", "points", "converged", "grid_spacing", "max_subspace_distance")
+
+    def __init__(self, center: np.ndarray, points: np.ndarray, converged: np.ndarray,
+                 grid_spacing: float, max_subspace_distance: float):
+        self.center = center
+        self.points = points
+        self.converged = converged
+        self.grid_spacing = grid_spacing
+        self.max_subspace_distance = max_subspace_distance
 
     @property
     def converged_points(self) -> np.ndarray:

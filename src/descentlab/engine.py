@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -57,23 +56,31 @@ class StopReason(str, Enum):
     LEFT_DOMAIN_BOX = "LeftDomainBox"
 
 
-@dataclass(frozen=True)
 class StopPolicy:
     """Termination rules for the iteration.
 
     ``tol`` is on the gradient norm, ``divergence_radius`` on ||x||.  The
-    defaults make desk-scale experiments terminate decisively.
+    defaults make desk-scale experiments terminate decisively.  A policy
+    is immutable, since ``DEFAULT_POLICY`` is shared by every caller.
     """
 
-    tol: float = 1e-10
-    divergence_radius: float = 1e6
-    max_iters: int = 100_000
+    __slots__ = ("tol", "divergence_radius", "max_iters")
 
-    def __post_init__(self):
-        _check_real(self.tol, "tol", "non-negative")
+    def __init__(self, tol: float = 1e-10, divergence_radius: float = 1e6,
+                 max_iters: int = 100_000):
+        _check_real(tol, "tol", "non-negative")
         # the stepping loop sizes its blocks by the iterations left
-        _check_count(self.max_iters, "max_iters")
-        _check_real(self.divergence_radius, "divergence_radius", "positive")
+        _check_count(max_iters, "max_iters")
+        _check_real(divergence_radius, "divergence_radius", "positive")
+        object.__setattr__(self, "tol", tol)
+        object.__setattr__(self, "divergence_radius", divergence_radius)
+        object.__setattr__(self, "max_iters", max_iters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a StopPolicy is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a StopPolicy is immutable: cannot delete {name}")
 
 
 DEFAULT_POLICY = StopPolicy()
@@ -122,7 +129,6 @@ def alpha_from_theta(objective: Objective, theta: float = 0.99) -> float:
     return theta / lip
 
 
-@dataclass
 class Trajectory:
     """A recorded gradient-descent run.
 
@@ -130,11 +136,15 @@ class Trajectory:
     ``iterates[k]`` (bit-reproducible for a fixed objective and alpha).
     """
 
-    iterates: np.ndarray  # (n_iterates, d)
-    f_values: np.ndarray  # (n_iterates,)
-    grad_norms: np.ndarray  # (n_iterates,)
-    stop_reason: StopReason
-    alpha: float
+    __slots__ = ("iterates", "f_values", "grad_norms", "stop_reason", "alpha")
+
+    def __init__(self, iterates: np.ndarray, f_values: np.ndarray, grad_norms: np.ndarray,
+                 stop_reason: StopReason, alpha: float):
+        self.iterates = iterates  # (n_iterates, d)
+        self.f_values = f_values  # (n_iterates,)
+        self.grad_norms = grad_norms  # (n_iterates,)
+        self.stop_reason = stop_reason
+        self.alpha = alpha
 
     @property
     def n_steps(self) -> int:
@@ -307,15 +317,18 @@ def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajector
     )
 
 
-@dataclass
 class BatchResult:
     """Final states of a batch of runs; no dense trajectories."""
 
-    final_x: np.ndarray  # (n, d)
-    final_f: np.ndarray  # (n,)
-    final_grad_norm: np.ndarray  # (n,)
-    iterations: np.ndarray  # (n,) steps taken per run
-    stop_reasons: list  # list[StopReason], length n
+    __slots__ = ("final_x", "final_f", "final_grad_norm", "iterations", "stop_reasons")
+
+    def __init__(self, final_x: np.ndarray, final_f: np.ndarray, final_grad_norm: np.ndarray,
+                 iterations: np.ndarray, stop_reasons: list):
+        self.final_x = final_x  # (n, d)
+        self.final_f = final_f  # (n,)
+        self.final_grad_norm = final_grad_norm  # (n,)
+        self.iterations = iterations  # (n,) steps taken per run
+        self.stop_reasons = stop_reasons  # list[StopReason], length n
 
 
 def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> BatchResult:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -120,7 +119,6 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     return _label_table(records)[_basin_codes(final, records, tol)[0]]
 
 
-@dataclass
 class MonteCarloReport:
     """Basin counts for a batch of uniformly initialized trajectories.
 
@@ -131,20 +129,30 @@ class MonteCarloReport:
     arrays are kept for the CSV writers and for auditing single runs.
     """
 
-    n_trials: int
-    seed: int
-    alpha: float
-    init_box: np.ndarray
-    basin_counts: dict
-    diverged: int
-    left_box: int
-    unresolved: int
-    saddle_hits: int
-    records: list = field(default_factory=list)
-    trial_x0: np.ndarray | None = None
-    trial_labels: list = field(default_factory=list)
-    trial_iterations: np.ndarray | None = None
-    trial_final_grad_norm: np.ndarray | None = None
+    __slots__ = ("n_trials", "seed", "alpha", "init_box", "basin_counts", "diverged", "left_box",
+                 "unresolved", "saddle_hits", "records", "trial_x0", "trial_labels",
+                 "trial_iterations", "trial_final_grad_norm")
+
+    def __init__(self, n_trials: int, seed: int, alpha: float, init_box: np.ndarray,
+                 basin_counts: dict, diverged: int, left_box: int, unresolved: int,
+                 saddle_hits: int, records: list | None = None,
+                 trial_x0: np.ndarray | None = None, trial_labels: list | None = None,
+                 trial_iterations: np.ndarray | None = None,
+                 trial_final_grad_norm: np.ndarray | None = None):
+        self.n_trials = n_trials
+        self.seed = seed
+        self.alpha = alpha
+        self.init_box = init_box
+        self.basin_counts = basin_counts
+        self.diverged = diverged
+        self.left_box = left_box
+        self.unresolved = unresolved
+        self.saddle_hits = saddle_hits
+        self.records = [] if records is None else records
+        self.trial_x0 = trial_x0
+        self.trial_labels = [] if trial_labels is None else trial_labels
+        self.trial_iterations = trial_iterations
+        self.trial_final_grad_norm = trial_final_grad_norm
 
     def to_dict(self) -> dict:
         return plain({
@@ -274,7 +282,6 @@ def monte_carlo(
     )
 
 
-@dataclass(frozen=True)
 class RateFit:
     """Least-squares rate estimate over a trajectory tail.
 
@@ -283,12 +290,16 @@ class RateFit:
     ``fitted_exponent`` is the estimated p (negative for decay).
     """
 
-    regime: str  # "Linear" or "Power"
-    fitted_b: float | None
-    fitted_exponent: float | None
-    fit_window: tuple
-    r_squared: float
-    n_points: int
+    __slots__ = ("regime", "fitted_b", "fitted_exponent", "fit_window", "r_squared", "n_points")
+
+    def __init__(self, regime: str, fitted_b: float | None, fitted_exponent: float | None,
+                 fit_window: tuple, r_squared: float, n_points: int):
+        self.regime = regime  # "Linear" or "Power"
+        self.fitted_b = fitted_b
+        self.fitted_exponent = fitted_exponent
+        self.fit_window = fit_window
+        self.r_squared = r_squared
+        self.n_points = n_points
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -415,7 +426,6 @@ def best_rate_fit(traj: Trajectory, x_star) -> RateFit:
     return _best_of(rate_fits(traj, x_star))
 
 
-@dataclass(frozen=True)
 class LojasiewiczCertificate:
     """Sampled check of the gradient inequality near a critical point.
 
@@ -425,13 +435,17 @@ class LojasiewiczCertificate:
     the width on which the certificate was actually exercised.
     """
 
-    a: float
-    m: float
-    epsilon: float
-    neighborhood_radius: float
-    n_samples: int
-    n_used: int
-    violations: int
+    __slots__ = ("a", "m", "epsilon", "neighborhood_radius", "n_samples", "n_used", "violations")
+
+    def __init__(self, a: float, m: float, epsilon: float, neighborhood_radius: float,
+                 n_samples: int, n_used: int, violations: int):
+        self.a = a
+        self.m = m
+        self.epsilon = epsilon
+        self.neighborhood_radius = neighborhood_radius
+        self.n_samples = n_samples
+        self.n_used = n_used
+        self.violations = violations
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -489,16 +503,19 @@ def check_lojasiewicz(
     )
 
 
-@dataclass(frozen=True)
 class PathLengthReport:
     """Empirical tail sums against the gradient-inequality bound."""
 
-    max_ratio: float
-    n_checked: int
-    window: tuple
-    a: float
-    m: float
-    alpha: float
+    __slots__ = ("max_ratio", "n_checked", "window", "a", "m", "alpha")
+
+    def __init__(self, max_ratio: float, n_checked: int, window: tuple, a: float, m: float,
+                 alpha: float):
+        self.max_ratio = max_ratio
+        self.n_checked = n_checked
+        self.window = window
+        self.a = a
+        self.m = m
+        self.alpha = alpha
 
     @property
     def success(self) -> bool:

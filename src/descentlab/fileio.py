@@ -9,9 +9,9 @@ JSON text, on stdout or in a file, is ``json_text`` of a ``plain`` value.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from enum import Enum
@@ -44,11 +44,13 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def plain(value):
-    """``value`` in JSON's own types: a dataclass as a dict of its fields in
+    """``value`` in JSON's own types: a record as a dict of its fields in
     order, arrays and tuples as lists, numpy scalars as Python numbers, enums
-    as their values, dicts and lists member by member; anything else as is."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    as their values, dicts and lists member by member; anything else as is.
+
+    A record is an object whose class names its fields in ``__slots__``, as
+    the library's report records do, or a dataclass instance.
+    """
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (np.ndarray, np.generic)):
@@ -57,7 +59,13 @@ def plain(value):
         return {key: plain(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [plain(item) for item in value]
-    return value
+    names = getattr(type(value), "__slots__", None)
+    if hasattr(type(value), "__dataclass_fields__"):
+        # a dataclass exists only once its module is loaded
+        names = [field.name for field in sys.modules["dataclasses"].fields(value)]
+    if names is None:
+        return value
+    return {name: plain(getattr(value, name)) for name in names}
 
 
 def json_text(payload) -> str:

@@ -13,8 +13,6 @@ matching y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import (GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows,
@@ -26,14 +24,17 @@ from .zoo import _check_vector
 MAX_INNER = 200  # default iteration budget of one inversion
 
 
-@dataclass(frozen=True)
 class ProxSolveReport:
     """Outcome of one inversion: the preimage and its certificate."""
 
-    solution: np.ndarray
-    residual: float  # ||g(solution) - y||
-    inner_iterations: int
-    subproblem_modulus: float  # 1 - alpha * L, the strong-convexity floor
+    __slots__ = ("solution", "residual", "inner_iterations", "subproblem_modulus")
+
+    def __init__(self, solution: np.ndarray, residual: float, inner_iterations: int,
+                 subproblem_modulus: float):
+        self.solution = solution
+        self.residual = residual  # ||g(solution) - y||
+        self.inner_iterations = inner_iterations
+        self.subproblem_modulus = subproblem_modulus  # 1 - alpha * L, the strong-convexity floor
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -174,15 +175,18 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     return solutions, residuals, iterations, modulus
 
 
-@dataclass(frozen=True)
 class InjectivityReport:
     """Sampled lower bound on the gradient map's expansion ratio."""
 
-    n_pairs: int
-    n_used: int
-    min_ratio: float
-    threshold: float  # 1 - alpha * L minus numerical slack
-    violations: int
+    __slots__ = ("n_pairs", "n_used", "min_ratio", "threshold", "violations")
+
+    def __init__(self, n_pairs: int, n_used: int, min_ratio: float, threshold: float,
+                 violations: int):
+        self.n_pairs = n_pairs
+        self.n_used = n_used
+        self.min_ratio = min_ratio
+        self.threshold = threshold  # 1 - alpha * L minus numerical slack
+        self.violations = violations
 
     def to_dict(self) -> dict:
         return plain(self)
@@ -217,14 +221,18 @@ def injectivity_margin_check(
     )
 
 
-@dataclass(frozen=True)
 class RoundTripReport:
     """Worst-case residuals of invert-then-step and step-then-invert."""
 
-    n_samples: int
-    max_forward_residual: float  # ||g(invert(y)) - y|| over sampled y = g(x)
-    max_backward_residual: float  # ||invert(g(x)) - x|| over sampled x
-    tol: float
+    __slots__ = ("n_samples", "max_forward_residual", "max_backward_residual", "tol")
+
+    def __init__(self, n_samples: int, max_forward_residual: float,
+                 max_backward_residual: float, tol: float):
+        self.n_samples = n_samples
+        # ||g(invert(y)) - y|| over sampled y = g(x), and ||invert(g(x)) - x|| over sampled x
+        self.max_forward_residual = max_forward_residual
+        self.max_backward_residual = max_backward_residual
+        self.tol = tol
 
     def to_dict(self) -> dict:
         return plain(self)

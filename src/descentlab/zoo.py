@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -99,12 +98,14 @@ def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
     return Classification.LOCAL_MIN
 
 
-@dataclass(frozen=True)
 class KnownCriticalPoint:
     """A critical point known in closed form, with its expected class."""
 
-    location: np.ndarray
-    expected_class: Classification
+    __slots__ = ("location", "expected_class")
+
+    def __init__(self, location: np.ndarray, expected_class: Classification):
+        self.location = location
+        self.expected_class = expected_class
 
 
 def _has_bool(value) -> bool:

@@ -294,7 +294,7 @@ def test_a_run_that_cannot_settle_is_labelled_without_the_search(
     assert len(lines) == summary["n_steps"] + 2
     # the records of the search, had it run, give the same label
     opts = cli_module._merged(cli_module.build_parser().parse_args([sub, *argv]),
-                              cli_module.COMMANDS[sub])
+                              cli_module.COMMANDS[sub], [])
     traj = run(opts["gmap"], opts["x0"], opts["policy"])
     records = find_critical_points(opts["objective"], seed=opts["seed"])
     assert records and assign_basin(traj, records) == label
@@ -436,7 +436,8 @@ def test_an_unreadable_config_exits_2_with_one_line(tmp_path, capsys, name, cont
     ],
 )
 @pytest.mark.parametrize(
-    "blocked", ["file", "below a file", "artifact is a directory", "name too long"]
+    "blocked",
+    ["file", "below a file", "artifact is a directory", "name too long", "path too long"],
 )
 def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, sub, work, blocked
@@ -450,19 +451,30 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     monkeypatch.setattr(descentlab.cli, work, no_work)
     file = tmp_path / "file"
     file.write_text("kept\n")
-    out = file if blocked == "file" else file / "sub"
-    expected = f"error: --out {out}: {file} exists and is not a directory\n"
+    # the OS's answer, and the path it names
+    out, reason, where = file, errno.EEXIST, file
+    if blocked == "below a file":
+        out = where = file / "sub"
+        reason = errno.ENOTDIR
     if blocked == "artifact is a directory":
         # the command's last file: none of its files may be written first
         last = {"classify": "critical_points.json", "run": "summary.json",
                 "montecarlo": "basins.csv", "invert": "inverse.json"}[sub]
         out = tmp_path / "out"
         (out / last).mkdir(parents=True)
-        expected = f"error: --out {out}: {out / last} is a directory\n"
     if blocked == "name too long":
-        limit = os.pathconf(tmp_path, "PC_NAME_MAX")
-        out = tmp_path / ("x" * (limit + 1)) / "sub"
-        expected = f"error: --out {out}: a name in it is longer than {limit} bytes\n"
+        where = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") + 1))
+        out, reason = where / "sub", errno.ENAMETOOLONG
+    if blocked == "path too long":
+        out = tmp_path.joinpath("deep", *["y" * 250] * 20)
+        limit = os.pathconf(tmp_path, "PC_PATH_MAX")
+        # the first directory whose path with its final NUL is over the limit
+        where = next(path for path in [*reversed(out.parents), out]
+                     if len(os.fsencode(path)) >= limit)
+        reason = errno.ENAMETOOLONG
+    expected = f"error: --out {out}: {os.strerror(reason)}: {where}\n"
+    if blocked == "artifact is a directory":
+        expected = f"error: --out {out}: {out / last} is a directory\n"
     extra = {"montecarlo": ["--trials", "5"], "invert": ["--y", "0.1,0.2"]}.get(sub, [])
     assert main([sub, "--objective", "nesterov", *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -471,7 +483,7 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     assert file.read_text() == "kept\n"
     if blocked == "artifact is a directory":
         assert [path.name for path in out.iterdir()] == [last]
-    if blocked == "name too long":
+    else:  # no directory made for --out is left behind
         assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
@@ -486,17 +498,28 @@ def test_a_full_disk_at_the_rename_exits_1_with_one_line(tmp_path, capsys, monke
     assert main(["run", "--objective", "nesterov", "--out", str(out)]) == 1
     first = out / "trajectory.csv"
     assert capsys.readouterr().err == f"error: {os.strerror(errno.ENOSPC)}: {first}\n"
-    assert list(out.iterdir()) == []  # the temporary file is gone
+    # the temporary file is gone, and so is the empty directory made for it
+    assert not out.exists()
 
 
-def test_an_out_path_over_the_path_limit_exits_1_with_one_line(tmp_path, capsys):
+def test_a_failed_command_removes_only_the_empty_directories_it_made(tmp_path, monkeypatch):
     from descentlab.cli import main
 
-    out = os.path.join(tmp_path, "deep", *["y" * 250] * 20)
-    assert main(["classify", "--objective", "nesterov", "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {os.strerror(errno.ENAMETOOLONG)}: {tmp_path}")
-    assert err.count("\n") == 1
+    replace = os.replace
+
+    def full_at_the_summary(src, dst):
+        if os.path.basename(dst) == "summary.json":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", full_at_the_summary)
+    (tmp_path / "kept").mkdir()
+    written, empty = tmp_path / "kept" / "a" / "b", tmp_path / "kept" / "c" / "d"
+    assert main(["run", "--objective", "nesterov", "--out", str(written)]) == 1
+    # the trajectory was written, so its directory and those above it stay
+    assert [path.name for path in written.iterdir()] == ["trajectory.csv"]
+    assert main(["run", "--objective", "nesterov", "--alpha", "100", "--out", str(empty)]) == 2
+    assert sorted(path.name for path in (tmp_path / "kept").iterdir()) == ["a"]
 
 
 def test_an_out_value_that_is_not_a_path_exits_2(tmp_path, capsys):

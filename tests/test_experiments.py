@@ -445,10 +445,8 @@ def test_monte_carlo_refuses_more_trials_than_an_array_holds(nesterov_records):
     "labels", [[0, "Diverged", 2], [0, 1, 2], ["Diverged", "LeftDomainBox", "Unresolved"]]
 )
 def test_trial_labels_are_written_as_their_text(tmp_path, nesterov_records, labels):
-    import dataclasses
-
     report = monte_carlo(NesterovExample(), 0.09, 3, seed=3, records=nesterov_records)
-    report = dataclasses.replace(report, trial_labels=labels)
+    report.trial_labels = labels
     report.trials_to_csv(tmp_path / "trials.csv")
     rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
     assert [row.split(",")[3] for row in rows] == [str(label) for label in labels]

@@ -49,3 +49,15 @@ def test_run_loads_numpy_random_only_for_the_search_of_a_settled_run(argv, draws
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout == f"{draws}\n"
+
+
+def test_a_cli_run_loads_no_dataclasses():
+    # the report records are plain classes: building them with the dataclass
+    # decorator cost every fresh process about 12 ms of import
+    argv = ["run", "--objective", "nesterov", "--x0", "0.5,0.3"]
+    code = ("import sys, contextlib, io; from descentlab.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+            "print('dataclasses' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"

@@ -21,6 +21,7 @@ from descentlab import (
     PathLengthReport,
     QuarticCopositive,
     RateFit,
+    StopPolicy,
     StronglyConvexQuadratic,
     check_lojasiewicz,
     find_critical_points,
@@ -32,7 +33,11 @@ from descentlab import (
     path_length_check,
     roundtrip_check,
     run,
+    run_many,
+    sample_local_stable_set,
 )
+from descentlab.engine import DEFAULT_POLICY
+from descentlab.fileio import plain
 
 
 def record_oracle(r):
@@ -246,3 +251,83 @@ def test_an_injectivity_report_with_no_pair_used():
 def test_a_path_length_report_built_by_hand():
     report = PathLengthReport(0.25, 3, (np.int64(2), np.int64(9)), 0.5, 1.5, 0.1)
     same_json(report, path_length_oracle)
+
+
+# The JSON keys of every record, in order: ``to_dict`` where the record has
+# one, else ``plain``.  Written down from the records as they were defined
+# with the dataclass decorator.
+RECORD_KEYS = {
+    "CriticalPointRecord": ["location", "grad_norm", "hessian_eigenvalues",
+                            "hessian_eigenvectors", "classification", "is_strict_saddle",
+                            "is_degenerate", "stable_subspace_basis", "stable_dimension",
+                            "degeneracy_tol"],
+    "MonteCarloReport": ["n_trials", "seed", "alpha", "init_box", "basin_counts", "diverged",
+                         "left_box", "unresolved", "saddle_hits", "critical_points"],
+    "RateFit": ["regime", "fitted_b", "fitted_exponent", "fit_window", "r_squared", "n_points"],
+    "LojasiewiczCertificate": ["a", "m", "epsilon", "neighborhood_radius", "n_samples",
+                               "n_used", "violations"],
+    "PathLengthReport": ["max_ratio", "n_checked", "window", "a", "m", "alpha", "success"],
+    "ProxSolveReport": ["solution", "residual", "inner_iterations", "subproblem_modulus"],
+    "InjectivityReport": ["n_pairs", "n_used", "min_ratio", "threshold", "violations"],
+    "RoundTripReport": ["n_samples", "max_forward_residual", "max_backward_residual", "tol"],
+    "KnownCriticalPoint": ["location", "expected_class"],
+    "StopPolicy": ["tol", "divergence_radius", "max_iters"],
+    "Trajectory": ["iterates", "f_values", "grad_norms", "stop_reason", "alpha"],
+    "BatchResult": ["final_x", "final_f", "final_grad_norm", "iterations", "stop_reasons"],
+    "StableSetSample": ["center", "points", "converged", "grid_spacing",
+                        "max_subspace_distance"],
+}
+
+
+@pytest.fixture
+def records():
+    """One record of every kind, each from the library call that makes it."""
+    nesterov = NesterovExample()
+    gmap = GradientMap(nesterov, 0.09)
+    found = find_critical_points(nesterov, seed=0)
+    saddle = next(record for record in found if record.is_strict_saddle)
+    quad = StronglyConvexQuadratic([1.0, 3.0])
+    traj = run(GradientMap(quad, 0.3), np.array([1.0, 1.0]))
+    return [
+        found[0],
+        monte_carlo(nesterov, 0.09, 5, seed=0, records=found),
+        fit_linear_rate(traj, np.zeros(2)),
+        check_lojasiewicz(quad, [0.0, 0.0], a=0.5, m=1.0, radius=0.5, n_samples=10),
+        path_length_check(traj, a=0.5, m=1.0),
+        invert(gmap, [0.1, 0.1]),
+        injectivity_margin_check(gmap, 10),
+        roundtrip_check(gmap, 5),
+        nesterov.known_critical_points()[0],
+        StopPolicy(),
+        traj,
+        run_many(gmap, [[0.1, 0.2]]),
+        sample_local_stable_set(gmap, saddle, radius=0.1, grid=3),
+    ]
+
+
+def test_every_record_keeps_its_json_keys_in_order(records):
+    assert sorted(type(record).__name__ for record in records) == sorted(RECORD_KEYS)
+    for record in records:
+        keys = RECORD_KEYS[type(record).__name__]
+        assert list(record.to_dict() if hasattr(record, "to_dict") else plain(record)) == keys
+        assert list(plain(record)) == list(type(record).__slots__)
+
+
+def test_a_stop_policy_is_immutable_and_every_other_record_is_not(records):
+    # DEFAULT_POLICY is shared by every caller, so no caller may change it
+    for name in StopPolicy.__slots__:
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(DEFAULT_POLICY, name, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(DEFAULT_POLICY, name)
+    assert (DEFAULT_POLICY.tol, DEFAULT_POLICY.divergence_radius,
+            DEFAULT_POLICY.max_iters) == (1e-10, 1e6, 100_000)
+    for record in records:
+        if isinstance(record, StopPolicy):
+            continue
+        name = type(record).__slots__[0]
+        setattr(record, name, "changed")
+        assert getattr(record, name) == "changed"
+        # a record has its fields and no others
+        with pytest.raises(AttributeError):
+            record.not_a_field = 0
