@@ -190,10 +190,11 @@ def _make_out_dir(out, artifacts, created: list) -> None:
     refuses an --out that cannot hold the command's files before any work.
 
     The missing directories of ``out`` are made, outermost first, and
-    appended to ``created``.  The probe is the temporary file of the first
-    of ``artifacts``, written through ``_atomic_handle`` as every artifact
-    is, and abandoned before it is renamed into place.  An --out in which
-    the path of one of ``artifacts`` is a directory is refused too.
+    appended to ``created``.  The probe is the temporary file of the
+    longest of ``artifacts``, written through ``_atomic_handle`` as every
+    artifact is, so its path is at least as long as every artifact's; it
+    is abandoned before it is renamed into place.  An --out in which the
+    path of one of ``artifacts`` is a directory is refused too.
     """
     if not isinstance(out, str):
         raise ContractViolationError(f"out must be a directory path, got {out!r}")
@@ -202,7 +203,7 @@ def _make_out_dir(out, artifacts, created: list) -> None:
         missing.append(path)
         path = os.path.dirname(path)
     try:
-        with _atomic_handle(os.path.join(out, artifacts[0])) as handle:
+        with _atomic_handle(os.path.join(out, max(artifacts, key=len))) as handle:
             handle.write("probe\n")
             raise _Probed
     except _Probed:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import (
-    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _row_norms, _solve_rows,
-    _squared_tolerance, _sum_squares, run_many,
+    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy, _row_norms,
+    _solve_rows, _squared_tolerance, _sum_squares, run_many,
 )
 from .errors import ContractViolationError, _check_count, _check_real
 from .fileio import atomic_write_columns, plain
@@ -354,9 +354,11 @@ def sample_local_stable_set(
     offsets are built symmetrically so the center row sits exactly on the
     invariant axes.  A point counts as converged when its run stops on the
     gradient certificate within ``tol`` (infinity norm) of the saddle;
-    a negative or NaN ``tol`` is refused before any work.
+    a negative or NaN ``tol`` and a ``policy`` that is not a ``StopPolicy``
+    (None: ``DEFAULT_POLICY``) are refused before any work.
     """
     _check_real(tol, "tol", "non-negative")
+    policy = _check_policy(policy)
     _check_records([record], gmap.objective.dimension, "record")
     if not record.is_strict_saddle:
         raise ContractViolationError("stable-set sampling expects a strict saddle record")
@@ -372,7 +374,7 @@ def sample_local_stable_set(
         inside = sx * sx + sy * sy <= ((grid - 1) / 2.0) ** 2
         points = center + spacing * np.stack([sx[inside], sy[inside]], axis=1)
 
-    result = run_many(gmap, points, policy or StopPolicy())
+    result = run_many(gmap, points, policy)
     settled = np.array(
         [reason is StopReason.GRAD_NORM_BELOW_TOL for reason in result.stop_reasons], dtype=bool
     )

@@ -86,6 +86,13 @@ class StopPolicy:
 DEFAULT_POLICY = StopPolicy()
 
 
+def _check_policy(policy) -> StopPolicy:
+    """``policy``, or ``DEFAULT_POLICY`` for None; anything else is refused."""
+    if not (policy is None or isinstance(policy, StopPolicy)):
+        raise ContractViolationError(f"policy must be a StopPolicy or None, got {policy!r}")
+    return DEFAULT_POLICY if policy is None else policy
+
+
 class GradientMap:
     """g(x) = x - alpha * grad f(x) for a fixed objective and step size.
 
@@ -289,32 +296,33 @@ def _backtrack(residual, x, direction, rows, tries: int, decrease, out):
     return accepted
 
 
-def run(gmap: GradientMap, x0, policy: StopPolicy = DEFAULT_POLICY) -> Trajectory:
+def run(gmap: GradientMap, x0, policy: StopPolicy | None = None) -> Trajectory:
     """Iterate the gradient map from x0, recording every iterate.
 
     The first triggered condition decides ``stop_reason``, checked in the
     order: gradient tolerance, divergence radius, iteration cap, domain-box
     exit.  The box-exit check applies only to objectives whose Lipschitz
     certificate is box-local; quadratics carry a global bound and are free
-    to leave the box (that is how divergence is observed).
+    to leave the box (that is how divergence is observed).  ``policy``
+    None means ``DEFAULT_POLICY``.  f and the gradient norms are read off
+    the iterates once, after the loop, with the loop's own row arithmetic.
 
     Raises NumericalFailureError (with the iterate index) if a non-finite
     value or gradient appears.
     """
+    policy = _check_policy(policy)
     obj = gmap.objective
     x = _check_vector(x0, (obj.dimension,), "x0")
     if not obj.lipschitz_global and not obj.contains(x):
         raise ContractViolationError("x0 lies outside domain_box, where the step-size certificate holds")
-    result, blocks = _descend(gmap, x[None, :], policy, history=True)
-    n = result.iterations[0] + 1
-    iterates, f_values, squares = (np.concatenate(column)[:n] for column in zip(*blocks))
-    return Trajectory(
-        iterates=iterates,
-        f_values=f_values,
-        grad_norms=np.sqrt(squares),
-        stop_reason=result.stop_reasons[0],
-        alpha=gmap.alpha,
-    )
+    blocks = []
+    result = _descend(gmap, x[None, :], policy, blocks)
+    iterates = np.concatenate(blocks)[:result.iterations[0] + 1]
+    # as in the loop: a finite gradient whose norm overflows is a legal iterate
+    with np.errstate(all="ignore"):
+        f_values = obj._value(iterates)
+        grad_norms = _row_norms(obj._gradient(iterates))
+    return Trajectory(iterates, f_values, grad_norms, result.stop_reasons[0], gmap.alpha)
 
 
 class BatchResult:
@@ -331,19 +339,21 @@ class BatchResult:
         self.stop_reasons = stop_reasons  # list[StopReason], length n
 
 
-def run_many(gmap: GradientMap, x0s, policy: StopPolicy = DEFAULT_POLICY) -> BatchResult:
+def run_many(gmap: GradientMap, x0s, policy: StopPolicy | None = None) -> BatchResult:
     """Advance many starting points at once, with ``run``'s stop rule.
 
     Each row's final state matches a ``run`` from that row bit for bit;
-    only the dense history is skipped.
+    only the dense history is skipped.  ``policy`` None means
+    ``DEFAULT_POLICY``.
     """
+    policy = _check_policy(policy)
     obj = gmap.objective
     # row-major whatever the input's layout: from _PAIRWISE_FROM columns on, numpy sums
     # a row of a column-major batch in another order than run's point
     x0s = np.ascontiguousarray(_check_vector(x0s, ("n", obj.dimension), "x0s"))
     if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
         raise ContractViolationError("some starting points lie outside domain_box")
-    return _descend(gmap, x0s, policy)[0]
+    return _descend(gmap, x0s, policy)
 
 
 # Stop codes of the stepping loop, in the precedence order of the stop
@@ -395,10 +405,10 @@ def _columns_within(x, lo: float, hi: float) -> bool:
     return bool(lo <= x.min() and x.max() <= hi)
 
 
-def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bool = False):
+def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=None) -> BatchResult:
     """The stepping loop of ``run`` and ``run_many``, on a validated (n, d) batch.
 
-    Returns ``(BatchResult, history)``.  Rows are stepped with elementwise
+    Returns a ``BatchResult``.  Rows are stepped with elementwise
     arithmetic, so no row's results depend on the rest of the batch.
 
     The loop steps a block of b iterates of every active row, calling
@@ -427,15 +437,14 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
 
     The tolerance test is ``sq <= tol2`` on the squared norms, which is
     ``sqrt(sq) <= tol`` bit for bit (``_squared_tolerance``), so square
-    roots are taken only for the stopping iterates (and by ``run`` for its
-    history).  On an objective certified finite on its box, a block
-    inside the box with finite squared norms needs no finiteness screen,
-    so f is computed only at the stopping iterates; when, besides, no squared
-    norm reaches ``tol2``, no row can diverge and the cap is not in the
-    block, the loop advances without building any mask.  ``run`` (whose
-    history records f at every iterate), objectives without the
-    certificate, blocks outside the box and the quadratics, whose rows
-    may leave it, take f for the whole block and screen it.
+    roots are taken only for the stopping iterates.  On an objective
+    certified finite on its box, a block inside the box with finite
+    squared norms needs no finiteness screen, so f is computed only at the
+    stopping iterates; when, besides, no squared norm reaches ``tol2``, no
+    row can diverge and the cap is not in the block, the loop advances
+    without building any mask.  Objectives without the certificate,
+    blocks outside the box and the quadratics, whose rows may leave it,
+    take f for the whole block and screen it.
 
     The divergence and box tests are first settled for the whole block
     with one ``min`` and one ``max`` (``_columns_within``) against the
@@ -449,13 +458,11 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     ``compress``, never with a boolean mask on 2-D rows, which is about
     ten times slower than ``compress``.
 
-    With ``history`` set, ``x0s`` holds one row and ``history`` is the
-    list of every block's ``(xs, f, sq)`` of that row: its iterates,
-    values and squared gradient norms, including the steps past the stop,
-    so nothing is sized by ``policy.max_iters``.  Otherwise ``history``
-    is None.  Overflow in the arithmetic is not reported as a numpy
-    warning: the finiteness screen turns it into a
-    ``NumericalFailureError``.
+    Given a list ``iterates``, ``x0s`` holds one row (a ``run``), and the
+    iterates of each block of it are appended, including the steps past
+    the stop, so nothing is sized by ``policy.max_iters``.  Overflow in
+    the arithmetic is not reported as a numpy warning: the finiteness
+    screen turns it into a ``NumericalFailureError``.
     """
     obj = gmap.objective
     value, gradient, alpha = obj._value, obj._gradient, gmap.alpha
@@ -468,14 +475,13 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
     final_gn = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
     codes = np.full(n, _RUNNING, dtype=np.int8)
-    blocks = [] if history else None
 
     # Rows whose entries all lie in [-cube, cube] have norm below the
     # divergence radius.  A box-local certificate keeps the rows inside
     # the box, which settles divergence too when the box fits the cube.
     cube = float(min(radius, _NORM_SAFE) / (np.sqrt(d) * (1.0 + _BOUND_SLACK)))
     check_box = not obj.lipschitz_global
-    certified = check_box and obj.finite_on_box and not history
+    certified = check_box and obj.finite_on_box
     box = obj.domain_box
     box_lo, box_hi = float(box[:, 0].max()), float(box[:, 1].min())
     box_in_cube = bool(np.all(box[:, 0] >= -cube) and np.all(box[:, 1] <= cube))
@@ -504,6 +510,8 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 xs = np.array(xs).reshape(b + 1, 1, d)
                 gs = np.array(gs).reshape(b, 1, d)
                 xs, x_next = xs[:b], xs[b]
+            if iterates is not None:
+                iterates.append(xs[:, 0])
 
             flat = xs.reshape(-1, d)
             sq = _sum_squares(gs)
@@ -526,8 +534,6 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                 # every non-finite iterate; an overflowed norm flags a
                 # finite one too, which the exact test below lets through.
                 suspect = ~(np.isfinite(f) & np.isfinite(sq))
-            if history:
-                blocks.append((xs[:, 0], f[:, 0], sq[:, 0]))
             tol_hit = sq <= tol2
             flagged = tol_hit | suspect
 
@@ -555,7 +561,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
                     if bad.any():
                         # the first bad iterate, then the lowest trial
                         j, r = divmod(int(np.argmax(bad)), m)
-                        trial = "" if history else f" (trial {int(active[r])})"
+                        trial = "" if iterates is not None else f" (trial {int(active[r])})"
                         raise NumericalFailureError(
                             f"non-finite value or gradient at iterate {k + j}{trial}", k + j
                         )
@@ -580,8 +586,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, history: bo
             k += b
 
     reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()
-    result = BatchResult(final_x, final_f, final_gn, iterations, reasons)
-    return result, blocks
+    return BatchResult(final_x, final_f, final_gn, iterations, reasons)
 
 
 def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:

@@ -9,7 +9,6 @@ the (a, m) pair those rates are predicted from.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 
@@ -23,6 +22,7 @@ from .engine import (
     StopReason,
     Trajectory,
     _box_samples,
+    _check_policy,
     _row_norms,
     run_many,
 )
@@ -217,15 +217,18 @@ def monte_carlo(
     lie inside it.  Critical-point records default to a fresh multistart
     search with its own fixed seed, so basin indices do not depend on the
     Monte Carlo seed; given ones that are not ``CriticalPointRecord``s of
-    the objective's dimension are refused before any work.  ``n_jobs`` (at
-    least 1) is the most threads to use: the trials are split, in trial
-    order, into
-    ``min(n_jobs, os.cpu_count(), max(1, n_trials // MIN_CHUNK))`` chunks,
-    one thread each.  The starts come from one RNG stream for ``seed`` (a
-    non-negative integer), drawn in trial order before the split, and the
-    stepping is elementwise, so the report is identical for any split.
+    the objective's dimension are refused before any work, as is a
+    ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``).
+    ``n_jobs`` (at least 1) is the most threads to use: the trials are
+    split in trial order into
+    ``min(n_jobs, os.cpu_count(), max(1, n_trials // MIN_CHUNK))`` parts,
+    each stepped and labelled by one thread.  The starts come from one RNG
+    stream for ``seed`` (a non-negative integer), drawn in trial order
+    before the split, and the stepping is elementwise, so the report is
+    identical for any split.
     """
     _check_count(n_jobs, "n_jobs", least=1)
+    policy = _check_policy(policy)
     _check_real(basin_tol, "basin_tol", "non-negative")
     gmap = GradientMap(objective, alpha)
     domain = objective.domain_box
@@ -237,26 +240,20 @@ def monte_carlo(
     x0s = _box_samples(seed, n_trials, box, "n_trials")
     if records is None:
         records = find_critical_points(objective)
-    policy = policy or StopPolicy()
 
-    workers = _worker_count(n_jobs, n_trials, os.cpu_count() or 1)
-    if workers == 1:
-        result = run_many(gmap, x0s, policy)
+    def label(part):
+        result = run_many(gmap, part, policy)
+        return _basin_codes(result, records, basin_tol), result.iterations, result.final_grad_norm
+
+    parts = np.array_split(x0s, _worker_count(n_jobs, n_trials, os.cpu_count() or 1))
+    if len(parts) == 1:
+        labelled = map(label, parts)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(np.arange(n_trials), workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: run_many(gmap, x0s[c], policy), chunks))
-        result = BatchResult(
-            final_x=np.concatenate([p.final_x for p in parts]),
-            final_f=np.concatenate([p.final_f for p in parts]),
-            final_grad_norm=np.concatenate([p.final_grad_norm for p in parts]),
-            iterations=np.concatenate([p.iterations for p in parts]),
-            stop_reasons=list(itertools.chain.from_iterable(p.stop_reasons for p in parts)),
-        )
-
-    codes = _basin_codes(result, records, basin_tol)
+        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+            labelled = list(pool.map(label, parts))
+    codes, iterations, final_grad_norm = (np.concatenate(column) for column in zip(*labelled))
     table = _label_table(records)
     labels = np.array(table, dtype=object)[codes].tolist()
     counts = np.bincount(codes, minlength=len(table)).tolist()
@@ -277,8 +274,8 @@ def monte_carlo(
         records=list(records),
         trial_x0=x0s,
         trial_labels=labels,
-        trial_iterations=result.iterations,
-        trial_final_grad_norm=result.final_grad_norm,
+        trial_iterations=iterations,
+        trial_final_grad_norm=final_grad_norm,
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 import tempfile
 from contextlib import contextmanager
 from enum import Enum
@@ -23,11 +22,16 @@ CSV_BLOCK_ROWS = 1024  # rows formatted per block of a streamed CSV table
 
 @contextmanager
 def _atomic_handle(path):
-    """A text handle on a temporary file, renamed onto ``path`` on success."""
+    """A text handle on a temporary file, renamed onto ``path`` on success.
+
+    The temporary name is ``.tmp-XXXXXXXX~``, padded with ``~`` to the
+    byte length of ``path``'s name, so its path is never the shorter.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
+    directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    pad = max(1, len(os.fsencode(name)) - 13)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~" * pad)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -49,7 +53,7 @@ def plain(value):
     as their values, dicts and lists member by member; anything else as is.
 
     A record is an object whose class names its fields in ``__slots__``, as
-    the library's report records do, or a dataclass instance.
+    the library's report records do.
     """
     if isinstance(value, Enum):
         return value.value
@@ -60,9 +64,6 @@ def plain(value):
     if isinstance(value, (list, tuple)):
         return [plain(item) for item in value]
     names = getattr(type(value), "__slots__", None)
-    if hasattr(type(value), "__dataclass_fields__"):
-        # a dataclass exists only once its module is loaded
-        names = [field.name for field in sys.modules["dataclasses"].fields(value)]
     if names is None:
         return value
     return {name: plain(getattr(value, name)) for name in names}

@@ -4,13 +4,15 @@ one rule of its kind, before any work.
 The rules: a real number (NaN refused, optionally non-negative or
 positive), a count (an integer, not a boolean, at least 0 or 1), an array
 (finite numbers of a shape), a box (an array of [lo, hi] rows with
-lo < hi) and a record (a ``CriticalPointRecord`` located at a point of the
-objective's dimension).  For each scalar, count and box parameter the first table below
+lo < hi), a record (a ``CriticalPointRecord`` located at a point of the
+objective's dimension) and a stop policy (a ``StopPolicy``, or None for
+``DEFAULT_POLICY``).  For each scalar, count and box parameter the first table below
 feeds NaN, both booleans, a string, None (where None is not the default) and a
 value of the wrong sign or range, or a box with lo > hi; for each array
 parameter the second table feeds NaN, inf, booleans, strings, None, a
 ragged list and a wrong shape; for each record parameter the third table
-feeds records of another dimension and things that are not records.  Each
+feeds records of another dimension and things that are not records; the
+last table feeds every ``policy`` parameter things that are not policies.  Each
 is refused with a contract violation that
 names the parameter, while the critical-point search, the stepping loop
 and the batched inversion are patched to fail if they are reached.
@@ -49,8 +51,9 @@ from descentlab import (
 )
 from descentlab import critical, engine, experiments, inverse
 from descentlab.critical import grid_spacing
-from descentlab.engine import closed_form_quadratic, descent_violations
+from descentlab.engine import DEFAULT_POLICY, closed_form_quadratic, descent_violations
 from descentlab.errors import _check_real
+from descentlab.fileio import plain
 from descentlab.jacobi import eigh_jacobi
 
 OBJECTIVE = NesterovExample()
@@ -318,3 +321,36 @@ def test_every_record_argument_is_refused_by_its_rule_before_any_work(
 ])
 def test_every_record_table_entry_is_valid(func, fixed, name, good):
     func(**{**fixed, name: good})
+
+
+# (function, the other arguments): every one takes ``policy``, None meaning
+# DEFAULT_POLICY, and refuses anything that is not a StopPolicy
+POLICY_ARGUMENTS = [
+    (run, {"gmap": GMAP, "x0": [0.5, 0.5]}),
+    (run_many, {"gmap": GMAP, "x0s": [[0.5, 0.5], [0.1, 0.2]]}),
+    (monte_carlo, CENSUS),
+    (sample_local_stable_set, STABLE_SET),
+]
+NOT_POLICIES = [0, [], "x", 1e-10, False, {"tol": 1e-10}, StopPolicy]
+
+
+@pytest.mark.parametrize("func, fixed, value", [
+    pytest.param(func, fixed, value, id=f"{func.__name__}-{value!r}")
+    for func, fixed in POLICY_ARGUMENTS for value in NOT_POLICIES
+])
+def test_every_policy_argument_is_refused_unless_a_stop_policy_before_any_work(
+    func, fixed, value, monkeypatch
+):
+    monkeypatch.setattr(engine, "_descend", _no_work)
+    monkeypatch.setattr(experiments, "find_critical_points", _no_work)
+    monkeypatch.setattr(critical, "_newton_roots", _no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        func(**fixed, policy=value)
+    assert str(refused.value) == f"policy must be a StopPolicy or None, got {value!r}"
+
+
+@pytest.mark.parametrize("func, fixed", [
+    pytest.param(func, fixed, id=func.__name__) for func, fixed in POLICY_ARGUMENTS
+])
+def test_a_policy_of_none_is_the_default_policy(func, fixed):
+    assert plain(func(**fixed, policy=None)) == plain(func(**fixed, policy=DEFAULT_POLICY))

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -437,7 +438,8 @@ def test_an_unreadable_config_exits_2_with_one_line(tmp_path, capsys, name, cont
 )
 @pytest.mark.parametrize(
     "blocked",
-    ["file", "below a file", "artifact is a directory", "name too long", "path too long"],
+    ["file", "below a file", "artifact is a directory", "name too long", "path too long",
+     "artifact path over the limit"],
 )
 def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     tmp_path, capsys, monkeypatch, sub, work, blocked
@@ -472,6 +474,20 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
         where = next(path for path in [*reversed(out.parents), out]
                      if len(os.fsencode(path)) >= limit)
         reason = errno.ENAMETOOLONG
+    if blocked == "artifact path over the limit":
+        # --out fits the limit, but the path of its longest file is over it
+        # by the final NUL; so is the probe, a temporary name as long
+        longest = {"classify": "critical_points.json", "run": "trajectory.csv",
+                   "montecarlo": "report.json", "invert": "inverse.json"}[sub]
+        limit = os.pathconf(tmp_path, "PC_PATH_MAX")
+        # the bytes of --out past tmp_path, slashes included
+        below = limit - 1 - len(longest) - len(os.fsencode(tmp_path))
+        parts = ["y" * 99] * (below // 100 - 1) + ["z" * (below % 100 + 99)]
+        out = tmp_path.joinpath(*parts)
+        assert len(os.fsencode(out / longest)) == limit
+        # mkstemp's 8 random characters, then "~" up to the artifact's length
+        where = out / (".tmp-XXXXXXXX" + "~" * max(1, len(longest) - 13))
+        reason = errno.ENAMETOOLONG
     expected = f"error: --out {out}: {os.strerror(reason)}: {where}\n"
     if blocked == "artifact is a directory":
         expected = f"error: --out {out}: {out / last} is a directory\n"
@@ -479,7 +495,7 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
     assert main([sub, "--objective", "nesterov", *extra, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == expected
+    assert re.sub(r"/\.tmp-\w{8}~", "/.tmp-XXXXXXXX~", captured.err) == expected
     assert file.read_text() == "kept\n"
     if blocked == "artifact is a directory":
         assert [path.name for path in out.iterdir()] == [last]

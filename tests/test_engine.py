@@ -913,6 +913,18 @@ def test_a_certified_batch_in_its_box_takes_f_only_at_the_stops():
     assert obj.points >= traj.n_steps + 1
 
 
+def test_a_run_takes_f_at_its_stop_and_then_once_over_its_iterates(monkeypatch):
+    # the loop hands run bare iterates, so a run inside a certified box
+    # takes the lean path too; run reads f off the iterates once, at the end
+    obj = QuarticCopositive([[0.25]])
+    batches = []
+    value = obj._value
+    monkeypatch.setattr(obj, "_value", lambda x: batches.append(x.shape[0]) or value(x))
+    traj = run(GradientMap(obj, 0.1), [0.6], StopPolicy(tol=0.0, max_iters=10_000))
+    assert traj.stop_reason is StopReason.MAX_ITERS
+    assert batches == [1, 10_001]
+
+
 _OBJ = NesterovExample()
 
 

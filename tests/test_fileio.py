@@ -1,7 +1,6 @@
 """Atomic writers, CSV cell formatting and the JSON form of values."""
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -92,18 +91,22 @@ class _Color(Enum):
     BLUE = 2
 
 
-@dataclass
 class _Inner:
-    point: np.ndarray
-    color: _Color
+    __slots__ = ("point", "color")
+
+    def __init__(self, point: np.ndarray, color: _Color):
+        self.point = point
+        self.color = color
 
 
-@dataclass(frozen=True)
 class _Outer:
-    name: str
-    inner: _Inner
-    window: tuple
-    extra: float | None = None
+    __slots__ = ("name", "inner", "window", "extra")
+
+    def __init__(self, name: str, inner: _Inner, window: tuple, extra: float | None = None):
+        self.name = name
+        self.inner = inner
+        self.window = window
+        self.extra = extra
 
 
 @pytest.mark.parametrize(
@@ -138,7 +141,7 @@ def test_plain_gives_json_types(value, expected):
     assert type(result) is type(expected)
 
 
-def test_plain_turns_a_dataclass_into_its_fields_in_order():
+def test_plain_turns_a_slotted_record_into_its_fields_in_order():
     value = _Outer("o", _Inner(np.array([1.0, 2.0]), _Color.BLUE), (np.int64(0), 4))
     result = plain(value)
     assert list(result) == ["name", "inner", "window", "extra"]
@@ -148,7 +151,7 @@ def test_plain_turns_a_dataclass_into_its_fields_in_order():
         "window": [0, 4],
         "extra": None,
     }
-    # a dataclass type is not an instance, and is returned as it is
+    # a record type is not an instance, and is returned as it is
     assert plain(_Outer) is _Outer
 
 

@@ -61,3 +61,16 @@ def test_a_cli_run_loads_no_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("jobs", [[], ["--n-jobs", "2"]])
+def test_a_serial_cli_census_loads_no_thread_pool(jobs):
+    # one part is labelled with the builtin map: importing concurrent.futures
+    # for a pool would cost every such process about 4-5 ms
+    argv = ["montecarlo", "--objective", "nesterov", "--trials", "2000", *jobs]
+    code = ("import sys, contextlib, io; from descentlab.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout == "False\n"
