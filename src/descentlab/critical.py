@@ -16,9 +16,9 @@ from .engine import (
     _solve_rows, _squared_tolerance, _sum_squares, run_many,
 )
 from .errors import ContractViolationError, _check_count, _check_real
-from .fileio import atomic_write_columns, plain
+from .fileio import Record, atomic_write_columns
 from .jacobi import eigh_jacobi
-from .zoo import DEGENERACY_TOL, Classification, Objective, _check_vector, _classify_spectrum
+from .zoo import DEGENERACY_TOL, Objective, _check_vector, _classify_spectrum
 
 DEDUP_TOL = 1e-6
 # Iterations of one Newton search, at most.  On the degenerate root of a
@@ -29,7 +29,7 @@ DEDUP_TOL = 1e-6
 NEWTON_BUDGET = 400
 
 
-class CriticalPointRecord:
+class CriticalPointRecord(Record):
     """Everything classify() knows about one critical point.
 
     ``hessian_eigenvalues`` are ascending and ``hessian_eigenvectors[:, i]``
@@ -47,28 +47,11 @@ class CriticalPointRecord:
     __slots__ = ("location", "grad_norm", "hessian_eigenvalues", "hessian_eigenvectors",
                  "classification", "is_strict_saddle", "is_degenerate", "stable_subspace_basis",
                  "stable_dimension", "degeneracy_tol")
-
-    def __init__(self, location: np.ndarray, grad_norm: float, hessian_eigenvalues: np.ndarray,
-                 hessian_eigenvectors: np.ndarray, classification: Classification,
-                 is_strict_saddle: bool, is_degenerate: bool, stable_subspace_basis: np.ndarray,
-                 stable_dimension: int, degeneracy_tol: float = DEGENERACY_TOL):
-        self.location = location
-        self.grad_norm = grad_norm
-        self.hessian_eigenvalues = hessian_eigenvalues
-        self.hessian_eigenvectors = hessian_eigenvectors
-        self.classification = classification
-        self.is_strict_saddle = is_strict_saddle
-        self.is_degenerate = is_degenerate
-        self.stable_subspace_basis = stable_subspace_basis
-        self.stable_dimension = stable_dimension
-        self.degeneracy_tol = degeneracy_tol
+    _defaults = {"degeneracy_tol": DEGENERACY_TOL}
 
     @property
     def dimension(self) -> int:
         return self.location.shape[0]
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def _check_records(records, dimension: int, name: str = "records") -> list:
@@ -290,7 +273,7 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     return v[:, keep]
 
 
-class StableSetSample:
+class StableSetSample(Record):
     """Grid sample of the local stable set around a strict saddle.
 
     ``points`` is every sampled initial condition (grid order), ``converged``
@@ -301,14 +284,6 @@ class StableSetSample:
     """
 
     __slots__ = ("center", "points", "converged", "grid_spacing", "max_subspace_distance")
-
-    def __init__(self, center: np.ndarray, points: np.ndarray, converged: np.ndarray,
-                 grid_spacing: float, max_subspace_distance: float):
-        self.center = center
-        self.points = points
-        self.converged = converged
-        self.grid_spacing = grid_spacing
-        self.max_subspace_distance = max_subspace_distance
 
     @property
     def converged_points(self) -> np.ndarray:
@@ -375,9 +350,7 @@ def sample_local_stable_set(
         points = center + spacing * np.stack([sx[inside], sy[inside]], axis=1)
 
     result = run_many(gmap, points, policy)
-    settled = np.array(
-        [reason is StopReason.GRAD_NORM_BELOW_TOL for reason in result.stop_reasons], dtype=bool
-    )
+    settled = np.asarray(result.stop_reasons, dtype=object) == StopReason.GRAD_NORM_BELOW_TOL.value
     near = np.max(np.abs(result.final_x - center), axis=1) <= tol
     converged = settled & near
 

@@ -45,7 +45,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolationError, NumericalFailureError, _check_count, _check_real
-from .fileio import atomic_write_columns
+from .fileio import Record, atomic_write_columns
 from .zoo import _PAIRWISE_FROM, Objective, _check_vector
 
 
@@ -56,7 +56,7 @@ class StopReason(str, Enum):
     LEFT_DOMAIN_BOX = "LeftDomainBox"
 
 
-class StopPolicy:
+class StopPolicy(Record):
     """Termination rules for the iteration.
 
     ``tol`` is on the gradient norm, ``divergence_radius`` on ||x||.  The
@@ -65,16 +65,14 @@ class StopPolicy:
     """
 
     __slots__ = ("tol", "divergence_radius", "max_iters")
+    _defaults = {"tol": 1e-10, "divergence_radius": 1e6, "max_iters": 100_000}
 
-    def __init__(self, tol: float = 1e-10, divergence_radius: float = 1e6,
-                 max_iters: int = 100_000):
-        _check_real(tol, "tol", "non-negative")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _check_real(self.tol, "tol", "non-negative")
         # the stepping loop sizes its blocks by the iterations left
-        _check_count(max_iters, "max_iters")
-        _check_real(divergence_radius, "divergence_radius", "positive")
-        object.__setattr__(self, "tol", tol)
-        object.__setattr__(self, "divergence_radius", divergence_radius)
-        object.__setattr__(self, "max_iters", max_iters)
+        _check_count(self.max_iters, "max_iters")
+        _check_real(self.divergence_radius, "divergence_radius", "positive")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a StopPolicy is immutable: cannot set {name}")
@@ -136,22 +134,16 @@ def alpha_from_theta(objective: Objective, theta: float = 0.99) -> float:
     return theta / lip
 
 
-class Trajectory:
+class Trajectory(Record):
     """A recorded gradient-descent run.
 
-    ``iterates[k+1]`` is exactly the gradient step applied to
-    ``iterates[k]`` (bit-reproducible for a fixed objective and alpha).
+    ``iterates`` has shape (n_iterates, d); ``f_values`` and
+    ``grad_norms`` have shape (n_iterates,).  ``iterates[k+1]`` is exactly
+    the gradient step applied to ``iterates[k]`` (bit-reproducible for a
+    fixed objective and alpha).
     """
 
     __slots__ = ("iterates", "f_values", "grad_norms", "stop_reason", "alpha")
-
-    def __init__(self, iterates: np.ndarray, f_values: np.ndarray, grad_norms: np.ndarray,
-                 stop_reason: StopReason, alpha: float):
-        self.iterates = iterates  # (n_iterates, d)
-        self.f_values = f_values  # (n_iterates,)
-        self.grad_norms = grad_norms  # (n_iterates,)
-        self.stop_reason = stop_reason
-        self.alpha = alpha
 
     @property
     def n_steps(self) -> int:
@@ -325,18 +317,15 @@ def run(gmap: GradientMap, x0, policy: StopPolicy | None = None) -> Trajectory:
     return Trajectory(iterates, f_values, grad_norms, result.stop_reasons[0], gmap.alpha)
 
 
-class BatchResult:
-    """Final states of a batch of runs; no dense trajectories."""
+class BatchResult(Record):
+    """Final states of a batch of n runs; no dense trajectories.
+
+    ``final_x`` has shape (n, d); ``final_f``, ``final_grad_norm`` and
+    ``iterations`` (the steps each run took) have shape (n,).
+    ``stop_reasons`` is a list of n ``StopReason``s.
+    """
 
     __slots__ = ("final_x", "final_f", "final_grad_norm", "iterations", "stop_reasons")
-
-    def __init__(self, final_x: np.ndarray, final_f: np.ndarray, final_grad_norm: np.ndarray,
-                 iterations: np.ndarray, stop_reasons: list):
-        self.final_x = final_x  # (n, d)
-        self.final_f = final_f  # (n,)
-        self.final_grad_norm = final_grad_norm  # (n,)
-        self.iterations = iterations  # (n,) steps taken per run
-        self.stop_reasons = stop_reasons  # list[StopReason], length n
 
 
 def run_many(gmap: GradientMap, x0s, policy: StopPolicy | None = None) -> BatchResult:

@@ -28,7 +28,7 @@ from .engine import (
 )
 from .errors import (BasinAmbiguityError, ContractViolationError, InapplicableError,
                      InsufficientDataError, _check_count, _check_real)
-from .fileio import atomic_write_columns, plain
+from .fileio import Record, atomic_write_columns, plain
 from .zoo import Objective, _as_box, _check_vector
 
 LABEL_DIVERGED = "Diverged"
@@ -45,12 +45,6 @@ FIT_FLOOR = 100.0 * np.finfo(float).eps
 MIN_CHUNK = 10_000
 
 
-# a bare StopReason operand would be converted to a numpy string and
-# compare unequal to every object; a 0-d object array compares members
-_DIVERGED = np.array(StopReason.DIVERGED, dtype=object)
-_LEFT_BOX = np.array(StopReason.LEFT_DOMAIN_BOX, dtype=object)
-
-
 def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
     """Which final states a critical-point record may claim, as booleans.
 
@@ -60,7 +54,8 @@ def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
     records are read only for a settled one.
     """
     reasons = np.asarray(stop_reasons, dtype=object)
-    return (reasons != _DIVERGED) & (reasons != _LEFT_BOX) & ~(np.asarray(final_grad_norm) > tol)
+    return ((reasons != StopReason.DIVERGED.value) & (reasons != StopReason.LEFT_DOMAIN_BOX.value)
+            & ~(np.asarray(final_grad_norm) > tol))
 
 
 def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
@@ -76,8 +71,8 @@ def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
     n_records = len(records)
     reasons = np.asarray(result.stop_reasons, dtype=object)
     codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
-    codes[reasons == _DIVERGED] = n_records
-    codes[reasons == _LEFT_BOX] = n_records + 1
+    codes[reasons == StopReason.DIVERGED.value] = n_records
+    codes[reasons == StopReason.LEFT_DOMAIN_BOX.value] = n_records + 1
     settled = _settled(reasons, result.final_grad_norm, tol)
     ambiguous = np.zeros_like(settled)
     for i, rec in enumerate(records):
@@ -119,7 +114,7 @@ def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
     return _label_table(records)[_basin_codes(final, records, tol)[0]]
 
 
-class MonteCarloReport:
+class MonteCarloReport(Record):
     """Basin counts for a batch of uniformly initialized trajectories.
 
     ``basin_counts`` maps record index to count; together with the
@@ -132,27 +127,15 @@ class MonteCarloReport:
     __slots__ = ("n_trials", "seed", "alpha", "init_box", "basin_counts", "diverged", "left_box",
                  "unresolved", "saddle_hits", "records", "trial_x0", "trial_labels",
                  "trial_iterations", "trial_final_grad_norm")
+    _defaults = dict.fromkeys(("records", "trial_x0", "trial_labels", "trial_iterations",
+                               "trial_final_grad_norm"))
 
-    def __init__(self, n_trials: int, seed: int, alpha: float, init_box: np.ndarray,
-                 basin_counts: dict, diverged: int, left_box: int, unresolved: int,
-                 saddle_hits: int, records: list | None = None,
-                 trial_x0: np.ndarray | None = None, trial_labels: list | None = None,
-                 trial_iterations: np.ndarray | None = None,
-                 trial_final_grad_norm: np.ndarray | None = None):
-        self.n_trials = n_trials
-        self.seed = seed
-        self.alpha = alpha
-        self.init_box = init_box
-        self.basin_counts = basin_counts
-        self.diverged = diverged
-        self.left_box = left_box
-        self.unresolved = unresolved
-        self.saddle_hits = saddle_hits
-        self.records = [] if records is None else records
-        self.trial_x0 = trial_x0
-        self.trial_labels = [] if trial_labels is None else trial_labels
-        self.trial_iterations = trial_iterations
-        self.trial_final_grad_norm = trial_final_grad_norm
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.records is None:
+            self.records = []
+        if self.trial_labels is None:
+            self.trial_labels = []
 
     def to_dict(self) -> dict:
         return plain({
@@ -279,27 +262,16 @@ def monte_carlo(
     )
 
 
-class RateFit:
+class RateFit(Record):
     """Least-squares rate estimate over a trajectory tail.
 
     Linear regime: distances behave like C * b^k and ``fitted_b`` is the
     estimated b.  Power regime: distances behave like C * k^p and
-    ``fitted_exponent`` is the estimated p (negative for decay).
+    ``fitted_exponent`` is the estimated p (negative for decay).  ``regime``
+    is ``"Linear"`` or ``"Power"``.
     """
 
     __slots__ = ("regime", "fitted_b", "fitted_exponent", "fit_window", "r_squared", "n_points")
-
-    def __init__(self, regime: str, fitted_b: float | None, fitted_exponent: float | None,
-                 fit_window: tuple, r_squared: float, n_points: int):
-        self.regime = regime  # "Linear" or "Power"
-        self.fitted_b = fitted_b
-        self.fitted_exponent = fitted_exponent
-        self.fit_window = fit_window
-        self.r_squared = r_squared
-        self.n_points = n_points
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def _fit_window(traj: Trajectory, x_star) -> tuple[np.ndarray, np.ndarray]:
@@ -423,7 +395,7 @@ def best_rate_fit(traj: Trajectory, x_star) -> RateFit:
     return _best_of(rate_fits(traj, x_star))
 
 
-class LojasiewiczCertificate:
+class LojasiewiczCertificate(Record):
     """Sampled check of the gradient inequality near a critical point.
 
     States that ||grad f(x)|| >= m |f(x) - f(x*)|^a held (violations = 0)
@@ -433,19 +405,6 @@ class LojasiewiczCertificate:
     """
 
     __slots__ = ("a", "m", "epsilon", "neighborhood_radius", "n_samples", "n_used", "violations")
-
-    def __init__(self, a: float, m: float, epsilon: float, neighborhood_radius: float,
-                 n_samples: int, n_used: int, violations: int):
-        self.a = a
-        self.m = m
-        self.epsilon = epsilon
-        self.neighborhood_radius = neighborhood_radius
-        self.n_samples = n_samples
-        self.n_used = n_used
-        self.violations = violations
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def check_lojasiewicz(
@@ -500,19 +459,10 @@ def check_lojasiewicz(
     )
 
 
-class PathLengthReport:
+class PathLengthReport(Record):
     """Empirical tail sums against the gradient-inequality bound."""
 
     __slots__ = ("max_ratio", "n_checked", "window", "a", "m", "alpha")
-
-    def __init__(self, max_ratio: float, n_checked: int, window: tuple, a: float, m: float,
-                 alpha: float):
-        self.max_ratio = max_ratio
-        self.n_checked = n_checked
-        self.window = window
-        self.a = a
-        self.m = m
-        self.alpha = alpha
 
     @property
     def success(self) -> bool:

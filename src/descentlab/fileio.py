@@ -47,13 +47,52 @@ def atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
+class Record:
+    """A report record: its fields are its class's ``__slots__``, in order.
+
+    The constructor binds positional arguments, then keywords, to the
+    fields; a field not given takes its entry in the class's
+    ``_defaults``.  A missing field with no default, too many positional
+    arguments, an unknown keyword and a field given twice are each a
+    ``TypeError``.  Fields are set with ``object.__setattr__``, so a
+    subclass may refuse later assignment.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        names = cls.__slots__
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} takes {len(names)} fields, "
+                            f"got {len(args)} positional arguments")
+        values = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+            if name in values:
+                raise TypeError(f"{cls.__name__} got field {name!r} twice")
+            values[name] = value
+        for name in names:
+            if name in values:
+                object.__setattr__(self, name, values[name])
+            elif name in cls._defaults:
+                object.__setattr__(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+
+    def to_dict(self) -> dict:
+        return plain(self)
+
+
 def plain(value):
     """``value`` in JSON's own types: a record as a dict of its fields in
     order, arrays and tuples as lists, numpy scalars as Python numbers, enums
     as their values, dicts and lists member by member; anything else as is.
 
     A record is an object whose class names its fields in ``__slots__``, as
-    the library's report records do.
+    every ``Record`` does.
     """
     if isinstance(value, Enum):
         return value.value

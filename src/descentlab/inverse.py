@@ -18,26 +18,20 @@ import numpy as np
 from .engine import (GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows,
                      _squared_tolerance, _sum_squares)
 from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
-from .fileio import plain
+from .fileio import Record
 from .zoo import _check_vector
 
 MAX_INNER = 200  # default iteration budget of one inversion
 
 
-class ProxSolveReport:
-    """Outcome of one inversion: the preimage and its certificate."""
+class ProxSolveReport(Record):
+    """Outcome of one inversion: the preimage and its certificate.
+
+    ``residual`` is ||g(solution) - y||; ``subproblem_modulus`` is
+    1 - alpha * L, the strong-convexity floor of the subproblem.
+    """
 
     __slots__ = ("solution", "residual", "inner_iterations", "subproblem_modulus")
-
-    def __init__(self, solution: np.ndarray, residual: float, inner_iterations: int,
-                 subproblem_modulus: float):
-        self.solution = solution
-        self.residual = residual  # ||g(solution) - y||
-        self.inner_iterations = inner_iterations
-        self.subproblem_modulus = subproblem_modulus  # 1 - alpha * L, the strong-convexity floor
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def invert(
@@ -175,21 +169,13 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     return solutions, residuals, iterations, modulus
 
 
-class InjectivityReport:
-    """Sampled lower bound on the gradient map's expansion ratio."""
+class InjectivityReport(Record):
+    """Sampled lower bound on the gradient map's expansion ratio.
+
+    ``threshold`` is 1 - alpha * L minus numerical slack.
+    """
 
     __slots__ = ("n_pairs", "n_used", "min_ratio", "threshold", "violations")
-
-    def __init__(self, n_pairs: int, n_used: int, min_ratio: float, threshold: float,
-                 violations: int):
-        self.n_pairs = n_pairs
-        self.n_used = n_used
-        self.min_ratio = min_ratio
-        self.threshold = threshold  # 1 - alpha * L minus numerical slack
-        self.violations = violations
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def injectivity_margin_check(
@@ -221,21 +207,15 @@ def injectivity_margin_check(
     )
 
 
-class RoundTripReport:
-    """Worst-case residuals of invert-then-step and step-then-invert."""
+class RoundTripReport(Record):
+    """Worst-case residuals of invert-then-step and step-then-invert.
+
+    ``max_forward_residual`` is the largest ||g(invert(y)) - y|| over
+    sampled y = g(x), and ``max_backward_residual`` the largest
+    ||invert(g(x)) - x|| over sampled x.
+    """
 
     __slots__ = ("n_samples", "max_forward_residual", "max_backward_residual", "tol")
-
-    def __init__(self, n_samples: int, max_forward_residual: float,
-                 max_backward_residual: float, tol: float):
-        self.n_samples = n_samples
-        # ||g(invert(y)) - y|| over sampled y = g(x), and ||invert(g(x)) - x|| over sampled x
-        self.max_forward_residual = max_forward_residual
-        self.max_backward_residual = max_backward_residual
-        self.tol = tol
-
-    def to_dict(self) -> dict:
-        return plain(self)
 
 
 def roundtrip_check(

@@ -58,6 +58,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractViolationError
+from .fileio import Record
 
 # On numpy 2.4, np.add.reduce along a contiguous last axis adds its terms
 # one after another, from 0.0, below this many terms, and pairwise from it
@@ -98,14 +99,10 @@ def _classify_spectrum(eigenvalues: np.ndarray, band: float) -> Classification:
     return Classification.LOCAL_MIN
 
 
-class KnownCriticalPoint:
+class KnownCriticalPoint(Record):
     """A critical point known in closed form, with its expected class."""
 
     __slots__ = ("location", "expected_class")
-
-    def __init__(self, location: np.ndarray, expected_class: Classification):
-        self.location = location
-        self.expected_class = expected_class
 
 
 def _has_bool(value) -> bool:

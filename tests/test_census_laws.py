@@ -19,6 +19,13 @@ leaves it.  So a stable-set grid point converges to the saddle exactly
 when its y is 0, and every converged point lies on the stable subspace.
 This is checked on ``sample_local_stable_set`` and on the CLI's
 ``stable_set.csv``, on the default grid and on one other.
+
+Near the saddle a start dwells for a time set by |y0|: while |y| <= r the
+y-mode grows by a factor between 1 + alpha - alpha r**2 and 1 + alpha, so
+the first iterate outside the cube [-r, r]**2 is bracketed by the
+logarithms of r / |y0| to those two bases (Du et al., arXiv:1705.10412,
+study this slowdown).  This is checked on ``run`` from starts with |y0|
+from 1e-1 down to 1e-12 and from uniform starts in the cube.
 """
 
 import csv
@@ -27,8 +34,8 @@ import json
 import numpy as np
 import pytest
 
-from descentlab import (GradientMap, NesterovExample, alpha_from_theta, find_critical_points,
-                        monte_carlo, sample_local_stable_set)
+from descentlab import (GradientMap, NesterovExample, StopPolicy, alpha_from_theta,
+                        find_critical_points, monte_carlo, run, sample_local_stable_set)
 from descentlab.cli import THETA_DEFAULT, main
 from descentlab.engine import DEFAULT_POLICY
 
@@ -109,3 +116,22 @@ def test_a_cli_stable_set_writes_the_saddles_x_axis(tmp_path, capsys, radius, gr
         assert row["converged_to_saddle"] == ("1" if float(row["x_2"]) == 0.0 else "0"), row
     assert summary["n_converged"] == grid
     assert summary["max_subspace_distance"] == 0.0
+
+
+def test_the_dwell_time_at_the_saddle_is_bracketed_by_the_y_modes_growth():
+    r = 0.5
+    gmap = GradientMap(NesterovExample(), ALPHA)
+    # tol 0: with any positive tolerance a start as close as (0, 1e-12)
+    # would stop at once on the gradient test
+    policy = StopPolicy(tol=0.0, max_iters=600)
+    starts = [(x0, sign * 10.0 ** -j) for j in range(1, 13) for sign in (1.0, -1.0)
+              for x0 in (0.0, 0.3, -0.45)]
+    starts += np.random.default_rng(0).uniform(-r, r, size=(200, 2)).tolist()
+    assert len(starts) == 272
+    for x0, y0 in starts:
+        outside = np.max(np.abs(run(gmap, [x0, y0], policy).iterates), axis=1) > r
+        assert outside.any(), (x0, y0)
+        k = int(np.argmax(outside))
+        lower = np.floor(np.log(r / abs(y0)) / np.log(1.0 + ALPHA))
+        upper = np.ceil(np.log(r / abs(y0)) / np.log(1.0 + ALPHA - ALPHA * r * r)) + 1
+        assert lower <= k <= upper, (x0, y0, k)

@@ -37,7 +37,9 @@ from descentlab import (
     sample_local_stable_set,
 )
 from descentlab.engine import DEFAULT_POLICY
-from descentlab.fileio import plain
+from descentlab.experiments import MonteCarloReport
+from descentlab.fileio import Record, plain
+from descentlab.zoo import DEGENERACY_TOL
 
 
 def record_oracle(r):
@@ -331,3 +333,73 @@ def test_a_stop_policy_is_immutable_and_every_other_record_is_not(records):
         # a record has its fields and no others
         with pytest.raises(AttributeError):
             record.not_a_field = 0
+
+
+# Every record is a ``fileio.Record``: its constructor binds positional
+# arguments, then keywords, to ``__slots__`` in order, filling what is not
+# given from ``_defaults``.
+
+def _fields(record):
+    return [getattr(record, name) for name in type(record).__slots__]
+
+
+def _text(record):
+    return json.dumps(plain(record))
+
+
+def test_every_record_builds_the_same_by_position_and_by_keyword(records):
+    for record in records:
+        cls = type(record)
+        assert isinstance(record, Record)
+        fields = _fields(record)
+        by_position = cls(*fields)
+        by_keyword = cls(**dict(zip(cls.__slots__, fields)))
+        assert _text(by_position) == _text(by_keyword) == _text(record), cls.__name__
+
+
+def test_every_record_refuses_arguments_that_bind_no_field_or_one_twice(records):
+    for record in records:
+        cls = type(record)
+        fields = _fields(record)
+        with pytest.raises(TypeError, match="positional"):
+            cls(*fields, 0)
+        with pytest.raises(TypeError, match="no field 'not_a_field'"):
+            cls(*fields, not_a_field=0)
+        with pytest.raises(TypeError, match="twice"):
+            cls(*fields, **{cls.__slots__[0]: fields[0]})
+
+
+def test_every_record_needs_each_field_without_a_default(records):
+    assert set(StopPolicy._defaults) == set(StopPolicy.__slots__)
+    for record in records:
+        cls = type(record)
+        given = dict(zip(cls.__slots__, _fields(record)))
+        for name in cls.__slots__:
+            if name in cls._defaults:
+                continue
+            with pytest.raises(TypeError, match=f"missing field {name!r}"):
+                cls(**{key: value for key, value in given.items() if key != name})
+
+
+def test_a_record_built_without_its_tolerance_gets_the_default():
+    record = CriticalPointRecord(np.zeros(2), 0.0, np.array([-1.0, 2.0]), np.eye(2),
+                                 Classification.STRICT_SADDLE, True, False, np.eye(2)[:, 1:], 1)
+    assert record.degeneracy_tol == DEGENERACY_TOL
+
+
+def test_monte_carlo_reports_built_without_lists_get_new_empty_ones():
+    first, second = (MonteCarloReport(1, 0, 0.1, np.zeros((2, 2)), {}, 0, 0, 1, 0)
+                     for _ in range(2))
+    for report in (first, second):
+        assert report.records == [] and report.trial_labels == []
+        assert report.trial_x0 is report.trial_iterations is report.trial_final_grad_norm is None
+    assert first.records is not second.records
+    assert first.trial_labels is not second.trial_labels
+
+
+def test_every_record_writes_its_fields_but_two_that_add_keys(records):
+    for record in records:
+        if isinstance(record, (MonteCarloReport, PathLengthReport)):
+            assert record.to_dict() != plain(record)
+        else:
+            assert _text(record.to_dict()) == _text(record), type(record).__name__
