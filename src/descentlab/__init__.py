@@ -24,127 +24,17 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .critical import (
-    CriticalPointList,
-    CriticalPointRecord,
-    StableSetSample,
-    classify,
-    find_critical_points,
-    sample_local_stable_set,
-    stable_subspace,
-)
-from .engine import (
-    BatchResult,
-    GradientMap,
-    StopPolicy,
-    StopReason,
-    Trajectory,
-    alpha_from_theta,
-    closed_form_quadratic,
-    descent_violations,
-    run,
-    run_many,
-)
-from .errors import (
-    BasinAmbiguityError,
-    ContractViolationError,
-    DescentLabError,
-    InapplicableError,
-    InsufficientDataError,
-    NonConvergenceError,
-    NumericalFailureError,
-)
-from .experiments import (
-    LojasiewiczCertificate,
-    MonteCarloReport,
-    PathLengthReport,
-    RateFit,
-    assign_basin,
-    best_rate_fit,
-    check_lojasiewicz,
-    fit_linear_rate,
-    fit_power_rate,
-    monte_carlo,
-    path_length_check,
-    rate_fits,
-)
-from .inverse import (
-    InjectivityReport,
-    ProxSolveReport,
-    RoundTripReport,
-    injectivity_margin_check,
-    invert,
-    roundtrip_check,
-)
-from .jacobi import eigh_jacobi, off_diagonal_norm
-from .zoo import (
-    Classification,
-    DiagonalQuadratic,
-    KnownCriticalPoint,
-    NesterovExample,
-    Objective,
-    QuarticCopositive,
-    StronglyConvexQuadratic,
-    make_objective,
-    objective_from_dict,
-    parse_objective,
-)
+from . import critical, engine, errors, experiments, inverse, jacobi, zoo
+from .critical import *
+from .engine import *
+from .errors import *
+from .experiments import *
+from .inverse import *
+from .jacobi import *
+from .zoo import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasinAmbiguityError",
-    "BatchResult",
-    "Classification",
-    "ContractViolationError",
-    "CriticalPointList",
-    "CriticalPointRecord",
-    "DescentLabError",
-    "DiagonalQuadratic",
-    "GradientMap",
-    "InapplicableError",
-    "InjectivityReport",
-    "InsufficientDataError",
-    "KnownCriticalPoint",
-    "LojasiewiczCertificate",
-    "MonteCarloReport",
-    "NesterovExample",
-    "NonConvergenceError",
-    "NumericalFailureError",
-    "Objective",
-    "PathLengthReport",
-    "ProxSolveReport",
-    "QuarticCopositive",
-    "RateFit",
-    "RoundTripReport",
-    "StableSetSample",
-    "StopPolicy",
-    "StopReason",
-    "StronglyConvexQuadratic",
-    "Trajectory",
-    "alpha_from_theta",
-    "assign_basin",
-    "best_rate_fit",
-    "check_lojasiewicz",
-    "classify",
-    "closed_form_quadratic",
-    "descent_violations",
-    "eigh_jacobi",
-    "find_critical_points",
-    "fit_linear_rate",
-    "fit_power_rate",
-    "injectivity_margin_check",
-    "invert",
-    "make_objective",
-    "monte_carlo",
-    "objective_from_dict",
-    "off_diagonal_norm",
-    "parse_objective",
-    "path_length_check",
-    "rate_fits",
-    "roundtrip_check",
-    "run",
-    "run_many",
-    "sample_local_stable_set",
-    "stable_subspace",
-]
+# each module's __all__ names its public API; the package re-exports exactly those
+__all__ = sorted(critical.__all__ + engine.__all__ + errors.__all__ + experiments.__all__
+                 + inverse.__all__ + jacobi.__all__ + zoo.__all__)

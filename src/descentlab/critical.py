@@ -20,6 +20,11 @@ from .fileio import Record, atomic_write_columns
 from .jacobi import eigh_jacobi
 from .zoo import DEGENERACY_TOL, Objective, _check_vector, _classify_spectrum
 
+__all__ = [
+    "CriticalPointList", "CriticalPointRecord", "StableSetSample", "classify",
+    "find_critical_points", "sample_local_stable_set", "stable_subspace",
+]
+
 DEDUP_TOL = 1e-6
 # Iterations of one Newton search, at most.  On the degenerate root of a
 # quartic Newton contracts only linearly, by 2/3 per step and so the
@@ -27,6 +32,11 @@ DEDUP_TOL = 1e-6
 # a gradient of about 1e154 on its box (zoo._refuse_overflow), which takes
 # about 311 iterations to fall below the default tolerance of 1e-10.
 NEWTON_BUDGET = 400
+# Points per axis of a stable-set grid, at most.  A stable-set command
+# peaks at about 190 bytes per grid point (156 MB at grid 801, 744 MB at
+# this cap); a larger grid is refused before any work rather than running
+# out of memory after the critical-point search.
+MAX_GRID = 2001
 
 
 class CriticalPointRecord(Record):
@@ -299,16 +309,16 @@ def grid_spacing(radius: float, grid: int, dimension: int = 2) -> float:
     """The spacing of a stable-set grid of ``grid`` points per axis on [-radius, radius].
 
     Refuses an objective ``dimension`` other than 2, a negative radius, a
-    grid below one point or too large for an array of 2-D points, and a
-    radius whose spacing overflows.  The one check of these inputs, so the
-    CLI can refuse them before any search.
+    grid below one point or above ``MAX_GRID`` points, and a radius whose
+    spacing overflows.  The one check of these inputs, so the CLI can
+    refuse them before any search.
     """
     if dimension != 2:
         raise ContractViolationError("grid sampling is implemented for dimension 2 only")
     radius = _check_real(radius, "radius", "non-negative")
     grid = _check_count(grid, "grid", least=1)
-    if grid ** 2 > np.iinfo(np.intp).max // (8 * 2):
-        raise ContractViolationError(f"grid = {grid} has more points than an array can hold")
+    if grid > MAX_GRID:
+        raise ContractViolationError(f"grid must be at most {MAX_GRID}, got {grid}")
     spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     if not np.isfinite(spacing):
         raise ContractViolationError(f"radius {radius} is too large to space a grid")

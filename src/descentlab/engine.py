@@ -48,8 +48,16 @@ from .errors import ContractViolationError, NumericalFailureError, _check_count,
 from .fileio import Record, atomic_write_columns
 from .zoo import _PAIRWISE_FROM, Objective, _check_vector
 
+__all__ = [
+    "BatchResult", "GradientMap", "StopPolicy", "StopReason", "Trajectory", "alpha_from_theta",
+    "closed_form_quadratic", "descent_violations", "run", "run_many",
+]
+
 
 class StopReason(str, Enum):
+    """Why a run stopped.  The member order is the stop rule's precedence:
+    an iterate that meets several rules stops for the first of them."""
+
     GRAD_NORM_BELOW_TOL = "GradNormBelowTol"
     DIVERGED = "Diverged"
     MAX_ITERS = "MaxIters"
@@ -345,14 +353,8 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy | None = None) -> BatchR
     return _descend(gmap, x0s, policy)
 
 
-# Stop codes of the stepping loop, in the precedence order of the stop
-# rule; a code indexes this tuple.
-_STOP_CODE_REASONS = (
-    StopReason.GRAD_NORM_BELOW_TOL,
-    StopReason.DIVERGED,
-    StopReason.MAX_ITERS,
-    StopReason.LEFT_DOMAIN_BOX,
-)
+# Stop codes of the stepping loop; a code indexes this tuple.
+_STOP_CODE_REASONS = tuple(StopReason)
 _STOP_CODES = [np.int8(code) for code in range(len(_STOP_CODE_REASONS))]
 _RUNNING = np.int8(-1)
 # Relative slack of the whole-batch divergence bound; the rounding of a
@@ -405,7 +407,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
     the whole block at once: one call each gives f, the squared gradient
     norms, the finiteness screen and the tolerance, divergence, cap and
     box tests of all b x m iterates.  Each row stops at its first stopping
-    iterate, in the precedence order of ``_STOP_CODE_REASONS``; the steps
+    iterate, in the precedence order of ``StopReason``; the steps
     it took past that iterate are thrown away.  The stop rule only
     watches the orbit, so this changes no iterate, value or norm.  A
     non-finite value or gradient raises at the first iterate where a row

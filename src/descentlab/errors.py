@@ -2,6 +2,11 @@
 
 import numbers
 
+__all__ = [
+    "BasinAmbiguityError", "ContractViolationError", "DescentLabError", "InapplicableError",
+    "InsufficientDataError", "NonConvergenceError", "NumericalFailureError",
+]
+
 
 class DescentLabError(Exception):
     """Base class for all descentlab errors."""

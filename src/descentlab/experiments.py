@@ -31,6 +31,12 @@ from .errors import (BasinAmbiguityError, ContractViolationError, InapplicableEr
 from .fileio import Record, atomic_write_columns, plain
 from .zoo import Objective, _as_box, _check_vector
 
+__all__ = [
+    "LojasiewiczCertificate", "MonteCarloReport", "PathLengthReport", "RateFit", "assign_basin",
+    "best_rate_fit", "check_lojasiewicz", "fit_linear_rate", "fit_power_rate", "monte_carlo",
+    "path_length_check", "rate_fits",
+]
+
 LABEL_DIVERGED = "Diverged"
 LABEL_LEFT_BOX = "LeftBox"
 LABEL_UNRESOLVED = "Unresolved"

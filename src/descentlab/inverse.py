@@ -21,6 +21,11 @@ from .errors import ContractViolationError, NonConvergenceError, _check_count, _
 from .fileio import Record
 from .zoo import _check_vector
 
+__all__ = [
+    "InjectivityReport", "ProxSolveReport", "RoundTripReport", "injectivity_margin_check",
+    "invert", "roundtrip_check",
+]
+
 MAX_INNER = 200  # default iteration budget of one inversion
 
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
 from .zoo import _check_vector
 
+__all__ = ["eigh_jacobi", "off_diagonal_norm"]
+
 
 def off_diagonal_norm(a) -> float:
     a = np.asarray(a, dtype=float)

@@ -40,13 +40,17 @@ them directly on arrays it has already validated.
 
 ``_point_gradient(p)`` is the gradient at one point given and returned as
 a list of Python floats, for the engine's single-row stepping.  It equals
-``_gradient(np.array([p]))[0]`` bit for bit, -0.0, inf and NaN included:
-every numpy elementwise operation and every Python float ``+``, ``-`` and
-``*`` is one correctly rounded IEEE-754 double operation, and both
-overflow silently (under ``np.errstate(all="ignore")``), so the zoo's
-overrides repeat the array arithmetic operation for operation in the
-same order, with no ``**`` and no division.  The base class's default
-goes through ``_gradient``.
+``_gradient(np.array([p]))[0]`` bit for bit, -0.0 and inf included, and
+is NaN where that is NaN: every numpy elementwise operation and every
+Python float ``+``, ``-`` and ``*`` is one correctly rounded IEEE-754
+double operation, and both overflow silently (under
+``np.errstate(all="ignore")``), so the zoo's overrides repeat the array
+arithmetic operation for operation in the same order, with no ``**`` and
+no division.  Only a NaN's bits may differ: which NaN CPython returns
+from an operation on two NaNs is not fixed (``nan + -nan`` gives a
+positive NaN in a warmed function and a negative one under
+``sys.settrace``), and no artifact shows a NaN's bits.  The base class's
+default goes through ``_gradient``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,12 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .fileio import Record
+
+__all__ = [
+    "Classification", "DiagonalQuadratic", "KnownCriticalPoint", "NesterovExample", "Objective",
+    "QuarticCopositive", "StronglyConvexQuadratic", "make_objective", "objective_from_dict",
+    "parse_objective",
+]
 
 # On numpy 2.4, np.add.reduce along a contiguous last axis adds its terms
 # one after another, from 0.0, below this many terms, and pairwise from it
@@ -198,10 +208,11 @@ class Objective:
     and implement ``_value``, ``_gradient`` and ``_hessian`` (unchecked;
     see the module docstring) plus ``lipschitz_bound`` and
     ``known_critical_points``.  They may override ``_point_gradient``,
-    which must equal ``_gradient`` on a one-row batch bit for bit (see
-    the module docstring).  ``lipschitz_global`` is True when the
-    reported bound holds on all of R^d (quadratics), in which case the
-    descent engine does not treat leaving the box as a certificate loss.
+    which must equal ``_gradient`` on a one-row batch bit for bit, with
+    NaN where it has NaN (see the module docstring).  ``lipschitz_global``
+    is True when the reported bound holds on all of R^d (quadratics), in
+    which case the descent engine does not treat leaving the box as a
+    certificate loss.
     ``finite_on_box`` is True when construction has certified that every
     value and gradient on ``domain_box`` is finite (``_refuse_overflow``);
     the descent engine then computes f only where a run stops while its

@@ -11,6 +11,8 @@ import sys
 import numpy as np
 import pytest
 
+from descentlab.critical import MAX_GRID
+
 CMD = [sys.executable, "-m", "descentlab"]
 
 
@@ -616,8 +618,9 @@ def test_a_bad_alpha_exits_2_before_any_work(tmp_path, capsys, monkeypatch, sub,
 @pytest.mark.parametrize(
     "objective, flag, value, message",
     [
-        ("nesterov", "--grid", str(10**30),
-         f"grid = {10**30} has more points than an array can hold"),
+        ("nesterov", "--grid", str(MAX_GRID + 1),
+         f"grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
+        ("nesterov", "--grid", str(10**30), f"grid must be at most {MAX_GRID}, got {10**30}"),
         ("nesterov", "--grid", "0", "grid must be at least 1"),
         ("nesterov", "--radius", "-1", "radius must be non-negative, got -1.0"),
         ("nesterov", "--radius", "1.5e308", "radius 1.5e+308 is too large to space a grid"),

@@ -74,7 +74,7 @@ INVALID = {
     ),
     # too wide for the domain box, or no grid at all
     "radius": st.one_of(SCALAR_INVALID, st.sampled_from([5.0, 1e300, float("inf")])),
-    # or more grid points than an array can hold
+    # or more grid points per axis than critical.MAX_GRID
     "grid": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2**40, 10**30])),
     # a minimum, past the records, or not an index
     "index": st.one_of(SCALAR_INVALID, st.sampled_from([0, 2, 3, 10**30])),

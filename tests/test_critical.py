@@ -16,7 +16,8 @@ from descentlab import (
     sample_local_stable_set,
     stable_subspace,
 )
-from descentlab.critical import DEGENERACY_TOL, NEWTON_BUDGET, _newton_roots
+from descentlab.critical import (DEGENERACY_TOL, MAX_GRID, NEWTON_BUDGET, _newton_roots,
+                                 grid_spacing)
 from descentlab.inverse import roundtrip_check
 
 
@@ -558,6 +559,10 @@ def test_stable_set_sampling_rejects_bad_inputs():
         sample_local_stable_set(gmap, saddle, radius=-0.1)
     with pytest.raises(ContractViolationError):
         sample_local_stable_set(gmap, saddle, radius=0.5, grid=0)
+    # a grid at the cap is spaced, and one over it refused
+    assert grid_spacing(1.0, MAX_GRID) == 2.0 / (MAX_GRID - 1)
+    with pytest.raises(ContractViolationError, match=f"^grid must be at most {MAX_GRID}, got "):
+        sample_local_stable_set(gmap, saddle, radius=0.5, grid=MAX_GRID + 1)
     # a spacing that overflows would fill the grid with inf and NaN
     for radius in (np.inf, 1.5e308):
         with pytest.raises(ContractViolationError, match="too large"):

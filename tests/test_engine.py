@@ -839,8 +839,10 @@ def test_stops_and_failures_at_block_boundaries(reason, scenario):
                 assert failure == (f"{message} (trial {trial})", k)
 
 
-_TOLERANCES = [0.0, 5e-324, 1e-300, 1e-10, 1.0, 1e154, np.finfo(float).max, np.inf,
-               -1e-10, -np.inf, np.nan]
+# 1.5217407325925063e-157 squares to a subnormal whose square root is above
+# it, so the search steps down from the square
+_TOLERANCES = [0.0, 5e-324, 1e-300, 1.5217407325925063e-157, 1e-10, 1.0, 1e154,
+               np.finfo(float).max, np.inf, -1e-10, -np.inf, np.nan]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

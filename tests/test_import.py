@@ -1,10 +1,17 @@
-"""Importing descentlab: the BLAS thread pool and the modules it leaves behind."""
+"""Importing descentlab: its public names, the BLAS pool and the modules it leaves behind."""
 
+import importlib
 import os
 import subprocess
 import sys
+import types
 
 import pytest
+
+import descentlab
+
+# the modules whose __all__ the package re-exports
+PUBLIC_MODULES = ["critical", "engine", "errors", "experiments", "inverse", "jacobi", "zoo"]
 
 THREADS = "import os; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
 
@@ -22,6 +29,25 @@ def _threads(code, **env):
                           capture_output=True, text=True, timeout=120, check=True)
     count, variable = proc.stdout.split()
     return int(count), variable
+
+
+def test_the_package_exports_each_modules_all_and_nothing_else():
+    modules = [importlib.import_module(f"descentlab.{name}") for name in PUBLIC_MODULES]
+    names = [name for module in modules for name in module.__all__]
+    assert descentlab.__all__ == sorted(descentlab.__all__)
+    assert descentlab.__all__ == sorted(names)
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for name in module.__all__:
+            value = getattr(module, name)
+            assert getattr(descentlab, name) is value
+            # a class or function defined under this name in this module
+            assert (value.__name__, value.__module__) == (name, module.__name__)
+    namespace = {}
+    exec("from descentlab import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == descentlab.__all__
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
 
 
 @COUNTS_THREADS

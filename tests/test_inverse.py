@@ -9,6 +9,7 @@ from descentlab import (
     GradientMap,
     NesterovExample,
     NonConvergenceError,
+    Objective,
     QuarticCopositive,
     StronglyConvexQuadratic,
     injectivity_margin_check,
@@ -153,6 +154,33 @@ def test_roundtrip_refuses_a_bad_tolerance_before_any_work(tol):
     gmap = GradientMap(NesterovExample(), 0.09)
     with pytest.raises(ContractViolationError, match="^tol must be non-negative"):
         roundtrip_check(gmap, 10**30, tol=tol)  # refused before the sample count
+
+
+class SteepOnItsBox(Objective):
+    """f(x) = 1e300 x^2 / 2 on [-1e10, 1e10], not certified finite on its box:
+    the gradient 1e300 x overflows where |x| is above about 1.8e8."""
+
+    name = "steep"
+    dimension = 1
+    domain_box = np.array([[-1e10, 1e10]])
+
+    def _gradient(self, x):
+        with np.errstate(over="ignore"):
+            return 1e300 * x
+
+    def lipschitz_bound(self):
+        return 1e300
+
+
+def test_roundtrip_refuses_a_sample_whose_step_overflows_before_inverting(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("the solver ran")
+
+    gmap = GradientMap(SteepOnItsBox(), 1e-301)
+    assert gmap.step(np.array([1.0])) == 0.9
+    monkeypatch.setattr("descentlab.inverse._invert_batch", no_solve)
+    with pytest.raises(ContractViolationError, match="^y must be finite$"):
+        roundtrip_check(gmap, n_samples=20, seed=0)
 
 
 def test_invert_accepts_a_zero_budget_and_an_infinite_tolerance():

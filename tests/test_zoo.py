@@ -266,8 +266,13 @@ def test_point_gradient_is_the_one_row_gradient_bitwise(obj):
             want = obj._gradient(x[None])[0]
             got = obj._point_gradient(x.tolist())
             assert isinstance(got, list) and all(type(g) is float for g in got)
-            # byte comparison also tells +0.0 from -0.0 and keeps NaN's bits
-            assert np.array(got).tobytes() == want.tobytes(), x
+            got = np.array(got)
+            # NaN at the same entries; which NaN an operation on two NaNs
+            # returns is not fixed (it changes under sys.settrace)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), x
+            # byte comparison also tells +0.0 from -0.0
+            assert got[~nan].tobytes() == want[~nan].tobytes(), x
             overflowed += np.all(np.isfinite(x)) and not np.all(np.isfinite(want))
     # lambda_i * x_i overflows only where |lambda_i| > 1
     assert overflowed > 0 or isinstance(obj, DiagonalQuadratic) and max(abs(obj.lambdas)) <= 1.0
