@@ -23,7 +23,7 @@ import numpy as np
 from .critical import find_critical_points, grid_spacing, sample_local_stable_set
 from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
-from .experiments import (BASIN_TOL, MIN_CHUNK, _best_of, _settled, assign_basin, monte_carlo,
+from .experiments import (BASIN_TOL, CHUNK, _best_of, _settled, assign_basin, monte_carlo,
                           rate_fits)
 from .fileio import _atomic_handle, atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
@@ -54,8 +54,8 @@ OPTIONS = {
     "trials": Option("int", REQUIRED, "number of random initializations"),
     "init_box": Option("box", None, "initialization box 'lo_1,..,lo_d:hi_1,..,hi_d' "
                        "(default: the domain box)"),
-    "n_jobs": Option("int", 1, "threads for trial chunks, at least 1; capped by the core "
-                     f"count and by chunks of {MIN_CHUNK} trials"),
+    "n_jobs": Option("int", 1, f"threads stepping chunks of {CHUNK} trials, at least 1; "
+                     "capped by the core count and the number of chunks"),
     "radius": Option("float", 0.5, "sampling ball radius"),
     "grid": Option("int", 41, "grid points per axis"),
     "index": Option("int", None, "record index to sample (default: first strict saddle)"),

@@ -316,9 +316,7 @@ def grid_spacing(radius: float, grid: int, dimension: int = 2) -> float:
     if dimension != 2:
         raise ContractViolationError("grid sampling is implemented for dimension 2 only")
     radius = _check_real(radius, "radius", "non-negative")
-    grid = _check_count(grid, "grid", least=1)
-    if grid > MAX_GRID:
-        raise ContractViolationError(f"grid must be at most {MAX_GRID}, got {grid}")
+    grid = _check_count(grid, "grid", least=1, most=MAX_GRID)
     spacing = 0.0 if radius == 0.0 else 2.0 * radius / max(grid - 1, 1)
     if not np.isfinite(spacing):
         raise ContractViolationError(f"radius {radius} is too large to space a grid")

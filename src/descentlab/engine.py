@@ -192,18 +192,19 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(_sum_squares(x))
 
 
-def _box_samples(seed, n, box, name: str, copies: int = 1) -> np.ndarray:
+def _box_samples(seed, n, box, name: str, copies: int = 1, most=None) -> np.ndarray:
     """``copies * n`` points uniform on ``box`` (rows [lo, hi]).
 
     They are drawn row by row in order from ``np.random.default_rng(seed)``,
     so row i does not depend on n or on how the rows are split afterwards.
     Every sampler of the library draws through this, so a sample count
-    ``name`` (``n_...``) that is not an integer, below 1 or too large for
-    an array, and then any seed but a non-negative integer (negative,
-    boolean, fractional, None, a sequence), are refused with a contract
-    violation before the caller has done any work.
+    ``name`` (``n_...``) that is not an integer, below 1, above ``most``
+    (None: no cap) or too large for an array, and then any seed but a
+    non-negative integer (negative, boolean, fractional, None, a
+    sequence), are refused with a contract violation before the caller
+    has done any work.
     """
-    _check_count(n, name, least=1)
+    _check_count(n, name, least=1, most=most)
     lo, hi = box[:, 0], box[:, 1]
     if n > np.iinfo(np.intp).max // (8 * copies * lo.shape[0]):
         raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
@@ -552,10 +553,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
                     if bad.any():
                         # the first bad iterate, then the lowest trial
                         j, r = divmod(int(np.argmax(bad)), m)
-                        trial = "" if iterates is not None else f" (trial {int(active[r])})"
+                        trial = None if iterates is not None else int(active[r])
                         raise NumericalFailureError(
-                            f"non-finite value or gradient at iterate {k + j}{trial}", k + j
-                        )
+                            f"non-finite value or gradient at iterate {k + j}", k + j, trial)
                 # the stopped rows, and their stopping iterates as rows
                 # of the block flattened to (b * m, d)
                 stopped = done.any(axis=0)

@@ -19,12 +19,17 @@ class ContractViolationError(DescentLabError):
 class NumericalFailureError(DescentLabError):
     """A non-finite value or gradient appeared during iteration.
 
-    Carries the index of the offending iterate.
+    Carries the index of the offending iterate and, from a batch, the
+    trial whose row showed it, which the message names last.
     """
 
-    def __init__(self, message, iterate_index):
+    def __init__(self, message, iterate_index, trial=None):
         super().__init__(message)
         self.iterate_index = iterate_index
+        self.trial = trial
+
+    def __str__(self):
+        return super().__str__() + ("" if self.trial is None else f" (trial {self.trial})")
 
 
 class NonConvergenceError(DescentLabError):
@@ -70,9 +75,10 @@ def _check_real(value, name: str, sign: str = "") -> float:
     return value
 
 
-def _check_count(value, name: str, least: int = 0) -> int:
-    """``value`` as an int of at least ``least`` (0 or 1), refusing a boolean
-    and a non-integer (2.0 included)."""
+def _check_count(value, name: str, least: int = 0, most=None) -> int:
+    """``value`` as an int of at least ``least`` (0 or 1) and at most
+    ``most`` (None: no cap), refusing a boolean and a non-integer (2.0
+    included)."""
     integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if least == 0 and not (integer and value >= 0):
         raise ContractViolationError(f"{name} must be a non-negative integer, got {value!r}")
@@ -80,4 +86,6 @@ def _check_count(value, name: str, least: int = 0) -> int:
         raise ContractViolationError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ContractViolationError(f"{name} must be at least {least}")
+    if most is not None and value > most:
+        raise ContractViolationError(f"{name} must be at most {most}, got {value}")
     return int(value)

@@ -27,7 +27,7 @@ from .engine import (
     run_many,
 )
 from .errors import (BasinAmbiguityError, ContractViolationError, InapplicableError,
-                     InsufficientDataError, _check_count, _check_real)
+                     InsufficientDataError, NumericalFailureError, _check_count, _check_real)
 from .fileio import Record, atomic_write_columns, plain
 from .zoo import Objective, _as_box, _check_vector
 
@@ -43,12 +43,19 @@ LABEL_UNRESOLVED = "Unresolved"
 
 BASIN_TOL = 1e-6
 FIT_FLOOR = 100.0 * np.finfo(float).eps
-# Trials per Monte Carlo worker thread, at least.  Below about this many
-# rows per chunk, threads stepping the nesterov census on 2 cores ran
-# slower than one thread stepping all of them; with one BLAS thread and f
-# taken only at the stops, two threads on chunks of 5k, 8k and 12k rows
-# won 0, 5 and 6 of 10 alternating pairs against one.
-MIN_CHUNK = 10_000
+# Trials a census steps and labels as one batch.  Every step's masks and
+# compactions walk arrays of all a batch's rows.  In alternating pairs on
+# the nesterov census (2 cores), 1e6 trials took a median 7.8 s as one
+# batch and 3.2 s in chunks of 10k or 20k rows (3.9 s at 50k), and peaked
+# at 265 MB against 100 MB.  With two threads, chunks of 10k, 20k and 50k
+# rows took 4.3, 2.8 and 2.3 s, against 3.4 s for two batches of half the
+# trials: 20k is the fastest serial size that still gains from threads.
+CHUNK = 20_000
+# Trials of a census, at most.  Through the CLI a 2-D census peaked at 44
+# MB at 1e5 trials and 101 MB at 1e6: about 66 bytes a trial above 37 MB,
+# so about 0.7 GB at this cap, within the stable-set grid's budget; a
+# larger one is refused before any work rather than running out of memory.
+MAX_TRIALS = 10_000_000
 
 
 def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
@@ -183,12 +190,6 @@ class MonteCarloReport(Record):
         atomic_write_columns(path, ["label", "classification", "count"], columns)
 
 
-def _worker_count(n_jobs: int, n_trials: int, cpu_count: int) -> int:
-    """Threads for a census: the request, capped by the cores and by
-    chunks of at least MIN_CHUNK trials."""
-    return min(n_jobs, cpu_count, max(1, n_trials // MIN_CHUNK))
-
-
 def monte_carlo(
     objective: Objective,
     alpha: float,
@@ -206,15 +207,19 @@ def monte_carlo(
     lie inside it.  Critical-point records default to a fresh multistart
     search with its own fixed seed, so basin indices do not depend on the
     Monte Carlo seed; given ones that are not ``CriticalPointRecord``s of
-    the objective's dimension are refused before any work, as is a
-    ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``).
-    ``n_jobs`` (at least 1) is the most threads to use: the trials are
-    split in trial order into
-    ``min(n_jobs, os.cpu_count(), max(1, n_trials // MIN_CHUNK))`` parts,
-    each stepped and labelled by one thread.  The starts come from one RNG
-    stream for ``seed`` (a non-negative integer), drawn in trial order
-    before the split, and the stepping is elementwise, so the report is
-    identical for any split.
+    the objective's dimension are refused before any work, as are a
+    ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``) and
+    more than ``MAX_TRIALS`` trials.
+
+    The starts come from one RNG stream for ``seed`` (a non-negative
+    integer), drawn in trial order, and are cut in trial order into chunks
+    of ``CHUNK`` rows, each stepped and labelled as one batch.  ``n_jobs``
+    (at least 1) is the most threads to use: the chunks are mapped by
+    ``min(n_jobs, os.cpu_count(), number of chunks)`` threads, or without
+    a thread pool when that is 1.  The stepping is elementwise, so the
+    report is identical for any chunk size and thread count.  A
+    ``NumericalFailureError`` names the census-wide trial; it is the one
+    of the first failing chunk in trial order, for every ``n_jobs``.
     """
     _check_count(n_jobs, "n_jobs", least=1)
     policy = _check_policy(policy)
@@ -226,22 +231,27 @@ def monte_carlo(
         raise ContractViolationError("init_box must lie inside the domain box")
     if records is not None:
         records = _check_records(records, objective.dimension)
-    x0s = _box_samples(seed, n_trials, box, "n_trials")
+    x0s = _box_samples(seed, n_trials, box, "n_trials", most=MAX_TRIALS)
     if records is None:
         records = find_critical_points(objective)
 
-    def label(part):
-        result = run_many(gmap, part, policy)
+    def label(start):
+        try:
+            result = run_many(gmap, x0s[start:start + CHUNK], policy)
+        except NumericalFailureError as exc:
+            exc.trial += start
+            raise
         return _basin_codes(result, records, basin_tol), result.iterations, result.final_grad_norm
 
-    parts = np.array_split(x0s, _worker_count(n_jobs, n_trials, os.cpu_count() or 1))
-    if len(parts) == 1:
-        labelled = map(label, parts)
+    starts = range(0, n_trials, CHUNK)
+    workers = min(n_jobs, os.cpu_count() or 1, len(starts))
+    if workers == 1:
+        labelled = map(label, starts)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            labelled = list(pool.map(label, parts))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            labelled = list(pool.map(label, starts))
     codes, iterations, final_grad_norm = (np.concatenate(column) for column in zip(*labelled))
     table = _label_table(records)
     labels = np.array(table, dtype=object)[codes].tolist()

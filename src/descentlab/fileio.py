@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from enum import Enum
 
 import numpy as np
@@ -24,14 +23,20 @@ CSV_BLOCK_ROWS = 1024  # rows formatted per block of a streamed CSV table
 def _atomic_handle(path):
     """A text handle on a temporary file, renamed onto ``path`` on success.
 
-    The temporary name is ``.tmp-XXXXXXXX~``, padded with ``~`` to the
-    byte length of ``path``'s name, so its path is never the shorter.
+    The temporary name is ``.tmp-XXXXXXXX~``, eight random hex digits
+    padded with ``~`` to the byte length of ``path``'s name, so its path is
+    never the shorter.  It is created new with mode 0o666 less the umask,
+    as ``open`` creates a file, and the rename keeps that mode.
     """
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     pad = max(1, len(os.fsencode(name)) - 13)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~" * pad)
+    while True:  # until a name is not taken
+        tmp = os.path.join(directory, f".tmp-{os.urandom(4).hex()}" + "~" * pad)
+        with suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -120,9 +125,10 @@ def atomic_write_json(path, payload) -> None:
 def atomic_write_columns(path, header, columns) -> None:
     """Write equal-length columns under ``header`` as a CSV table, atomically.
 
-    A column is formatted by its ``np.asarray`` dtype: floats as their
-    shortest round-trip ``repr``, booleans as 1 and 0, anything else
-    (integers, strings) with ``str``.
+    A column is formatted a block of rows at a time, by the ``np.asarray``
+    dtype of the block: floats as their shortest round-trip ``repr``,
+    booleans as 1 and 0, anything else (integers, strings) with ``str``.
+    So a list column is never copied whole into an array.
     """
     with _atomic_handle(path) as handle:
         handle.writelines(_csv_blocks(header, columns))
@@ -130,12 +136,11 @@ def atomic_write_columns(path, header, columns) -> None:
 
 def _csv_blocks(header, columns):
     """Yield the header line, then the rows a block at a time, as text."""
-    columns = [np.asarray(column) for column in columns]
     if len(columns) != len(header) or len({len(column) for column in columns}) > 1:
         raise ValueError("a CSV table needs one column per header field, all of one length")
     yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        cells = [_cells(column[start:start + CSV_BLOCK_ROWS]) for column in columns]
+        cells = [_cells(np.asarray(column[start:start + CSV_BLOCK_ROWS])) for column in columns]
         yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 

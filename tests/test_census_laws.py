@@ -26,6 +26,17 @@ the first iterate outside the cube [-r, r]**2 is bracketed by the
 logarithms of r / |y0| to those two bases (Du et al., arXiv:1705.10412,
 study this slowdown).  This is checked on ``run`` from starts with |y0|
 from 1e-1 down to 1e-12 and from uniform starts in the cube.
+
+On a diagonal quadratic the step is x -> (1 - alpha lambda) x, mode by
+mode, and the closed-form iterate applies those factors as repeated
+products, as ``engine.closed_form_quadratic`` does; the alphas and
+lambdas below are dyadic.  So a census trial stops at the first iterate
+k whose gradient norm is at most tol, whose norm reaches the divergence
+radius or which is the cap, in that order; it is labelled with the
+origin's record, Diverged or Unresolved accordingly.  This is checked
+trial by trial on seven quadratics, two of them 20-D, through the
+library and the CLI.  The stable set of the saddle at the origin of ``[1, -1]`` and
+``[1, -0.5]`` is the line where the negative mode is 0, as on nesterov.
 """
 
 import csv
@@ -35,9 +46,11 @@ import numpy as np
 import pytest
 
 from descentlab import (GradientMap, NesterovExample, StopPolicy, alpha_from_theta,
-                        find_critical_points, monte_carlo, run, sample_local_stable_set)
+                        find_critical_points, monte_carlo, parse_objective, run,
+                        sample_local_stable_set)
 from descentlab.cli import THETA_DEFAULT, main
 from descentlab.engine import DEFAULT_POLICY
+from descentlab.experiments import BASIN_TOL
 
 ALPHA = 0.09
 TRIALS = 10_000
@@ -88,9 +101,8 @@ def test_a_cli_census_writes_trials_that_follow_the_closed_forms(tmp_path, capsy
 GRIDS = [(0.5, 41, 1257), (1.5, 31, 709)]
 
 
-@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
-def test_a_library_stable_set_is_the_saddles_x_axis(radius, grid, n_points):
-    objective = NesterovExample()
+def _check_library_stable_set(objective, radius, grid, n_points):
+    """The stable set of the saddle at the origin is the line y = 0."""
     saddle = next(record for record in find_critical_points(objective)
                   if record.is_strict_saddle)
     gmap = GradientMap(objective, alpha_from_theta(objective, THETA_DEFAULT))
@@ -102,9 +114,8 @@ def test_a_library_stable_set_is_the_saddles_x_axis(radius, grid, n_points):
     assert sample.max_subspace_distance == 0.0
 
 
-@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
-def test_a_cli_stable_set_writes_the_saddles_x_axis(tmp_path, capsys, radius, grid, n_points):
-    argv = ["stable-set", "--objective", "nesterov", "--radius", str(radius),
+def _check_cli_stable_set(tmp_path, capsys, spec, radius, grid, n_points):
+    argv = ["stable-set", "--objective", spec, "--radius", str(radius),
             "--grid", str(grid), "--out", str(tmp_path)]
     assert main(argv) == 0
     capsys.readouterr()
@@ -116,6 +127,114 @@ def test_a_cli_stable_set_writes_the_saddles_x_axis(tmp_path, capsys, radius, gr
         assert row["converged_to_saddle"] == ("1" if float(row["x_2"]) == 0.0 else "0"), row
     assert summary["n_converged"] == grid
     assert summary["max_subspace_distance"] == 0.0
+
+
+@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
+def test_a_library_stable_set_is_the_saddles_x_axis(radius, grid, n_points):
+    _check_library_stable_set(NesterovExample(), radius, grid, n_points)
+
+
+@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
+def test_a_cli_stable_set_writes_the_saddles_x_axis(tmp_path, capsys, radius, grid, n_points):
+    _check_cli_stable_set(tmp_path, capsys, "nesterov", radius, grid, n_points)
+
+
+SADDLE_QUADRATICS = ["diagonal_quadratic:[1,-1]", "diagonal_quadratic:[1,-0.5]"]
+
+
+@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
+@pytest.mark.parametrize("spec", SADDLE_QUADRATICS)
+def test_a_library_stable_set_of_a_quadratic_saddle_is_its_positive_mode(
+    spec, radius, grid, n_points
+):
+    _check_library_stable_set(parse_objective(spec), radius, grid, n_points)
+
+
+@pytest.mark.parametrize("radius, grid, n_points", GRIDS)
+@pytest.mark.parametrize("spec", SADDLE_QUADRATICS)
+def test_a_cli_stable_set_of_a_quadratic_saddle_is_its_positive_mode(
+    tmp_path, capsys, spec, radius, grid, n_points
+):
+    _check_cli_stable_set(tmp_path, capsys, spec, radius, grid, n_points)
+
+
+# (objective, alpha): every trial of the first two and of the indefinite
+# 20-D one diverges along a negative mode, every trial of a strongly
+# convex one ends at the origin; both 20-D ones sum their row norms
+# pairwise (zoo._PAIRWISE_FROM = 8)
+LAMBDAS_20 = [1.0, 0.5, 0.25, 0.75, 1.5] * 4
+QUADRATICS = [
+    ("diagonal_quadratic:[1,-1]", 0.25),
+    ("diagonal_quadratic:[1,-0.5]", 0.5),
+    ("strongly_convex_quadratic:[1,0.5]", 0.5),
+    ("strongly_convex_quadratic:[1,0.25]", 0.75),
+    ("diagonal_quadratic:[1,-1,0.5]", 0.25),
+    ("diagonal_quadratic:" + json.dumps([-1.0, -0.5, -0.25] + LAMBDAS_20[3:]), 0.25),
+    ("strongly_convex_quadratic:" + json.dumps(LAMBDAS_20), 0.5),
+]
+QUADRATIC_TRIALS = 2000
+
+
+def _closed_form_stops(lambdas, alpha, x0):
+    """Each start's label and stop iterate, read off the closed-form iterates.
+
+    Iterate k is (1 - alpha lambda)**k x0, applied as k repeated products,
+    and its gradient lambda x_k; a trial stops at the first k at which the
+    gradient norm is at most tol (label 0, the origin's record, if the
+    iterate lies within BASIN_TOL of it, else Unresolved), the norm is at
+    least the divergence radius (Diverged) or k is the cap (Unresolved).
+    """
+    policy = DEFAULT_POLICY
+    factors = 1.0 - alpha * np.asarray(lambdas)
+    labels = np.empty(len(x0), dtype=object)
+    iterations = np.full(len(x0), -1)
+    active, x = np.arange(len(x0)), np.array(x0)
+    for k in range(policy.max_iters + 1):
+        converged = np.sqrt(np.sum((lambdas * x) ** 2, axis=-1)) <= policy.tol
+        diverged = ~converged & (np.sqrt(np.sum(x * x, axis=-1)) >= policy.divergence_radius)
+        stopped = converged | diverged | (k == policy.max_iters)
+        label = np.full(active.size, "Unresolved", dtype=object)
+        label[diverged] = "Diverged"
+        label[converged & (np.max(np.abs(x), axis=-1) <= BASIN_TOL)] = 0
+        labels[active[stopped]] = label[stopped]
+        iterations[active[stopped]] = k
+        active, x = active[~stopped], factors * x[~stopped]
+        if not active.size:
+            break
+    return labels, iterations
+
+
+def _expected_label(spec):
+    return "Diverged" if spec.startswith("diagonal") else 0
+
+
+@pytest.mark.parametrize("spec, alpha", QUADRATICS)
+def test_a_library_census_of_a_quadratic_follows_the_closed_form(spec, alpha):
+    objective = parse_objective(spec)
+    report = monte_carlo(objective, alpha, QUADRATIC_TRIALS, seed=0)
+    labels, iterations = _closed_form_stops(objective.lambdas, alpha, report.trial_x0)
+    assert set(labels) == {_expected_label(spec)}
+    assert report.trial_labels == labels.tolist()
+    assert np.array_equal(report.trial_iterations, iterations)
+
+
+@pytest.mark.parametrize("spec, alpha", QUADRATICS)
+def test_a_cli_census_of_a_quadratic_writes_trials_that_follow_the_closed_form(
+    tmp_path, capsys, spec, alpha
+):
+    argv = ["montecarlo", "--objective", spec, "--alpha", str(alpha),
+            "--trials", str(QUADRATIC_TRIALS), "--seed", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with open(tmp_path / "trials.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == QUADRATIC_TRIALS
+    objective = parse_objective(spec)
+    x0 = np.array([[float(row[f"x0_{i + 1}"]) for i in range(objective.dimension)]
+                   for row in rows])
+    labels, iterations = _closed_form_stops(objective.lambdas, alpha, x0)
+    assert [row["label"] for row in rows] == [str(label) for label in labels]
+    assert [int(row["iterations"]) for row in rows] == iterations.tolist()
 
 
 def test_the_dwell_time_at_the_saddle_is_bracketed_by_the_y_modes_growth():

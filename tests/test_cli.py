@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -109,15 +110,15 @@ def test_montecarlo_output_is_independent_of_thread_count(tmp_path):
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two threads need two cores")
 def test_a_two_thread_census_writes_the_serial_artifacts(tmp_path, capsys, monkeypatch):
-    # 20001 trials make two chunks of at least MIN_CHUNK, so --n-jobs 2
-    # starts two threads; run in-process to see them
+    # CHUNK + 1 trials make two chunks, so --n-jobs 2 starts two threads;
+    # run in-process to see them
     import threading
 
     from descentlab import experiments
     from descentlab.cli import main
-    from descentlab.experiments import MIN_CHUNK
+    from descentlab.experiments import CHUNK
 
-    n_trials = 2 * MIN_CHUNK + 1
+    n_trials = CHUNK + 1
     threads = set()
     run_many = experiments.run_many
 
@@ -161,6 +162,28 @@ def test_montecarlo_requires_trials():
     proc = cli("montecarlo", "--objective", "nesterov", check=False)
     assert proc.returncode == 2
     assert "--trials" in proc.stderr
+
+
+def test_montecarlo_refuses_more_trials_than_the_cap_before_any_work(
+    tmp_path, capsys, monkeypatch
+):
+    from descentlab import experiments
+    from descentlab.cli import main
+    from descentlab.experiments import MAX_TRIALS
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(experiments, "find_critical_points", no_work)
+    monkeypatch.setattr(experiments, "run_many", no_work)
+    out = tmp_path / "out" / "sub"
+    argv = ["montecarlo", "--objective", "nesterov", "--trials", str(MAX_TRIALS + 1),
+            "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_montecarlo_rejects_n_jobs_below_one():
@@ -487,7 +510,7 @@ def test_an_out_path_blocked_by_a_file_exits_2_before_any_work(
         parts = ["y" * 99] * (below // 100 - 1) + ["z" * (below % 100 + 99)]
         out = tmp_path.joinpath(*parts)
         assert len(os.fsencode(out / longest)) == limit
-        # mkstemp's 8 random characters, then "~" up to the artifact's length
+        # 8 random hex digits, then "~" up to the artifact's length
         where = out / (".tmp-XXXXXXXX" + "~" * max(1, len(longest) - 13))
         reason = errno.ENAMETOOLONG
     expected = f"error: --out {out}: {os.strerror(reason)}: {where}\n"
@@ -821,8 +844,12 @@ def test_a_census_too_large_for_memory_is_one_line_and_exit_1():
     def limit_memory():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
+    # within the trial cap, but the starts of 100 coordinates take 8 GB
+    from descentlab.experiments import MAX_TRIALS
+
+    objective = "diagonal_quadratic:" + json.dumps([1.0] * 100)
     proc = subprocess.run(
-        CMD + ["montecarlo", "--objective", "nesterov", "--trials", "1000000000000"],
+        CMD + ["montecarlo", "--objective", objective, "--trials", str(MAX_TRIALS)],
         capture_output=True, text=True, timeout=300, preexec_fn=limit_memory,
     )
     assert proc.returncode == 1
@@ -994,3 +1021,38 @@ def test_cli_runs_clean_in_development_mode(tmp_path, argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+# flags besides --objective nesterov and --out for a quick run of each command
+QUICK = {
+    "run": ["--x0", "0.5,0.3"], "montecarlo": ["--trials", "20"], "classify": [],
+    "stable-set": ["--grid", "5"], "invert": ["--alpha", "0.05", "--y", "0.95,1.7"],
+    "rates": ["--x0", "0.5,0.3"],
+}
+
+
+def _modes(directory):
+    return {path.name: stat.S_IMODE(path.stat().st_mode) for path in directory.iterdir()}
+
+
+@pytest.mark.parametrize("sub", sorted(QUICK))
+def test_artifacts_have_the_mode_of_a_plainly_opened_file(tmp_path, capsys, sub):
+    from descentlab.cli import COMMANDS, main
+
+    out = tmp_path / "out"
+    assert main([sub, "--objective", "nesterov", *QUICK[sub], "--out", str(out)]) == 0
+    capsys.readouterr()
+    modes = _modes(out)
+    (out / "plain").open("w").close()
+    assert sorted(modes) == sorted(COMMANDS[sub].artifacts)
+    assert set(modes.values()) == {_modes(out)["plain"]}
+
+
+def test_artifacts_follow_the_umask_of_the_process(tmp_path):
+    # the umask is set in the child only
+    out = tmp_path / "out"
+    proc = subprocess.run(CMD + ["montecarlo", "--objective", "nesterov", *QUICK["montecarlo"],
+                                 "--out", str(out)], capture_output=True, timeout=300,
+                          umask=0o027)
+    assert proc.returncode == 0, proc.stderr
+    assert _modes(out) == dict.fromkeys(["report.json", "trials.csv", "basins.csv"], 0o640)

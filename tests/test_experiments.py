@@ -18,6 +18,7 @@ from descentlab import (
     InapplicableError,
     InsufficientDataError,
     NesterovExample,
+    NumericalFailureError,
     QuarticCopositive,
     StopPolicy,
     StopReason,
@@ -35,14 +36,16 @@ from descentlab import (
     rate_fits,
     roundtrip_check,
     run,
+    run_many,
 )
 from descentlab import experiments
 from descentlab.experiments import (
     BASIN_TOL,
+    CHUNK,
     LABEL_DIVERGED,
     LABEL_LEFT_BOX,
     LABEL_UNRESOLVED,
-    MIN_CHUNK,
+    MAX_TRIALS,
 )
 
 
@@ -140,29 +143,48 @@ def test_monte_carlo_is_identical_for_any_thread_split(nesterov_records):
     assert np.array_equal(serial.trial_final_grad_norm, threaded.trial_final_grad_norm)
 
 
-def test_monte_carlo_threads_split_trials_in_order(nesterov_records, monkeypatch):
-    serial = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
-    monkeypatch.setattr(experiments, "MIN_CHUNK", 50)
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+@pytest.mark.parametrize("chunk, sizes", [(7, [7] * 28 + [4]), (199, [199, 1])])
+def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
+    nesterov_records, monkeypatch, chunk, sizes, n_jobs
+):
+    # a tail chunk, and with 199 rows a chunk of one, which takes the
+    # single-row path of the stepping loop
+    whole = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
+    result = run_many(GradientMap(NesterovExample(), 0.09), whole.trial_x0)
+    codes = experiments._basin_codes(result, nesterov_records, BASIN_TOL)
+    assert whole.trial_labels == [experiments._label_table(nesterov_records)[c] for c in codes]
+    assert np.array_equal(whole.trial_iterations, result.iterations)
+    assert np.array_equal(whole.trial_final_grad_norm, result.final_grad_norm)
+    stepped = []
+
+    def recorded(gmap, x0s, policy):
+        stepped.append(len(x0s))
+        return run_many(gmap, x0s, policy)
+
+    monkeypatch.setattr(experiments, "CHUNK", chunk)
+    monkeypatch.setattr(experiments, "run_many", recorded)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
-    assert experiments._worker_count(3, 200, experiments.os.cpu_count()) == 3
-    threaded = monte_carlo(
-        NesterovExample(), 0.09, 200, seed=7, records=nesterov_records, n_jobs=3
+    chunked = monte_carlo(
+        NesterovExample(), 0.09, 200, seed=7, records=nesterov_records, n_jobs=n_jobs
     )
-    assert serial.to_dict() == threaded.to_dict()
-    assert serial.trial_labels == threaded.trial_labels
-    assert np.array_equal(serial.trial_iterations, threaded.trial_iterations)
-    assert np.array_equal(serial.trial_final_grad_norm, threaded.trial_final_grad_norm)
+    assert sorted(stepped) == sorted(sizes)
+    assert chunked.to_dict() == whole.to_dict()
+    assert np.array_equal(chunked.trial_x0, whole.trial_x0)
+    assert chunked.trial_labels == whole.trial_labels
+    assert np.array_equal(chunked.trial_iterations, whole.trial_iterations)
+    assert np.array_equal(chunked.trial_final_grad_norm, whole.trial_final_grad_norm)
 
 
 def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
     nesterov_records, monkeypatch, tmp_path
 ):
-    # two chunks of at least MIN_CHUNK trials, on two cores: two threads
+    # two chunks on two cores: two threads, each stepping one chunk
     import threading
 
     from descentlab.fileio import atomic_write_json
 
-    n_trials = 2 * MIN_CHUNK + 1
+    n_trials = CHUNK + 1
     threads = []
     run_many = experiments.run_many
 
@@ -177,7 +199,8 @@ def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
         threads.clear()
         report = monte_carlo(NesterovExample(), 0.09, n_trials, seed=3,
                              records=nesterov_records, n_jobs=n_jobs)
-        assert len(set(threads)) == len(threads) == n_jobs
+        assert len(threads) == 2
+        assert len(set(threads)) == n_jobs
         out = tmp_path / str(n_jobs)
         out.mkdir()
         atomic_write_json(out / "report.json", report.to_dict())
@@ -188,19 +211,63 @@ def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
         assert (reports[1] / name).read_bytes() == (reports[2] / name).read_bytes()
 
 
-def test_worker_count_is_capped_by_cores_and_chunk_size():
-    # computed only: a pool of this size is never started
-    assert experiments._worker_count(100_000, 10_000, 2) == 1
-    assert experiments._worker_count(100_000, 10_000, 64) == 10_000 // MIN_CHUNK
-    assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 64) == 5
-    assert experiments._worker_count(100_000, 5 * MIN_CHUNK, 2) == 2
-    assert experiments._worker_count(3, 100 * MIN_CHUNK, 64) == 3
-    assert experiments._worker_count(1, 100 * MIN_CHUNK, 64) == 1
-    # every chunk holds at least MIN_CHUNK trials, and a small census one chunk
-    assert experiments._worker_count(4, MIN_CHUNK + 1, 64) == 1
-    assert experiments._worker_count(4, 2 * MIN_CHUNK - 1, 64) == 1
-    assert experiments._worker_count(4, 2 * MIN_CHUNK, 64) == 2
-    assert experiments._worker_count(4, 1, 64) == 1
+@pytest.mark.parametrize("n_jobs, cores, n_trials, workers", [
+    (10**30, 64, 200, 4),  # capped by the chunks
+    (10**30, 3, 200, 3),  # by the cores
+    (2, 64, 200, 2),  # by the request
+    (10**30, 64, 151, 4),  # a tail chunk is a chunk
+    (10**30, 64, 50, 1),  # one chunk: no pool
+    (1, 64, 200, 1),
+    (10**30, 1, 200, 1),
+    (10**30, None, 200, 1),  # an unknown core count counts as one
+])
+def test_a_census_starts_a_thread_per_chunk_up_to_the_request_and_the_cores(
+    nesterov_records, monkeypatch, n_jobs, cores, n_trials, workers
+):
+    # computed only: the pool is a stand-in that maps in this thread, so
+    # no pool of the requested size is ever started
+    import concurrent.futures
+
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(experiments, "CHUNK", 50)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    report = monte_carlo(
+        NesterovExample(), 0.09, n_trials, seed=7, records=nesterov_records, n_jobs=n_jobs
+    )
+    assert sum(report.basin_counts.values()) == n_trials
+    assert started == ([] if workers == 1 else [workers])
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("chunk", [1, 7, 50, 150, 151, 171, 200])
+def test_a_poisoned_trial_is_named_by_its_census_index(monkeypatch, chunk, n_jobs):
+    # f = 1e-100 * x**2 / 2 overflows at x = 1e250 while its gradient stays
+    # finite; trials 150 and 170 fail at iterate 0, in one chunk or two,
+    # and the first failing chunk in trial order is reported
+    starts = np.full((200, 1), 0.5)
+    starts[[150, 170]] = 1e250
+    monkeypatch.setattr(experiments, "_box_samples", lambda *args, **kwargs: starts)
+    monkeypatch.setattr(experiments, "CHUNK", chunk)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    with pytest.raises(NumericalFailureError) as failure:
+        monte_carlo(DiagonalQuadratic([1e-100]), 0.5, 200, seed=0, records=[], n_jobs=n_jobs)
+    assert str(failure.value) == "non-finite value or gradient at iterate 0 (trial 150)"
+    assert (failure.value.iterate_index, failure.value.trial) == (0, 150)
 
 
 def test_monte_carlo_rejects_n_jobs_below_one(nesterov_records):
@@ -420,6 +487,8 @@ def test_every_sampler_refuses_a_sample_count_that_is_not_a_positive_integer(
     # refused from the count alone, before any search or array
     monkeypatch.setattr(experiments, "find_critical_points", _no_work)
     name, call = COUNTED_SAMPLERS[sampler]
+    if (sampler, count) == ("monte_carlo", 2**62):  # the trial cap comes first
+        message = f"{{name}} must be at most {MAX_TRIALS}, got {count}"
     with pytest.raises(ContractViolationError) as refused:
         call(count)
     assert str(refused.value) == message.format(name=name, noun=name[2:])
@@ -435,10 +504,12 @@ def test_samplers_accept_numpy_and_huge_integer_seeds(nesterov_records):
     assert huge.saddle_hits == 0
 
 
-def test_monte_carlo_refuses_more_trials_than_an_array_holds(nesterov_records):
-    # refused from the count alone: no array of this size is requested
-    with pytest.raises(ContractViolationError, match="more trials than an array can hold"):
-        monte_carlo(NesterovExample(), 0.09, 2**62, seed=0, records=nesterov_records)
+def test_monte_carlo_refuses_more_trials_than_its_cap(monkeypatch):
+    # refused from the count alone, before any search or array
+    monkeypatch.setattr(experiments, "find_critical_points", _no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        monte_carlo(NesterovExample(), 0.09, MAX_TRIALS + 1, seed=0)
+    assert str(refused.value) == f"n_trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"
 
 
 @pytest.mark.parametrize(

@@ -100,3 +100,19 @@ def test_a_serial_cli_census_loads_no_thread_pool(jobs):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_a_cli_run_loads_no_openssl_next_to_a_bare_interpreter(tmp_path):
+    # the artifacts' temporary names come from os.urandom: the secrets
+    # module, or hashlib, would load OpenSSL, about 5 ms and 3.6 MB of a
+    # fresh process.  This run draws no random start (see above).
+    argv = ["run", "--objective", "quartic:[[0.25]]", "--alpha", "0.1", "--tol", "0",
+            "--max-iters", "200", "--x0", "0.6", "--out", str(tmp_path)]
+    probe = "import sys; print(sorted({'_hashlib', 'secrets'} & set(sys.modules)))"
+    code = ("import contextlib, io; from descentlab.cli import main\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): assert main({argv!r}) == 0\n"
+            + probe)
+    loaded = [subprocess.run([sys.executable, "-c", source], capture_output=True, text=True,
+                             timeout=120, check=True).stdout for source in (probe, code)]
+    assert loaded[1] == loaded[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["summary.json", "trajectory.csv"]
