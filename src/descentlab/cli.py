@@ -20,11 +20,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .critical import find_critical_points, grid_spacing, sample_local_stable_set
+from .critical import CHUNK, _settled, find_critical_points, grid_spacing, sample_local_stable_set
 from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
-from .experiments import (BASIN_TOL, CHUNK, _best_of, _settled, assign_basin, monte_carlo,
-                          rate_fits)
+from .experiments import BASIN_TOL, _best_of, assign_basin, monte_carlo, rate_fits
 from .fileio import _atomic_handle, atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import _has_bool, parse_objective
@@ -240,7 +239,7 @@ def _labelled_run(opts):
     """The trajectory from the resolved start, the critical points and its basin.
 
     The critical points are searched for, with --seed, only when the
-    trajectory settled (see ``experiments._settled``); the label of any
+    trajectory settled (see ``critical._settled``); the label of any
     other reads no records, so it is found with none.
     """
     traj = run(opts["gmap"], opts["x0"], opts["policy"])

@@ -9,13 +9,16 @@ exceed one.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .engine import (
-    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy, _row_norms,
-    _solve_rows, _squared_tolerance, _sum_squares, run_many,
+    BatchResult, GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy,
+    _row_norms, _solve_rows, _squared_tolerance, _sum_squares, run_many,
 )
-from .errors import ContractViolationError, _check_count, _check_real
+from .errors import (BasinAmbiguityError, ContractViolationError, NumericalFailureError,
+                     _check_count, _check_real)
 from .fileio import Record, atomic_write_columns
 from .jacobi import eigh_jacobi
 from .zoo import DEGENERACY_TOL, Objective, _check_vector, _classify_spectrum
@@ -32,11 +35,22 @@ DEDUP_TOL = 1e-6
 # a gradient of about 1e154 on its box (zoo._refuse_overflow), which takes
 # about 311 iterations to fall below the default tolerance of 1e-10.
 NEWTON_BUDGET = 400
-# Points per axis of a stable-set grid, at most.  A stable-set command
-# peaks at about 190 bytes per grid point (156 MB at grid 801, 744 MB at
-# this cap); a larger grid is refused before any work rather than running
-# out of memory after the critical-point search.
+# Points per axis of a stable-set grid, at most.  Stepped in chunks, a
+# stable-set command peaks at about 70 bytes per grid point above the 36
+# MB of the interpreter and numpy (72 MB at grid 801, 252 MB at this cap;
+# 2 cores, Python 3.11.7, numpy 2.4.6); a larger grid is refused before
+# any work rather than running out of memory after the critical-point
+# search.
 MAX_GRID = 2001
+# Starts a census or a stable-set grid steps and labels as one batch.
+# Every step's masks and compactions walk arrays of all a batch's rows.
+# In alternating pairs on the nesterov census (2 cores), 1e6 trials took a
+# median 7.8 s as one batch and 3.2 s in chunks of 10k or 20k rows (3.9 s
+# at 50k), and peaked at 265 MB against 100 MB.  With two threads, chunks
+# of 10k, 20k and 50k rows took 4.3, 2.8 and 2.3 s, against 3.4 s for two
+# batches of half the trials: 20k is the fastest serial size that still
+# gains from threads.
+CHUNK = 20_000
 
 
 class CriticalPointRecord(Record):
@@ -283,6 +297,88 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     return v[:, keep]
 
 
+def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
+    """Which final states a critical-point record may claim, as booleans.
+
+    A final state has settled if it stopped neither Diverged nor
+    LeftDomainBox and its gradient norm is not above ``tol``; any other
+    is Diverged, LeftBox or Unresolved whatever the records are, so the
+    records are read only for a settled one.
+    """
+    reasons = np.asarray(stop_reasons, dtype=object)
+    return ((reasons != StopReason.DIVERGED.value) & (reasons != StopReason.LEFT_DOMAIN_BOX.value)
+            & ~(np.asarray(final_grad_norm) > tol))
+
+
+def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
+    """The basin of each final state of a batch, as integer codes.
+
+    Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
+    and 2 are Diverged, LeftBox and Unresolved (see
+    ``experiments._label_table``).  A row that has not settled (see
+    ``_settled``) is never a record's; a settled one is Unresolved unless
+    a record lies within ``tol`` of it (infinity norm).  A row within
+    ``tol`` of two records raises an ambiguity error: the tolerance no
+    longer separates them.
+    """
+    n_records = len(records)
+    reasons = np.asarray(result.stop_reasons, dtype=object)
+    codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
+    codes[reasons == StopReason.DIVERGED.value] = n_records
+    codes[reasons == StopReason.LEFT_DOMAIN_BOX.value] = n_records + 1
+    settled = _settled(reasons, result.final_grad_norm, tol)
+    ambiguous = np.zeros_like(settled)
+    for i, rec in enumerate(records):
+        hit = settled & (np.abs(result.final_x - rec.location) <= tol).all(axis=-1)
+        ambiguous |= hit & (codes < n_records)
+        codes[hit] = i
+    if np.any(ambiguous):
+        t = int(np.argmax(ambiguous))
+        matches = [i for i, rec in enumerate(records)
+                   if np.max(np.abs(result.final_x[t] - rec.location)) <= tol]
+        raise BasinAmbiguityError(
+            f"final iterate within {tol} of records {matches}; "
+            "basin tolerance is wider than the critical-point separation"
+        )
+    return codes
+
+
+def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, records, tol,
+                  n_jobs: int = 1):
+    """Step the rows of ``x0s`` and label each final state against ``records``.
+
+    Returns the basin codes (``_basin_codes`` with ``tol``), the iteration
+    counts and the final gradient norms of the rows, in row order.  The
+    rows are cut in order into chunks of ``CHUNK``, each stepped by
+    ``run_many`` and labelled as one batch; an empty ``x0s`` is one empty
+    chunk.  The chunks are mapped by ``min(n_jobs, os.cpu_count(), number
+    of chunks)`` threads, or without a thread pool when that is 1.  The
+    stepping is elementwise, so the result is identical for any chunk size
+    and thread count.  A ``NumericalFailureError`` names the row of
+    ``x0s``; it is the one of the first failing chunk in row order, for
+    every ``n_jobs``.  ``run_many`` checks only the chunk it is given, so
+    a caller whose starts may leave the domain box refuses them first.
+    """
+    def label(start):
+        try:
+            result = run_many(gmap, x0s[start:start + CHUNK], policy)
+        except NumericalFailureError as exc:
+            exc.trial += start
+            raise
+        return _basin_codes(result, records, tol), result.iterations, result.final_grad_norm
+
+    starts = range(0, max(x0s.shape[0], 1), CHUNK)
+    workers = min(n_jobs, os.cpu_count() or 1, len(starts))
+    if workers == 1:
+        labelled = map(label, starts)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            labelled = list(pool.map(label, starts))
+    return [np.concatenate(column) for column in zip(*labelled)]
+
+
 class StableSetSample(Record):
     """Grid sample of the local stable set around a strict saddle.
 
@@ -335,10 +431,17 @@ def sample_local_stable_set(
 
     The grid spans [-radius, radius] per axis, trimmed to the closed ball;
     offsets are built symmetrically so the center row sits exactly on the
-    invariant axes.  A point counts as converged when its run stops on the
-    gradient certificate within ``tol`` (infinity norm) of the saddle;
-    a negative or NaN ``tol`` and a ``policy`` that is not a ``StopPolicy``
-    (None: ``DEFAULT_POLICY``) are refused before any work.
+    invariant axes, and only an odd ``grid`` has a row and a column through
+    the saddle (on nesterov at radius 0.5, 0 of the 1184 points of grid 40
+    converge and 41 of the 1257 of grid 41).  The grid is stepped and
+    labelled as a census is (``_label_starts``, serially), against the
+    saddle alone: a point counts as converged when its run neither
+    diverged nor left the domain box and ends with a gradient norm at most
+    ``tol`` within ``tol`` (infinity norm) of the saddle, whether or not
+    it stopped on the gradient certificate.  A grid that leaves a
+    box-local objective's domain box, a negative or NaN ``tol`` and a
+    ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``) are
+    refused before any work.
     """
     _check_real(tol, "tol", "non-negative")
     policy = _check_policy(policy)
@@ -357,10 +460,10 @@ def sample_local_stable_set(
         inside = sx * sx + sy * sy <= ((grid - 1) / 2.0) ** 2
         points = center + spacing * np.stack([sx[inside], sy[inside]], axis=1)
 
-    result = run_many(gmap, points, policy)
-    settled = np.asarray(result.stop_reasons, dtype=object) == StopReason.GRAD_NORM_BELOW_TOL.value
-    near = np.max(np.abs(result.final_x - center), axis=1) <= tol
-    converged = settled & near
+    objective = gmap.objective
+    if not objective.lipschitz_global and not np.all(objective.contains(points)):
+        raise ContractViolationError("some starting points lie outside domain_box")
+    converged = _label_starts(gmap, points, policy, [record], tol)[0] == 0
 
     max_distance = 0.0
     if np.any(converged):

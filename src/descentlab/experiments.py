@@ -10,24 +10,15 @@ the (a, m) pair those rates are predicted from.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .critical import _check_records, find_critical_points
-from .engine import (
-    BatchResult,
-    GradientMap,
-    StopPolicy,
-    StopReason,
-    Trajectory,
-    _box_samples,
-    _check_policy,
-    _row_norms,
-    run_many,
-)
-from .errors import (BasinAmbiguityError, ContractViolationError, InapplicableError,
-                     InsufficientDataError, NumericalFailureError, _check_count, _check_real)
+from .critical import _basin_codes, _check_records, _label_starts, find_critical_points
+# run_many stays bound here, where the bench's tracer test looks it up
+from .engine import (BatchResult, GradientMap, StopPolicy, Trajectory, _box_samples,
+                     _check_policy, _row_norms, run_many)  # noqa: F401
+from .errors import (ContractViolationError, InapplicableError, InsufficientDataError,
+                     _check_count, _check_real)
 from .fileio import Record, atomic_write_columns, plain
 from .zoo import Objective, _as_box, _check_vector
 
@@ -43,64 +34,14 @@ LABEL_UNRESOLVED = "Unresolved"
 
 BASIN_TOL = 1e-6
 FIT_FLOOR = 100.0 * np.finfo(float).eps
-# Trials a census steps and labels as one batch.  Every step's masks and
-# compactions walk arrays of all a batch's rows.  In alternating pairs on
-# the nesterov census (2 cores), 1e6 trials took a median 7.8 s as one
-# batch and 3.2 s in chunks of 10k or 20k rows (3.9 s at 50k), and peaked
-# at 265 MB against 100 MB.  With two threads, chunks of 10k, 20k and 50k
-# rows took 4.3, 2.8 and 2.3 s, against 3.4 s for two batches of half the
-# trials: 20k is the fastest serial size that still gains from threads.
-CHUNK = 20_000
-# Trials of a census, at most.  Through the CLI a 2-D census peaked at 44
-# MB at 1e5 trials and 101 MB at 1e6: about 66 bytes a trial above 37 MB,
-# so about 0.7 GB at this cap, within the stable-set grid's budget; a
-# larger one is refused before any work rather than running out of memory.
+# Trials of a 1-D or 2-D census, at most; a d-D census may have 2 *
+# MAX_TRIALS // d, so its starts hold at most 2e7 coordinates (160 MB).
+# Through the CLI a 2-D census peaked at 44 MB at 1e5 trials and 101 MB
+# at 1e6: about 66 bytes a trial above 37 MB, so about 0.7 GB at this
+# cap.  A 100-D census at its cap of 2e5 trials peaked at 346 MB, drawing
+# the starts through one temporary array as large.  A larger census is
+# refused before any work rather than running out of memory.
 MAX_TRIALS = 10_000_000
-
-
-def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
-    """Which final states a critical-point record may claim, as booleans.
-
-    A final state has settled if it stopped neither Diverged nor
-    LeftDomainBox and its gradient norm is not above ``tol``; any other
-    is Diverged, LeftBox or Unresolved whatever the records are, so the
-    records are read only for a settled one.
-    """
-    reasons = np.asarray(stop_reasons, dtype=object)
-    return ((reasons != StopReason.DIVERGED.value) & (reasons != StopReason.LEFT_DOMAIN_BOX.value)
-            & ~(np.asarray(final_grad_norm) > tol))
-
-
-def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
-    """The basin of each final state of a batch, as integer codes.
-
-    Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
-    and 2 are Diverged, LeftBox and Unresolved (see ``_label_table``).  A
-    row that has not settled (see ``_settled``) is never a record's; a
-    settled one is Unresolved unless a record lies within ``tol`` of it
-    (infinity norm).  A row within ``tol`` of two records raises an
-    ambiguity error: the tolerance no longer separates them.
-    """
-    n_records = len(records)
-    reasons = np.asarray(result.stop_reasons, dtype=object)
-    codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
-    codes[reasons == StopReason.DIVERGED.value] = n_records
-    codes[reasons == StopReason.LEFT_DOMAIN_BOX.value] = n_records + 1
-    settled = _settled(reasons, result.final_grad_norm, tol)
-    ambiguous = np.zeros_like(settled)
-    for i, rec in enumerate(records):
-        hit = settled & (np.abs(result.final_x - rec.location) <= tol).all(axis=-1)
-        ambiguous |= hit & (codes < n_records)
-        codes[hit] = i
-    if np.any(ambiguous):
-        t = int(np.argmax(ambiguous))
-        matches = [i for i, rec in enumerate(records)
-                   if np.max(np.abs(result.final_x[t] - rec.location)) <= tol]
-        raise BasinAmbiguityError(
-            f"final iterate within {tol} of records {matches}; "
-            "basin tolerance is wider than the critical-point separation"
-        )
-    return codes
 
 
 def _label_table(records) -> list:
@@ -209,17 +150,24 @@ def monte_carlo(
     Monte Carlo seed; given ones that are not ``CriticalPointRecord``s of
     the objective's dimension are refused before any work, as are a
     ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``) and
-    more than ``MAX_TRIALS`` trials.
+    more trials than ``MAX_TRIALS``, or ``2 * MAX_TRIALS // d`` for a
+    d-dimensional objective with d > 2.
 
     The starts come from one RNG stream for ``seed`` (a non-negative
-    integer), drawn in trial order, and are cut in trial order into chunks
-    of ``CHUNK`` rows, each stepped and labelled as one batch.  ``n_jobs``
-    (at least 1) is the most threads to use: the chunks are mapped by
-    ``min(n_jobs, os.cpu_count(), number of chunks)`` threads, or without
-    a thread pool when that is 1.  The stepping is elementwise, so the
-    report is identical for any chunk size and thread count.  A
-    ``NumericalFailureError`` names the census-wide trial; it is the one
-    of the first failing chunk in trial order, for every ``n_jobs``.
+    integer), drawn in trial order, and are stepped and labelled as the
+    stable-set grid is (``critical._label_starts``): cut in trial order
+    into chunks of ``critical.CHUNK`` rows, each stepped and labelled as
+    one batch.  A trial lands at record i when its run neither diverged
+    nor left the domain box and ends with a gradient norm at most
+    ``basin_tol`` within ``basin_tol`` (infinity norm) of record i;
+    ``sample_local_stable_set`` counts a grid point as converged by the
+    same rule.  ``n_jobs`` (at least 1) is the most threads to use: the
+    chunks are mapped by ``min(n_jobs, os.cpu_count(), number of chunks)``
+    threads, or without a thread pool when that is 1.  The stepping is
+    elementwise, so the report is identical for any chunk size and thread
+    count.  A ``NumericalFailureError`` names the census-wide trial; it is
+    the one of the first failing chunk in trial order, for every
+    ``n_jobs``.
     """
     _check_count(n_jobs, "n_jobs", least=1)
     policy = _check_policy(policy)
@@ -231,28 +179,12 @@ def monte_carlo(
         raise ContractViolationError("init_box must lie inside the domain box")
     if records is not None:
         records = _check_records(records, objective.dimension)
-    x0s = _box_samples(seed, n_trials, box, "n_trials", most=MAX_TRIALS)
+    x0s = _box_samples(seed, n_trials, box, "n_trials", most=2 * MAX_TRIALS // max(len(box), 2))
     if records is None:
         records = find_critical_points(objective)
 
-    def label(start):
-        try:
-            result = run_many(gmap, x0s[start:start + CHUNK], policy)
-        except NumericalFailureError as exc:
-            exc.trial += start
-            raise
-        return _basin_codes(result, records, basin_tol), result.iterations, result.final_grad_norm
-
-    starts = range(0, n_trials, CHUNK)
-    workers = min(n_jobs, os.cpu_count() or 1, len(starts))
-    if workers == 1:
-        labelled = map(label, starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            labelled = list(pool.map(label, starts))
-    codes, iterations, final_grad_norm = (np.concatenate(column) for column in zip(*labelled))
+    codes, iterations, final_grad_norm = _label_starts(gmap, x0s, policy, records, basin_tol,
+                                                       n_jobs)
     table = _label_table(records)
     labels = np.array(table, dtype=object)[codes].tolist()
     counts = np.bincount(codes, minlength=len(table)).tolist()

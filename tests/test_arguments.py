@@ -154,7 +154,6 @@ def test_every_argument_is_refused_by_its_rule_before_any_work(
 ):
     monkeypatch.setattr(experiments, "find_critical_points", _no_work)
     monkeypatch.setattr(critical, "_newton_roots", _no_work)
-    monkeypatch.setattr(experiments, "run_many", _no_work)
     monkeypatch.setattr(critical, "run_many", _no_work)
     monkeypatch.setattr(inverse, "_invert_batch", _no_work)
     with pytest.raises(ContractViolationError) as refused:

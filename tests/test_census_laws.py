@@ -48,6 +48,7 @@ import pytest
 from descentlab import (GradientMap, NesterovExample, StopPolicy, alpha_from_theta,
                         find_critical_points, monte_carlo, parse_objective, run,
                         sample_local_stable_set)
+from descentlab import experiments
 from descentlab.cli import THETA_DEFAULT, main
 from descentlab.engine import DEFAULT_POLICY
 from descentlab.experiments import BASIN_TOL
@@ -156,6 +157,33 @@ def test_a_cli_stable_set_of_a_quadratic_saddle_is_its_positive_mode(
     tmp_path, capsys, spec, radius, grid, n_points
 ):
     _check_cli_stable_set(tmp_path, capsys, spec, radius, grid, n_points)
+
+
+@pytest.mark.parametrize("max_iters", [200, 230])
+def test_a_stable_set_converges_where_a_census_from_its_points_lands_at_the_saddle(
+    tmp_path, capsys, monkeypatch, max_iters
+):
+    # these caps stop the x-axis runs within BASIN_TOL of the saddle but
+    # before the gradient certificate, which only 1 and 21 of them reach;
+    # a grid point converges by the census's rule, which needs no certificate
+    argv = ["stable-set", "--objective", "nesterov", "--grid", "41",
+            "--max-iters", str(max_iters), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    summary = json.loads((tmp_path / "stable_set_summary.json").read_text())
+    with open(tmp_path / "stable_set.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    points = np.array([[float(row["x_1"]), float(row["x_2"])] for row in rows])
+    converged = [row["converged_to_saddle"] == "1" for row in rows]
+    assert summary["n_converged"] == sum(converged) == 41
+    assert converged == (points[:, 1] == 0.0).tolist()
+    # a census from the same starts, with the same step and cap
+    objective = NesterovExample()
+    monkeypatch.setattr(experiments, "_box_samples", lambda *args, **kwargs: points)
+    report = monte_carlo(objective, alpha_from_theta(objective, THETA_DEFAULT), len(points),
+                         seed=0, policy=StopPolicy(max_iters=max_iters))
+    saddle = next(i for i, record in enumerate(report.records) if record.is_strict_saddle)
+    assert [label == saddle for label in report.trial_labels] == converged
 
 
 # (objective, alpha): every trial of the first two and of the indefinite

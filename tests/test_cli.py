@@ -114,19 +114,19 @@ def test_a_two_thread_census_writes_the_serial_artifacts(tmp_path, capsys, monke
     # run in-process to see them
     import threading
 
-    from descentlab import experiments
+    from descentlab import critical
     from descentlab.cli import main
-    from descentlab.experiments import CHUNK
+    from descentlab.critical import CHUNK
 
     n_trials = CHUNK + 1
     threads = set()
-    run_many = experiments.run_many
+    run_many = critical.run_many
 
     def recorded(*args, **kwargs):
         threads.add(threading.get_ident())
         return run_many(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "run_many", recorded)
+    monkeypatch.setattr(critical, "run_many", recorded)
     argv = ["montecarlo", "--objective", "nesterov", "--trials", str(n_trials), "--seed", "5"]
     assert main([*argv, "--out", str(tmp_path / "serial")]) == 0
     assert len(threads) == 1
@@ -167,7 +167,7 @@ def test_montecarlo_requires_trials():
 def test_montecarlo_refuses_more_trials_than_the_cap_before_any_work(
     tmp_path, capsys, monkeypatch
 ):
-    from descentlab import experiments
+    from descentlab import critical, experiments
     from descentlab.cli import main
     from descentlab.experiments import MAX_TRIALS
 
@@ -175,7 +175,7 @@ def test_montecarlo_refuses_more_trials_than_the_cap_before_any_work(
         raise AssertionError("work started")
 
     monkeypatch.setattr(experiments, "find_critical_points", no_work)
-    monkeypatch.setattr(experiments, "run_many", no_work)
+    monkeypatch.setattr(critical, "run_many", no_work)
     out = tmp_path / "out" / "sub"
     argv = ["montecarlo", "--objective", "nesterov", "--trials", str(MAX_TRIALS + 1),
             "--out", str(out)]
@@ -183,6 +183,15 @@ def test_montecarlo_refuses_more_trials_than_the_cap_before_any_work(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: n_trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}\n"
+    assert list(tmp_path.iterdir()) == []
+    # 100 coordinates a start: a fiftieth of the 2-D cap
+    cap = 2 * MAX_TRIALS // 100
+    objective = "diagonal_quadratic:" + json.dumps([1.0] * 100)
+    argv = ["montecarlo", "--objective", objective, "--trials", str(cap + 1), "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n_trials must be at most {cap}, got {cap + 1}\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -842,14 +851,16 @@ def test_a_census_too_large_for_memory_is_one_line_and_exit_1():
     import resource
 
     def limit_memory():  # runs in the child only
-        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
-    # within the trial cap, but the starts of 100 coordinates take 8 GB
+    # at the 100-D trial cap the starts take 160 MB, and drawing them twice
+    # that: more than the child's 256 MB of address space, of which the
+    # interpreter with numpy loaded takes about 100 MB
     from descentlab.experiments import MAX_TRIALS
 
     objective = "diagonal_quadratic:" + json.dumps([1.0] * 100)
     proc = subprocess.run(
-        CMD + ["montecarlo", "--objective", objective, "--trials", str(MAX_TRIALS)],
+        CMD + ["montecarlo", "--objective", objective, "--trials", str(2 * MAX_TRIALS // 100)],
         capture_output=True, text=True, timeout=300, preexec_fn=limit_memory,
     )
     assert proc.returncode == 1

@@ -10,12 +10,15 @@ from descentlab import (
     GradientMap,
     NesterovExample,
     QuarticCopositive,
+    StopPolicy,
     StronglyConvexQuadratic,
     classify,
     find_critical_points,
+    run_many,
     sample_local_stable_set,
     stable_subspace,
 )
+from descentlab import critical
 from descentlab.critical import (DEGENERACY_TOL, MAX_GRID, NEWTON_BUDGET, _newton_roots,
                                  grid_spacing)
 from descentlab.inverse import roundtrip_check
@@ -535,6 +538,55 @@ def test_stable_set_grid_of_a_huge_radius_is_trimmed_without_overflow():
     rec = classify(obj, np.array([0.0, 0.0]))
     with pytest.raises(ContractViolationError, match="outside domain_box"):
         sample_local_stable_set(GradientMap(obj, 0.09), rec, radius=1e300, grid=3)
+
+
+@pytest.mark.parametrize("grid, chunk, sizes", [
+    (41, 100, [100] * 12 + [57]),  # a tail chunk
+    (41, 1256, [1256, 1]),  # a chunk of one row, on the single-row stepping path
+    (2, 7, [0]),  # the empty grid is one empty chunk
+])
+def test_a_stable_set_in_chunks_of_a_few_rows_matches_one_batch_of_the_grid(
+    monkeypatch, grid, chunk, sizes
+):
+    # at 200 iterations the x-axis runs end within the tolerance of the
+    # saddle before the gradient certificate, and the others away from it
+    obj = NesterovExample()
+    gmap = GradientMap(obj, 0.09)
+    rec = classify(obj, np.array([0.0, 0.0]))
+    policy, tol = StopPolicy(max_iters=200), 1e-6
+    stepped = []
+
+    def recorded(gmap, x0s, policy):
+        stepped.append(len(x0s))
+        return run_many(gmap, x0s, policy)
+
+    monkeypatch.setattr(critical, "CHUNK", chunk)
+    monkeypatch.setattr(critical, "run_many", recorded)
+    sample = sample_local_stable_set(gmap, rec, radius=0.5, grid=grid, policy=policy, tol=tol)
+    assert stepped == sizes
+    # one batch of the whole grid, labelled by the census's rule against the saddle
+    whole = run_many(gmap, sample.points, policy)
+    left = [reason.value in ("Diverged", "LeftDomainBox") for reason in whole.stop_reasons]
+    near = np.max(np.abs(whole.final_x - rec.location), axis=1, initial=0.0) <= tol
+    assert np.array_equal(sample.converged, ~np.array(left, dtype=bool) & near
+                          & (whole.final_grad_norm <= tol))
+    assert np.count_nonzero(sample.converged) == (41 if grid == 41 else 0)
+
+
+def test_a_stable_set_refuses_a_grid_outside_the_box_before_any_chunk(monkeypatch):
+    # in chunks of two rows, the grid points (-1, 0), (0, -1), (0, 0) and
+    # (0, 1) lie inside the box and the last one, (1, 0), does not
+    obj = NesterovExample(domain_box=[[-1.0, 0.5], [-2.0, 2.0]])
+    rec = classify(obj, np.array([0.0, 0.0]))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a chunk was stepped")
+
+    monkeypatch.setattr(critical, "CHUNK", 2)
+    monkeypatch.setattr(critical, "run_many", no_work)
+    with pytest.raises(ContractViolationError) as refused:
+        sample_local_stable_set(GradientMap(obj, 0.09), rec, radius=1.0, grid=3)
+    assert str(refused.value) == "some starting points lie outside domain_box"
 
 
 def test_stable_set_sample_on_exact_linear_dynamics():

@@ -38,10 +38,10 @@ from descentlab import (
     run,
     run_many,
 )
-from descentlab import experiments
+from descentlab import critical, experiments
+from descentlab.critical import CHUNK
 from descentlab.experiments import (
     BASIN_TOL,
-    CHUNK,
     LABEL_DIVERGED,
     LABEL_LEFT_BOX,
     LABEL_UNRESOLVED,
@@ -152,7 +152,7 @@ def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
     # single-row path of the stepping loop
     whole = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
     result = run_many(GradientMap(NesterovExample(), 0.09), whole.trial_x0)
-    codes = experiments._basin_codes(result, nesterov_records, BASIN_TOL)
+    codes = critical._basin_codes(result, nesterov_records, BASIN_TOL)
     assert whole.trial_labels == [experiments._label_table(nesterov_records)[c] for c in codes]
     assert np.array_equal(whole.trial_iterations, result.iterations)
     assert np.array_equal(whole.trial_final_grad_norm, result.final_grad_norm)
@@ -162,9 +162,9 @@ def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
         stepped.append(len(x0s))
         return run_many(gmap, x0s, policy)
 
-    monkeypatch.setattr(experiments, "CHUNK", chunk)
-    monkeypatch.setattr(experiments, "run_many", recorded)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(critical, "CHUNK", chunk)
+    monkeypatch.setattr(critical, "run_many", recorded)
+    monkeypatch.setattr(critical.os, "cpu_count", lambda: 3)
     chunked = monte_carlo(
         NesterovExample(), 0.09, 200, seed=7, records=nesterov_records, n_jobs=n_jobs
     )
@@ -186,14 +186,14 @@ def test_a_census_of_two_chunks_runs_two_threads_and_writes_the_serial_bytes(
 
     n_trials = CHUNK + 1
     threads = []
-    run_many = experiments.run_many
+    run_many = critical.run_many
 
     def recorded(*args, **kwargs):
         threads.append(threading.get_ident())
         return run_many(*args, **kwargs)
 
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(experiments, "run_many", recorded)
+    monkeypatch.setattr(critical.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(critical, "run_many", recorded)
     reports = {}
     for n_jobs in (1, 2):
         threads.clear()
@@ -244,8 +244,8 @@ def test_a_census_starts_a_thread_per_chunk_up_to_the_request_and_the_cores(
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-    monkeypatch.setattr(experiments, "CHUNK", 50)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(critical, "CHUNK", 50)
+    monkeypatch.setattr(critical.os, "cpu_count", lambda: cores)
     report = monte_carlo(
         NesterovExample(), 0.09, n_trials, seed=7, records=nesterov_records, n_jobs=n_jobs
     )
@@ -262,8 +262,8 @@ def test_a_poisoned_trial_is_named_by_its_census_index(monkeypatch, chunk, n_job
     starts = np.full((200, 1), 0.5)
     starts[[150, 170]] = 1e250
     monkeypatch.setattr(experiments, "_box_samples", lambda *args, **kwargs: starts)
-    monkeypatch.setattr(experiments, "CHUNK", chunk)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(critical, "CHUNK", chunk)
+    monkeypatch.setattr(critical.os, "cpu_count", lambda: 2)
     with pytest.raises(NumericalFailureError) as failure:
         monte_carlo(DiagonalQuadratic([1e-100]), 0.5, 200, seed=0, records=[], n_jobs=n_jobs)
     assert str(failure.value) == "non-finite value or gradient at iterate 0 (trial 150)"
@@ -315,7 +315,7 @@ def test_batch_labels_match_the_scalar_oracle(nesterov_records):
     ]
     batch = _batch(rows)
     table = experiments._label_table(nesterov_records)
-    labels = [table[c] for c in experiments._basin_codes(batch, nesterov_records, BASIN_TOL)]
+    labels = [table[c] for c in critical._basin_codes(batch, nesterov_records, BASIN_TOL)]
     assert labels == _oracle_labels(batch, nesterov_records, BASIN_TOL)
     assert labels == [
         "Diverged", "Diverged", "LeftBox", "LeftBox", "Unresolved", "Unresolved",
@@ -330,16 +330,16 @@ def test_settled_rows_are_exactly_those_a_record_may_claim(nesterov_records):
     rows = [(nesterov_records[t % 3].location, norm, reason)
             for t, (reason, norm) in enumerate(cases)]
     batch = _batch(rows)
-    settled = experiments._settled(batch.stop_reasons, batch.final_grad_norm, BASIN_TOL)
+    settled = critical._settled(batch.stop_reasons, batch.final_grad_norm, BASIN_TOL)
     assert settled.tolist() == [
         reason not in (StopReason.DIVERGED, StopReason.LEFT_DOMAIN_BOX) and not norm > BASIN_TOL
         for reason, norm in cases
     ]
-    codes = experiments._basin_codes(batch, nesterov_records, BASIN_TOL)
+    codes = critical._basin_codes(batch, nesterov_records, BASIN_TOL)
     assert settled.tolist() == (codes < len(nesterov_records)).tolist()
     # an unsettled row gets the same label without records
     table = experiments._label_table(nesterov_records)
-    bare = experiments._basin_codes(batch, [], BASIN_TOL)
+    bare = critical._basin_codes(batch, [], BASIN_TOL)
     assert [table[c] for c in codes[~settled]] == [
         experiments._label_table([])[c] for c in bare[~settled]
     ]
@@ -356,7 +356,7 @@ def test_batch_labels_raise_on_a_two_record_hit(nesterov_records):
     batch = _batch(rows)
     assert _oracle_labels(_batch(rows[:2]), records, BASIN_TOL) == [0, "Diverged"]
     with pytest.raises(BasinAmbiguityError) as vectorised:
-        experiments._basin_codes(batch, records, BASIN_TOL)
+        critical._basin_codes(batch, records, BASIN_TOL)
     with pytest.raises(BasinAmbiguityError) as scalar:
         _oracle_labels(batch, records, BASIN_TOL)
     assert str(vectorised.value) == str(scalar.value)
@@ -504,12 +504,19 @@ def test_samplers_accept_numpy_and_huge_integer_seeds(nesterov_records):
     assert huge.saddle_hits == 0
 
 
-def test_monte_carlo_refuses_more_trials_than_its_cap(monkeypatch):
-    # refused from the count alone, before any search or array
+@pytest.mark.parametrize("objective, alpha, cap", [
+    (NesterovExample(), 0.09, MAX_TRIALS),
+    (DiagonalQuadratic([1.0]), 0.5, MAX_TRIALS),  # 1-D gets no more trials than 2-D
+    (DiagonalQuadratic([1.0] * 3), 0.5, 2 * MAX_TRIALS // 3),
+    (DiagonalQuadratic([1.0] * 100), 0.5, 2 * MAX_TRIALS // 100),
+])
+def test_monte_carlo_refuses_more_trials_than_its_cap(monkeypatch, objective, alpha, cap):
+    # refused from the count alone, before any search or array; above 2-D
+    # the cap is on coordinates of starts, 2 * MAX_TRIALS of them
     monkeypatch.setattr(experiments, "find_critical_points", _no_work)
     with pytest.raises(ContractViolationError) as refused:
-        monte_carlo(NesterovExample(), 0.09, MAX_TRIALS + 1, seed=0)
-    assert str(refused.value) == f"n_trials must be at most {MAX_TRIALS}, got {MAX_TRIALS + 1}"
+        monte_carlo(objective, alpha, cap + 1, seed=0)
+    assert str(refused.value) == f"n_trials must be at most {cap}, got {cap + 1}"
 
 
 @pytest.mark.parametrize(
