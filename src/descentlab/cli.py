@@ -21,14 +21,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .critical import CHUNK, _settled, find_critical_points, grid_spacing, sample_local_stable_set
-from .engine import DEFAULT_POLICY, GradientMap, StopPolicy, alpha_from_theta, run
+from .engine import DEFAULT_POLICY, THETA_DEFAULT, GradientMap, StopPolicy, alpha_from_theta, run
 from .errors import ContractViolationError, DescentLabError, NumericalFailureError, _check_count
-from .experiments import BASIN_TOL, _best_of, assign_basin, monte_carlo, rate_fits
+from .experiments import _best_of, assign_basin, monte_carlo, rate_fits
 from .fileio import _atomic_handle, atomic_write_json, atomic_write_text, json_text
 from .inverse import invert
 from .zoo import _has_bool, parse_objective
 
-THETA_DEFAULT = 0.99
 REQUIRED = object()  # the default of an option that every command reading it requires
 
 
@@ -244,9 +243,9 @@ def _labelled_run(opts):
     """
     traj = run(opts["gmap"], opts["x0"], opts["policy"])
     records = []
-    if _settled([traj.stop_reason], traj.grad_norms[-1:], BASIN_TOL)[0]:
+    if _settled([traj.stop_reason], traj.grad_norms[-1:])[0]:
         records = find_critical_points(opts["objective"], seed=opts["seed"])
-    return traj, records, assign_basin(traj, records, BASIN_TOL)
+    return traj, records, assign_basin(traj, records)
 
 
 def cmd_run(opts) -> int:

@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 from .engine import (
-    BatchResult, GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy,
+    GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy,
     _row_norms, _solve_rows, _squared_tolerance, _sum_squares, run_many,
 )
 from .errors import (BasinAmbiguityError, ContractViolationError, NumericalFailureError,
@@ -51,6 +51,12 @@ MAX_GRID = 2001
 # batches of half the trials: 20k is the fastest serial size that still
 # gains from threads.
 CHUNK = 20_000
+# The basin tolerance of ``_basin_codes``, for a census and a stable-set
+# grid alike, and the labels of a final state that lands at no record.
+BASIN_TOL = 1e-6
+LABEL_DIVERGED = "Diverged"
+LABEL_LEFT_BOX = "LeftBox"
+LABEL_UNRESOLVED = "Unresolved"
 
 
 class CriticalPointRecord(Record):
@@ -297,67 +303,73 @@ def stable_subspace(gmap: GradientMap, record: CriticalPointRecord) -> np.ndarra
     return v[:, keep]
 
 
-def _settled(stop_reasons, final_grad_norm, tol) -> np.ndarray:
+def _label_table(records) -> list:
+    """The label of each code of ``_basin_codes``."""
+    return [*range(len(records)), LABEL_DIVERGED, LABEL_LEFT_BOX, LABEL_UNRESOLVED]
+
+
+def _settled(stop_reasons, final_grad_norm) -> np.ndarray:
     """Which final states a critical-point record may claim, as booleans.
 
     A final state has settled if it stopped neither Diverged nor
-    LeftDomainBox and its gradient norm is not above ``tol``; any other
-    is Diverged, LeftBox or Unresolved whatever the records are, so the
-    records are read only for a settled one.
+    LeftDomainBox and its gradient norm is not above ``BASIN_TOL``; any
+    other is Diverged, LeftBox or Unresolved whatever the records are, so
+    the records are read only for a settled one.
     """
     reasons = np.asarray(stop_reasons, dtype=object)
     return ((reasons != StopReason.DIVERGED.value) & (reasons != StopReason.LEFT_DOMAIN_BOX.value)
-            & ~(np.asarray(final_grad_norm) > tol))
+            & ~(np.asarray(final_grad_norm) > BASIN_TOL))
 
 
-def _basin_codes(result: BatchResult, records, tol) -> np.ndarray:
+def _basin_codes(final_x, final_grad_norm, stop_reasons, records) -> np.ndarray:
     """The basin of each final state of a batch, as integer codes.
 
-    Code ``i < len(records)`` is record i; codes ``len(records)`` + 0, 1
-    and 2 are Diverged, LeftBox and Unresolved (see
-    ``experiments._label_table``).  A row that has not settled (see
-    ``_settled``) is never a record's; a settled one is Unresolved unless
-    a record lies within ``tol`` of it (infinity norm).  A row within
-    ``tol`` of two records raises an ambiguity error: the tolerance no
-    longer separates them.
+    The library's one basin rule: a final state lands at record i when
+    its run neither diverged nor left the domain box and ends with a
+    gradient norm at most ``BASIN_TOL`` within ``BASIN_TOL`` (infinity
+    norm) of record i.  Code ``i < len(records)`` is record i; codes
+    ``len(records)`` + 0, 1 and 2 are Diverged, LeftBox and Unresolved
+    (``_label_table``), the last for a settled state (``_settled``) near
+    no record.  A state within ``BASIN_TOL`` of two records raises an
+    ambiguity error: the tolerance no longer separates them.
     """
     n_records = len(records)
-    reasons = np.asarray(result.stop_reasons, dtype=object)
+    reasons = np.asarray(stop_reasons, dtype=object)
     codes = np.full(reasons.shape[0], n_records + 2, dtype=np.min_scalar_type(n_records + 2))
     codes[reasons == StopReason.DIVERGED.value] = n_records
     codes[reasons == StopReason.LEFT_DOMAIN_BOX.value] = n_records + 1
-    settled = _settled(reasons, result.final_grad_norm, tol)
+    settled = _settled(reasons, final_grad_norm)
     ambiguous = np.zeros_like(settled)
     for i, rec in enumerate(records):
-        hit = settled & (np.abs(result.final_x - rec.location) <= tol).all(axis=-1)
+        hit = settled & (np.abs(final_x - rec.location) <= BASIN_TOL).all(axis=-1)
         ambiguous |= hit & (codes < n_records)
         codes[hit] = i
     if np.any(ambiguous):
         t = int(np.argmax(ambiguous))
         matches = [i for i, rec in enumerate(records)
-                   if np.max(np.abs(result.final_x[t] - rec.location)) <= tol]
+                   if np.max(np.abs(final_x[t] - rec.location)) <= BASIN_TOL]
         raise BasinAmbiguityError(
-            f"final iterate within {tol} of records {matches}; "
+            f"final iterate within {BASIN_TOL} of records {matches}; "
             "basin tolerance is wider than the critical-point separation"
         )
     return codes
 
 
-def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, records, tol,
+def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, records,
                   n_jobs: int = 1):
     """Step the rows of ``x0s`` and label each final state against ``records``.
 
-    Returns the basin codes (``_basin_codes`` with ``tol``), the iteration
-    counts and the final gradient norms of the rows, in row order.  The
-    rows are cut in order into chunks of ``CHUNK``, each stepped by
-    ``run_many`` and labelled as one batch; an empty ``x0s`` is one empty
-    chunk.  The chunks are mapped by ``min(n_jobs, os.cpu_count(), number
-    of chunks)`` threads, or without a thread pool when that is 1.  The
-    stepping is elementwise, so the result is identical for any chunk size
-    and thread count.  A ``NumericalFailureError`` names the row of
-    ``x0s``; it is the one of the first failing chunk in row order, for
-    every ``n_jobs``.  ``run_many`` checks only the chunk it is given, so
-    a caller whose starts may leave the domain box refuses them first.
+    Returns the basin codes (``_basin_codes``), the iteration counts and
+    the final gradient norms of the rows, in row order.  The rows are cut
+    in order into chunks of ``CHUNK``, each stepped by ``run_many`` and
+    labelled as one batch; an empty ``x0s`` is one empty chunk.  The
+    chunks are mapped by ``min(n_jobs, os.cpu_count(), number of chunks)``
+    threads, or without a thread pool when that is 1.  The stepping is
+    elementwise, so the result is identical for any chunk size and thread
+    count.  A ``NumericalFailureError`` names the row of ``x0s``; it is
+    the one of the first failing chunk in row order, for every
+    ``n_jobs``.  ``run_many`` checks only the chunk it is given, so a
+    caller whose starts may leave the domain box refuses them first.
     """
     def label(start):
         try:
@@ -365,7 +377,8 @@ def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, record
         except NumericalFailureError as exc:
             exc.trial += start
             raise
-        return _basin_codes(result, records, tol), result.iterations, result.final_grad_norm
+        codes = _basin_codes(result.final_x, result.final_grad_norm, result.stop_reasons, records)
+        return codes, result.iterations, result.final_grad_norm
 
     starts = range(0, max(x0s.shape[0], 1), CHUNK)
     workers = min(n_jobs, os.cpu_count() or 1, len(starts))
@@ -425,7 +438,6 @@ def sample_local_stable_set(
     radius: float,
     grid: int = 41,
     policy: StopPolicy | None = None,
-    tol: float = 1e-6,
 ) -> StableSetSample:
     """Run the engine from a grid around a strict saddle and keep what sticks.
 
@@ -435,15 +447,15 @@ def sample_local_stable_set(
     the saddle (on nesterov at radius 0.5, 0 of the 1184 points of grid 40
     converge and 41 of the 1257 of grid 41).  The grid is stepped and
     labelled as a census is (``_label_starts``, serially), against the
-    saddle alone: a point counts as converged when its run neither
-    diverged nor left the domain box and ends with a gradient norm at most
-    ``tol`` within ``tol`` (infinity norm) of the saddle, whether or not
-    it stopped on the gradient certificate.  A grid that leaves a
-    box-local objective's domain box, a negative or NaN ``tol`` and a
-    ``policy`` that is not a ``StopPolicy`` (None: ``DEFAULT_POLICY``) are
-    refused before any work.
+    saddle alone, so a point counts as converged exactly when a census
+    trial from it would land at the saddle: its run neither diverged nor
+    left the domain box and ends with a gradient norm at most
+    ``BASIN_TOL`` within ``BASIN_TOL`` (infinity norm) of the saddle,
+    whether or not it stopped on the gradient certificate.  A grid that
+    leaves a box-local objective's domain box and a ``policy`` that is not
+    a ``StopPolicy`` (None: ``DEFAULT_POLICY``) are refused before any
+    work.
     """
-    _check_real(tol, "tol", "non-negative")
     policy = _check_policy(policy)
     _check_records([record], gmap.objective.dimension, "record")
     if not record.is_strict_saddle:
@@ -463,7 +475,7 @@ def sample_local_stable_set(
     objective = gmap.objective
     if not objective.lipschitz_global and not np.all(objective.contains(points)):
         raise ContractViolationError("some starting points lie outside domain_box")
-    converged = _label_starts(gmap, points, policy, [record], tol)[0] == 0
+    converged = _label_starts(gmap, points, policy, [record])[0] == 0
 
     max_distance = 0.0
     if np.any(converged):

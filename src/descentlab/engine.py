@@ -90,6 +90,7 @@ class StopPolicy(Record):
 
 
 DEFAULT_POLICY = StopPolicy()
+THETA_DEFAULT = 0.99  # the step size as a fraction of 1/L, unless a caller gives one
 
 
 def _check_policy(policy) -> StopPolicy:
@@ -132,7 +133,7 @@ class GradientMap:
         return f"GradientMap({self.objective!r}, alpha={self.alpha})"
 
 
-def alpha_from_theta(objective: Objective, theta: float = 0.99) -> float:
+def alpha_from_theta(objective: Objective, theta: float = THETA_DEFAULT) -> float:
     """Step size theta / L for theta < 1, the near-optimal constant-step choice."""
     if not 0 < _check_real(theta, "theta") < 1:
         raise ContractViolationError("theta must lie in (0, 1)")
@@ -209,7 +210,11 @@ def _box_samples(seed, n, box, name: str, copies: int = 1, most=None) -> np.ndar
     if n > np.iinfo(np.intp).max // (8 * copies * lo.shape[0]):
         raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
     _check_count(seed, "seed")
-    return lo + np.random.default_rng(seed).random((copies * n, lo.shape[0])) * (hi - lo)
+    # scaled in place: no temporary as large as the samples
+    samples = np.random.default_rng(seed).random((copies * n, lo.shape[0]))
+    samples *= hi - lo
+    samples += lo
+    return samples
 
 
 def _solve_rows(mats, rhs):

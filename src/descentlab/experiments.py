@@ -13,10 +13,11 @@ import math
 
 import numpy as np
 
-from .critical import _basin_codes, _check_records, _label_starts, find_critical_points
+from .critical import (BASIN_TOL, _basin_codes, _check_records, _label_starts, _label_table,
+                       find_critical_points)
 # run_many stays bound here, where the bench's tracer test looks it up
-from .engine import (BatchResult, GradientMap, StopPolicy, Trajectory, _box_samples,
-                     _check_policy, _row_norms, run_many)  # noqa: F401
+from .engine import (GradientMap, StopPolicy, Trajectory, _box_samples, _check_policy,
+                     _row_norms, run_many)  # noqa: F401
 from .errors import (ContractViolationError, InapplicableError, InsufficientDataError,
                      _check_count, _check_real)
 from .fileio import Record, atomic_write_columns, plain
@@ -28,44 +29,35 @@ __all__ = [
     "path_length_check", "rate_fits",
 ]
 
-LABEL_DIVERGED = "Diverged"
-LABEL_LEFT_BOX = "LeftBox"
-LABEL_UNRESOLVED = "Unresolved"
-
-BASIN_TOL = 1e-6
 FIT_FLOOR = 100.0 * np.finfo(float).eps
 # Trials of a 1-D or 2-D census, at most; a d-D census may have 2 *
 # MAX_TRIALS // d, so its starts hold at most 2e7 coordinates (160 MB).
 # Through the CLI a 2-D census peaked at 44 MB at 1e5 trials and 101 MB
 # at 1e6: about 66 bytes a trial above 37 MB, so about 0.7 GB at this
-# cap.  A 100-D census at its cap of 2e5 trials peaked at 346 MB, drawing
-# the starts through one temporary array as large.  A larger census is
-# refused before any work rather than running out of memory.
+# cap.  A 100-D census at its cap of 2e5 trials peaked at 345 MB: 160 MB
+# of starts, and about 130 MB of temporaries stepping one 20k-row chunk.
+# A larger census is refused before any work rather than running out of
+# memory.
 MAX_TRIALS = 10_000_000
 
 
-def _label_table(records) -> list:
-    """The label of each code of ``_basin_codes``."""
-    return [*range(len(records)), LABEL_DIVERGED, LABEL_LEFT_BOX, LABEL_UNRESOLVED]
-
-
-def assign_basin(traj: Trajectory, records, tol: float = BASIN_TOL):
+def assign_basin(traj: Trajectory, records):
     """Label a finished trajectory with the basin it landed in.
 
     Returns the index of the matching record, or one of the strings
-    ``Diverged``, ``LeftBox``, ``Unresolved``.  ``records`` are read only
-    when the trajectory settled (see ``_settled``): one that did not gets
-    the same label for any records, even none.  Two records within
-    ``tol`` of a settled final iterate raise an ambiguity error since that
-    means the tolerance no longer separates the critical points.
-    ``records`` that are not ``CriticalPointRecord``s of the trajectory's
-    dimension are refused.
+    ``Diverged``, ``LeftBox``, ``Unresolved``.  The trajectory lands at
+    record i when it neither diverged nor left the domain box and ends
+    with a gradient norm at most ``BASIN_TOL`` within ``BASIN_TOL``
+    (infinity norm) of record i, the rule of a census trial.  ``records``
+    are read only when the trajectory settled (``critical._settled``):
+    one that did not gets the same label for any records, even none.  Two
+    records within ``BASIN_TOL`` of a settled final iterate raise an
+    ambiguity error.  ``records`` that are not ``CriticalPointRecord``s of
+    the trajectory's dimension are refused.
     """
-    tol = _check_real(tol, "tol", "non-negative")
     records = _check_records(records, traj.iterates.shape[1])
-    final = BatchResult(traj.final_x[None, :], traj.f_values[-1:], traj.grad_norms[-1:],
-                        np.array([traj.n_steps]), [traj.stop_reason])
-    return _label_table(records)[_basin_codes(final, records, tol)[0]]
+    code = _basin_codes(traj.final_x[None, :], traj.grad_norms[-1:], [traj.stop_reason], records)
+    return _label_table(records)[code[0]]
 
 
 class MonteCarloReport(Record):
@@ -81,15 +73,6 @@ class MonteCarloReport(Record):
     __slots__ = ("n_trials", "seed", "alpha", "init_box", "basin_counts", "diverged", "left_box",
                  "unresolved", "saddle_hits", "records", "trial_x0", "trial_labels",
                  "trial_iterations", "trial_final_grad_norm")
-    _defaults = dict.fromkeys(("records", "trial_x0", "trial_labels", "trial_iterations",
-                               "trial_final_grad_norm"))
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        if self.records is None:
-            self.records = []
-        if self.trial_labels is None:
-            self.trial_labels = []
 
     def to_dict(self) -> dict:
         return plain({
@@ -123,7 +106,7 @@ class MonteCarloReport(Record):
     def basins_to_csv(self, path) -> None:
         basins = sorted(self.basin_counts)
         columns = [
-            [*map(str, basins), LABEL_DIVERGED, LABEL_LEFT_BOX, LABEL_UNRESOLVED],
+            [*map(str, basins), *_label_table([])],
             [*(self.records[i].classification.value for i in basins), "", "", ""],
             [*(int(self.basin_counts[i]) for i in basins),
              self.diverged, self.left_box, self.unresolved],
@@ -139,7 +122,6 @@ def monte_carlo(
     init_box=None,
     records=None,
     policy: StopPolicy | None = None,
-    basin_tol: float = BASIN_TOL,
     n_jobs: int = 1,
 ) -> MonteCarloReport:
     """Run n_trials uniform initializations and tally where they end up.
@@ -159,9 +141,9 @@ def monte_carlo(
     into chunks of ``critical.CHUNK`` rows, each stepped and labelled as
     one batch.  A trial lands at record i when its run neither diverged
     nor left the domain box and ends with a gradient norm at most
-    ``basin_tol`` within ``basin_tol`` (infinity norm) of record i;
-    ``sample_local_stable_set`` counts a grid point as converged by the
-    same rule.  ``n_jobs`` (at least 1) is the most threads to use: the
+    ``BASIN_TOL`` within ``BASIN_TOL`` (infinity norm) of record i, the
+    rule by which ``sample_local_stable_set`` counts a grid point as
+    converged.  ``n_jobs`` (at least 1) is the most threads to use: the
     chunks are mapped by ``min(n_jobs, os.cpu_count(), number of chunks)``
     threads, or without a thread pool when that is 1.  The stepping is
     elementwise, so the report is identical for any chunk size and thread
@@ -171,7 +153,6 @@ def monte_carlo(
     """
     _check_count(n_jobs, "n_jobs", least=1)
     policy = _check_policy(policy)
-    _check_real(basin_tol, "basin_tol", "non-negative")
     gmap = GradientMap(objective, alpha)
     domain = objective.domain_box
     box = domain if init_box is None else _as_box(init_box, len(domain), "init_box", flat=True)
@@ -183,8 +164,7 @@ def monte_carlo(
     if records is None:
         records = find_critical_points(objective)
 
-    codes, iterations, final_grad_norm = _label_starts(gmap, x0s, policy, records, basin_tol,
-                                                       n_jobs)
+    codes, iterations, final_grad_norm = _label_starts(gmap, x0s, policy, records, n_jobs)
     table = _label_table(records)
     labels = np.array(table, dtype=object)[codes].tolist()
     counts = np.bincount(codes, minlength=len(table)).tolist()

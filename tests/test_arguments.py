@@ -89,7 +89,6 @@ PARAMETERS = [
     (grid_spacing, {"radius": 0.1, "grid": 5}, "grid", 0),
     (sample_local_stable_set, STABLE_SET, "radius", -1.0),
     (sample_local_stable_set, STABLE_SET, "grid", 0),
-    (sample_local_stable_set, STABLE_SET, "tol", -1.0),
     (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "tol", -1.0),
     (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "max_inner", -1),
     (roundtrip_check, {"gmap": GMAP, "n_samples": 10}, "tol", -1.0),
@@ -99,11 +98,9 @@ PARAMETERS = [
     (injectivity_margin_check, {"gmap": GMAP, "n_pairs": 10}, "seed", -1),
     (eigh_jacobi, {"a": MATRIX}, "tol", -1.0),
     (eigh_jacobi, {"a": MATRIX}, "max_sweeps", -1),
-    (assign_basin, {"traj": TRAJ, "records": RECORDS}, "tol", -1.0),
     (monte_carlo, CENSUS, "alpha", 0.0),
     (monte_carlo, CENSUS, "n_trials", 0),
     (monte_carlo, CENSUS, "seed", -1),
-    (monte_carlo, CENSUS, "basin_tol", -1.0),
     (monte_carlo, CENSUS, "n_jobs", 0),
     (monte_carlo, CENSUS, "init_box", [[1.0, 0.0], [0.0, 1.0]]),
     (check_lojasiewicz, CERTIFICATE, "a", -0.5),

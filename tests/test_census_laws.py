@@ -50,8 +50,8 @@ from descentlab import (GradientMap, NesterovExample, StopPolicy, alpha_from_the
                         sample_local_stable_set)
 from descentlab import experiments
 from descentlab.cli import THETA_DEFAULT, main
+from descentlab.critical import BASIN_TOL
 from descentlab.engine import DEFAULT_POLICY
-from descentlab.experiments import BASIN_TOL
 
 ALPHA = 0.09
 TRIALS = 10_000

@@ -853,9 +853,9 @@ def test_a_census_too_large_for_memory_is_one_line_and_exit_1():
     def limit_memory():  # runs in the child only
         resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
-    # at the 100-D trial cap the starts take 160 MB, and drawing them twice
-    # that: more than the child's 256 MB of address space, of which the
-    # interpreter with numpy loaded takes about 100 MB
+    # at the 100-D trial cap the starts take 160 MB: more than is left of
+    # the child's 256 MB of address space, of which the interpreter with
+    # numpy loaded takes about 140 MB
     from descentlab.experiments import MAX_TRIALS
 
     objective = "diagonal_quadratic:" + json.dumps([1.0] * 100)

@@ -12,15 +12,17 @@ from descentlab import (
     QuarticCopositive,
     StopPolicy,
     StronglyConvexQuadratic,
+    assign_basin,
     classify,
     find_critical_points,
+    run,
     run_many,
     sample_local_stable_set,
     stable_subspace,
 )
 from descentlab import critical
-from descentlab.critical import (DEGENERACY_TOL, MAX_GRID, NEWTON_BUDGET, _newton_roots,
-                                 grid_spacing)
+from descentlab.critical import (BASIN_TOL, DEGENERACY_TOL, MAX_GRID, NEWTON_BUDGET,
+                                 _newton_roots, grid_spacing)
 from descentlab.inverse import roundtrip_check
 
 
@@ -553,7 +555,7 @@ def test_a_stable_set_in_chunks_of_a_few_rows_matches_one_batch_of_the_grid(
     obj = NesterovExample()
     gmap = GradientMap(obj, 0.09)
     rec = classify(obj, np.array([0.0, 0.0]))
-    policy, tol = StopPolicy(max_iters=200), 1e-6
+    policy = StopPolicy(max_iters=200)
     stepped = []
 
     def recorded(gmap, x0s, policy):
@@ -562,15 +564,30 @@ def test_a_stable_set_in_chunks_of_a_few_rows_matches_one_batch_of_the_grid(
 
     monkeypatch.setattr(critical, "CHUNK", chunk)
     monkeypatch.setattr(critical, "run_many", recorded)
-    sample = sample_local_stable_set(gmap, rec, radius=0.5, grid=grid, policy=policy, tol=tol)
+    sample = sample_local_stable_set(gmap, rec, radius=0.5, grid=grid, policy=policy)
     assert stepped == sizes
     # one batch of the whole grid, labelled by the census's rule against the saddle
     whole = run_many(gmap, sample.points, policy)
     left = [reason.value in ("Diverged", "LeftDomainBox") for reason in whole.stop_reasons]
-    near = np.max(np.abs(whole.final_x - rec.location), axis=1, initial=0.0) <= tol
+    near = np.max(np.abs(whole.final_x - rec.location), axis=1, initial=0.0) <= BASIN_TOL
     assert np.array_equal(sample.converged, ~np.array(left, dtype=bool) & near
-                          & (whole.final_grad_norm <= tol))
+                          & (whole.final_grad_norm <= BASIN_TOL))
     assert np.count_nonzero(sample.converged) == (41 if grid == 41 else 0)
+
+
+@pytest.mark.parametrize("policy", [None, StopPolicy(max_iters=200)],
+                         ids=["default", "max_iters_200"])
+def test_a_grid_point_converges_exactly_when_its_census_trial_lands_at_the_saddle(policy):
+    # at 200 iterations the axis runs stop on the cap, not the certificate
+    obj = NesterovExample()
+    gmap = GradientMap(obj, 0.09)
+    records = find_critical_points(obj)
+    saddle = next(i for i, record in enumerate(records) if record.is_strict_saddle)
+    sample = sample_local_stable_set(gmap, records[saddle], radius=0.5, grid=21, policy=policy)
+    landed = [assign_basin(run(gmap, point, policy), records) == saddle
+              for point in sample.points]
+    assert sample.converged.tolist() == landed
+    assert len(landed) == 317 and sum(landed) == 21
 
 
 def test_a_stable_set_refuses_a_grid_outside_the_box_before_any_chunk(monkeypatch):
@@ -623,9 +640,6 @@ def test_stable_set_sampling_rejects_bad_inputs():
     rec3 = classify(obj3, np.zeros(3))
     with pytest.raises(ContractViolationError):
         sample_local_stable_set(GradientMap(obj3, 0.5), rec3, radius=0.5)
-    for value, message in BAD_TOLERANCES:
-        with pytest.raises(ContractViolationError, match=f"^tol {message}$"):
-            sample_local_stable_set(gmap, saddle, radius=0.5, tol=value)
 
 
 def test_stable_set_csv_layout(tmp_path):

@@ -28,6 +28,7 @@ from descentlab.engine import (
     _BLOCK_ROWS,
     _TRIAL_ENTRIES,
     _backtrack,
+    _box_samples,
     _columns_within,
     _row_norms,
     _squared_tolerance,
@@ -678,6 +679,30 @@ def test_a_huge_iteration_cap_allocates_nothing_by_the_cap():
     assert traj.stop_reason is StopReason.GRAD_NORM_BELOW_TOL
     assert traj.n_steps < 100
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("seed, box", [
+    (0, [[-2.0, 2.0], [-2.0, 2.0]]),
+    (7, [[-1.0, 0.5], [0.25, 3.0]]),
+    (12345, [[-1e-3, 1e3]]),
+    (7, np.column_stack([-np.arange(1.0, 101.0), np.linspace(0.5, 7.0, 100)])),
+])
+def test_box_samples_are_bit_for_bit_the_unscaled_draw_times_the_width_plus_lo(seed, box):
+    box = np.array(box)
+    lo, hi = box[:, 0], box[:, 1]
+    expected = lo + np.random.default_rng(seed).random((500, len(box))) * (hi - lo)
+    assert _box_samples(seed, 500, box, "n_samples").tobytes() == expected.tobytes()
+
+
+def test_box_samples_allocate_no_temporary_as_large_as_them():
+    box = np.array([[-2.0, 2.0], [-2.0, 2.0]])
+    tracemalloc.start()
+    try:
+        samples = _box_samples(0, 1_000_000, box, "n_trials")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * samples.nbytes
 
 
 @pytest.mark.filterwarnings("error")

@@ -39,14 +39,15 @@ from descentlab import (
     run_many,
 )
 from descentlab import critical, experiments
-from descentlab.critical import CHUNK
-from descentlab.experiments import (
+from descentlab.critical import (
     BASIN_TOL,
+    CHUNK,
     LABEL_DIVERGED,
     LABEL_LEFT_BOX,
     LABEL_UNRESOLVED,
-    MAX_TRIALS,
+    _label_table,
 )
+from descentlab.experiments import MAX_TRIALS
 
 
 def _basin_label(final_x, final_grad_norm, stop_reason, records, tol):
@@ -152,8 +153,8 @@ def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
     # single-row path of the stepping loop
     whole = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
     result = run_many(GradientMap(NesterovExample(), 0.09), whole.trial_x0)
-    codes = critical._basin_codes(result, nesterov_records, BASIN_TOL)
-    assert whole.trial_labels == [experiments._label_table(nesterov_records)[c] for c in codes]
+    codes = _codes(result, nesterov_records)
+    assert whole.trial_labels == [_label_table(nesterov_records)[c] for c in codes]
     assert np.array_equal(whole.trial_iterations, result.iterations)
     assert np.array_equal(whole.trial_final_grad_norm, result.final_grad_norm)
     stepped = []
@@ -289,6 +290,12 @@ def _batch(rows):
     )
 
 
+def _codes(batch, records):
+    """``critical._basin_codes`` of the final states of ``batch``."""
+    return critical._basin_codes(batch.final_x, batch.final_grad_norm, batch.stop_reasons,
+                                 records)
+
+
 def _oracle_labels(batch, records, tol):
     return [
         _basin_label(batch.final_x[t], batch.final_grad_norm[t], batch.stop_reasons[t], records, tol)
@@ -314,8 +321,8 @@ def test_batch_labels_match_the_scalar_oracle(nesterov_records):
         (locations[2], 1e-12, StopReason.MAX_ITERS),
     ]
     batch = _batch(rows)
-    table = experiments._label_table(nesterov_records)
-    labels = [table[c] for c in critical._basin_codes(batch, nesterov_records, BASIN_TOL)]
+    table = _label_table(nesterov_records)
+    labels = [table[c] for c in _codes(batch, nesterov_records)]
     assert labels == _oracle_labels(batch, nesterov_records, BASIN_TOL)
     assert labels == [
         "Diverged", "Diverged", "LeftBox", "LeftBox", "Unresolved", "Unresolved",
@@ -330,19 +337,17 @@ def test_settled_rows_are_exactly_those_a_record_may_claim(nesterov_records):
     rows = [(nesterov_records[t % 3].location, norm, reason)
             for t, (reason, norm) in enumerate(cases)]
     batch = _batch(rows)
-    settled = critical._settled(batch.stop_reasons, batch.final_grad_norm, BASIN_TOL)
+    settled = critical._settled(batch.stop_reasons, batch.final_grad_norm)
     assert settled.tolist() == [
         reason not in (StopReason.DIVERGED, StopReason.LEFT_DOMAIN_BOX) and not norm > BASIN_TOL
         for reason, norm in cases
     ]
-    codes = critical._basin_codes(batch, nesterov_records, BASIN_TOL)
+    codes = _codes(batch, nesterov_records)
     assert settled.tolist() == (codes < len(nesterov_records)).tolist()
     # an unsettled row gets the same label without records
-    table = experiments._label_table(nesterov_records)
-    bare = critical._basin_codes(batch, [], BASIN_TOL)
-    assert [table[c] for c in codes[~settled]] == [
-        experiments._label_table([])[c] for c in bare[~settled]
-    ]
+    table = _label_table(nesterov_records)
+    bare = _codes(batch, [])
+    assert [table[c] for c in codes[~settled]] == [_label_table([])[c] for c in bare[~settled]]
 
 
 def test_batch_labels_raise_on_a_two_record_hit(nesterov_records):
@@ -356,7 +361,7 @@ def test_batch_labels_raise_on_a_two_record_hit(nesterov_records):
     batch = _batch(rows)
     assert _oracle_labels(_batch(rows[:2]), records, BASIN_TOL) == [0, "Diverged"]
     with pytest.raises(BasinAmbiguityError) as vectorised:
-        critical._basin_codes(batch, records, BASIN_TOL)
+        _codes(batch, records)
     with pytest.raises(BasinAmbiguityError) as scalar:
         _oracle_labels(batch, records, BASIN_TOL)
     assert str(vectorised.value) == str(scalar.value)

@@ -54,6 +54,17 @@ def test_diagonal_input_is_exact():
     np.testing.assert_allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
 
+def test_an_exact_zero_off_diagonal_entry_is_skipped():
+    # a[0, 1] is exactly 0 when the first sweep reaches it, where a
+    # rotation would divide by zero
+    a = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
+    w, v = eigh_jacobi(a)
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-12)
+    assert np.max(np.abs(v.T @ v - np.eye(3))) <= 1e-12
+    rotated = v.T @ a @ v
+    assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) <= 1e-12
+
+
 def test_two_by_two_by_hand():
     # eigenvalues of [[2, 1], [1, 2]] are 1 and 3 with (1, -1), (1, 1) axes
     w, v = eigh_jacobi(np.array([[2.0, 1.0], [1.0, 2.0]]))

@@ -387,16 +387,6 @@ def test_a_record_built_without_its_tolerance_gets_the_default():
     assert record.degeneracy_tol == DEGENERACY_TOL
 
 
-def test_monte_carlo_reports_built_without_lists_get_new_empty_ones():
-    first, second = (MonteCarloReport(1, 0, 0.1, np.zeros((2, 2)), {}, 0, 0, 1, 0)
-                     for _ in range(2))
-    for report in (first, second):
-        assert report.records == [] and report.trial_labels == []
-        assert report.trial_x0 is report.trial_iterations is report.trial_final_grad_norm is None
-    assert first.records is not second.records
-    assert first.trial_labels is not second.trial_labels
-
-
 def test_every_record_writes_its_fields_but_two_that_add_keys(records):
     for record in records:
         if isinstance(record, (MonteCarloReport, PathLengthReport)):
