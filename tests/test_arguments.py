@@ -8,9 +8,9 @@ lo < hi), a record (a ``CriticalPointRecord`` located at a point of the
 objective's dimension) and a stop policy (a ``StopPolicy``, or None for
 ``DEFAULT_POLICY``).  For each scalar, count and box parameter the first table below
 feeds NaN, both booleans, a string, None (where None is not the default) and a
-value of the wrong sign or range, or a box with lo > hi; for each array
-parameter the second table feeds NaN, inf, booleans, strings, None, a
-ragged list and a wrong shape; for each record parameter the third table
+value of the wrong sign or range (and, to a count, a fraction), or a box
+with lo > hi; for each array parameter the second table feeds NaN, inf,
+booleans, strings, None, a ragged list and a wrong shape; for each record parameter the third table
 feeds records of another dimension and things that are not records; the
 last table feeds every ``policy`` parameter things that are not policies.  Each
 is refused with a contract violation that
@@ -119,13 +119,10 @@ OPTIONAL = {(monte_carlo, "init_box"), (path_length_check, "alpha"),
             (path_length_check, "f_star"), (path_length_check, "radius"),
             (invert, "x0"), (path_length_check, "x_star")}
 # more bad values of some parameters: an infinite radius where the ball
-# must be finite, fractional counts, and ragged or NaN boxes
+# must be finite, another fractional count, and ragged or NaN boxes
 MORE = {
     (check_lojasiewicz, "radius"): [float("inf")],
     (monte_carlo, "n_jobs"): [1.5],
-    (grid_spacing, "grid"): [2.5],
-    (sample_local_stable_set, "grid"): [2.5],
-    (eigh_jacobi, "max_sweeps"): [2.5],
     (monte_carlo, "init_box"): [[[0.0, 1.0], [0.0]], [[0.0, float("nan")], [0.0, 1.0]]],
 }
 
@@ -137,6 +134,9 @@ def _cases():
             bad.append(None)
         if wrong is not None:
             bad.append(wrong)
+        if type(wrong) is int:
+            # a count: a fraction is refused too
+            bad.append(2.5)
         for value in bad + MORE.get((func, name), []):
             yield pytest.param(func, fixed, name, value, id=f"{func.__name__}-{name}-{value!r}")
 
