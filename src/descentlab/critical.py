@@ -28,16 +28,22 @@ __all__ = [
     "find_critical_points", "sample_local_stable_set", "stable_subspace",
 ]
 
+# Roots of the search closer than DEDUP_TOL in the infinity norm are one
+# root, so the degeneracy band reads how the Hessian moves over it too.
 DEDUP_TOL = 1e-6
+# The gradient norm a Newton search must reach for a root.
+NEWTON_TOL = 1e-10
+# The gradient norm ``classify`` accepts at a critical point, at most.
+GRAD_TOL = 1e-6
 # Iterations of one Newton search, at most.  On the degenerate root of a
 # quartic Newton contracts only linearly, by 2/3 per step and so the
 # gradient by (2/3)**3; the steepest quartic the constructors accept has
 # a gradient of about 1e154 on its box (zoo._refuse_overflow), which takes
-# about 311 iterations to fall below the default tolerance of 1e-10.
+# about 311 iterations to fall below NEWTON_TOL.
 NEWTON_BUDGET = 400
 # Points per axis of a stable-set grid, at most.  Stepped in chunks, a
-# stable-set command peaks at about 70 bytes per grid point above the 36
-# MB of the interpreter and numpy (72 MB at grid 801, 252 MB at this cap;
+# stable-set command peaks at about 40 bytes per grid point above the 36
+# MB of the interpreter and numpy (62 MB at grid 801, 191 MB at this cap;
 # 2 cores, Python 3.11.7, numpy 2.4.6); a larger grid is refused before
 # any work rather than running out of memory after the critical-point
 # search.
@@ -66,9 +72,9 @@ class CriticalPointRecord(Record):
     is the unit eigenvector for the i-th of them.  ``stable_subspace_basis``
     holds, as columns, the eigenvectors with eigenvalue >= -band, the
     degeneracy band ``classify`` reads the spectrum with (``degeneracy_tol``
-    is the caller's value, not the band); these are exactly the directions
-    where the gradient-map Jacobian has multiplier <= 1 (up to the same
-    band), for every admissible step size.  ``is_strict_saddle`` is the raw
+    is ``DEGENERACY_TOL``, the band's absolute part); these are exactly the
+    directions where the gradient-map Jacobian has multiplier <= 1 (up to
+    the same band), for every admissible step size.  ``is_strict_saddle`` is the raw
     min-eigenvalue test and is also true for local maxima; ``is_degenerate``
     is true when any eigenvalue sits inside the band, even if a negative
     eigenvalue decided the headline classification.
@@ -125,37 +131,29 @@ def _degeneracy_band(objective: Objective, x: np.ndarray, hessian: np.ndarray,
     return degeneracy_tol + float(np.max(np.sum(np.abs(change), axis=-1)))
 
 
-def classify(
-    objective: Objective,
-    x,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    grad_tol: float = 1e-6,
-) -> CriticalPointRecord:
+def classify(objective: Objective, x) -> CriticalPointRecord:
     """Build the full record for a point already known to be critical.
 
-    Raises a contract violation if the gradient norm exceeds ``grad_tol``:
+    Raises a contract violation if the gradient norm exceeds ``GRAD_TOL``:
     the spectrum of a non-critical point says nothing about the dynamics.
     An eigenvalue is near zero when its magnitude is at most the band
-    ``degeneracy_tol`` plus how far the Hessian moves within ``DEDUP_TOL``
+    ``DEGENERACY_TOL`` plus how far the Hessian moves within ``DEDUP_TOL``
     of ``x`` (``_degeneracy_band``), and that band decides the class,
     ``is_strict_saddle``, ``is_degenerate`` and the stable subspace.  On a
-    quadratic the band is ``degeneracy_tol``; at the flat origin of a steep
+    quadratic the band is ``DEGENERACY_TOL``; at the flat origin of a steep
     quartic it grows with the quartic.
-    A negative or NaN tolerance is refused before any work.
     """
-    _check_real(degeneracy_tol, "degeneracy_tol", "non-negative")
-    _check_real(grad_tol, "grad_tol", "non-negative")
     x = _check_vector(x, (objective.dimension,), "x")
     # an overflowed gradient or norm is refused below, so it warns of nothing
     with np.errstate(over="ignore", invalid="ignore"):
         grad_norm = float(_row_norms(objective.gradient(x)))
-    if not np.isfinite(grad_norm) or grad_norm > grad_tol:
+    if not np.isfinite(grad_norm) or grad_norm > GRAD_TOL:
         raise ContractViolationError(
-            f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {grad_tol:.3e}"
+            f"point {x.tolist()} is not critical: grad norm {grad_norm:.3e} > {GRAD_TOL:.3e}"
         )
     hessian = objective.hessian(x)
     w, v = eigh_jacobi(hessian)
-    band = _degeneracy_band(objective, x, hessian, degeneracy_tol)
+    band = _degeneracy_band(objective, x, hessian, DEGENERACY_TOL)
     stable_mask = w >= -band
     basis = v[:, stable_mask]
     return CriticalPointRecord(
@@ -168,7 +166,7 @@ def classify(
         is_degenerate=bool(np.any(np.abs(w) <= band)),
         stable_subspace_basis=basis,
         stable_dimension=int(np.count_nonzero(stable_mask)),
-        degeneracy_tol=float(degeneracy_tol),
+        degeneracy_tol=DEGENERACY_TOL,
     )
 
 
@@ -181,8 +179,7 @@ class CriticalPointList(list):
         self.n_dropped = n_dropped
 
 
-def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
-                  max_iters: int = NEWTON_BUDGET):
+def _newton_roots(objective: Objective, seeds: np.ndarray):
     """Newton iteration on grad f = 0 with a squared-gradient-norm merit guard.
 
     Runs from every row of ``seeds`` at once and returns, per seed, the
@@ -195,25 +192,26 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
     Each row takes exactly the steps it would take alone: its own
     backtracking line search, and a steepest-descent direction on the
     merit wherever its Hessian is singular.  Each round drops the rows
-    that have left, in one compaction, stops once the budget is spent, and
-    steps the rest.  A row leaves when its step is refused, when it stalls
-    after hitting the tolerance, or when the budget is spent, and leaves
-    as a root if it hit the tolerance before its last step.  That is read
-    fresh each round as ``merit <= tol2`` on the squared gradient norm,
-    which is ``sqrt(merit) <= tol`` bit for bit (``_squared_tolerance``):
+    that have left, in one compaction, stops once the budget of
+    ``NEWTON_BUDGET`` iterations is spent, and steps the rest.  A row leaves
+    when its step is refused, when it stalls after hitting the tolerance
+    ``NEWTON_TOL``, or when the budget is spent, and leaves as a root if it
+    hit the tolerance before its last step.  That is read fresh each round
+    as ``merit <= tol2`` on the squared gradient norm, which is
+    ``sqrt(merit) <= NEWTON_TOL`` bit for bit (``_squared_tolerance``):
     a step is taken only if it strictly lowers the merit, so a row under
     the tolerance stays under it.
     """
     gradient, hessian = objective._gradient, objective._hessian
-    tol2 = _squared_tolerance(tol)
+    tol2 = _squared_tolerance(NEWTON_TOL)
     roots = [None] * seeds.shape[0]
     active, x = np.arange(seeds.shape[0]), seeds
     grad = gradient(x)
     merit = _sum_squares(grad)
     # only a seed can have a non-finite merit: the line search accepts finite ones
     left, hit = ~np.isfinite(merit), False
-    for iteration in range(max_iters + 1):
-        left |= iteration == max_iters  # a spent budget ends every row
+    for iteration in range(NEWTON_BUDGET + 1):
+        left |= iteration == NEWTON_BUDGET  # a spent budget ends every row
         if left.any():
             for i in np.flatnonzero(left & hit):
                 roots[active[i]] = x[i].copy()
@@ -243,46 +241,32 @@ def _newton_roots(objective: Objective, seeds: np.ndarray, tol: float,
     return roots
 
 
-def find_critical_points(
-    objective: Objective,
-    n_seeds: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    dedup_tol: float = DEDUP_TOL,
-) -> CriticalPointList:
+def find_critical_points(objective: Objective, n_seeds: int = 100,
+                         seed: int = 0) -> CriticalPointList:
     """Multistart Newton search for critical points inside the domain box.
 
     Seeds are uniform on the domain box and run through one batched
-    damped-Newton pass.  Converged roots closer than ``dedup_tol`` in the
-    infinity norm are merged; starts that fail to converge are dropped and
-    counted on the returned list.  Records come back sorted by location so
-    the output is reproducible.  Each root is classified as ``classify``
-    does: against ``degeneracy_tol`` plus how far the Hessian moves within
-    ``DEDUP_TOL`` of the root.  A negative or NaN tolerance is refused
-    before any work.
+    damped-Newton pass to a gradient norm of at most ``NEWTON_TOL``.
+    Converged roots closer than ``DEDUP_TOL`` in the infinity norm are
+    merged; starts that fail to converge are dropped and counted on the
+    returned list.  Records come back sorted by location so the output is
+    reproducible.  Each root is classified by ``classify``.
     """
-    for value, name in ((tol, "tol"), (degeneracy_tol, "degeneracy_tol"),
-                        (dedup_tol, "dedup_tol")):
-        _check_real(value, name, "non-negative")
     seeds = _box_samples(seed, n_seeds, objective.domain_box, "n_seeds")
 
-    found = [root for root in _newton_roots(objective, seeds, tol) if root is not None]
+    found = [root for root in _newton_roots(objective, seeds) if root is not None]
     n_dropped = seeds.shape[0] - len(found)
     # Keep the first converged root of each cluster: the first root not
-    # yet merged is kept, and every later one within dedup_tol of it is
+    # yet merged is kept, and every later one within DEDUP_TOL of it is
     # merged, in one comparison per kept root.
     rest = np.array(found).reshape(-1, objective.dimension)
     roots = []
     while rest.shape[0]:
         root, rest = rest[0], rest[1:]
         roots.append(root)
-        rest = rest[~(np.abs(rest - root) <= dedup_tol).all(axis=-1)]
+        rest = rest[~(np.abs(rest - root) <= DEDUP_TOL).all(axis=-1)]
     roots.sort(key=lambda r: tuple(np.round(r, 9)))
-    records = [
-        classify(objective, root, degeneracy_tol=degeneracy_tol, grad_tol=max(tol, 1e-9))
-        for root in roots
-    ]
+    records = [classify(objective, root) for root in roots]
     return CriticalPointList(records, n_seeds=n_seeds, n_dropped=n_dropped)
 
 
@@ -466,11 +450,16 @@ def sample_local_stable_set(
         points = center[None, :].copy()
     else:
         steps = np.arange(grid) - (grid - 1) / 2.0
-        sx, sy = (s.ravel() for s in np.meshgrid(steps, steps, indexing="ij"))
+        squares = steps * steps
         # trimmed in units of the spacing, where the test is exact and
-        # cannot overflow: steps are multiples of 1/2
-        inside = sx * sx + sy * sy <= ((grid - 1) / 2.0) ** 2
-        points = center + spacing * np.stack([sx[inside], sy[inside]], axis=1)
+        # cannot overflow: steps are multiples of 1/2, so sx**2 + sy**2 <=
+        # r**2 reads as sy**2 <= r**2 - sx**2 with no full-grid float array
+        inside = squares[None, :] <= ((grid - 1) / 2.0) ** 2 - squares[:, None]
+        points = np.empty((np.count_nonzero(inside), 2))
+        points[:, 0] = np.repeat(steps, np.count_nonzero(inside, axis=1))
+        points[:, 1] = np.broadcast_to(steps, inside.shape)[inside]
+        points *= spacing
+        points += center
 
     objective = gmap.objective
     if not objective.lipschitz_global and not np.all(objective.contains(points)):

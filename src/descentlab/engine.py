@@ -603,16 +603,19 @@ def closed_form_quadratic(lambdas, alpha: float, x0, k: int) -> np.ndarray:
     return out
 
 
-def descent_violations(traj: Trajectory, objective: Objective, slack: float = 1e-12) -> int:
+# The rounding ``descent_violations`` forgives a step's decrease.
+DESCENT_SLACK = 1e-12
+
+
+def descent_violations(traj: Trajectory, objective: Objective) -> int:
     """Count steps violating the guaranteed decrease
 
         f(x_{k+1}) <= f(x_k) - alpha (1 - alpha L / 2) ||grad f(x_k)||^2
 
-    up to ``slack``.  Steps whose endpoints leave the certified box are
-    excluded when the Lipschitz bound is box-local.  An objective whose
-    dimension is not the trajectory's is refused.
+    by more than ``DESCENT_SLACK``.  Steps whose endpoints leave the
+    certified box are excluded when the Lipschitz bound is box-local.  An
+    objective whose dimension is not the trajectory's is refused.
     """
-    _check_real(slack, "slack", "non-negative")
     if objective.dimension != traj.iterates.shape[1]:
         raise ContractViolationError(
             f"objective must have the trajectory's dimension {traj.iterates.shape[1]}, "
@@ -620,7 +623,7 @@ def descent_violations(traj: Trajectory, objective: Objective, slack: float = 1e
     lip = objective.lipschitz_bound()
     coeff = traj.alpha * (1.0 - traj.alpha * lip / 2.0)
     decrease = traj.f_values[:-1] - coeff * traj.grad_norms[:-1] ** 2
-    violated = traj.f_values[1:] > decrease + slack
+    violated = traj.f_values[1:] > decrease + DESCENT_SLACK
     if not objective.lipschitz_global:
         inside = objective.contains(traj.iterates)
         violated &= inside[:-1] & inside[1:]

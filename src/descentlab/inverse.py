@@ -17,7 +17,7 @@ import numpy as np
 
 from .engine import (GradientMap, _backtrack, _box_samples, _row_norms, _solve_rows,
                      _squared_tolerance, _sum_squares)
-from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
+from .errors import ContractViolationError, NonConvergenceError, _check_real
 from .fileio import Record
 from .zoo import _check_vector
 
@@ -26,7 +26,9 @@ __all__ = [
     "invert", "roundtrip_check",
 ]
 
-MAX_INNER = 200  # default iteration budget of one inversion
+MAX_INNER = 200  # iteration budget of one inversion
+# The default tolerance of ``invert`` and the one of ``roundtrip_check``.
+INVERT_TOL = 1e-10
 
 
 class ProxSolveReport(Record):
@@ -42,8 +44,7 @@ class ProxSolveReport(Record):
 def invert(
     gmap: GradientMap,
     y,
-    tol: float = 1e-10,
-    max_inner: int = MAX_INNER,
+    tol: float = INVERT_TOL,
     x0=None,
 ) -> ProxSolveReport:
     """Unique preimage of y under the gradient map.
@@ -54,21 +55,19 @@ def invert(
     norm falls below tol * (1 - alpha*L), which bounds the distance to the
     true preimage by tol; the reported residual is the final ||g(x) - y||
     itself.  Raises a non-convergence error carrying the best residual if
-    the budget runs out, which usually means y lies too far outside the
-    image of the certified region; a start that already solves y returns
-    with no iterations, whatever the budget.  ``y`` and ``x0`` must be
-    finite points of the objective's dimension.  This is the batched solver
-    behind ``roundtrip_check`` run on one row, with the same iterates.  A
-    negative or NaN ``tol`` and a ``max_inner`` that is not a non-negative
-    integer are refused before any work.
+    the budget of ``MAX_INNER`` iterations runs out, which usually means y
+    lies too far outside the image of the certified region; a start that
+    already solves y returns with no iterations, whatever the budget.  ``y``
+    and ``x0`` must be finite points of the objective's dimension.  This is
+    the batched solver behind ``roundtrip_check`` run on one row, with the
+    same iterates.  A negative or NaN ``tol`` is refused before any work.
     """
     _check_real(tol, "tol", "non-negative")
-    _check_count(max_inner, "max_inner")
     dimension = gmap.objective.dimension
     y = _check_vector(y, (dimension,), "y")
     start = y if x0 is None else _check_vector(x0, (dimension,), "x0")
     solutions, residuals, iterations, modulus = _invert_batch(
-        gmap, y[None, :], start[None, :], tol, max_inner
+        gmap, y[None, :], start[None, :], tol
     )
     return ProxSolveReport(
         solution=solutions[0],
@@ -78,13 +77,14 @@ def invert(
     )
 
 
-def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
+def _invert_batch(gmap: GradientMap, ys, starts, tol: float):
     """Preimages of the rows of ``ys``, each solved from the same row of ``starts``.
 
     Returns ``(solutions, residuals, inner_iterations, modulus)``.  Every
     row runs the iteration ``invert`` describes, with its own line search
     and its own fallback step.  Each round drops the rows that have left,
-    in one compaction, stops once the budget is spent, and steps the rest.
+    in one compaction, stops once the budget of ``MAX_INNER`` iterations
+    is spent, and steps the rest.
     A row leaves solved when its merit reaches the stop, and unsolved when
     its Newton and fallback steps are both refused; -1 in its
     ``inner_iterations`` entry marks a row unsolved, one still running
@@ -127,9 +127,9 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
         grad = x - alpha * gradient(x) - y
         merit = _sum_squares(grad)
         refused = np.zeros(n, dtype=bool)
-        # the iterates 0 .. max_inner - 1 are tested, the start even on a
+        # the iterates 0 .. MAX_INNER - 1 are tested, the start even on a
         # budget of 0, and no step is taken from the last of them
-        for iteration in range(max(max_inner, 1)):
+        for iteration in range(max(MAX_INNER, 1)):
             best_merit[active] = np.fmin(best_merit[active], merit)
             done = merit <= stop2
             left = done | refused
@@ -140,7 +140,7 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
                 iterations[rows] = iteration
                 keep = ~left
                 active, x, y, grad, merit = active[keep], x[keep], y[keep], grad[keep], merit[keep]
-            if not active.size or iteration + 1 >= max_inner:
+            if not active.size or iteration + 1 >= MAX_INNER:
                 break
 
             hess = identity - alpha * obj._hessian(x)
@@ -167,7 +167,7 @@ def _invert_batch(gmap: GradientMap, ys, starts, tol: float, max_inner: int):
     if unsolved.size:
         best_residual = float(np.sqrt(best_merit[unsolved[0]]))
         raise NonConvergenceError(
-            f"inversion budget of {max_inner} iterations exhausted "
+            f"inversion budget of {MAX_INNER} iterations exhausted "
             f"(best residual {best_residual:.3e}, requested {tol:.3e})",
             best_residual,
         )
@@ -223,25 +223,23 @@ class RoundTripReport(Record):
     __slots__ = ("n_samples", "max_forward_residual", "max_backward_residual", "tol")
 
 
-def roundtrip_check(
-    gmap: GradientMap, n_samples: int, seed: int = 0, tol: float = 1e-10
-) -> RoundTripReport:
+def roundtrip_check(gmap: GradientMap, n_samples: int, seed: int = 0) -> RoundTripReport:
     """Verify both compositions on points sampled from the domain box.
 
     Each sample x gives y = g(x) in the image, so invert(y) must recover x
-    and re-stepping must recover y.  All samples are inverted in one
-    batched solve whose rows match ``invert`` bit for bit; if any fails,
-    the error is the one ``invert`` raises for the first failing sample.
+    and re-stepping must recover y.  All samples are inverted to
+    ``INVERT_TOL`` in one batched solve whose rows match ``invert`` bit for
+    bit; if any fails, the error is the one ``invert`` raises for the first
+    failing sample.
     """
-    _check_real(tol, "tol", "non-negative")
     xs = _box_samples(seed, n_samples, gmap.objective.domain_box, "n_samples")
     ys = gmap.step(xs)
     if not np.all(np.isfinite(ys)):
         raise ContractViolationError("y must be finite")
-    solutions = _invert_batch(gmap, ys, ys, tol, MAX_INNER)[0]
+    solutions = _invert_batch(gmap, ys, ys, INVERT_TOL)[0]
     return RoundTripReport(
         n_samples=n_samples,
         max_forward_residual=float(np.max(_row_norms(gmap.step(solutions) - ys))),
         max_backward_residual=float(np.max(_row_norms(solutions - xs))),
-        tol=float(tol),
+        tol=INVERT_TOL,
     )

@@ -12,33 +12,43 @@ import math
 
 import numpy as np
 
-from .errors import ContractViolationError, NonConvergenceError, _check_count, _check_real
+from .errors import ContractViolationError, NonConvergenceError
 from .zoo import _check_vector
 
 __all__ = ["eigh_jacobi", "off_diagonal_norm"]
 
+# The sweeps stop once the off-diagonal norm is at most JACOBI_TOL times
+# max(1, ||a||_F), and give up after MAX_SWEEPS sweeps.
+JACOBI_TOL = 1e-13
+MAX_SWEEPS = 60
 
-def off_diagonal_norm(a) -> float:
-    a = np.asarray(a, dtype=float)
+
+def _off_norm(a: np.ndarray) -> float:
     off = a - np.diag(np.diag(a))
     return float(np.sqrt(np.sum(off * off)))
 
 
-def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
+def off_diagonal_norm(a) -> float:
+    """The Frobenius norm of the off-diagonal entries of the square array ``a``.
+
+    ``a`` must be a finite, square array of numbers.
+    """
+    return _off_norm(_check_vector(a, ("n", "n"), "a"))
+
+
+def eigh_jacobi(a):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
     Rotations sweep the strict upper triangle cyclically until the
-    off-diagonal Frobenius norm drops below ``tol * max(1, ||a||_F)``.
-    Returns ``(w, v)`` with ``v[:, i]`` the eigenvector for ``w[i]``; each
-    column's largest-magnitude component is made positive so bases are
+    off-diagonal Frobenius norm drops below ``JACOBI_TOL * max(1,
+    ||a||_F)``; a matrix still above it after ``MAX_SWEEPS`` sweeps raises a
+    non-convergence error carrying that norm.  Returns ``(w, v)`` with
+    ``v[:, i]`` the eigenvector for ``w[i]``; each column's
+    largest-magnitude component is made positive so bases are
     deterministic.  ``a`` must be a finite, square and symmetric array of
-    numbers, up to 1e-10 relative asymmetry; a negative or NaN ``tol`` and a
-    non-integer ``max_sweeps`` are refused, and so is a matrix whose
-    eigenvalues overflow.  On a budget of 0 sweeps a matrix already
-    diagonal to ``tol`` is still decomposed.
+    numbers, up to 1e-10 relative asymmetry; a matrix whose eigenvalues
+    overflow is refused.
     """
-    tol = _check_real(tol, "tol", "non-negative")
-    max_sweeps = _check_count(max_sweeps, "max_sweeps")
     a = _check_vector(a, ("n", "n"), "a")
     # The sweeps work on ``a`` scaled by a power of two so that its
     # largest entry lies below 1, where no square or sum overflows, and
@@ -54,13 +64,13 @@ def eigh_jacobi(a, tol: float = 1e-13, max_sweeps: int = 60):
 
     n = a.shape[0]
     v = np.eye(n)
-    threshold = tol * scale
+    threshold = JACOBI_TOL * scale
     # convergence is tested before every sweep and after the last one
-    for sweep in range(max_sweeps + 1):
-        off = off_diagonal_norm(a)
+    for sweep in range(MAX_SWEEPS + 1):
+        off = _off_norm(a)
         if off <= threshold:
             break
-        if sweep == max_sweeps:
+        if sweep == MAX_SWEEPS:
             with np.errstate(over="ignore"):
                 off = float(np.ldexp(off, exponent))
             raise NonConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off}", off)

@@ -51,10 +51,10 @@ from descentlab import (
 )
 from descentlab import critical, engine, experiments, inverse
 from descentlab.critical import grid_spacing
-from descentlab.engine import DEFAULT_POLICY, closed_form_quadratic, descent_violations
+from descentlab.engine import DEFAULT_POLICY, closed_form_quadratic
 from descentlab.errors import _check_real
 from descentlab.fileio import plain
-from descentlab.jacobi import eigh_jacobi
+from descentlab.jacobi import eigh_jacobi, off_diagonal_norm
 
 OBJECTIVE = NesterovExample()
 GMAP = GradientMap(OBJECTIVE, 0.09)
@@ -77,12 +77,6 @@ PARAMETERS = [
     (alpha_from_theta, {"objective": OBJECTIVE}, "theta", 1.0),
     (closed_form_quadratic, {"lambdas": [1.0], "alpha": 0.5, "x0": [1.0], "k": 2}, "alpha", None),
     (closed_form_quadratic, {"lambdas": [1.0], "alpha": 0.5, "x0": [1.0], "k": 2}, "k", -1),
-    (descent_violations, {"traj": TRAJ, "objective": OBJECTIVE}, "slack", -1e-12),
-    (classify, {"objective": OBJECTIVE, "x": SADDLE.location}, "degeneracy_tol", -1.0),
-    (classify, {"objective": OBJECTIVE, "x": SADDLE.location}, "grad_tol", -1.0),
-    (find_critical_points, {"objective": OBJECTIVE}, "tol", -1.0),
-    (find_critical_points, {"objective": OBJECTIVE}, "degeneracy_tol", -1.0),
-    (find_critical_points, {"objective": OBJECTIVE}, "dedup_tol", -1.0),
     (find_critical_points, {"objective": OBJECTIVE}, "n_seeds", 0),
     (find_critical_points, {"objective": OBJECTIVE}, "seed", -1),
     (grid_spacing, {"radius": 0.1, "grid": 5}, "radius", -1.0),
@@ -90,14 +84,10 @@ PARAMETERS = [
     (sample_local_stable_set, STABLE_SET, "radius", -1.0),
     (sample_local_stable_set, STABLE_SET, "grid", 0),
     (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "tol", -1.0),
-    (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "max_inner", -1),
-    (roundtrip_check, {"gmap": GMAP, "n_samples": 10}, "tol", -1.0),
     (roundtrip_check, {"gmap": GMAP, "n_samples": 10}, "n_samples", 0),
     (roundtrip_check, {"gmap": GMAP, "n_samples": 10}, "seed", -1),
     (injectivity_margin_check, {"gmap": GMAP, "n_pairs": 10}, "n_pairs", 0),
     (injectivity_margin_check, {"gmap": GMAP, "n_pairs": 10}, "seed", -1),
-    (eigh_jacobi, {"a": MATRIX}, "tol", -1.0),
-    (eigh_jacobi, {"a": MATRIX}, "max_sweeps", -1),
     (monte_carlo, CENSUS, "alpha", 0.0),
     (monte_carlo, CENSUS, "n_trials", 0),
     (monte_carlo, CENSUS, "seed", -1),
@@ -192,6 +182,7 @@ ARRAYS = [
     (closed_form_quadratic, CLOSED_FORM, "lambdas", [1.0, -1.0]),
     (closed_form_quadratic, CLOSED_FORM, "x0", [1.0, 0.0]),
     (eigh_jacobi, {}, "a", MATRIX.tolist()),
+    (off_diagonal_norm, {}, "a", MATRIX.tolist()),
     (DiagonalQuadratic, {}, "lambdas", [1.0, -1.0]),
     (QuarticCopositive, {}, "q", [[1.0, 0.0], [0.0, 1.0]]),
     (invert, {"gmap": GMAP}, "y", [0.1, 0.1]),
@@ -211,6 +202,7 @@ MORE_ARRAYS = {
     (run_many, "x0s"): [[[0.5, 0.5, 0.5]], [0.5, 0.5], [[0.1, 0.2], ["1", "2"]]],
     (closed_form_quadratic, "x0"): [[1.0]],
     (eigh_jacobi, "a"): [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    (off_diagonal_norm, "a"): [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0]],
     (DiagonalQuadratic, "lambdas"): [[], 1.0],
     (QuarticCopositive, "q"): [np.zeros((0, 0)), [[1.0, 0.0]], [0.25]],
     (invert, "y"): [[0.1]],

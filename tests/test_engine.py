@@ -24,6 +24,7 @@ from descentlab import (
     run,
     run_many,
 )
+from descentlab import engine
 from descentlab.engine import (
     _BLOCK_ROWS,
     _TRIAL_ENTRIES,
@@ -34,7 +35,7 @@ from descentlab.engine import (
     _squared_tolerance,
     _sum_squares,
 )
-from descentlab.inverse import invert, roundtrip_check
+from descentlab.inverse import invert
 from descentlab.zoo import _PAIRWISE_FROM
 
 RECORD_ALL = StopPolicy(tol=0.0, divergence_radius=1e300, max_iters=50)
@@ -546,7 +547,7 @@ def test_descent_inequality_holds_along_certified_runs():
         assert descent_violations(traj, obj) == 0
 
 
-def test_descent_violations_counts_fabricated_increase():
+def test_descent_violations_counts_fabricated_increase(monkeypatch):
     obj = DiagonalQuadratic([1.0, 1.0])
     traj = Trajectory(
         iterates=np.array([[1.0, 0.0], [1.0, 0.0]]),
@@ -556,6 +557,9 @@ def test_descent_violations_counts_fabricated_increase():
         alpha=0.1,
     )
     assert descent_violations(traj, obj) == 1
+    # an increase within the slack is rounding, not a violation
+    monkeypatch.setattr(engine, "DESCENT_SLACK", 0.5)
+    assert descent_violations(traj, obj) == 0
 
 
 def test_descent_violations_refuses_an_objective_of_another_dimension():
@@ -968,10 +972,9 @@ _OBJ = NesterovExample()
     lambda: alpha_from_theta(_OBJ, False),
     lambda: invert(GradientMap(_OBJ, 0.09), [0.1, 0.2], tol=None),
     lambda: invert(GradientMap(_OBJ, 0.09), [0.1, 0.2], tol=[1e-10]),
-    lambda: roundtrip_check(GradientMap(_OBJ, 0.09), 10, tol=True),
 ], ids=["tol-None", "tol-True", "tol-str", "radius-str", "radius-np-bool", "alpha-str",
         "alpha-None", "alpha-True", "theta-None", "theta-False", "invert-tol-None",
-        "invert-tol-list", "roundtrip-tol-True"])
+        "invert-tol-list"])
 def test_scalar_parameters_that_are_not_real_numbers_are_refused(call):
     with pytest.raises(ContractViolationError, match="must be a real number, got "):
         call()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descentlab import ContractViolationError, NonConvergenceError, eigh_jacobi
+from descentlab import ContractViolationError, NonConvergenceError, eigh_jacobi, jacobi
 from descentlab.jacobi import off_diagonal_norm
 
 
@@ -93,6 +93,7 @@ def test_off_diagonal_norm():
     a = np.array([[1.0, 3.0], [3.0, 2.0]])
     assert off_diagonal_norm(a) == pytest.approx(np.sqrt(18.0))
     assert off_diagonal_norm(np.diag([4.0, 5.0])) == 0.0
+    assert off_diagonal_norm([[1, 2], [2, 1]]) == pytest.approx(np.sqrt(8.0))
 
 
 def test_slightly_asymmetric_input_is_symmetrized():
@@ -115,10 +116,12 @@ def test_rejects_bad_inputs():
         eigh_jacobi([[True, False], [False, True]])
 
 
-def test_max_sweeps_exhaustion_raises():
+def test_max_sweeps_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(jacobi, "JACOBI_TOL", 1e-30)
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
     a = random_symmetric(8, 3)
     with pytest.raises(NonConvergenceError):
-        eigh_jacobi(a, tol=1e-30, max_sweeps=0)
+        eigh_jacobi(a)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,13 +139,14 @@ def test_jacobi_agrees_with_lapack_under_scaling(n, seed, scale):
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-12
 
 
-def test_a_budget_of_no_sweeps_decomposes_a_diagonal_matrix():
-    w, v = eigh_jacobi(np.diag([2.0, 1.0]), max_sweeps=0)
+def test_a_budget_of_no_sweeps_decomposes_a_diagonal_matrix(monkeypatch):
+    monkeypatch.setattr(jacobi, "MAX_SWEEPS", 0)
+    w, v = eigh_jacobi(np.diag([2.0, 1.0]))
     assert w.tolist() == [1.0, 2.0]
     assert v.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-    assert eigh_jacobi([[3.0]], max_sweeps=0)[0].tolist() == [3.0]
+    assert eigh_jacobi([[3.0]])[0].tolist() == [3.0]
     with pytest.raises(NonConvergenceError):
-        eigh_jacobi([[2.0, 1.0], [1.0, 3.0]], max_sweeps=0)
+        eigh_jacobi([[2.0, 1.0], [1.0, 3.0]])
 
 
 @pytest.mark.filterwarnings("error")
@@ -164,14 +168,18 @@ def test_a_matrix_whose_eigenvalues_overflow_is_refused():
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_zero_tolerance_rotates_without_an_overflow_warning():
+def test_a_zero_tolerance_rotates_without_an_overflow_warning(monkeypatch):
+    monkeypatch.setattr(jacobi, "JACOBI_TOL", 0.0)
+    off_norm, norms = jacobi._off_norm, []
+    monkeypatch.setattr(jacobi, "_off_norm", lambda a: norms.append(off_norm(a)) or norms[-1])
     # the second draw: its rotations reach an entry so small against the
     # diagonal gap that tau * tau overflows
     rng = np.random.default_rng(0)
     rng.standard_normal((3, 3))
     a = rng.standard_normal((3, 3))
     a = a + a.T
-    w, v = eigh_jacobi(a, tol=0)
+    w, v = eigh_jacobi(a)
+    assert norms[-1] == 0.0  # swept until the off-diagonal vanished
     w_ref, v_ref = np.linalg.eigh(a)
     np.testing.assert_allclose(w, w_ref, atol=1e-12 * np.abs(w_ref).max())
     np.testing.assert_allclose(np.abs(v.T @ v_ref), np.eye(3), atol=1e-10)
