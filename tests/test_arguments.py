@@ -15,9 +15,13 @@ feeds records of another dimension and things that are not records; the
 last table feeds every ``policy`` parameter things that are not policies.  Each
 is refused with a contract violation that
 names the parameter, while the critical-point search, the stepping loop
-and the batched inversion are patched to fail if they are reached.
+and the batched inversion are patched to fail if they are reached.  The
+tolerances and budgets of the solvers and checks are module constants: a
+table of the keywords that once set them checks that each is now an
+unknown keyword.
 """
 
+import inspect
 import re
 
 import numpy as np
@@ -51,7 +55,7 @@ from descentlab import (
 )
 from descentlab import critical, engine, experiments, inverse
 from descentlab.critical import grid_spacing
-from descentlab.engine import DEFAULT_POLICY, closed_form_quadratic
+from descentlab.engine import DEFAULT_POLICY, closed_form_quadratic, descent_violations
 from descentlab.errors import _check_real
 from descentlab.fileio import plain
 from descentlab.jacobi import eigh_jacobi, off_diagonal_norm
@@ -165,6 +169,31 @@ def test_a_wrong_sign_is_refused_in_the_shared_wording(func, fixed, name, wrong)
         expected = {f"{name} must be {sign}, got {wrong!r}"
                     for sign in ("non-negative", "positive")}
     assert str(refused.value) in expected
+
+
+# (function, the other arguments, a keyword it no longer takes): each
+# tolerance or budget of these is a module constant, read at call time
+REMOVED = [
+    (find_critical_points, {"objective": OBJECTIVE}, "tol"),
+    (find_critical_points, {"objective": OBJECTIVE}, "degeneracy_tol"),
+    (find_critical_points, {"objective": OBJECTIVE}, "dedup_tol"),
+    (classify, {"objective": OBJECTIVE, "x": SADDLE.location}, "degeneracy_tol"),
+    (classify, {"objective": OBJECTIVE, "x": SADDLE.location}, "grad_tol"),
+    (eigh_jacobi, {"a": MATRIX}, "tol"),
+    (eigh_jacobi, {"a": MATRIX}, "max_sweeps"),
+    (invert, {"gmap": GMAP, "y": [0.1, 0.1]}, "max_inner"),
+    (roundtrip_check, {"gmap": GMAP, "n_samples": 10}, "tol"),
+    (descent_violations, {"traj": TRAJ, "objective": OBJECTIVE}, "slack"),
+]
+
+
+@pytest.mark.parametrize("func, fixed, name",
+                         [pytest.param(*p, id=f"{p[0].__name__}-{p[2]}") for p in REMOVED])
+def test_a_removed_knob_is_an_unknown_keyword(func, fixed, name):
+    assert name not in inspect.signature(func).parameters
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        func(**fixed, **{name: 1e-6})
+    func(**fixed)  # so the keyword alone is what is refused
 
 
 def test_the_real_rule_knows_its_signs():

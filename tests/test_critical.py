@@ -64,11 +64,12 @@ def scalar_newton_root(objective, x0, tol, max_iters=120):
     return x if hit_tol and np.sqrt(merit) <= tol else None
 
 
-def assert_roots_match_scalar_loop(objective, seeds, max_iters=120):
+def assert_roots_match_scalar_loop(objective, seeds, max_iters=120, tol=NEWTON_TOL):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(critical, "NEWTON_BUDGET", max_iters)
+        patch.setattr(critical, "NEWTON_TOL", tol)
         roots = _newton_roots(objective, seeds)
-    expected = [scalar_newton_root(objective, x0, 1e-10, max_iters) for x0 in seeds]
+    expected = [scalar_newton_root(objective, x0, tol, max_iters) for x0 in seeds]
     assert [r is None for r in roots] == [e is None for e in expected]
     for root, oracle in zip(roots, expected):
         if oracle is not None:
@@ -361,17 +362,44 @@ def test_batched_newton_matches_scalar_loop_bitwise(objective):
     assert all(record.grad_norm <= NEWTON_TOL for record in records)
 
 
-@pytest.mark.parametrize("objective", [
-    DiagonalQuadratic([1.0, 0.0]), NesterovExample([[-1e4, 1e4]] * 2),
-    QuarticCopositive([[1.0, 0.2], [0.0, 0.5]]),
-], ids=["singular-hessian", "nesterov-1e4-box", "quartic"])
-def test_every_root_of_the_search_meets_the_newton_tolerance(objective):
-    # as on the zoo classes above, so that the one gradient gate of
-    # classify, far above NEWTON_TOL, refuses no root of the search
-    for seed in range(5):
-        records = find_critical_points(objective, n_seeds=40, seed=seed)
-        assert records
-        assert all(record.grad_norm <= NEWTON_TOL for record in records)
+# one instance of each regime of the zoo: a saddle, a singular Hessian
+# (a line of minima), three dimensions, a strongly convex bowl, the
+# Nesterov example on its own and on a wide box, and the quartic with a
+# degenerate origin, symmetric and not
+SEARCHED = {
+    "saddle": DiagonalQuadratic([1.0, -1.0]),
+    "singular-hessian": DiagonalQuadratic([1.0, 0.0]),
+    "saddle-3d": DiagonalQuadratic([1.0, -1.0, 2.0]),
+    "strongly-convex": StronglyConvexQuadratic([1.0, 3.0]),
+    "nesterov": NesterovExample(),
+    "nesterov-1e4-box": NesterovExample([[-1e4, 1e4]] * 2),
+    "quartic": QuarticCopositive(np.eye(2)),
+    "quartic-asymmetric": QuarticCopositive([[1.0, 0.2], [0.0, 0.5]]),
+}
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("name", SEARCHED)
+def test_every_root_of_the_search_meets_the_newton_tolerance(name, seed):
+    # so the one gradient gate of classify, GRAD_TOL far above NEWTON_TOL,
+    # refuses no root of the search
+    records = find_critical_points(SEARCHED[name], seed=seed)
+    assert records
+    assert all(record.grad_norm <= NEWTON_TOL for record in records)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-14, 1e-6, 1e-2])
+@pytest.mark.parametrize("objective", ZOO_CLASSES, ids=lambda o: o.name)
+def test_batched_newton_matches_scalar_loop_at_other_tolerances(objective, tol):
+    # when a short budget runs out, the tolerance decides which rows are
+    # roots (on the Nesterov example at 4 iterations, 39 of these seeds
+    # are dropped at a zero tolerance and 10 at 1e-2); a zero tolerance
+    # takes only an exact zero of the gradient or a stalled step
+    rng = np.random.default_rng(12)
+    lo, hi = objective.domain_box[:, 0], objective.domain_box[:, 1]
+    seeds = lo + rng.random((40, objective.dimension)) * (hi - lo)
+    for max_iters in (4, NEWTON_BUDGET):
+        assert_roots_match_scalar_loop(objective, seeds, max_iters=max_iters, tol=tol)
 
 
 def test_batched_newton_with_some_singular_hessians():
