@@ -42,11 +42,10 @@ GRAD_TOL = 1e-6
 # about 311 iterations to fall below NEWTON_TOL.
 NEWTON_BUDGET = 400
 # Points per axis of a stable-set grid, at most.  Stepped in chunks, a
-# stable-set command peaks at about 40 bytes per grid point above the 36
-# MB of the interpreter and numpy (62 MB at grid 801, 191 MB at this cap;
-# 2 cores, Python 3.11.7, numpy 2.4.6); a larger grid is refused before
-# any work rather than running out of memory after the critical-point
-# search.
+# stable-set command peaks at about 40 bytes per grid point above the 33
+# MB of one on grid 41 (52 MB at grid 801, 156 MB at this cap; 2 cores,
+# Python 3.11.7, numpy 2.4.6); a larger grid is refused before any work
+# rather than running out of memory after the critical-point search.
 MAX_GRID = 2001
 # Starts a census or a stable-set grid steps and labels as one batch.
 # Every step's masks and compactions walk arrays of all a batch's rows.
@@ -343,12 +342,15 @@ def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, record
                   n_jobs: int = 1):
     """Step the rows of ``x0s`` and label each final state against ``records``.
 
-    Returns the basin codes (``_basin_codes``), the iteration counts and
-    the final gradient norms of the rows, in row order.  The rows are cut
-    in order into chunks of ``CHUNK``, each stepped by ``run_many`` and
-    labelled as one batch; an empty ``x0s`` is one empty chunk.  The
-    chunks are mapped by ``min(n_jobs, os.cpu_count(), number of chunks)``
-    threads, or without a thread pool when that is 1.  The stepping is
+    Returns the chunks in row order, each a tuple of the basin codes
+    (``_basin_codes``), the iteration counts and the final gradient norms
+    of its rows; a caller concatenates the columns it reads.  The rows
+    are cut in order into chunks of ``CHUNK``, each stepped by
+    ``run_many`` and labelled as one batch; an empty ``x0s`` is one empty
+    chunk.  The chunks are mapped by ``min(n_jobs, os.cpu_count(), number
+    of chunks)`` threads, or without a thread pool when that is 1; then
+    each chunk is stepped as it is iterated, so a caller that keeps only
+    the codes never holds every chunk's other columns.  The stepping is
     elementwise, so the result is identical for any chunk size and thread
     count.  A ``NumericalFailureError`` names the row of ``x0s``; it is
     the one of the first failing chunk in row order, for every
@@ -367,13 +369,11 @@ def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, record
     starts = range(0, max(x0s.shape[0], 1), CHUNK)
     workers = min(n_jobs, os.cpu_count() or 1, len(starts))
     if workers == 1:
-        labelled = map(label, starts)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+        return map(label, starts)
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            labelled = list(pool.map(label, starts))
-    return [np.concatenate(column) for column in zip(*labelled)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(label, starts))
 
 
 class StableSetSample(Record):
@@ -464,7 +464,8 @@ def sample_local_stable_set(
     objective = gmap.objective
     if not objective.lipschitz_global and not np.all(objective.contains(points)):
         raise ContractViolationError("some starting points lie outside domain_box")
-    converged = _label_starts(gmap, points, policy, [record])[0] == 0
+    chunks = _label_starts(gmap, points, policy, [record])
+    converged = np.concatenate([codes for codes, _, _ in chunks]) == 0
 
     max_distance = 0.0
     if np.any(converged):

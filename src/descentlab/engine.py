@@ -39,7 +39,9 @@ componentwise.
 from __future__ import annotations
 
 import math
+import random
 import sys
+import types
 from enum import Enum
 
 import numpy as np
@@ -193,6 +195,31 @@ def _row_norms(x) -> np.ndarray:
     return np.sqrt(_sum_squares(x))
 
 
+def _default_rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, without loading OpenSSL for it.
+
+    numpy.random imports ``randbits`` from ``secrets``, for generators made
+    without a seed, and ``secrets`` loads OpenSSL through ``hmac``: about
+    4 MB of a fresh process's peak memory and a few ms of import.  So when
+    neither module is loaded yet, numpy.random is imported next to a
+    stand-in ``secrets`` whose ``randbits`` is the same OS-entropy function,
+    ``random.SystemRandom().getrandbits``.  The stand-in is in
+    ``sys.modules`` only during that import, and is removed only if it is
+    still there (another thread's first draw may have replaced it), so a
+    later ``import secrets`` loads the real module.
+    """
+    if "numpy.random" not in sys.modules and "secrets" not in sys.modules:
+        stand_in = types.ModuleType("secrets")
+        stand_in.randbits = random.SystemRandom().getrandbits
+        sys.modules["secrets"] = stand_in
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            if sys.modules.get("secrets") is stand_in:
+                del sys.modules["secrets"]
+    return np.random.default_rng(seed)
+
+
 def _box_samples(seed, n, box, name: str, copies: int = 1, most=None) -> np.ndarray:
     """``copies * n`` points uniform on ``box`` (rows [lo, hi]).
 
@@ -211,7 +238,7 @@ def _box_samples(seed, n, box, name: str, copies: int = 1, most=None) -> np.ndar
         raise ContractViolationError(f"{name} = {n} is more {name[2:]} than an array can hold")
     _check_count(seed, "seed")
     # scaled in place: no temporary as large as the samples
-    samples = np.random.default_rng(seed).random((copies * n, lo.shape[0]))
+    samples = _default_rng(seed).random((copies * n, lo.shape[0]))
     samples *= hi - lo
     samples += lo
     return samples

@@ -32,10 +32,11 @@ __all__ = [
 FIT_FLOOR = 100.0 * np.finfo(float).eps
 # Trials of a 1-D or 2-D census, at most; a d-D census may have 2 *
 # MAX_TRIALS // d, so its starts hold at most 2e7 coordinates (160 MB).
-# Through the CLI a 2-D census peaked at 44 MB at 1e5 trials and 101 MB
-# at 1e6: about 66 bytes a trial above 37 MB, so about 0.7 GB at this
-# cap.  A 100-D census at its cap of 2e5 trials peaked at 345 MB: 160 MB
-# of starts, and about 130 MB of temporaries stepping one 20k-row chunk.
+# Through the CLI a 2-D census peaked at 39 MB at 1e5 trials and 97 MB
+# at 1e6: about 67 bytes a trial above the 33 MB of one of 1e3 trials, so
+# about 0.7 GB at this cap.  A 100-D census at its cap of 2e5 trials
+# peaked at 342 MB: 160 MB of starts, and about 130 MB of temporaries
+# stepping one 20k-row chunk (2 cores, Python 3.11.7, numpy 2.4.6).
 # A larger census is refused before any work rather than running out of
 # memory.
 MAX_TRIALS = 10_000_000
@@ -164,7 +165,8 @@ def monte_carlo(
     if records is None:
         records = find_critical_points(objective)
 
-    codes, iterations, final_grad_norm = _label_starts(gmap, x0s, policy, records, n_jobs)
+    chunks = _label_starts(gmap, x0s, policy, records, n_jobs)
+    codes, iterations, final_grad_norm = (np.concatenate(column) for column in zip(*chunks))
     table = _label_table(records)
     labels = np.array(table, dtype=object)[codes].tolist()
     counts = np.bincount(codes, minlength=len(table)).tolist()

@@ -1,5 +1,7 @@
 """Critical-point search, classification, and stable-set sampling."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -594,6 +596,26 @@ def test_a_stable_set_in_chunks_of_a_few_rows_matches_one_batch_of_the_grid(
     assert np.array_equal(sample.converged, ~np.array(left, dtype=bool) & near
                           & (whole.final_grad_norm <= BASIN_TOL))
     assert np.count_nonzero(sample.converged) == (41 if grid == 41 else 0)
+
+
+def test_a_stable_set_frees_each_chunks_counts_and_norms_before_it_steps_the_next(monkeypatch):
+    # the stable set reads only the basin codes: holding every chunk's
+    # iteration counts and gradient norms cost 16 bytes a grid point
+    obj = NesterovExample()
+    gmap = GradientMap(obj, 0.09)
+    rec = classify(obj, np.array([0.0, 0.0]))
+    columns = []
+
+    def recorded(gmap, x0s, policy):
+        assert all(column() is None for column in columns[:-2])  # all but the last chunk's
+        result = run_many(gmap, x0s, policy)
+        columns.extend([weakref.ref(result.iterations), weakref.ref(result.final_grad_norm)])
+        return result
+
+    monkeypatch.setattr(critical, "CHUNK", 100)
+    monkeypatch.setattr(critical, "run_many", recorded)
+    sample = sample_local_stable_set(gmap, rec, radius=0.5, grid=41)
+    assert len(columns) == 2 * 13 and np.count_nonzero(sample.converged) == 41
 
 
 @pytest.mark.parametrize("policy", [None, StopPolicy(max_iters=200)],
