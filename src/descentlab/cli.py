@@ -52,8 +52,9 @@ OPTIONS = {
     "trials": Option("int", REQUIRED, "number of random initializations"),
     "init_box": Option("box", None, "initialization box 'lo_1,..,lo_d:hi_1,..,hi_d' "
                        "(default: the domain box)"),
-    "n_jobs": Option("int", 1, f"threads stepping chunks of {CHUNK} trials, at least 1; "
-                     "capped by the core count and the number of chunks"),
+    "n_jobs": Option("int", 1, f"threads stepping chunks of {2 * CHUNK} coordinates ({CHUNK} "
+                     "trials up to 2-D), at least 1; capped by the core count and the number of "
+                     "chunks"),
     "radius": Option("float", 0.5, "sampling ball radius"),
     "grid": Option("int", 41, "grid points per axis"),
     "index": Option("int", None, "record index to sample (default: first strict saddle)"),

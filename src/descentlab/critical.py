@@ -15,7 +15,8 @@ import numpy as np
 
 from .engine import (
     GradientMap, StopPolicy, StopReason, _backtrack, _box_samples, _check_policy,
-    _row_norms, _solve_rows, _squared_tolerance, _sum_squares, run_many,
+    _refuse_starts_outside_box, _row_norms, _solve_rows, _squared_tolerance, _sum_squares,
+    run_many,
 )
 from .errors import (BasinAmbiguityError, ContractViolationError, NumericalFailureError,
                      _check_count, _check_real)
@@ -42,19 +43,24 @@ GRAD_TOL = 1e-6
 # about 311 iterations to fall below NEWTON_TOL.
 NEWTON_BUDGET = 400
 # Points per axis of a stable-set grid, at most.  Stepped in chunks, a
-# stable-set command peaks at about 40 bytes per grid point above the 33
-# MB of one on grid 41 (52 MB at grid 801, 156 MB at this cap; 2 cores,
-# Python 3.11.7, numpy 2.4.6); a larger grid is refused before any work
-# rather than running out of memory after the critical-point search.
+# stable-set command peaks at about 24 bytes per grid point above the 33
+# MB of one on grid 41 (45 MB at grid 801, 108 MB at this cap; child
+# getrusage, 2 cores, Python 3.11.7, numpy 2.4.6); a larger grid is
+# refused before any work rather than running out of memory after the
+# critical-point search.
 MAX_GRID = 2001
-# Starts a census or a stable-set grid steps and labels as one batch.
-# Every step's masks and compactions walk arrays of all a batch's rows.
-# In alternating pairs on the nesterov census (2 cores), 1e6 trials took a
-# median 7.8 s as one batch and 3.2 s in chunks of 10k or 20k rows (3.9 s
-# at 50k), and peaked at 265 MB against 100 MB.  With two threads, chunks
-# of 10k, 20k and 50k rows took 4.3, 2.8 and 2.3 s, against 3.4 s for two
-# batches of half the trials: 20k is the fastest serial size that still
-# gains from threads.
+# Starts of a 1-D or 2-D census or stable-set grid that are stepped and
+# labelled as one batch; a d-D chunk has 2 * CHUNK // d rows, the same
+# 2 * CHUNK coordinates.  Every step's masks and compactions walk arrays
+# of all a batch's rows.  In alternating pairs on the nesterov census (2
+# cores), 1e6 trials took a median 7.8 s as one batch and 3.2 s in chunks
+# of 10k or 20k rows (3.9 s at 50k), and peaked at 265 MB against 100 MB.
+# With two threads, chunks of 10k, 20k and 50k rows took 4.3, 2.8 and
+# 2.3 s, against 3.4 s for two batches of half the trials: 20k is the
+# fastest serial size that still gains from threads.  A 100-D census of
+# 2e5 trials took 2.4-2.8 s and peaked at 281 MB in 20k-row chunks, and
+# 1.3-1.8 s and 216 MB in chunks of 400 rows (child getrusage, Python
+# 3.11.7, numpy 2.4.6).
 CHUNK = 20_000
 # The basin tolerance of ``_basin_codes``, for a census and a stable-set
 # grid alike, and the labels of a final state that lands at no record.
@@ -345,28 +351,35 @@ def _label_starts(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, record
     Returns the chunks in row order, each a tuple of the basin codes
     (``_basin_codes``), the iteration counts and the final gradient norms
     of its rows; a caller concatenates the columns it reads.  The rows
-    are cut in order into chunks of ``CHUNK``, each stepped by
-    ``run_many`` and labelled as one batch; an empty ``x0s`` is one empty
-    chunk.  The chunks are mapped by ``min(n_jobs, os.cpu_count(), number
-    of chunks)`` threads, or without a thread pool when that is 1; then
-    each chunk is stepped as it is iterated, so a caller that keeps only
-    the codes never holds every chunk's other columns.  The stepping is
+    are cut in order into chunks of ``2 * CHUNK // max(d, 2)`` rows
+    (``CHUNK`` up to 2-D), so a chunk holds at most ``2 * CHUNK``
+    coordinates (320 KB) whatever the dimension d.  Each is stepped by
+    ``run_many``, whose ``tracemalloc`` peak is 9.0x a 2-D batch's bytes
+    and 5.1x a 100-D one's (``engine._descend``), so a chunk steps in
+    about 3 MB at most, and labelled as one batch; an empty ``x0s`` is
+    one empty chunk.  The chunks are mapped by ``min(n_jobs,
+    os.cpu_count(), number of chunks)`` threads, or without a thread pool
+    when that is 1; then each chunk is stepped as it is iterated, so a
+    caller that keeps only the codes never holds every chunk's other
+    columns.  The stepping is
     elementwise, so the result is identical for any chunk size and thread
     count.  A ``NumericalFailureError`` names the row of ``x0s``; it is
     the one of the first failing chunk in row order, for every
     ``n_jobs``.  ``run_many`` checks only the chunk it is given, so a
     caller whose starts may leave the domain box refuses them first.
     """
+    rows = 2 * CHUNK // max(x0s.shape[1], 2)
+
     def label(start):
         try:
-            result = run_many(gmap, x0s[start:start + CHUNK], policy)
+            result = run_many(gmap, x0s[start:start + rows], policy)
         except NumericalFailureError as exc:
             exc.trial += start
             raise
         codes = _basin_codes(result.final_x, result.final_grad_norm, result.stop_reasons, records)
         return codes, result.iterations, result.final_grad_norm
 
-    starts = range(0, max(x0s.shape[0], 1), CHUNK)
+    starts = range(0, max(x0s.shape[0], 1), rows)
     workers = min(n_jobs, os.cpu_count() or 1, len(starts))
     if workers == 1:
         return map(label, starts)
@@ -461,9 +474,7 @@ def sample_local_stable_set(
         points *= spacing
         points += center
 
-    objective = gmap.objective
-    if not objective.lipschitz_global and not np.all(objective.contains(points)):
-        raise ContractViolationError("some starting points lie outside domain_box")
+    _refuse_starts_outside_box(gmap.objective, points)
     chunks = _label_starts(gmap, points, policy, [record])
     converged = np.concatenate([codes for codes, _, _ in chunks]) == 0
 

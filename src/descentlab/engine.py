@@ -374,16 +374,31 @@ def run_many(gmap: GradientMap, x0s, policy: StopPolicy | None = None) -> BatchR
 
     Each row's final state matches a ``run`` from that row bit for bit;
     only the dense history is skipped.  ``policy`` None means
-    ``DEFAULT_POLICY``.
+    ``DEFAULT_POLICY``.  ``x0s`` itself is never written: the loop steps
+    in the copy that checking it makes.
     """
     policy = _check_policy(policy)
     obj = gmap.objective
     # row-major whatever the input's layout: from _PAIRWISE_FROM columns on, numpy sums
     # a row of a column-major batch in another order than run's point
     x0s = np.ascontiguousarray(_check_vector(x0s, ("n", obj.dimension), "x0s"))
-    if not obj.lipschitz_global and not np.all(obj.contains(x0s)):
-        raise ContractViolationError("some starting points lie outside domain_box")
+    _refuse_starts_outside_box(obj, x0s)
     return _descend(gmap, x0s, policy)
+
+
+def _refuse_starts_outside_box(objective: Objective, starts: np.ndarray) -> None:
+    """Refuse (n, d) ``starts`` with a row outside a box-local objective's domain box.
+
+    The box is axis-aligned, so every row lies in it exactly when the row
+    of column minima and the row of column maxima both do, and
+    ``contains`` tests only those two: two reductions, with no copy and no
+    boolean array of the starts' shape.  A NaN propagates into both rows
+    and fails.
+    """
+    if objective.lipschitz_global or not starts.shape[0]:
+        return
+    if not np.all(objective.contains(np.stack((starts.min(axis=0), starts.max(axis=0))))):
+        raise ContractViolationError("some starting points lie outside domain_box")
 
 
 # Stop codes of the stepping loop; a code indexes this tuple.
@@ -482,6 +497,19 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
     ``compress``, never with a boolean mask on 2-D rows, which is about
     ten times slower than ``compress``.
 
+    A batch of two or more rows steps in two (n, d) buffers that last the
+    whole loop: ``x0s`` itself and one more made once.  Each step is
+    written into the buffer the rows are not in, with ``np.multiply`` and
+    then ``np.subtract``, the two correctly rounded operations of ``x -
+    alpha * g`` in the same order; a compaction writes the survivors back
+    into the buffer they were stepped from.  So this overwrites ``x0s``.
+    That is safe because both callers pass an array they own: ``run`` and
+    ``run_many`` step the copy that checking their argument made, and the
+    loop reads each iterate before it overwrites it.  A batch then holds
+    about five arrays of its size at once, the two buffers, ``final_x``,
+    the gradient and one temporary of the objective or of the squared
+    norms: 5.1x the bytes of a 20k-row 100-D batch under ``tracemalloc``.
+
     Given a list ``iterates``, ``x0s`` holds one row (a ``run``), and the
     iterates of each block of it are appended, including the steps past
     the stop, so nothing is sized by ``policy.max_iters``.  Overflow in
@@ -510,7 +538,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
     box_lo, box_hi = float(box[:, 0].max()), float(box[:, 1].min())
     box_in_cube = bool(np.all(box[:, 0] >= -cube) and np.all(box[:, 1] <= cube))
 
-    x = x0s
+    # x is the active rows, at the top of x0s or of spare; the active count
+    # only falls, so the other buffer always has room for the next step.
+    x, spare = x0s, np.empty_like(x0s)
     active = np.arange(n)
     k = 0
     with np.errstate(all="ignore"):
@@ -521,7 +551,10 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
             if m > 1:
                 b = 1
                 g = gradient(x)
-                xs, gs, x_next = x[None], g[None], x - alpha * g
+                # x - alpha * g: the same two roundings, into the spare buffer
+                x_next = np.multiply(g, alpha, out=spare[:m])
+                np.subtract(x, x_next, out=x_next)
+                xs, gs = x[None], g[None]
             else:  # in Python floats, bit for bit the numpy step above
                 b = min(_BLOCK_ROWS, max_iters - k + 1)  # the block ends at the cap
                 p = x[0].tolist()
@@ -548,7 +581,7 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
             lean = certified and in_box and sq.max() < np.inf
             if lean:
                 if div_free and not capped and sq.min() > tol2:
-                    x = x_next
+                    x, spare = x_next, x
                     k += b
                     continue
                 f, suspect = None, False
@@ -603,9 +636,9 @@ def _descend(gmap: GradientMap, x0s: np.ndarray, policy: StopPolicy, iterates=No
                 codes[idx] = code.ravel()[sel]
                 keep = ~stopped
                 active = active[keep]
-                x = np.compress(keep, x_next, axis=0)
+                x = np.compress(keep, x_next, axis=0, out=x[:active.size])
             else:
-                x = x_next
+                x, spare = x_next, x
             k += b
 
     reasons = np.array(_STOP_CODE_REASONS, dtype=object)[codes].tolist()

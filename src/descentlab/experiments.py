@@ -32,13 +32,13 @@ __all__ = [
 FIT_FLOOR = 100.0 * np.finfo(float).eps
 # Trials of a 1-D or 2-D census, at most; a d-D census may have 2 *
 # MAX_TRIALS // d, so its starts hold at most 2e7 coordinates (160 MB).
-# Through the CLI a 2-D census peaked at 39 MB at 1e5 trials and 97 MB
-# at 1e6: about 67 bytes a trial above the 33 MB of one of 1e3 trials, so
-# about 0.7 GB at this cap.  A 100-D census at its cap of 2e5 trials
-# peaked at 342 MB: 160 MB of starts, and about 130 MB of temporaries
-# stepping one 20k-row chunk (2 cores, Python 3.11.7, numpy 2.4.6).
-# A larger census is refused before any work rather than running out of
-# memory.
+# Through the CLI without --out a 2-D census peaked at 39 MB at 1e5
+# trials and 99 MB at 1e6: about 66 bytes a trial above the 33 MB of one
+# of 1e3 trials, so about 0.7 GB at this cap.  A 100-D census at its cap
+# of 2e5 trials peaked at 216 MB, 160 MB of it the starts; its chunks of
+# 400 rows step in about 1.6 MB each (child getrusage, 2 cores, Python
+# 3.11.7, numpy 2.4.6).  A larger census is refused before any work
+# rather than running out of memory.
 MAX_TRIALS = 10_000_000
 
 
@@ -139,12 +139,13 @@ def monte_carlo(
     The starts come from one RNG stream for ``seed`` (a non-negative
     integer), drawn in trial order, and are stepped and labelled as the
     stable-set grid is (``critical._label_starts``): cut in trial order
-    into chunks of ``critical.CHUNK`` rows, each stepped and labelled as
-    one batch.  A trial lands at record i when its run neither diverged
-    nor left the domain box and ends with a gradient norm at most
-    ``BASIN_TOL`` within ``BASIN_TOL`` (infinity norm) of record i, the
-    rule by which ``sample_local_stable_set`` counts a grid point as
-    converged.  ``n_jobs`` (at least 1) is the most threads to use: the
+    into chunks of ``2 * critical.CHUNK`` coordinates (``critical.CHUNK``
+    rows up to 2-D), each stepped and labelled as one batch.  A trial
+    lands at record i when its run neither diverged nor left the domain
+    box and ends with a gradient norm at most ``BASIN_TOL`` within
+    ``BASIN_TOL`` (infinity norm) of record i, the rule by which
+    ``sample_local_stable_set`` counts a grid point as converged.
+    ``n_jobs`` (at least 1) is the most threads to use: the
     chunks are mapped by ``min(n_jobs, os.cpu_count(), number of chunks)``
     threads, or without a thread pool when that is 1.  The stepping is
     elementwise, so the report is identical for any chunk size and thread

@@ -31,6 +31,7 @@ from descentlab.engine import (
     _backtrack,
     _box_samples,
     _columns_within,
+    _refuse_starts_outside_box,
     _row_norms,
     _squared_tolerance,
     _sum_squares,
@@ -180,6 +181,41 @@ def test_quadratics_may_leave_the_box_without_stopping():
     assert traj.stop_reason is StopReason.DIVERGED
 
 
+BOXED = NesterovExample(domain_box=[[-0.5, 0.75], [-1.0, 0.25]])
+
+
+@pytest.mark.parametrize("column, side", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_starts_on_the_closed_box_pass_and_one_past_any_bound_is_refused(column, side):
+    starts = np.array([[-0.5, -1.0], [0.75, 0.25], [0.0, 0.0]])  # two corners and the origin
+    gmap = GradientMap(BOXED, 0.09)
+    _refuse_starts_outside_box(BOXED, starts)
+    run_many(gmap, starts, StopPolicy(max_iters=1))
+    starts[2, column] = np.nextafter(BOXED.domain_box[column, side], (-np.inf, np.inf)[side])
+    refusals = (lambda: _refuse_starts_outside_box(BOXED, starts), lambda: run_many(gmap, starts))
+    for refuse in refusals:
+        with pytest.raises(ContractViolationError) as refused:
+            refuse()
+        assert str(refused.value) == "some starting points lie outside domain_box"
+
+
+def test_the_box_refusal_passes_no_rows_and_a_global_bound_and_refuses_a_nan():
+    _refuse_starts_outside_box(BOXED, np.empty((0, 2)))
+    _refuse_starts_outside_box(DiagonalQuadratic([1.0, 1.0]), np.full((2, 2), 1e300))
+    with pytest.raises(ContractViolationError):
+        _refuse_starts_outside_box(BOXED, np.array([[0.0, 0.0], [np.nan, 0.0]]))
+
+
+def test_the_box_refusal_allocates_nothing_the_size_of_the_starts():
+    starts = np.zeros((500_000, 2))
+    tracemalloc.start()
+    try:
+        _refuse_starts_outside_box(BOXED, starts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * starts.nbytes
+
+
 def test_start_outside_local_box_rejected():
     gmap = GradientMap(NesterovExample(), 0.09)
     with pytest.raises(ContractViolationError):
@@ -277,6 +313,34 @@ def test_two_rows_step_one_iterate_a_block_and_the_last_row_steps_alone():
     assert obj.rows == 2 * 11
     assert batch.iterations.tolist() == [10, 30]
     _assert_rows_match_single_runs(gmap, x0s, policy)
+
+
+def test_rows_stopping_at_many_iterations_match_single_runs_bitwise():
+    # every row stops at its own iterate, so the batch compacts after
+    # many steps; a compaction lands in the buffer the batch steps from,
+    # and an even gap between two stops puts the next one in the other
+    # buffer, an odd gap in the same one; the last row steps alone
+    gmap = GradientMap(DiagonalQuadratic([1.0, 0.75]), 0.5)
+    x0s = np.random.default_rng(2).uniform(0.5, 1.0, size=(24, 2)) * (2.0 ** np.arange(24))[:, None]
+    x0s[-1] *= 2.0 ** 8
+    batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy(divergence_radius=1e300))
+    stops = sorted(batch.iterations.tolist())
+    assert set(batch.stop_reasons) == {StopReason.GRAD_NORM_BELOW_TOL}
+    assert len(set(stops)) > 20
+    assert {(later - earlier) % 2 for earlier, later in zip(stops, stops[1:])} == {0, 1}
+    assert stops[-1] - stops[-2] > 1
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_run_many_leaves_the_callers_batch_unchanged(layout):
+    # the loop steps in its own copy, through two buffers of the batch's
+    # size; nesterov's certificate puts most steps on the lean path
+    gmap = GradientMap(NesterovExample(), 0.09)
+    x0s = np.asarray(np.random.default_rng(5).uniform(-2.0, 2.0, size=(50, 2)), order=layout)
+    before = x0s.copy()
+    batch = _assert_rows_match_single_runs(gmap, x0s, StopPolicy())
+    assert np.array_equal(x0s, before)
+    assert not np.shares_memory(batch.final_x, x0s)
 
 
 def test_run_many_divergence_wins_over_a_box_exit_on_the_same_iteration():
@@ -683,6 +747,23 @@ def test_a_huge_iteration_cap_allocates_nothing_by_the_cap():
     assert traj.stop_reason is StopReason.GRAD_NORM_BELOW_TOL
     assert traj.n_steps < 100
     assert peak < 1_000_000
+
+
+def test_a_batch_steps_in_about_five_times_its_own_memory():
+    # the copy of the batch, the buffer it steps into, the final states,
+    # the gradient and the squares of its norms: about 5.1x the starts'
+    # bytes, where new arrays for every step and compaction peaked at 8.9x
+    gmap = GradientMap(DiagonalQuadratic([1.0] * 100), 0.5)
+    x0s = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5000, 100))
+    x0s *= 2.0 ** (np.arange(5000) % 16)[:, None]
+    tracemalloc.start()
+    try:
+        batch = run_many(gmap, x0s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(set(batch.iterations.tolist())) > 1  # the batch compacts
+    assert peak <= 6 * x0s.nbytes
 
 
 @pytest.mark.parametrize("seed, box", [

@@ -145,16 +145,28 @@ def test_monte_carlo_is_identical_for_any_thread_split(nesterov_records):
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2, 3])
-@pytest.mark.parametrize("chunk, sizes", [(7, [7] * 28 + [4]), (199, [199, 1])])
+@pytest.mark.parametrize("dimension, chunk, sizes", [
+    (2, 7, [7] * 28 + [4]),
+    (2, 199, [199, 1]),
+    # above 2-D a chunk holds 2 * CHUNK coordinates: 2 * 7 // 3 = 4 rows
+    # and 2 * 299 // 3 = 199 rows of a 3-D census
+    (3, 7, [4] * 50),
+    (3, 299, [199, 1]),
+], ids=["7-sizes0", "199-sizes1", "3d-7", "3d-299"])
 def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
-    nesterov_records, monkeypatch, chunk, sizes, n_jobs
+    nesterov_records, monkeypatch, dimension, chunk, sizes, n_jobs
 ):
     # a tail chunk, and with 199 rows a chunk of one, which takes the
     # single-row path of the stepping loop
-    whole = monte_carlo(NesterovExample(), 0.09, 200, seed=7, records=nesterov_records)
-    result = run_many(GradientMap(NesterovExample(), 0.09), whole.trial_x0)
-    codes = _codes(result, nesterov_records)
-    assert whole.trial_labels == [_label_table(nesterov_records)[c] for c in codes]
+    if dimension == 2:
+        objective, alpha, records = NesterovExample(), 0.09, nesterov_records
+    else:
+        objective, alpha = DiagonalQuadratic([0.5, 1.0, 2.0]), 0.45
+        records = find_critical_points(objective)
+    whole = monte_carlo(objective, alpha, 200, seed=7, records=records)
+    result = run_many(GradientMap(objective, alpha), whole.trial_x0)
+    codes = _codes(result, records)
+    assert whole.trial_labels == [_label_table(records)[c] for c in codes]
     assert np.array_equal(whole.trial_iterations, result.iterations)
     assert np.array_equal(whole.trial_final_grad_norm, result.final_grad_norm)
     stepped = []
@@ -166,9 +178,7 @@ def test_a_census_in_chunks_of_a_few_rows_matches_one_batch_of_all_starts(
     monkeypatch.setattr(critical, "CHUNK", chunk)
     monkeypatch.setattr(critical, "run_many", recorded)
     monkeypatch.setattr(critical.os, "cpu_count", lambda: 3)
-    chunked = monte_carlo(
-        NesterovExample(), 0.09, 200, seed=7, records=nesterov_records, n_jobs=n_jobs
-    )
+    chunked = monte_carlo(objective, alpha, 200, seed=7, records=records, n_jobs=n_jobs)
     assert sorted(stepped) == sorted(sizes)
     assert chunked.to_dict() == whole.to_dict()
     assert np.array_equal(chunked.trial_x0, whole.trial_x0)
